@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from beamtrack import frames, fusion, sensors
+from beamtrack import harness, mechanical, sensors
 from beamtrack.config import default_scenario
 
 D2R = math.pi / 180.0
@@ -20,36 +20,18 @@ rng = np.random.default_rng(2)
 t_s = cfg.sensors.sample_period
 steps = int(60.0 / t_s)
 
-first = sensors.flight_profile(0.0, cfg.profile)
-pr0 = sensors.accel_to_pitch_roll(
-    sensors.accel_measure(first.attitude, cfg.sensors, rng), cfg.sensors.gravity
-)
-psi0 = sensors.gps_yaw_measure(first.attitude, cfg.sensors, rng)
-state = fusion.make_filter_state(fusion.measurement_quat(psi0, pr0.pitch, pr0.roll))
-gyro_only = frames.dcm_to_euler(frames.quat_to_dcm(state.q))
+tick = harness.start(cfg, mechanical.pointing_euler(cfg.geo), rng)
+gyro_only = tick.est
 
 errors = {"gyro-only": [], "instantaneous": [], "fused": []}
 for k in range(1, steps + 1):
-    truth = sensors.flight_profile(k * t_s, cfg.profile)
-    omega_m = sensors.gyro_measure(truth.body_rates, cfg.sensors, rng)
-    pr = sensors.accel_to_pitch_roll(
-        sensors.accel_measure(truth.attitude, cfg.sensors, rng), cfg.sensors.gravity
-    )
-    psi_m = sensors.gps_yaw_measure(truth.attitude, cfg.sensors, rng)
-
-    gyro_only = sensors.gyro_integrate(gyro_only, omega_m, t_s)
-    state, fused = fusion.fuse_step(state, omega_m, psi_m, pr.pitch, pr.roll, t_s)
-
-    def err3(yaw, pitch, roll):
-        return (
-            frames.wrap_angle(yaw - truth.attitude.yaw),
-            pitch - truth.attitude.pitch,
-            frames.wrap_angle(roll - truth.attitude.roll),
-        )
-
-    errors["gyro-only"].append(err3(*gyro_only))
-    errors["instantaneous"].append(err3(psi_m, pr.pitch, pr.roll))
-    errors["fused"].append(err3(*fused))
+    tick = harness.sense_and_fuse(cfg, tick.filter_state, k * t_s, rng)
+    truth = tick.truth.attitude
+    gyro_only = sensors.gyro_integrate(gyro_only, tick.omega_m, t_s)
+    instantaneous = (tick.psi_m, tick.pitch_roll.pitch, tick.pitch_roll.roll)
+    errors["gyro-only"].append(harness.attitude_error(gyro_only, truth))
+    errors["instantaneous"].append(harness.attitude_error(instantaneous, truth))
+    errors["fused"].append(harness.attitude_error(tick.est, truth))
 
 print(f"{'pipeline':>14} {'rmse [deg]':>11} {'max [deg]':>10} {'<=0.5 deg':>10}")
 for name, errs in errors.items():

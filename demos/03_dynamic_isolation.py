@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from beamtrack import frames, fusion, mechanical, sensors
+from beamtrack import harness, mechanical
 from beamtrack.config import default_scenario
-from beamtrack.mechanical import GimbalAngles, GimbalRates, GimbalState
+from beamtrack.mechanical import GimbalAngles, GimbalRates
 
 D2R = math.pi / 180.0
 
@@ -34,34 +34,21 @@ print()
 cfg = default_scenario()
 euler = mechanical.pointing_euler(cfg.geo)
 t_s = cfg.sensors.sample_period
+still = GimbalRates(0.0, 0.0, 0.0)  # the isolation-off arm
 
 for use_isolation in (True, False):
     rng = np.random.default_rng(7)
-    first = sensors.flight_profile(0.0, cfg.profile)
-    pr0 = sensors.accel_to_pitch_roll(
-        sensors.accel_measure(first.attitude, cfg.sensors, rng), cfg.sensors.gravity
-    )
-    psi0 = sensors.gps_yaw_measure(first.attitude, cfg.sensors, rng)
-    state = fusion.make_filter_state(fusion.measurement_quat(psi0, pr0.pitch, pr0.roll))
-    est = frames.dcm_to_euler(frames.quat_to_dcm(state.q))
-    gimbal = GimbalState(mechanical.stabilization_command(est, euler))
+    tick = harness.start(cfg, euler, rng)
     errs = []
     for k in range(1, int(30.0 / t_s) + 1):
-        truth = sensors.flight_profile(k * t_s, cfg.profile)
-        omega_m = sensors.gyro_measure(truth.body_rates, cfg.sensors, rng)
-        pr = sensors.accel_to_pitch_roll(
-            sensors.accel_measure(truth.attitude, cfg.sensors, rng), cfg.sensors.gravity
-        )
-        psi_m = sensors.gps_yaw_measure(truth.attitude, cfg.sensors, rng)
-        state, est = fusion.fuse_step(state, omega_m, psi_m, pr.pitch, pr.roll, t_s)
-        target = mechanical.stabilization_command(est, euler)
-        iso = (
-            mechanical.isolation_rates(gimbal.angles, omega_m)
-            if use_isolation
-            else GimbalRates(0.0, 0.0, 0.0)
-        )
-        gimbal = mechanical.gimbal_step(gimbal, target, iso, cfg.servo, t_s)
-        errs.append(mechanical.pointing_error(gimbal, truth.attitude, euler))
+        if use_isolation:
+            tick = harness.step(cfg, euler, tick, k * t_s, rng)
+        else:
+            sensed = harness.sense_and_fuse(cfg, tick.filter_state, k * t_s, rng)
+            target = mechanical.stabilization_command(sensed.est, euler)
+            gimbal = mechanical.gimbal_step(tick.gimbal, target, still, cfg.servo, t_s)
+            tick = sensed._replace(gimbal=gimbal)
+        errs.append(mechanical.pointing_error(tick.gimbal, tick.truth.attitude, euler))
     e = np.abs(np.array(errs)) / D2R
     label = "isolation + servo" if use_isolation else "servo only       "
     print(

@@ -21,7 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import experiments, harness, mechanical
-from .config import ConfigError, load_scenario
+from .config import load_scenario
+from .electrical import RUNNERS
 from .frames import Attitude
 
 D2R = math.pi / 180.0
@@ -56,9 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--param", default="snr_db", help="swept parameter (snr_db)")
     sw.add_argument("--values", required=True, help="comma-separated values")
     sw.add_argument("--seeds", type=int, default=100)
-    sw.add_argument(
-        "--methods", default="assp,spsa,sequential", help="comma-separated method list"
-    )
+    sw.add_argument("--methods", default=",".join(RUNNERS), help="comma-separated method list")
     sw.add_argument("--offset-deg", type=float, default=0.3, help="initial offset per axis")
     sw.add_argument("--threshold", type=float, default=0.99, help="nrsp threshold")
     sw.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
@@ -133,7 +132,7 @@ def _cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in experiments.METHOD_RUNNERS:
+        if m not in RUNNERS:
             print(f"unknown method {m!r}", file=sys.stderr)
             return 2
     tasks = [
@@ -182,10 +181,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return 2
-    except (ConfigError, mechanical.NoVisibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # runtime failures map to exit 1
+    except Exception as exc:  # config errors and runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

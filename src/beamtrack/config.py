@@ -25,13 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channel import ArrayGeometry, SignalModel
-from .electrical import AsspParams
+from .electrical import RUNNERS, AsspParams
 from .mechanical import GeoConfig, ServoConfig
 from .sensors import ProfileConfig, SensorNoiseConfig, Sinusoid
 
 D2R = math.pi / 180.0
-
-METHODS = ("assp", "spsa", "sequential")
 
 
 class ConfigError(ValueError):
@@ -227,9 +225,9 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
             holder.__post_init__()
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-    if cfg.electrical.method not in METHODS:
+    if cfg.electrical.method not in RUNNERS:
         raise ConfigError(
-            f"electrical.method: {cfg.electrical.method!r} not one of {METHODS}"
+            f"electrical.method: {cfg.electrical.method!r} not one of {tuple(RUNNERS)}"
         )
     if cfg.electrical.first_epoch < 0 or cfg.electrical.epoch_period <= 0:
         raise ConfigError("electrical: epochs must have first_epoch >= 0, period > 0")

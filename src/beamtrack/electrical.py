@@ -163,7 +163,6 @@ def assp_step(
     rng: np.random.Generator,
     structure: np.ndarray,
     trace: OptimizerTrace,
-    gradient_form: str = "aligned",
 ) -> OptimizerState:
     """One perturbation/measure/update cycle; appends a trace row.
 
@@ -179,12 +178,7 @@ def assp_step(
         raise DegeneratePerturbationError("could not draw a nonzero perturbation")
     p_plus = oracle(state.phases + delta)
     p_minus = oracle(state.phases - delta)
-    if gradient_form == "aligned":
-        grad = aligned_gradient(p_plus, p_minus, delta)
-    elif gradient_form == "reciprocal":
-        grad = (p_plus - p_minus) / (2.0 * delta)
-    else:
-        raise ValueError(f"unknown gradient_form {gradient_form!r}")
+    grad = aligned_gradient(p_plus, p_minus, delta)
     phases = state.phases + params.step_size(state.k) * grad
     k = state.k + 1
 
@@ -209,7 +203,6 @@ def run_assp(
     params: AsspParams,
     rng: np.random.Generator,
     geom: ArrayGeometry,
-    gradient_form: str = "aligned",
 ) -> tuple[np.ndarray, OptimizerTrace]:
     """Iterate ASSP until the iteration budget or the stop rule fires
     (best observed power improved by less than stop_epsilon relative over
@@ -218,7 +211,7 @@ def run_assp(
     state = OptimizerState(np.asarray(initial_phases, dtype=float).copy())
     trace = OptimizerTrace()
     while state.k < params.max_iters:
-        state = assp_step(state, oracle, params, rng, structure, trace, gradient_form)
+        state = assp_step(state, oracle, params, rng, structure, trace)
         if state.stalled >= params.stop_window:
             break
     return state.phases, trace
@@ -284,6 +277,15 @@ def run_sequential_perturbation(
         if trace.nrsp[-1] >= 1.0 - 1e-9:
             break
     return phases, trace
+
+
+# the one method registry: config validation, the simulator and the sweep
+# all look runners up here
+RUNNERS = {
+    "assp": run_assp,
+    "spsa": run_isotropic_spsa,
+    "sequential": run_sequential_perturbation,
+}
 
 
 def fit_doa(phases: np.ndarray, geom: ArrayGeometry, pad: int = 4) -> tuple[float, float]:

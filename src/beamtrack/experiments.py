@@ -18,14 +18,13 @@ import numpy as np
 from . import electrical as el
 from .channel import ArrayGeometry, PathComponent, PowerOracle, channel_matrix, vec
 from .electrical import AsspParams
+from .frames import wrap_angle
 
 D2R = math.pi / 180.0
 
-METHOD_RUNNERS = {
-    "assp": el.run_assp,
-    "spsa": el.run_isotropic_spsa,
-    "sequential": el.run_sequential_perturbation,
-}
+# the registry itself, not a copy: an entry swapped in it is what
+# ``run_trial`` calls
+METHOD_RUNNERS = el.RUNNERS
 
 
 @dataclass
@@ -88,12 +87,9 @@ def run_trial(
     )
     budget = params.seq_max_sweeps if method == "sequential" else params.max_iters
     iters = trace.iterations_to(threshold, budget)
-    reached = any(v >= threshold for v in trace.nrsp)
-    if reached:
-        first = next(i for i, v in enumerate(trace.nrsp) if v >= threshold)
-        queries_to = trace.queries[first]
-    else:
-        queries_to = trace.queries[-1] if trace.queries else 0
+    first = next((i for i, v in enumerate(trace.nrsp) if v >= threshold), None)
+    reached = first is not None
+    queries_to = trace.queries[first if reached else -1] if trace.queries else 0
     fit_az, fit_el = el.fit_doa(phases, geom)
     return TrialResult(
         iterations_to_threshold=iters,
@@ -102,16 +98,8 @@ def run_trial(
         queries=oracle.queries,
         queries_to_threshold=queries_to,
         fit_azimuth_err_deg=abs(fit_az - true_az) / D2R,
-        fit_elevation_err_deg=abs(el_wrap(fit_el - true_el)) / D2R,
+        fit_elevation_err_deg=abs(wrap_angle(fit_el - true_el)) / D2R,
     )
-
-
-def el_wrap(angle: float) -> float:
-    """Wrap an orientation difference to (-pi, pi]."""
-    r = math.fmod(angle + math.pi, 2 * math.pi)
-    if r <= 0:
-        r += 2 * math.pi
-    return r - math.pi
 
 
 def convergence_stats(

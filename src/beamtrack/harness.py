@@ -2,11 +2,13 @@
 stabilization with dynamic isolation, channel evaluation, and scheduled
 electrical refinement; plus CSV/JSON trace export.
 
-Per tick the loop measures, fuses, commands the gimbal and records the
-normalized received power of the current analog weights against the
-instantaneous satellite direction in the beam frame.  At configured
-epochs the electrical stage refines the weights against a channel frozen
-at the epoch's geometry.
+The tick (measure -> fuse -> command -> isolate -> servo) is written
+once: ``start`` sets the loop up at t = 0, ``step`` advances it one tick,
+and ``sense_and_fuse`` is its gimbal-free first half.  Per tick
+``run_simulation`` also records the normalized received power of the
+current analog weights against the instantaneous satellite direction in
+the beam frame.  At configured epochs the electrical stage refines the
+weights against a channel frozen at the epoch's geometry.
 
 Randomness is split into independent per-subsystem streams (sensor
 noise, channel noise, perturbations) from the master seed, so changing
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from . import channel as ch
 from . import electrical as el
 from . import frames, fusion, mechanical, sensors
 from .config import ScenarioConfig
-from .mechanical import GimbalState
+from .mechanical import GimbalState, PointingEuler
 
 R2D = 180.0 / math.pi
 
@@ -95,11 +98,75 @@ def build_channel(cfg: ScenarioConfig, azimuth: float, elevation: float) -> np.n
     return ch.vec(ch.channel_matrix(cfg.array, paths, cfg.wavelength))
 
 
-_RUNNERS = {
-    "assp": el.run_assp,
-    "spsa": el.run_isotropic_spsa,
-    "sequential": el.run_sequential_perturbation,
-}
+class Tick(NamedTuple):
+    """One tick of the closed loop, and the loop state for the next."""
+
+    truth: sensors.FlightState
+    omega_m: np.ndarray | None  # None from start, which draws no gyro sample
+    pitch_roll: sensors.PitchRoll
+    psi_m: float
+    filter_state: fusion.FilterState
+    est: frames.Attitude
+    gimbal: GimbalState | None  # None from sense_and_fuse
+
+
+def start(cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator) -> Tick:
+    """The loop at t = 0: the filter starts on the first accelerometer and
+    GPS draws, and the gimbal on the first stabilization solution (instant
+    acquisition)."""
+    first = sensors.flight_profile(0.0, cfg.profile)
+    pr0 = sensors.accel_to_pitch_roll(
+        sensors.accel_measure(first.attitude, cfg.sensors, rng), cfg.sensors.gravity
+    )
+    psi0 = sensors.gps_yaw_measure(first.attitude, cfg.sensors, rng)
+    state = fusion.make_filter_state(
+        fusion.measurement_quat(psi0, pr0.pitch, pr0.roll), cfg.fusion_initial_covariance,
+        cfg.fusion_process_noise, cfg.fusion_measurement_noise,
+    )
+    est = frames.dcm_to_euler(frames.quat_to_dcm(state.q))
+    gimbal = GimbalState(mechanical.stabilization_command(est, euler))
+    return Tick(first, None, pr0, psi0, state, est, gimbal)
+
+
+def sense_and_fuse(
+    cfg: ScenarioConfig, state: fusion.FilterState, t: float, rng: np.random.Generator
+) -> Tick:
+    """Truth at ``t``, the gyro, accelerometer and GPS draws (in that order
+    from ``rng``), and one fusion step from ``state``; no gimbal."""
+    truth = sensors.flight_profile(t, cfg.profile)
+    omega_m = sensors.gyro_measure(truth.body_rates, cfg.sensors, rng)
+    pr = sensors.accel_to_pitch_roll(
+        sensors.accel_measure(truth.attitude, cfg.sensors, rng), cfg.sensors.gravity
+    )
+    psi_m = sensors.gps_yaw_measure(truth.attitude, cfg.sensors, rng)
+    t_s = cfg.sensors.sample_period
+    state, est = fusion.fuse_step(state, omega_m, psi_m, pr.pitch, pr.roll, t_s)
+    return Tick(truth, omega_m, pr, psi_m, state, est, None)
+
+
+def step(
+    cfg: ScenarioConfig, euler: PointingEuler, prev: Tick, t: float, rng: np.random.Generator
+) -> Tick:
+    """One closed-loop tick after ``prev``: measure and fuse, command the
+    gimbal to the stabilization solution, isolate the measured body rates,
+    and servo."""
+    tick = sense_and_fuse(cfg, prev.filter_state, t, rng)
+    target = mechanical.stabilization_command(tick.est, euler)
+    isolation = mechanical.isolation_rates(prev.gimbal.angles, tick.omega_m)
+    gimbal = mechanical.gimbal_step(
+        prev.gimbal, target, isolation, cfg.servo, cfg.sensors.sample_period
+    )
+    return tick._replace(gimbal=gimbal)
+
+
+def attitude_error(est, truth) -> tuple[float, float, float]:
+    """(yaw, pitch, roll) of ``est`` minus ``truth``, yaw and roll wrapped
+    to (-pi, pi]."""
+    return (
+        frames.wrap_angle(est[0] - truth[0]),
+        est[1] - truth[1],
+        frames.wrap_angle(est[2] - truth[2]),
+    )
 
 
 def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
@@ -117,91 +184,44 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     euler = mechanical.pointing_euler(cfg.geo)
     sat_dir_ned = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
 
-    # initial filter state from the first sensor epoch
-    first = sensors.flight_profile(0.0, cfg.profile)
-    pr0 = sensors.accel_to_pitch_roll(
-        sensors.accel_measure(first.attitude, cfg.sensors, sensor_rng), cfg.sensors.gravity
-    )
-    psi0 = sensors.gps_yaw_measure(first.attitude, cfg.sensors, sensor_rng)
-    state = fusion.make_filter_state(
-        fusion.measurement_quat(psi0, pr0.pitch, pr0.roll),
-        cfg.fusion_initial_covariance,
-        cfg.fusion_process_noise,
-        cfg.fusion_measurement_noise,
-    )
-    est_attitude = frames.dcm_to_euler(frames.quat_to_dcm(state.q))
-
-    # instant acquisition: gimbal starts on the first stabilization solution
-    gimbal = GimbalState(mechanical.stabilization_command(est_attitude, euler))
+    tick = start(cfg, euler, sensor_rng)
     phases = np.zeros(cfg.array.size)
-
-    method = cfg.electrical.method
     next_epoch = cfg.electrical.first_epoch
     total_queries = 0
     records: list[TraceRecord] = []
 
     for k in range(1, steps + 1):
         t = k * t_s
-        truth = sensors.flight_profile(t, cfg.profile)
-        omega_m = sensors.gyro_measure(truth.body_rates, cfg.sensors, sensor_rng)
-        pr = sensors.accel_to_pitch_roll(
-            sensors.accel_measure(truth.attitude, cfg.sensors, sensor_rng),
-            cfg.sensors.gravity,
+        tick = step(cfg, euler, tick, t, sensor_rng)
+        truth, gimbal = tick.truth.attitude, tick.gimbal
+        h_vec = build_channel(cfg, *beam_frame_arrival(gimbal.angles, truth, sat_dir_ned))
+        # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
+        # angles, pointing error (azimuth, elevation)
+        angles = (
+            *truth, *tick.est, *attitude_error(tick.est, truth), *gimbal.angles,
+            *mechanical.pointing_error(gimbal, truth, euler),
         )
-        psi_m = sensors.gps_yaw_measure(truth.attitude, cfg.sensors, sensor_rng)
-        state, est_attitude = fusion.fuse_step(
-            state, omega_m, psi_m, pr.pitch, pr.roll, t_s
+        base = TraceRecord(
+            t, "mech", *(a * R2D for a in angles),
+            ch.nrsp(phases, h_vec), 0, total_queries, int(gimbal.rate_clamped),
         )
-
-        target = mechanical.stabilization_command(est_attitude, euler)
-        isolation = mechanical.isolation_rates(gimbal.angles, omega_m)
-        gimbal = mechanical.gimbal_step(gimbal, target, isolation, cfg.servo, t_s)
-
-        err_az, err_el = mechanical.pointing_error(gimbal, truth.attitude, euler)
-        arrival = beam_frame_arrival(gimbal.angles, truth.attitude, sat_dir_ned)
-        h_vec = build_channel(cfg, *arrival)
-        nrsp_now = ch.nrsp(phases, h_vec)
-
-        err = (
-            frames.wrap_angle(est_attitude.yaw - truth.attitude.yaw),
-            est_attitude.pitch - truth.attitude.pitch,
-            frames.wrap_angle(est_attitude.roll - truth.attitude.roll),
-        )
-        records.append(
-            TraceRecord(
-                t, "mech",
-                truth.attitude.yaw * R2D, truth.attitude.pitch * R2D, truth.attitude.roll * R2D,
-                est_attitude.yaw * R2D, est_attitude.pitch * R2D, est_attitude.roll * R2D,
-                err[0] * R2D, err[1] * R2D, err[2] * R2D,
-                gimbal.angles.azimuth * R2D, gimbal.angles.elevation * R2D,
-                gimbal.angles.polarization * R2D,
-                err_az * R2D, err_el * R2D,
-                nrsp_now, 0, total_queries, int(gimbal.rate_clamped),
-            )
-        )
+        records.append(base)
 
         if t >= next_epoch - 1e-12:
             next_epoch += cfg.electrical.epoch_period
             oracle = ch.PowerOracle(
                 h_vec, cfg.signal.symbol, cfg.signal.noise_power, channel_rng
             )
-            phases, trace = _RUNNERS[method](
+            phases, trace = el.RUNNERS[cfg.electrical.method](
                 phases, oracle, cfg.electrical.params, perturb_rng, cfg.array
             )
-            base = records[-1]
-            for i in range(len(trace)):
-                total_queries_i = total_queries + trace.queries[i]
-                records.append(
-                    TraceRecord(
-                        t, "elec",
-                        base.yaw_true_deg, base.pitch_true_deg, base.roll_true_deg,
-                        base.yaw_est_deg, base.pitch_est_deg, base.roll_est_deg,
-                        base.yaw_err_deg, base.pitch_err_deg, base.roll_err_deg,
-                        base.azimuth_deg, base.elevation_deg, base.polarization_deg,
-                        base.azimuth_err_deg, base.elevation_err_deg,
-                        trace.nrsp[i], trace.k[i], total_queries_i, 0,
-                    )
+            records.extend(
+                replace(
+                    base, phase="elec", nrsp=trace.nrsp[i], elec_iteration=trace.k[i],
+                    oracle_queries=total_queries + trace.queries[i], rate_clamped=0,
                 )
+                for i in range(len(trace))
+            )
             total_queries += oracle.queries
     return records
 

@@ -54,12 +54,13 @@ class SensorNoiseConfig:
             "accel_white_sigma",
             "gps_yaw_sigma",
             "gravity",
-            "gps_baseline_length",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
+        # a zero baseline has no direction, so GPS yaw would be atan2(0, 0)
+        for name in ("sample_period", "gps_baseline_length"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass

@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from beamtrack import frames, fusion, mechanical, sensors
-from beamtrack.channel import ArrayGeometry
+from beamtrack import frames, harness, mechanical, sensors
+from beamtrack.channel import ArrayGeometry, nrsp
 from beamtrack.cli import cli_main
 from beamtrack.config import default_scenario
 from beamtrack.electrical import AsspParams
 from beamtrack.frames import Attitude
 from beamtrack.experiments import convergence_stats
-from beamtrack.mechanical import GimbalAngles, GimbalState
+from beamtrack.mechanical import GimbalAngles
 
 D2R = math.pi / 180.0
 
@@ -42,61 +42,28 @@ def closed_loop_runs():
     steps = int(60.0 / t_s)
     euler = mechanical.pointing_euler(cfg.geo)
     sat_dir = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
-    geom = cfg.array
     results = []
     started = time.perf_counter()
     for seed in range(20):
+        # the sensor stream of run_simulation for the same seed
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        first = sensors.flight_profile(0.0, cfg.profile)
-        pr0 = sensors.accel_to_pitch_roll(
-            sensors.accel_measure(first.attitude, cfg.sensors, rng), cfg.sensors.gravity
-        )
-        psi0 = sensors.gps_yaw_measure(first.attitude, cfg.sensors, rng)
-        state = fusion.make_filter_state(
-            fusion.measurement_quat(psi0, pr0.pitch, pr0.roll),
-            cfg.fusion_initial_covariance,
-            cfg.fusion_process_noise,
-            cfg.fusion_measurement_noise,
-        )
-        est = frames.dcm_to_euler(frames.quat_to_dcm(state.q))
-        gimbal = GimbalState(mechanical.stabilization_command(est, euler))
-        gyro_only = est
+        tick = harness.start(cfg, euler, rng)
+        gyro_only = tick.est
         att_err = np.empty(steps)
         gyro_err = np.empty(steps)
         pt_err = np.empty((steps, 2))
         nrsp_pre = None
         for k in range(1, steps + 1):
-            truth = sensors.flight_profile(k * t_s, cfg.profile)
-            omega_m = sensors.gyro_measure(truth.body_rates, cfg.sensors, rng)
-            pr = sensors.accel_to_pitch_roll(
-                sensors.accel_measure(truth.attitude, cfg.sensors, rng),
-                cfg.sensors.gravity,
-            )
-            psi_m = sensors.gps_yaw_measure(truth.attitude, cfg.sensors, rng)
-            state, est = fusion.fuse_step(state, omega_m, psi_m, pr.pitch, pr.roll, t_s)
-            gyro_only = sensors.gyro_integrate(gyro_only, omega_m, t_s)
-            target = mechanical.stabilization_command(est, euler)
-            iso = mechanical.isolation_rates(gimbal.angles, omega_m)
-            gimbal = mechanical.gimbal_step(gimbal, target, iso, cfg.servo, t_s)
-            att_err[k - 1] = max(
-                abs(frames.wrap_angle(est.yaw - truth.attitude.yaw)),
-                abs(est.pitch - truth.attitude.pitch),
-                abs(frames.wrap_angle(est.roll - truth.attitude.roll)),
-            )
-            gyro_err[k - 1] = max(
-                abs(frames.wrap_angle(gyro_only.yaw - truth.attitude.yaw)),
-                abs(gyro_only.pitch - truth.attitude.pitch),
-                abs(frames.wrap_angle(gyro_only.roll - truth.attitude.roll)),
-            )
-            pt_err[k - 1] = mechanical.pointing_error(gimbal, truth.attitude, euler)
+            tick = harness.step(cfg, euler, tick, k * t_s, rng)
+            truth = tick.truth.attitude
+            gyro_only = sensors.gyro_integrate(gyro_only, tick.omega_m, t_s)
+            att_err[k - 1] = max(map(abs, harness.attitude_error(tick.est, truth)))
+            gyro_err[k - 1] = max(map(abs, harness.attitude_error(gyro_only, truth)))
+            pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, truth, euler)
             if nrsp_pre is None and k * t_s >= 5.0:
-                from beamtrack.harness import beam_frame_arrival, build_channel
-
-                arrival = beam_frame_arrival(gimbal.angles, truth.attitude, sat_dir)
-                h = build_channel(cfg, *arrival)
-                from beamtrack.channel import nrsp as nrsp_fn
-
-                nrsp_pre = nrsp_fn(np.zeros(geom.size), h)
+                arrival = harness.beam_frame_arrival(tick.gimbal.angles, truth, sat_dir)
+                h = harness.build_channel(cfg, *arrival)
+                nrsp_pre = nrsp(np.zeros(cfg.array.size), h)
         results.append((att_err, gyro_err, pt_err, nrsp_pre))
     return results, time.perf_counter() - started
 
@@ -152,12 +119,7 @@ def test_criterion_01_geometry_exactness():
             rng.uniform(-math.pi, math.pi),
         )
         out = frames.dcm_to_euler(frames.quat_to_dcm(frames.euler_to_quat(att)))
-        worst_euler = max(
-            worst_euler,
-            abs(frames.wrap_angle(out.yaw - att.yaw)),
-            abs(out.pitch - att.pitch),
-            abs(frames.wrap_angle(out.roll - att.roll)),
-        )
+        worst_euler = max(worst_euler, *map(abs, harness.attitude_error(out, att)))
     elapsed = time.perf_counter() - started
     ok = worst_gimbal <= 1e-10 and worst_euler <= 1e-10 and elapsed < 1.0
     line = report(

@@ -103,6 +103,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="electrical.method"):
             load_scenario_text("[electrical]\nmethod = annealing\n")
 
+    def test_zero_gps_baseline_rejected(self):
+        # a zero baseline has no direction: GPS yaw would be atan2(0, 0)
+        with pytest.raises(ConfigError, match="gps_baseline_length"):
+            load_scenario_text("[sensors]\ngps_baseline_length = 0\n")
+
     def test_parse_error_reports_line(self):
         with pytest.raises(ConfigError, match="parse error"):
             load_scenario_text("[array\nrows = 4\n")

@@ -18,6 +18,7 @@ from beamtrack.electrical import (
     run_sequential_perturbation,
     structure_matrix,
 )
+from beamtrack.experiments import offset_channel
 
 D2R = math.pi / 180.0
 
@@ -122,6 +123,29 @@ class TestGradients:
             e[i] = eps
             fd[i] = (oracle(phases + e) - oracle(phases - e)) / (2 * eps)
         assert float(np.dot(acc, fd)) > 0.0
+
+    def test_reciprocal_update_diverges_noiselessly(self):
+        # structured probes differ in magnitude per element: dividing
+        # elementwise (assp_gradient) kicks small-probe elements hard
+        geom, params = ArrayGeometry(16, 8), AsspParams()
+        h, _, _ = offset_channel(geom, 0.3)
+        structure = structure_matrix(geom)
+        final = {}
+        for form in ("aligned", "reciprocal"):
+            oracle = PowerOracle(h, 1.0, 0.0, np.random.default_rng(0))
+            rng, phases = np.random.default_rng(1), np.zeros(geom.size)
+            for k in range(30):
+                xi, bern = draw_perturbation(rng, geom.size)
+                delta = perturbation_vector(structure, xi, bern, params, k)
+                grad, p_plus, p_minus = assp_gradient(phases, delta, oracle)
+                if form == "aligned":
+                    grad = aligned_gradient(p_plus, p_minus, delta)
+                phases = phases + params.step_size(k) * grad
+            final[form] = oracle.true_nrsp(phases)
+        start = oracle.true_nrsp(np.zeros(geom.size))
+        assert start == pytest.approx(0.9929, abs=1e-4)
+        assert final["aligned"] > 0.999
+        assert final["reciprocal"] < 0.5
 
 
 class TestAsspRun:
