@@ -118,10 +118,7 @@ def _cmd_geometry(args) -> int:
 
 
 def _sweep_task(task):
-    method, geom, snr_db, seeds, params, offset_deg, threshold = task
-    return experiments.convergence_stats(
-        method, geom, snr_db, seeds, params, offset_deg, threshold
-    )
+    return experiments.convergence_stats(*task)
 
 
 def _cmd_sweep(args) -> int:
@@ -146,11 +143,8 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_sweep_task(t) for t in tasks]
     rows = sorted(
-        (
-            (task[2], stats.method, stats)
-            for task, stats in zip(tasks, results)
-        ),
-        key=lambda r: (r[0], r[1]),
+        ((task[2], stats.method, stats) for task, stats in zip(tasks, results)),
+        key=lambda r: r[:2],
     )
     header = (
         f"{'snr_db':>8} {'method':>12} {'med_iters':>10} {'reach':>6} "

@@ -6,9 +6,10 @@ Grammar (INI-style, parsed strictly):
 * every key belongs to a known section and has a typed default; unknown
   sections or keys are rejected with their full path, so typos fail loudly.
 * angles in the file are degrees (``*_deg`` keys or the profile terms);
-  everything becomes radians/SI at load time.
+  everything becomes radians/SI at load time.  Numbers must be finite.
 * profile axes take comma-separated sinusoid terms
-  ``amplitude_deg @ frequency_hz @ phase_deg`` (phase optional).
+  ``amplitude_deg @ frequency_hz @ phase_deg`` (phase optional); the pitch
+  amplitudes must sum to less than 90 deg.
 
 An empty file (or no file) yields the built-in default scenario:
 the Xi'an to AsiaSat-3S geometry, a 128x64 half-wavelength array, the
@@ -18,14 +19,17 @@ the electrical stage.
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .channel import ArrayGeometry, SignalModel
 from .electrical import RUNNERS, AsspParams
+from .fusion import FusionConfig
 from .mechanical import GeoConfig, ServoConfig
 from .sensors import ProfileConfig, SensorNoiseConfig, Sinusoid
 
@@ -42,6 +46,10 @@ class ElectricalConfig:
     params: AsspParams = field(default_factory=AsspParams)
     first_epoch: float = 5.0
     epoch_period: float = 10.0
+
+    def __post_init__(self):
+        if not (self.first_epoch >= 0 and self.epoch_period > 0):
+            raise ValueError("epochs must have first_epoch >= 0, period > 0")
 
 
 @dataclass
@@ -62,6 +70,10 @@ class NlosConfig:
     elevation_offset: float = 30.0 * D2R
     path_length: float = 0.5  # m
 
+    def __post_init__(self):
+        if not self.gain >= 0:
+            raise ValueError("nlos_gain must be non-negative")
+
 
 @dataclass
 class ScenarioConfig:
@@ -69,15 +81,17 @@ class ScenarioConfig:
     array: ArrayGeometry = field(default_factory=ArrayGeometry)
     profile: ProfileConfig = field(default_factory=ProfileConfig)
     sensors: SensorNoiseConfig = field(default_factory=SensorNoiseConfig)
-    fusion_initial_covariance: float = 1e-2
-    fusion_process_noise: float = 1e-6
-    fusion_measurement_noise: float = 1e-4
+    fusion: FusionConfig = field(default_factory=FusionConfig)
     servo: ServoConfig = field(default_factory=ServoConfig)
     signal: SignalModel = field(default_factory=SignalModel)
     wavelength: float = 0.015
     nlos: NlosConfig = field(default_factory=NlosConfig)
     electrical: ElectricalConfig = field(default_factory=ElectricalConfig)
     run: RunConfig = field(default_factory=RunConfig)
+
+    def __post_init__(self):
+        if not self.wavelength > 0:
+            raise ValueError("wavelength must be positive")
 
 
 def default_profile() -> ProfileConfig:
@@ -97,155 +111,142 @@ def default_scenario() -> ScenarioConfig:
     return cfg
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+# Value parsers: raw text -> value, or ValueError with the reason.
+
+def _number(kind, noun: str, raw: str):
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as a number") from exc
+        value = kind(raw)
+    except ValueError:
+        raise ValueError(f"cannot parse {raw!r} as {noun}") from None
+    if kind is not int and not cmath.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as an integer") from exc
+_float = partial(_number, float, "a number")
+_int = partial(_number, int, "an integer")
 
 
-def _parse_complex(section: str, key: str, raw: str) -> complex:
-    try:
-        return complex(raw.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as a complex number") from exc
+def _complex(raw: str) -> complex:
+    return _number(complex, "a complex number", raw.replace(" ", ""))
 
 
-def _parse_profile_terms(section: str, key: str, raw: str) -> list[Sinusoid]:
+def _method(raw: str) -> str:
+    method = raw.strip()
+    if method not in RUNNERS:
+        raise ValueError(f"{method!r} not one of {tuple(RUNNERS)}")
+    return method
+
+
+def _terms(raw: str) -> list[Sinusoid]:
     terms = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split("@")]
+    for chunk in filter(None, (c.strip() for c in raw.split(","))):
+        parts = chunk.split("@")
         if len(parts) not in (2, 3):
-            raise ConfigError(
-                f"{section}.{key}: term {chunk!r} is not amplitude_deg @ frequency_hz"
-                " [@ phase_deg]"
-            )
-        amp = _parse_float(section, key, parts[0]) * D2R
-        freq = _parse_float(section, key, parts[1])
-        phase = _parse_float(section, key, parts[2]) * D2R if len(parts) == 3 else 0.0
-        terms.append(Sinusoid(amp, freq, phase))
+            raise ValueError(f"term {chunk!r} is not amplitude_deg @ frequency_hz [@ phase_deg]")
+        amp, freq, *phase = (_float(p.strip()) for p in parts)
+        terms.append(Sinusoid(amp * D2R, freq, phase[0] * D2R if phase else 0.0))
     return terms
 
 
-# section -> key -> setter(cfg, raw_string)
-_SCHEMA = {
-    "geo": {
-        "latitude_deg": lambda c, s, v: setattr(c.geo, "uav_latitude", _parse_float(s, "latitude_deg", v) * D2R),
-        "longitude_deg": lambda c, s, v: setattr(c.geo, "uav_longitude", _parse_float(s, "longitude_deg", v) * D2R),
-        "satellite_longitude_deg": lambda c, s, v: setattr(c.geo, "satellite_longitude", _parse_float(s, "satellite_longitude_deg", v) * D2R),
-        "earth_radius_km": lambda c, s, v: setattr(c.geo, "earth_radius", _parse_float(s, "earth_radius_km", v) * 1e3),
-        "orbit_radius_km": lambda c, s, v: setattr(c.geo, "orbit_radius", _parse_float(s, "orbit_radius_km", v) * 1e3),
-    },
-    "array": {
-        "rows": lambda c, s, v: setattr(c.array, "rows", _parse_int(s, "rows", v)),
-        "cols": lambda c, s, v: setattr(c.array, "cols", _parse_int(s, "cols", v)),
-        "spacing_over_wavelength": lambda c, s, v: setattr(c.array, "spacing_over_wavelength", _parse_float(s, "spacing_over_wavelength", v)),
-    },
-    "profile": {
-        "yaw": lambda c, s, v: setattr(c.profile, "yaw", _parse_profile_terms(s, "yaw", v)),
-        "pitch": lambda c, s, v: setattr(c.profile, "pitch", _parse_profile_terms(s, "pitch", v)),
-        "roll": lambda c, s, v: setattr(c.profile, "roll", _parse_profile_terms(s, "roll", v)),
-    },
-    "sensors": {
-        "gyro_white_sigma": lambda c, s, v: setattr(c.sensors, "gyro_white_sigma", _parse_float(s, "gyro_white_sigma", v)),
-        "gyro_bias": lambda c, s, v: setattr(c.sensors, "gyro_bias", _parse_float(s, "gyro_bias", v)),
-        "accel_white_sigma": lambda c, s, v: setattr(c.sensors, "accel_white_sigma", _parse_float(s, "accel_white_sigma", v)),
-        "gps_yaw_sigma_deg": lambda c, s, v: setattr(c.sensors, "gps_yaw_sigma", _parse_float(s, "gps_yaw_sigma_deg", v) * D2R),
-        "sample_period": lambda c, s, v: setattr(c.sensors, "sample_period", _parse_float(s, "sample_period", v)),
-        "gravity": lambda c, s, v: setattr(c.sensors, "gravity", _parse_float(s, "gravity", v)),
-        "gps_baseline_length": lambda c, s, v: setattr(c.sensors, "gps_baseline_length", _parse_float(s, "gps_baseline_length", v)),
-    },
-    "fusion": {
-        "initial_covariance": lambda c, s, v: setattr(c, "fusion_initial_covariance", _parse_float(s, "initial_covariance", v)),
-        "process_noise": lambda c, s, v: setattr(c, "fusion_process_noise", _parse_float(s, "process_noise", v)),
-        "measurement_noise": lambda c, s, v: setattr(c, "fusion_measurement_noise", _parse_float(s, "measurement_noise", v)),
-    },
-    "servo": {
-        "gain": lambda c, s, v: setattr(c.servo, "gain", _parse_float(s, "gain", v)),
-        "rate_limit_deg": lambda c, s, v: setattr(c.servo, "rate_limit", _parse_float(s, "rate_limit_deg", v) * D2R),
-        "azimuth_stop_deg": lambda c, s, v: setattr(c.servo, "azimuth_stop", _parse_float(s, "azimuth_stop_deg", v) * D2R),
-        "elevation_min_deg": lambda c, s, v: setattr(c.servo, "elevation_min", _parse_float(s, "elevation_min_deg", v) * D2R),
-        "elevation_max_deg": lambda c, s, v: setattr(c.servo, "elevation_max", _parse_float(s, "elevation_max_deg", v) * D2R),
-    },
-    "signal": {
-        "snr_db": lambda c, s, v: setattr(c.signal, "snr_db", _parse_float(s, "snr_db", v)),
-        "symbol": lambda c, s, v: setattr(c.signal, "symbol", _parse_complex(s, "symbol", v)),
-        "los_gain": lambda c, s, v: setattr(c.signal, "los_gain_abs", _parse_float(s, "los_gain", v)),
-        "wavelength": lambda c, s, v: setattr(c, "wavelength", _parse_float(s, "wavelength", v)),
-        "nlos_gain": lambda c, s, v: setattr(c.nlos, "gain", _parse_float(s, "nlos_gain", v)),
-        "nlos_azimuth_offset_deg": lambda c, s, v: setattr(c.nlos, "azimuth_offset", _parse_float(s, "nlos_azimuth_offset_deg", v) * D2R),
-        "nlos_elevation_offset_deg": lambda c, s, v: setattr(c.nlos, "elevation_offset", _parse_float(s, "nlos_elevation_offset_deg", v) * D2R),
-        "nlos_path_length": lambda c, s, v: setattr(c.nlos, "path_length", _parse_float(s, "nlos_path_length", v)),
-    },
-    "electrical": {
-        "method": lambda c, s, v: setattr(c.electrical, "method", v.strip()),
-        "gain": lambda c, s, v: setattr(c.electrical.params, "gain", _parse_float(s, "gain", v)),
-        "structure_weight": lambda c, s, v: setattr(c.electrical.params, "structure_weight", _parse_float(s, "structure_weight", v)),
-        "isotropic_weight": lambda c, s, v: setattr(c.electrical.params, "isotropic_weight", _parse_float(s, "isotropic_weight", v)),
-        "gain_offset": lambda c, s, v: setattr(c.electrical.params, "gain_offset", _parse_float(s, "gain_offset", v)),
-        "step_exponent": lambda c, s, v: setattr(c.electrical.params, "step_exponent", _parse_float(s, "step_exponent", v)),
-        "probe_exponent": lambda c, s, v: setattr(c.electrical.params, "probe_exponent", _parse_float(s, "probe_exponent", v)),
-        "max_iters": lambda c, s, v: setattr(c.electrical.params, "max_iters", _parse_int(s, "max_iters", v)),
-        "stop_epsilon": lambda c, s, v: setattr(c.electrical.params, "stop_epsilon", _parse_float(s, "stop_epsilon", v)),
-        "stop_window": lambda c, s, v: setattr(c.electrical.params, "stop_window", _parse_int(s, "stop_window", v)),
-        "seq_step": lambda c, s, v: setattr(c.electrical.params, "seq_step", _parse_float(s, "seq_step", v)),
-        "seq_max_sweeps": lambda c, s, v: setattr(c.electrical.params, "seq_max_sweeps", _parse_int(s, "seq_max_sweeps", v)),
-        "first_epoch": lambda c, s, v: setattr(c.electrical, "first_epoch", _parse_float(s, "first_epoch", v)),
-        "epoch_period": lambda c, s, v: setattr(c.electrical, "epoch_period", _parse_float(s, "epoch_period", v)),
-    },
-    "run": {
-        "duration": lambda c, s, v: setattr(c.run, "duration", _parse_float(s, "duration", v)),
-        "seed": lambda c, s, v: setattr(c.run, "seed", _parse_int(s, "seed", v)),
-        "output": lambda c, s, v: setattr(c.run, "output", v.strip()),
-    },
-}
+def _pitch_terms(raw: str) -> list[Sinusoid]:
+    # the Euler rates are singular at pitch +/-90 deg, which the terms reach
+    # when their amplitudes sum to it
+    terms = _terms(raw)
+    reach = sum(abs(term.amplitude) for term in terms)
+    if reach >= math.pi / 2:
+        raise ValueError(f"amplitudes sum to {reach / D2R:g} deg, so pitch can reach +/-90 deg")
+    return terms
+
+
+# One row per scenario key: (section, key, holder, attribute, parse, scale).
+# The raw text of ``[section] key`` is parsed, multiplied by ``scale`` (file
+# units to radians/SI) and stored as ``attribute`` of the object at the
+# dotted ``holder`` path of the scenario ("" is the scenario itself).
+SCHEMA = (
+    ("geo", "latitude_deg", "geo", "uav_latitude", _float, D2R),
+    ("geo", "longitude_deg", "geo", "uav_longitude", _float, D2R),
+    ("geo", "satellite_longitude_deg", "geo", "satellite_longitude", _float, D2R),
+    ("geo", "earth_radius_km", "geo", "earth_radius", _float, 1e3),
+    ("geo", "orbit_radius_km", "geo", "orbit_radius", _float, 1e3),
+    ("array", "rows", "array", "rows", _int, 1),
+    ("array", "cols", "array", "cols", _int, 1),
+    ("array", "spacing_over_wavelength", "array", "spacing_over_wavelength", _float, 1),
+    ("profile", "yaw", "profile", "yaw", _terms, 1),
+    ("profile", "pitch", "profile", "pitch", _pitch_terms, 1),
+    ("profile", "roll", "profile", "roll", _terms, 1),
+    ("sensors", "gyro_white_sigma", "sensors", "gyro_white_sigma", _float, 1),
+    ("sensors", "gyro_bias", "sensors", "gyro_bias", _float, 1),
+    ("sensors", "accel_white_sigma", "sensors", "accel_white_sigma", _float, 1),
+    ("sensors", "gps_yaw_sigma_deg", "sensors", "gps_yaw_sigma", _float, D2R),
+    ("sensors", "sample_period", "sensors", "sample_period", _float, 1),
+    ("sensors", "gravity", "sensors", "gravity", _float, 1),
+    ("sensors", "gps_baseline_length", "sensors", "gps_baseline_length", _float, 1),
+    ("fusion", "initial_covariance", "fusion", "initial_covariance", _float, 1),
+    ("fusion", "process_noise", "fusion", "process_noise", _float, 1),
+    ("fusion", "measurement_noise", "fusion", "measurement_noise", _float, 1),
+    ("servo", "gain", "servo", "gain", _float, 1),
+    ("servo", "rate_limit_deg", "servo", "rate_limit", _float, D2R),
+    ("servo", "azimuth_stop_deg", "servo", "azimuth_stop", _float, D2R),
+    ("servo", "elevation_min_deg", "servo", "elevation_min", _float, D2R),
+    ("servo", "elevation_max_deg", "servo", "elevation_max", _float, D2R),
+    ("signal", "snr_db", "signal", "snr_db", _float, 1),
+    ("signal", "symbol", "signal", "symbol", _complex, 1),
+    ("signal", "los_gain", "signal", "los_gain_abs", _float, 1),
+    ("signal", "wavelength", "", "wavelength", _float, 1),
+    ("signal", "nlos_gain", "nlos", "gain", _float, 1),
+    ("signal", "nlos_azimuth_offset_deg", "nlos", "azimuth_offset", _float, D2R),
+    ("signal", "nlos_elevation_offset_deg", "nlos", "elevation_offset", _float, D2R),
+    ("signal", "nlos_path_length", "nlos", "path_length", _float, 1),
+    ("electrical", "method", "electrical", "method", _method, 1),
+    ("electrical", "gain", "electrical.params", "gain", _float, 1),
+    ("electrical", "structure_weight", "electrical.params", "structure_weight", _float, 1),
+    ("electrical", "isotropic_weight", "electrical.params", "isotropic_weight", _float, 1),
+    ("electrical", "gain_offset", "electrical.params", "gain_offset", _float, 1),
+    ("electrical", "step_exponent", "electrical.params", "step_exponent", _float, 1),
+    ("electrical", "probe_exponent", "electrical.params", "probe_exponent", _float, 1),
+    ("electrical", "max_iters", "electrical.params", "max_iters", _int, 1),
+    ("electrical", "stop_epsilon", "electrical.params", "stop_epsilon", _float, 1),
+    ("electrical", "stop_window", "electrical.params", "stop_window", _int, 1),
+    ("electrical", "seq_step", "electrical.params", "seq_step", _float, 1),
+    ("electrical", "seq_max_sweeps", "electrical.params", "seq_max_sweeps", _int, 1),
+    ("electrical", "first_epoch", "electrical", "first_epoch", _float, 1),
+    ("electrical", "epoch_period", "electrical", "epoch_period", _float, 1),
+    ("run", "duration", "run", "duration", _float, 1),
+    ("run", "seed", "run", "seed", _int, 1),
+    ("run", "output", "run", "output", str.strip, 1),
+)
+
+_KEYS = {(section, key): rest for section, key, *rest in SCHEMA}
+# (section, holder) in table order; each holder checks itself in __post_init__
+_HOLDERS = tuple(dict.fromkeys((section, holder) for section, _, holder, *_ in SCHEMA))
+_SECTIONS = {section for section, *_ in SCHEMA}
+
+
+def _holder(cfg: ScenarioConfig, path: str):
+    for name in filter(None, path.split(".")):
+        cfg = getattr(cfg, name)
+    return cfg
 
 
 def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    # re-run dataclass validators on mutated values
-    for holder, section in (
-        (cfg.geo, "geo"),
-        (cfg.array, "array"),
-        (cfg.sensors, "sensors"),
-        (cfg.servo, "servo"),
-        (cfg.electrical.params, "electrical"),
-        (cfg.run, "run"),
-    ):
+    # re-run the holders' own checks on the values the file set
+    for section, path in _HOLDERS:
+        check = getattr(_holder(cfg, path), "__post_init__", None)
+        if check is None:
+            continue
         try:
-            holder.__post_init__()
+            check()
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-    if cfg.electrical.method not in RUNNERS:
-        raise ConfigError(
-            f"electrical.method: {cfg.electrical.method!r} not one of {tuple(RUNNERS)}"
-        )
-    if cfg.electrical.first_epoch < 0 or cfg.electrical.epoch_period <= 0:
-        raise ConfigError("electrical: epochs must have first_epoch >= 0, period > 0")
-    if cfg.wavelength <= 0:
-        raise ConfigError("signal.wavelength must be positive")
-    if cfg.nlos.gain < 0:
-        raise ConfigError("signal.nlos_gain must be non-negative")
-    if cfg.fusion_initial_covariance <= 0:
-        raise ConfigError("fusion.initial_covariance must be positive")
-    if cfg.fusion_process_noise < 0 or cfg.fusion_measurement_noise < 0:
-        raise ConfigError("fusion noise covariances must be non-negative")
     return cfg
 
 
 def load_scenario_text(text: str) -> ScenarioConfig:
     """Parse scenario text into a fully validated config (defaults filled)."""
+    # no default section: a [DEFAULT] header is an unknown section like any other
     parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";")
+        interpolation=None, inline_comment_prefixes=("#", ";"), default_section=""
     )
     try:
         parser.read_file(io.StringIO(text))
@@ -253,13 +254,17 @@ def load_scenario_text(text: str) -> ScenarioConfig:
         raise ConfigError(f"parse error: {exc}") from exc
     cfg = default_scenario()
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            setter = _SCHEMA[section].get(key)
-            if setter is None:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {section}.{key}")
-            setter(cfg, section, raw)
+            holder, attribute, parse, scale = _KEYS[section, key]
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+            setattr(_holder(cfg, holder), attribute, value * scale if scale != 1 else value)
     return _validate(cfg)
 
 

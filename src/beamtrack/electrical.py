@@ -182,19 +182,13 @@ def assp_step(
     phases = state.phases + params.step_size(state.k) * grad
     k = state.k + 1
 
-    observed = max(p_plus, p_minus)
-    best = state.best_power
-    stalled = state.stalled
-    if observed > best * (1.0 + params.stop_epsilon) or best == -math.inf:
-        best = max(best, observed)
-        stalled = 0
-    else:
-        best = max(best, observed)
-        stalled += 1
+    observed, best = max(p_plus, p_minus), state.best_power
+    improved = observed > best * (1.0 + params.stop_epsilon) or best == -math.inf
+    stalled = 0 if improved else state.stalled + 1
     trace.append(
         k, p_plus, p_minus, oracle.true_nrsp(phases), float(phases.sum()), oracle.queries
     )
-    return OptimizerState(phases, k, best, stalled)
+    return OptimizerState(phases, k, max(best, observed), stalled)
 
 
 def run_assp(

@@ -39,19 +39,29 @@ class FilterState:
     q_u: np.ndarray  # 4x4 measurement noise covariance
 
 
-def make_filter_state(
-    q0: np.ndarray,
-    kappa0: float = 1e-2,
-    process_noise: float = 1e-6,
-    measurement_noise: float = 1e-4,
-) -> FilterState:
+@dataclass
+class FusionConfig:
+    """Scaled-identity covariances the filter starts and runs with."""
+
+    initial_covariance: float = 1e-2  # estimate covariance at start
+    process_noise: float = 1e-6
+    measurement_noise: float = 1e-4
+
+    def __post_init__(self):
+        if not self.initial_covariance > 0:
+            raise ValueError("initial_covariance must be positive")
+        if not (self.process_noise >= 0 and self.measurement_noise >= 0):
+            raise ValueError("process_noise and measurement_noise must be non-negative")
+
+
+def make_filter_state(q0: np.ndarray, cov: FusionConfig) -> FilterState:
     """Build a filter state with scaled-identity covariances."""
     q = np.asarray(q0, dtype=float)
     return FilterState(
         q=q / np.linalg.norm(q),
-        kappa=kappa0 * np.eye(4),
-        q_chi=process_noise * np.eye(4),
-        q_u=measurement_noise * np.eye(4),
+        kappa=cov.initial_covariance * np.eye(4),
+        q_chi=cov.process_noise * np.eye(4),
+        q_u=cov.measurement_noise * np.eye(4),
     )
 
 

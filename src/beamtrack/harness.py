@@ -120,8 +120,7 @@ def start(cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator) -
     )
     psi0 = sensors.gps_yaw_measure(first.attitude, cfg.sensors, rng)
     state = fusion.make_filter_state(
-        fusion.measurement_quat(psi0, pr0.pitch, pr0.roll), cfg.fusion_initial_covariance,
-        cfg.fusion_process_noise, cfg.fusion_measurement_noise,
+        fusion.measurement_quat(psi0, pr0.pitch, pr0.roll), cfg.fusion
     )
     est = frames.dcm_to_euler(frames.quat_to_dcm(state.q))
     gimbal = GimbalState(mechanical.stabilization_command(est, euler))
@@ -263,16 +262,11 @@ def parse_csv(path: str | Path) -> tuple[list[str], list[list]]:
     if not lines or not lines[0].startswith(f"# {TRACE_SCHEMA}"):
         raise ValueError("not a beamtrack trace file")
     columns = lines[1].split(",")
-    rows = []
-    for line in lines[2:]:
-        cells = line.split(",")
-        typed = []
-        for name, cell in zip(columns, cells):
-            if name == "phase":
-                typed.append(cell)
-            elif name in ("elec_iteration", "oracle_queries", "rate_clamped"):
-                typed.append(int(cell))
-            else:
-                typed.append(float(cell))
-        rows.append(typed)
+    kinds = [
+        str if name == "phase"
+        else int if name in ("elec_iteration", "oracle_queries", "rate_clamped")
+        else float
+        for name in columns
+    ]
+    rows = [[kind(cell) for kind, cell in zip(kinds, line.split(","))] for line in lines[2:]]
     return columns, rows

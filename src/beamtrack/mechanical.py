@@ -172,16 +172,10 @@ def gimbal_step(
     angular path); rates saturate at the motor limit and angles are held
     inside the mechanical stops.
     """
-    current = state.angles
-    commanded = [
-        isolation.azimuth + servo.gain * frames.wrap_angle(target.azimuth - current.azimuth),
-        isolation.elevation + servo.gain * frames.wrap_angle(target.elevation - current.elevation),
-        isolation.polarization
-        + servo.gain * frames.wrap_angle(target.polarization - current.polarization),
-    ]
     clamped = False
     moved = []
-    for angle, rate in zip(current, commanded):
+    for goal, angle, rate in zip(target, state.angles, isolation):
+        rate += servo.gain * frames.wrap_angle(goal - angle)
         if abs(rate) > servo.rate_limit:
             rate = math.copysign(servo.rate_limit, rate)
             clamped = True

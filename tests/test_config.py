@@ -1,12 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from beamtrack.config import (
-    ConfigError,
-    default_scenario,
-    load_scenario,
-    load_scenario_text,
+    SCHEMA, ConfigError, default_scenario, load_scenario, load_scenario_text,
 )
 
 D2R = math.pi / 180.0
@@ -122,3 +120,78 @@ class TestParsing:
         cfg = load_scenario(p)
         assert cfg.run.duration == 5.0
         assert cfg.run.seed == 7
+
+    def test_pitch_below_90_deg_and_free_azimuth_stop_load(self):
+        cfg = load_scenario_text("[profile]\npitch = 89 @ 0.1\n[servo]\nazimuth_stop_deg = 180\n")
+        assert cfg.profile.pitch[0].amplitude == pytest.approx(89 * D2R)
+        assert cfg.servo.azimuth_stop >= math.pi  # no stop
+
+    @pytest.mark.parametrize("text, message", [
+        # the Euler rates are singular at pitch +/-90 deg
+        ("[profile]\npitch = 95 @ 0.1", r"^profile\.pitch: "),
+        ("[profile]\npitch = 50 @ 0.1, -40 @ 0.2 @ 90", r"^profile\.pitch: "),
+        # checks made by the section's holder
+        ("[fusion]\ninitial_covariance = 0", "fusion: initial_covariance"),
+        ("[fusion]\nmeasurement_noise = -1", "fusion: process_noise and measurement_noise"),
+        ("[signal]\nwavelength = 0", "signal: wavelength"),
+        ("[signal]\nnlos_gain = -0.1", "signal: nlos_gain"),
+        ("[electrical]\nepoch_period = 0", "electrical: epochs"),
+        ("[DEFAULT]\nrows = 4\n[array]\ncols = 4", r"unknown section \[DEFAULT\]"),
+    ])
+    def test_rejected_at_load_time(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            load_scenario_text(text)
+
+
+# every key of the table at its default, in file units (degrees, km)
+DEFAULTS = {
+    "geo": dict(latitude_deg=34.27, longitude_deg=108.95, satellite_longitude_deg=105.5,
+                earth_radius_km=6378, orbit_radius_km=42164),
+    "array": dict(rows=128, cols=64, spacing_over_wavelength=0.5),
+    "profile": dict(yaw="10 @ 0.1 @ 0", pitch="5 @ 0.2 @ 90", roll="8 @ 0.15 @ 200"),
+    "sensors": dict(gyro_white_sigma=0.01, gyro_bias=0.002, accel_white_sigma=0.05,
+                    gps_yaw_sigma_deg=0.3, sample_period=0.01, gravity=9.81, gps_baseline_length=1),
+    "fusion": dict(initial_covariance=1e-2, process_noise=1e-6, measurement_noise=1e-4),
+    "servo": dict(gain=20, rate_limit_deg=60, azimuth_stop_deg=180, elevation_min_deg=0,
+                  elevation_max_deg=85),
+    "signal": dict(snr_db=20, symbol="1+0j", los_gain=1, wavelength=0.015, nlos_gain=0,
+                   nlos_azimuth_offset_deg=2, nlos_elevation_offset_deg=30, nlos_path_length=0.5),
+    "electrical": dict(method="assp", gain=0.7, structure_weight=0.02, isotropic_weight=0.01,
+                       gain_offset=0.1, step_exponent=0.602, probe_exponent=0.101, max_iters=100,
+                       stop_epsilon=1e-3, stop_window=3, seq_step=0.25, seq_max_sweeps=12,
+                       first_epoch=5, epoch_period=10),
+    "run": dict(duration=60, seed=1, output="out"),
+}
+KEYS = [row[:2] for row in SCHEMA]
+NUMERIC_KEYS = [k for k in KEYS if k not in {("electrical", "method"), ("run", "output")}]
+
+
+def leaves(obj, path=""):
+    """{path: value} of every scalar inside nested dataclasses and lists."""
+    if dataclasses.is_dataclass(obj) or isinstance(obj, (list, tuple)):
+        items = vars(obj).items() if dataclasses.is_dataclass(obj) else enumerate(obj)
+        return {p: v for k, item in items for p, v in leaves(item, f"{path}.{k}").items()}
+    return {path: obj}
+
+
+class TestTable:
+    def test_defaults_file_writes_every_key(self):
+        assert sorted((s, k) for s in DEFAULTS for k in DEFAULTS[s]) == sorted(KEYS)
+        assert len(KEYS) == 51
+        text = "".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in DEFAULTS[s].items()) for s in DEFAULTS
+        )
+        assert leaves(load_scenario_text(text)) == pytest.approx(leaves(default_scenario()))
+
+    @pytest.mark.parametrize("section, key", KEYS)
+    def test_key_at_its_default_loads_the_default_scenario(self, section, key):
+        # alone, so a row with the wrong attribute or unit scale moves a value
+        loaded = load_scenario_text(f"[{section}]\n{key} = {DEFAULTS[section][key]}\n")
+        assert leaves(loaded) == pytest.approx(leaves(default_scenario()))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "garbage"])
+    @pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+    def test_bad_number_rejected_with_path(self, section, key, bad):
+        raw = f"{bad} @ 0.1" if section == "profile" else bad
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            load_scenario_text(f"[{section}]\n{key} = {raw}\n")

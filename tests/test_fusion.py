@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from beamtrack import frames, fusion, sensors
+from beamtrack import frames, fusion, harness, sensors
+from beamtrack.config import ScenarioConfig
 from beamtrack.frames import Attitude
 from beamtrack.fusion import (
-    FilterState,
-    make_filter_state,
-    measurement_quat,
-    predict,
-    quat_exact_step,
-    transition_matrix,
-    update,
-    fuse_step,
+    FilterState, FusionConfig, make_filter_state, measurement_quat, predict, quat_exact_step,
+    transition_matrix, update,
 )
 from beamtrack.sensors import ProfileConfig, SensorNoiseConfig, Sinusoid
 
 D2R = math.pi / 180.0
+MOVING = ProfileConfig(yaw=[Sinusoid(10 * D2R, 0.1)], pitch=[Sinusoid(5 * D2R, 0.2)],
+                       roll=[Sinusoid(8 * D2R, 0.15)])
+QUIET = SensorNoiseConfig(gyro_white_sigma=0, gyro_bias=0, accel_white_sigma=0, gps_yaw_sigma=0)
 
 
 class TestTransitionMatrix:
@@ -46,13 +44,13 @@ class TestTransitionMatrix:
 
 class TestPredict:
     def test_zero_rates_zero_process_noise(self):
-        state = make_filter_state(np.array([1.0, 0, 0, 0]), process_noise=0.0)
+        state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig(process_noise=0.0))
         prior = predict(state, np.zeros(3), 0.01)
         np.testing.assert_array_equal(prior.q, state.q)
         np.testing.assert_array_equal(prior.kappa, state.kappa)
 
     def test_covariance_identity(self):
-        state = make_filter_state(np.array([1.0, 0, 0, 0]))
+        state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
         w = np.array([0.2, -0.1, 0.3])
         prior = predict(state, w, 0.01)
         gamma = transition_matrix(w, 0.01)
@@ -62,7 +60,7 @@ class TestPredict:
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(13)
-        state = make_filter_state(np.array([1.0, 0, 0, 0]))
+        state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
         for _ in range(10_000):
             state = predict(state, rng.uniform(-0.5, 0.5, 3), 0.01)
             z = measurement_quat(
@@ -92,7 +90,7 @@ class TestMeasurementQuat:
 
 class TestUpdate:
     def test_zero_innovation(self):
-        state = make_filter_state(frames.euler_to_quat(Attitude(0.3, 0.1, -0.5)))
+        state = make_filter_state(frames.euler_to_quat(Attitude(0.3, 0.1, -0.5)), FusionConfig())
         post = update(state, state.q.copy())
         np.testing.assert_allclose(post.q, state.q, atol=1e-15)
         gain = state.kappa @ np.linalg.inv(state.kappa + state.q_u)
@@ -117,7 +115,7 @@ class TestUpdate:
 
     def test_unit_norm_after_update(self):
         rng = np.random.default_rng(3)
-        state = make_filter_state(np.array([1.0, 0, 0, 0]))
+        state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
         for _ in range(200):
             state = predict(state, rng.uniform(-0.3, 0.3, 3), 0.01)
             z = measurement_quat(*rng.uniform(-0.5, 0.5, 3), q_ref=state.q)
@@ -125,111 +123,58 @@ class TestUpdate:
             assert abs(np.linalg.norm(state.q) - 1.0) <= 1e-9
 
 
-def run_fusion(profile, noise_cfg, seed, duration, kappa0=1e-2, q_chi=1e-6, q_u=1e-4):
-    """Run the fusion loop; returns per-step attitude errors (rad, 3 columns)."""
+def fusion_ticks(profile, noise_cfg, seed, duration, **covariances):
+    """The sense-and-fuse ticks of a filter started on the noiseless truth."""
+    cfg = ScenarioConfig(profile=profile, sensors=noise_cfg, fusion=FusionConfig(**covariances))
     rng = np.random.default_rng(seed)
-    t_s = noise_cfg.sample_period
-    steps = int(round(duration / t_s))
     first = sensors.flight_profile(0.0, profile).attitude
-    z0 = measurement_quat(first.yaw, first.pitch, first.roll)
-    state = make_filter_state(z0, kappa0, q_chi, q_u)
-    errs = np.empty((steps, 3))
-    for k in range(1, steps + 1):
-        truth = sensors.flight_profile(k * t_s, profile)
-        omega_m = sensors.gyro_measure(truth.body_rates, noise_cfg, rng)
-        f_m = sensors.accel_measure(truth.attitude, noise_cfg, rng)
-        pr = sensors.accel_to_pitch_roll(f_m, noise_cfg.gravity)
-        psi_m = sensors.gps_yaw_measure(truth.attitude, noise_cfg, rng)
-        state, est = fuse_step(state, omega_m, psi_m, pr.pitch, pr.roll, t_s)
-        errs[k - 1] = [
-            frames.wrap_angle(est.yaw - truth.attitude.yaw),
-            est.pitch - truth.attitude.pitch,
-            frames.wrap_angle(est.roll - truth.attitude.roll),
-        ]
-    return errs
+    state = make_filter_state(measurement_quat(*first), cfg.fusion)
+    for k in range(1, int(round(duration / noise_cfg.sample_period)) + 1):
+        tick = harness.sense_and_fuse(cfg, state, k * noise_cfg.sample_period, rng)
+        state = tick.filter_state
+        yield tick
+
+
+def run_fusion(profile, noise_cfg, seed, duration, **covariances):
+    """Per-step attitude errors (rad, 3 columns) of the fused estimate."""
+    ticks = fusion_ticks(profile, noise_cfg, seed, duration, **covariances)
+    return np.array([harness.attitude_error(t.est, t.truth.attitude) for t in ticks])
 
 
 class TestFuseStep:
     def test_stationary_noiseless_fixed_point(self):
-        cfg = SensorNoiseConfig(
-            gyro_white_sigma=0, gyro_bias=0, accel_white_sigma=0, gps_yaw_sigma=0
-        )
-        errs = run_fusion(ProfileConfig(), cfg, seed=0, duration=1.0)
+        errs = run_fusion(ProfileConfig(), QUIET, seed=0, duration=1.0)
         assert np.abs(errs).max() < 1e-8
 
     def test_noiseless_tracks_moving_truth(self):
         # all noise zeroed, including the filter's measurement-noise model
-        cfg = SensorNoiseConfig(
-            gyro_white_sigma=0, gyro_bias=0, accel_white_sigma=0, gps_yaw_sigma=0
-        )
-        prof = ProfileConfig(
-            yaw=[Sinusoid(10 * D2R, 0.1)],
-            pitch=[Sinusoid(5 * D2R, 0.2)],
-            roll=[Sinusoid(8 * D2R, 0.15)],
-        )
-        errs = run_fusion(prof, cfg, seed=0, duration=5.0, q_u=1e-12)
-        after_transient = errs[int(1.0 / cfg.sample_period):]
+        errs = run_fusion(MOVING, QUIET, seed=0, duration=5.0, measurement_noise=1e-12)
+        after_transient = errs[int(1.0 / QUIET.sample_period):]
         assert np.abs(after_transient).max() < 1e-6
 
     def test_noiseless_default_covariances_small_lag(self):
         # with the default noise model the filter keeps a small prediction
         # weight, leaving a first-order propagation lag well under 0.01 deg
-        cfg = SensorNoiseConfig(
-            gyro_white_sigma=0, gyro_bias=0, accel_white_sigma=0, gps_yaw_sigma=0
-        )
-        prof = ProfileConfig(
-            yaw=[Sinusoid(10 * D2R, 0.1)],
-            pitch=[Sinusoid(5 * D2R, 0.2)],
-            roll=[Sinusoid(8 * D2R, 0.15)],
-        )
-        errs = run_fusion(prof, cfg, seed=0, duration=5.0)
-        after_transient = errs[int(1.0 / cfg.sample_period):]
+        errs = run_fusion(MOVING, QUIET, seed=0, duration=5.0)
+        after_transient = errs[int(1.0 / QUIET.sample_period):]
         assert np.abs(after_transient).max() < 0.01 * D2R
 
     def test_error_band_under_default_noise(self):
-        prof = ProfileConfig(
-            yaw=[Sinusoid(10 * D2R, 0.1)],
-            pitch=[Sinusoid(5 * D2R, 0.2)],
-            roll=[Sinusoid(8 * D2R, 0.15)],
-        )
-        errs = run_fusion(prof, SensorNoiseConfig(), seed=42, duration=60.0)
+        errs = run_fusion(MOVING, SensorNoiseConfig(), seed=42, duration=60.0)
         frac = (np.abs(errs).max(axis=1) <= 0.5 * D2R).mean()
         assert frac >= 0.95
 
     def test_fusion_beats_degenerate_pipelines(self):
-        prof = ProfileConfig(
-            yaw=[Sinusoid(10 * D2R, 0.1)],
-            pitch=[Sinusoid(5 * D2R, 0.2)],
-            roll=[Sinusoid(8 * D2R, 0.15)],
-        )
+        # the fused filter, gyro dead reckoning and the raw measurements on
+        # one sensor stream
         cfg = SensorNoiseConfig()
-        fused_rmse = np.sqrt((run_fusion(prof, cfg, 7, 60.0) ** 2).mean())
-
-        # gyro-only oracle: dead reckoning from the same sensor stream
-        rng = np.random.default_rng(7)
-        t_s = cfg.sample_period
-        est = sensors.flight_profile(0.0, prof).attitude
-        gyro_sq = meas_sq = 0.0
-        steps = int(60.0 / t_s)
-        for k in range(1, steps + 1):
-            truth = sensors.flight_profile(k * t_s, prof)
-            omega_m = sensors.gyro_measure(truth.body_rates, cfg, rng)
-            f_m = sensors.accel_measure(truth.attitude, cfg, rng)
-            pr = sensors.accel_to_pitch_roll(f_m, cfg.gravity)
-            psi_m = sensors.gps_yaw_measure(truth.attitude, cfg, rng)
-            est = sensors.gyro_integrate(est, omega_m, t_s)
-            gyro_sq += (
-                frames.wrap_angle(est.yaw - truth.attitude.yaw) ** 2
-                + (est.pitch - truth.attitude.pitch) ** 2
-                + frames.wrap_angle(est.roll - truth.attitude.roll) ** 2
-            )
-            meas_sq += (
-                frames.wrap_angle(psi_m - truth.attitude.yaw) ** 2
-                + (pr.pitch - truth.attitude.pitch) ** 2
-                + frames.wrap_angle(pr.roll - truth.attitude.roll) ** 2
-            )
-        gyro_rmse = math.sqrt(gyro_sq / (3 * steps))
-        meas_rmse = math.sqrt(meas_sq / (3 * steps))
+        est = sensors.flight_profile(0.0, MOVING).attitude
+        errs = []
+        for tick in fusion_ticks(MOVING, cfg, 7, 60.0):
+            est = sensors.gyro_integrate(est, tick.omega_m, cfg.sample_period)
+            arms = (tick.est, est, (tick.psi_m, tick.pitch_roll.pitch, tick.pitch_roll.roll))
+            errs.append([harness.attitude_error(a, tick.truth.attitude) for a in arms])
+        fused_rmse, gyro_rmse, meas_rmse = np.sqrt((np.array(errs) ** 2).mean(axis=(0, 2)))
         assert fused_rmse < gyro_rmse
         assert fused_rmse < meas_rmse
 
@@ -240,11 +185,7 @@ class TestFuseStep:
         np.testing.assert_array_equal(a, b)
 
     def test_singular_innovation_raises(self):
-        state = FilterState(
-            q=np.array([1.0, 0, 0, 0]),
-            kappa=np.zeros((4, 4)),
-            q_chi=np.zeros((4, 4)),
-            q_u=np.zeros((4, 4)),
-        )
+        zero = np.zeros((4, 4))
+        state = FilterState(q=np.array([1.0, 0, 0, 0]), kappa=zero, q_chi=zero, q_u=zero)
         with pytest.raises(fusion.NumericalError):
             update(state, np.array([1.0, 0, 0, 0]))

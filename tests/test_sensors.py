@@ -23,14 +23,8 @@ D2R = math.pi / 180.0
 
 
 def quiet_noise(**overrides) -> SensorNoiseConfig:
-    base = dict(
-        gyro_white_sigma=0.0,
-        gyro_bias=0.0,
-        accel_white_sigma=0.0,
-        gps_yaw_sigma=0.0,
-    )
-    base.update(overrides)
-    return SensorNoiseConfig(**base)
+    base = dict(gyro_white_sigma=0.0, gyro_bias=0.0, accel_white_sigma=0.0, gps_yaw_sigma=0.0)
+    return SensorNoiseConfig(**{**base, **overrides})
 
 
 def default_profile() -> ProfileConfig:
