@@ -4,7 +4,7 @@ geostationary satellite.
 Layers, bottom up: ``frames`` (rotation algebra), ``sensors`` (truth
 profiles and low-cost sensor models), ``fusion`` (quaternion Kalman
 filter), ``mechanical`` (pointing geometry, stabilization, dynamic
-isolation, servo), ``channel`` (planar-array LOS channel and power),
+isolation, servo), ``channel`` (factored planar-array channel and power),
 ``electrical`` (stochastic phase-shifter optimizers), and ``harness``
 (closed-loop scenario simulation with CSV/JSON traces behind the CLI).
 """

@@ -1,10 +1,15 @@
-"""Ka-band line-of-sight channel for the uniform planar array, single-chain
-received signal and power, matched analog weights, spatial spectrum, and
-pilot-based gain estimation.
+"""Ka-band multipath channel of the uniform planar array, kept factored;
+matched analog weights, spatial spectrum, the normalized received power,
+and the noisy power oracle of the electrical stage.
 
-Element (m, n) of the array response carries phase 2*pi*(d/lambda) *
-[(m-1) sin(az) cos(el) + (n-1) sin(az) sin(el)]; ``az`` is the polar angle
-off the array normal and ``el`` the orientation around it.  Matrices are
+Element (m, n) of the response to a plane wave carries phase
+2*pi*(d/lambda) * (m u_r + n u_c), with direction sines u_r = sin(az)
+cos(el) and u_c = sin(az) sin(el); ``az`` is the polar angle off the
+array normal and ``el`` the orientation around it.  The response is
+therefore the outer product r c^T of a row vector and a column vector
+(``plane_wave``), and a ``Channel`` is a sum of such terms, one per path.
+Its power and the received power of a beam come from the short factors;
+the MN vector is built only where the oracle needs it.  Matrices are
 flattened column-major everywhere a vector form is needed, and beam
 weights are stored as phases so unit modulus holds by construction.
 """
@@ -57,6 +62,13 @@ class SignalModel:
     snr_db: float = 20.0
     los_gain_abs: float = 1.0
 
+    def __post_init__(self):
+        # the matched power |los_gain * symbol|^2 * MN normalizes every reading
+        if not self.los_gain_abs * abs(self.symbol) >= 1e-100:
+            raise ValueError("los_gain * |symbol| must be at least 1e-100")
+        if not self.snr_db >= -300:  # 10^(-snr/10) overflows near -3080 dB
+            raise ValueError("snr_db must be at least -300")
+
     @property
     def noise_power(self) -> float:
         """Per-element noise variance from the configured SNR."""
@@ -64,97 +76,101 @@ class SignalModel:
         return sig * 10.0 ** (-self.snr_db / 10.0)
 
 
-def response_phases(geom: ArrayGeometry, azimuth: float, elevation: float) -> np.ndarray:
-    """Per-element phase of the array response, (rows, cols)."""
-    k = 2.0 * math.pi * geom.spacing_over_wavelength * math.sin(azimuth)
-    m = np.arange(geom.rows)[:, None]
-    n = np.arange(geom.cols)[None, :]
-    return k * (m * math.cos(elevation) + n * math.sin(elevation))
+def direction_sines(azimuth: float, elevation: float) -> tuple[float, float]:
+    """(u_r, u_c) = sin(az) * (cos(el), sin(el)), along the row and column axes."""
+    s = math.sin(azimuth)
+    return s * math.cos(elevation), s * math.sin(elevation)
 
 
-def array_response(geom: ArrayGeometry, azimuth: float, elevation: float) -> np.ndarray:
-    """Unit-modulus response matrix; element (1,1) is always 1."""
-    return np.exp(1j * response_phases(geom, azimuth, elevation))
+def plane_wave(geom: ArrayGeometry, u_r: float, u_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-modulus factors (r, c) of the response to a plane wave with
+    direction sines (u_r, u_c): element (m, n) is r[m] * c[n]."""
+    k = 2.0 * math.pi * geom.spacing_over_wavelength
+    return (
+        np.exp(1j * (k * u_r * np.arange(geom.rows))),
+        np.exp(1j * (k * u_c * np.arange(geom.cols))),
+    )
 
 
-def channel_matrix(
-    geom: ArrayGeometry, paths: list[PathComponent], wavelength: float = 0.015
-) -> np.ndarray:
-    """Multipath channel: per-path gain, carrier phase from path length, and
-    the 1/sqrt(MN) array normalization."""
-    if not paths:
-        raise ValueError("at least one path is required")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    h = np.zeros((geom.rows, geom.cols), dtype=complex)
-    scale = 1.0 / math.sqrt(geom.size)
-    for p in paths:
-        carrier = np.exp(-2j * math.pi * p.path_length / wavelength)
-        h += p.gain * carrier * scale * array_response(geom, p.azimuth, p.elevation)
-    return h
+@dataclass(frozen=True)
+class Channel:
+    """Multipath channel h = sum over paths of g * r c^T, kept as its
+    (g, r, c) terms; g carries the path gain, the carrier phase of the path
+    length and the 1/sqrt(MN) array normalization."""
+
+    terms: tuple[tuple[complex, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def from_paths(
+        cls, geom: ArrayGeometry, paths: list[PathComponent], wavelength: float = 0.015
+    ) -> Channel:
+        """One plane-wave term per path, arriving from (azimuth, elevation)."""
+        if not paths:
+            raise ValueError("at least one path is required")
+        if wavelength <= 0:
+            raise ValueError("wavelength must be positive")
+        scale = 1.0 / math.sqrt(geom.size)
+        return cls(tuple(
+            (
+                p.gain * np.exp(-2j * math.pi * p.path_length / wavelength) * scale,
+                *plane_wave(geom, *direction_sines(p.azimuth, p.elevation)),
+            )
+            for p in paths
+        ))
+
+    def vec(self) -> np.ndarray:
+        """The MN channel vector, column-major."""
+        return sum(g * np.outer(c, r).ravel() for g, r, c in self.terms)
+
+    def power(self) -> float:
+        """||h||^2 from the factors: the sum over path pairs (p, q) of
+        g_p conj(g_q) (r_q^H r_p) (c_q^H c_p)."""
+        return sum(
+            gp * np.conj(gq) * np.vdot(rq, rp) * np.vdot(cq, cp)
+            for gp, rp, cp in self.terms
+            for gq, rq, cq in self.terms
+        ).real
+
+    def nrsp(self, wbar: np.ndarray) -> float:
+        """``nrsp`` of the weights whose conjugated matrix is ``wbar``
+        (``conj_weight_matrix``): |sum g r^T wbar c|^2 / (MN ||h||^2)."""
+        denom = wbar.size * self.power()
+        if denom == 0.0:
+            raise ValueError("channel vector is identically zero")
+        return float(abs(sum(g * (r @ wbar @ c) for g, r, c in self.terms)) ** 2 / denom)
 
 
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-major flattening shared by channels, weights and structure."""
-    return np.asarray(matrix).flatten(order="F")
-
-
-def spatial_spectrum(h: np.ndarray) -> np.ndarray:
-    """Magnitudes of the 2-D unitary DFT of the channel matrix.
+def spatial_spectrum(chan: Channel) -> np.ndarray:
+    """Magnitudes of the 2-D unitary DFT of the channel matrix, taken one
+    factor at a time.
 
     Unitary normalization preserves total energy, so the Frobenius norm of
-    the output equals that of the input.
+    the output equals ||h||.
     """
-    rows, cols = h.shape
-    fm = np.fft.fft(np.eye(rows)) / math.sqrt(rows)
-    fn = np.fft.fft(np.eye(cols)) / math.sqrt(cols)
-    return np.abs(fm @ h @ fn)
+    return np.abs(sum(
+        g * np.outer(np.fft.fft(r, norm="ortho"), np.fft.fft(c, norm="ortho"))
+        for g, r, c in chan.terms
+    ))
 
 
 def matched_weights(geom: ArrayGeometry, azimuth: float, elevation: float) -> np.ndarray:
     """Phase-shifter settings matched to a plane wave from (azimuth, elevation).
 
-    Returns the MN phase vector (column-major); the implied weights are
-    exp(1j*phases).
+    Returns the MN phase vector (column-major) of its response, wrapped to
+    (-pi, pi]; the implied weights are exp(1j*phases).
     """
-    return vec(response_phases(geom, azimuth, elevation))
+    r, c = plane_wave(geom, *direction_sines(azimuth, elevation))
+    return np.angle(np.outer(c, r).ravel())
 
 
 def weights_from_phases(phases: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.asarray(phases, dtype=float))
 
 
-def received_signal(
-    phases: np.ndarray,
-    h_vec: np.ndarray,
-    symbol: complex,
-    noise_power: float,
-    rng: np.random.Generator,
-) -> complex:
-    """One received sample through the analog combiner.
-
-    y = w^H h s + w^H n with n circular complex Gaussian, per-element
-    variance ``noise_power``.
-    """
-    w = weights_from_phases(phases)
-    y = np.vdot(w, np.asarray(h_vec)) * symbol
-    if noise_power > 0.0:
-        n = math.sqrt(noise_power / 2.0) * (
-            rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
-        )
-        y += np.vdot(w, n)
-    return complex(y)
-
-
-def received_power(
-    phases: np.ndarray,
-    h_vec: np.ndarray,
-    symbol: complex,
-    noise_power: float,
-    rng: np.random.Generator,
-) -> float:
-    """Instantaneous |y|^2 of one received sample (the optimizer's noisy oracle)."""
-    return abs(received_signal(phases, h_vec, symbol, noise_power, rng)) ** 2
+def conj_weight_matrix(phases: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """conj(exp(1j*phases)) as the (rows, cols) matrix of the column-major
+    phase vector: the wbar of ``Channel.nrsp``."""
+    return np.conj(weights_from_phases(phases)).reshape(geom.rows, geom.cols, order="F")
 
 
 def nrsp(phases: np.ndarray, h_vec: np.ndarray) -> float:
@@ -169,19 +185,6 @@ def nrsp(phases: np.ndarray, h_vec: np.ndarray) -> float:
     if denom == 0.0:
         raise ValueError("channel vector is identically zero")
     return float(abs(np.vdot(w, h)) ** 2 / denom)
-
-
-def estimate_effective_gain(pilot_pairs: list[tuple[complex, complex]]) -> complex:
-    """Least-squares estimate of the scalar effective channel w^H h from
-    (received, transmitted) pilot pairs; one noiseless pilot is exact."""
-    num = 0.0 + 0.0j
-    den = 0.0
-    for y, s in pilot_pairs:
-        num += np.conj(s) * y
-        den += abs(s) ** 2
-    if den == 0.0:
-        raise ValueError("pilot symbols are all zero")
-    return complex(num / den)
 
 
 @dataclass
@@ -215,23 +218,18 @@ class PowerOracle:
         self._noise_sigma = math.sqrt(h.size * self.noise_power / 2.0)
 
     def __call__(self, phases: np.ndarray) -> float:
-        self.queries += 1
-        y = np.vdot(weights_from_phases(phases), self.h_vec) * self.symbol
-        if self.noise_power > 0.0:
-            y += self._noise_sigma * complex(
-                self.rng.standard_normal(), self.rng.standard_normal()
-            )
-        return abs(y) ** 2 / self._scale
+        return self._measure(np.vdot(weights_from_phases(phases), self.h_vec))
 
     def sample_pair(self, base: complex, delta: complex) -> float:
         """Fast path for sequential probing: power of an incrementally
         adjusted combiner sum (base + delta), same scaling and noise law."""
+        return self._measure(base + delta)
+
+    def _measure(self, combined: complex) -> float:
         self.queries += 1
-        y = (base + delta) * self.symbol
+        y = combined * self.symbol
         if self.noise_power > 0.0:
-            y += self._noise_sigma * complex(
-                self.rng.standard_normal(), self.rng.standard_normal()
-            )
+            y += self._noise_sigma * complex(self.rng.standard_normal(), self.rng.standard_normal())
         return abs(y) ** 2 / self._scale
 
     def true_nrsp(self, phases: np.ndarray) -> float:

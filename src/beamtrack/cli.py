@@ -5,8 +5,8 @@ Subcommands:
 * ``simulate`` - run the closed-loop scenario and export CSV/JSON traces.
 * ``geometry`` - print the pointing solution for a ground location and
   satellite longitude, plus the gimbal solution for a given attitude.
-* ``sweep`` - convergence statistics of the electrical methods across a
-  swept parameter, one row per value and method.
+* ``sweep`` - convergence statistics of the electrical methods across
+  SNR values, one row per value and method.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -21,11 +21,20 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import experiments, harness, mechanical
-from .config import load_scenario
+from .config import ConfigError, default_scenario, load_scenario, set_key, validate
 from .electrical import RUNNERS
 from .frames import Attitude
 
 D2R = math.pi / 180.0
+
+# the geometry flags and the [geo] keys of the scenario table they set
+GEO_FLAGS = {
+    "--lat": "latitude_deg",
+    "--lon": "longitude_deg",
+    "--sat-lon": "satellite_longitude_deg",
+    "--earth-radius-km": "earth_radius_km",
+    "--orbit-radius-km": "orbit_radius_km",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,11 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", help="output directory (default from config)")
 
     geo = sub.add_parser("geometry", help="print the pointing solution")
-    geo.add_argument("--lat", type=float, default=34.27, help="UAV latitude, deg")
-    geo.add_argument("--lon", type=float, default=108.95, help="UAV longitude, deg")
-    geo.add_argument("--sat-lon", type=float, default=105.5, help="satellite longitude, deg")
-    geo.add_argument("--earth-radius-km", type=float, default=6378.0)
-    geo.add_argument("--orbit-radius-km", type=float, default=42164.0)
+    for flag, key in GEO_FLAGS.items():
+        geo.add_argument(flag, dest=key, metavar="X", help=f"[geo] {key} (default: the scenario's)")
     geo.add_argument(
         "--attitude",
         default="0,0,0",
@@ -54,8 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="electrical convergence statistics")
     sw.add_argument("--config", help="scenario file providing the base setup")
-    sw.add_argument("--param", default="snr_db", help="swept parameter (snr_db)")
-    sw.add_argument("--values", required=True, help="comma-separated values")
+    sw.add_argument("--values", required=True, help="comma-separated SNRs, dB")
     sw.add_argument("--seeds", type=int, default=100)
     sw.add_argument("--methods", default=",".join(RUNNERS), help="comma-separated method list")
     sw.add_argument("--offset-deg", type=float, default=0.3, help="initial offset per axis")
@@ -93,14 +98,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
-    geo = mechanical.GeoConfig(
-        uav_latitude=args.lat * D2R,
-        uav_longitude=args.lon * D2R,
-        satellite_longitude=args.sat_lon * D2R,
-        earth_radius=args.earth_radius_km * 1e3,
-        orbit_radius=args.orbit_radius_km * 1e3,
-    )
-    euler = mechanical.pointing_euler(geo)
+    cfg = default_scenario()
+    for flag, key in GEO_FLAGS.items():
+        try:
+            if getattr(args, key) is not None:
+                set_key(cfg, "geo", key, getattr(args, key))
+        except ConfigError as exc:
+            print(f"error: {flag}: {exc}", file=sys.stderr)
+            return 2
+    # a geometry that loads but has no solution (e.g. below the horizon) exits 1
+    euler = mechanical.pointing_euler(validate(cfg).geo)
     try:
         yaw, pitch, roll = (float(x) * D2R for x in args.attitude.split(","))
     except ValueError:
@@ -123,9 +130,6 @@ def _sweep_task(task):
 
 def _cmd_sweep(args) -> int:
     cfg = load_scenario(args.config)
-    if args.param not in ("snr_db", "signal.snr_db"):
-        print(f"unsupported sweep parameter {args.param!r}", file=sys.stderr)
-        return 2
     values = [float(v) for v in args.values.split(",") if v.strip()]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:

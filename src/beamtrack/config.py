@@ -59,8 +59,8 @@ class RunConfig:
     output: str = "out"
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("run.duration must be positive")
+        if self.duration <= 0 or self.seed < 0:
+            raise ValueError("run.duration must be positive and run.seed non-negative")
 
 
 @dataclass
@@ -113,6 +113,11 @@ def default_scenario() -> ScenarioConfig:
 
 # Value parsers: raw text -> value, or ValueError with the reason.
 
+# magnitude bound on every non-integer number, far beyond any physical
+# value of a key, so that no product or square of them overflows
+LIMIT = 1e6
+
+
 def _number(kind, noun: str, raw: str):
     try:
         value = kind(raw)
@@ -120,6 +125,8 @@ def _number(kind, noun: str, raw: str):
         raise ValueError(f"cannot parse {raw!r} as {noun}") from None
     if kind is not int and not cmath.isfinite(value):
         raise ValueError(f"{raw!r} is not a finite number")
+    if kind is not int and abs(value) > LIMIT:
+        raise ValueError(f"{raw!r} is beyond +/-{LIMIT:g}")
     return value
 
 
@@ -229,7 +236,20 @@ def _holder(cfg: ScenarioConfig, path: str):
     return cfg
 
 
-def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
+def set_key(cfg: ScenarioConfig, section: str, key: str, raw: str) -> None:
+    """Parse ``raw`` as the value of ``[section] key`` and store it in ``cfg``
+    in radians/SI; a ConfigError names ``section.key``."""
+    if (section, key) not in _KEYS:
+        raise ConfigError(f"unknown key {section}.{key}")
+    holder, attribute, parse, scale = _KEYS[section, key]
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: {exc}") from exc
+    setattr(_holder(cfg, holder), attribute, value * scale if scale != 1 else value)
+
+
+def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     # re-run the holders' own checks on the values the file set
     for section, path in _HOLDERS:
         check = getattr(_holder(cfg, path), "__post_init__", None)
@@ -257,21 +277,14 @@ def load_scenario_text(text: str) -> ScenarioConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if (section, key) not in _KEYS:
-                raise ConfigError(f"unknown key {section}.{key}")
-            holder, attribute, parse, scale = _KEYS[section, key]
-            try:
-                value = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key}: {exc}") from exc
-            setattr(_holder(cfg, holder), attribute, value * scale if scale != 1 else value)
-    return _validate(cfg)
+            set_key(cfg, section, key, raw)
+    return validate(cfg)
 
 
 def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
     """Load a scenario file; ``None`` gives the default scenario."""
     if path is None:
-        return _validate(default_scenario())
+        return validate(default_scenario())
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"scenario file not found: {p}")

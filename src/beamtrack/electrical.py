@@ -12,14 +12,14 @@ the simultaneous methods, 2*MN per sweep for the sequential baseline):
 * ``run_sequential_perturbation`` - one shifter at a time, keeping the
   probe sign that increased measured power.
 
-Gradient estimators: ``assp_gradient`` is the elementwise central
-difference divided by the perturbation.  For pure +/-c Bernoulli probes
-this equals projecting the measured difference back onto the probe
-direction (1/x = x/x^2 for x = +/-c), and that projection form,
-``aligned_gradient``, is the generalization that stays consistent when
-probe magnitudes differ per element; the update loop uses it.  Dividing
-elementwise instead amplifies the shared structured measurement into
-unbounded kicks on small-probe elements and diverges even without noise.
+Gradient estimate: ``aligned_gradient`` projects the measured central
+difference back onto the probe direction.  For pure +/-c Bernoulli probes
+this equals dividing the difference by the perturbation element by
+element (1/x = x/x^2 for x = +/-c); unlike that elementwise form it stays
+consistent when probe magnitudes differ per element.  Dividing
+elementwise amplifies the shared structured measurement into unbounded
+kicks on small-probe elements and diverges even without noise (pinned by
+``test_reciprocal_update_diverges_noiselessly``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ArrayGeometry, PowerOracle
+from .channel import ArrayGeometry, PowerOracle, conj_weight_matrix, plane_wave
 
 
 class DegeneratePerturbationError(RuntimeError):
@@ -51,10 +51,11 @@ class AsspParams:
     seq_max_sweeps: int = 12
 
     def __post_init__(self):
-        if self.gain <= 0 or self.isotropic_weight <= 0:
-            raise ValueError("gain and isotropic_weight must be positive")
-        if self.structure_weight < 0 or self.gain_offset < 0:
-            raise ValueError("structure_weight and gain_offset must be non-negative")
+        # the step size divides by gain_offset at k = 0
+        if not (self.gain > 0 and self.isotropic_weight > 0 and self.gain_offset > 0):
+            raise ValueError("gain, isotropic_weight and gain_offset must be positive")
+        if self.structure_weight < 0:
+            raise ValueError("structure_weight must be non-negative")
         if not (0 < self.probe_exponent <= 1 and 0 < self.step_exponent <= 1):
             raise ValueError("exponents must lie in (0, 1]")
 
@@ -85,23 +86,6 @@ def perturbation_vector(
         params.structure_weight * structure * xi
         + params.isotropic_weight * bernoulli
     ) / decay
-
-
-def assp_gradient(
-    phases: np.ndarray, delta: np.ndarray, oracle
-) -> tuple[np.ndarray, float, float]:
-    """Elementwise central-difference gradient estimate.
-
-    Queries the oracle at phases +/- delta and divides the difference by
-    2*delta per element.  Raises if any component of delta is exactly zero
-    (possible only when the structured and isotropic terms cancel).
-    """
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta == 0.0):
-        raise DegeneratePerturbationError("perturbation has a zero component")
-    p_plus = oracle(phases + delta)
-    p_minus = oracle(phases - delta)
-    return (p_plus - p_minus) / (2.0 * delta), p_plus, p_minus
 
 
 def aligned_gradient(p_plus: float, p_minus: float, delta: np.ndarray) -> np.ndarray:
@@ -292,10 +276,8 @@ def fit_doa(phases: np.ndarray, geom: ArrayGeometry, pad: int = 4) -> tuple[floa
     Working on exp(j*phases) rather than raw phases keeps the fit immune
     to 2*pi wraps.
     """
-    w = np.exp(1j * np.asarray(phases, dtype=float)).reshape(
-        geom.rows, geom.cols, order="F"
-    )
-    spec = np.fft.fft2(w, s=(pad * geom.rows, pad * geom.cols))
+    wbar = conj_weight_matrix(phases, geom)
+    spec = np.fft.fft2(np.conj(wbar), s=(pad * geom.rows, pad * geom.cols))
     peak = np.unravel_index(np.argmax(np.abs(spec)), spec.shape)
     fr = peak[0] / (pad * geom.rows)
     fc = peak[1] / (pad * geom.cols)
@@ -307,12 +289,10 @@ def fit_doa(phases: np.ndarray, geom: ArrayGeometry, pad: int = 4) -> tuple[floa
     d = geom.spacing_over_wavelength
     u_r, u_c = fr / d, fc / d
 
-    m = np.arange(geom.rows)[:, None]
-    n = np.arange(geom.cols)[None, :]
-
     def corr(ur, uc):
-        model = np.exp(1j * 2.0 * math.pi * d * (m * ur + n * uc))
-        return abs(np.vdot(model, w)) ** 2
+        # |conj(r)^T W conj(c)|^2 = |r^T wbar c|^2 against the model r c^T
+        r, c = plane_wave(geom, ur, uc)
+        return abs(r @ wbar @ c) ** 2
 
     h = 1e-6
     for _ in range(60):

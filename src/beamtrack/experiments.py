@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import electrical as el
-from .channel import ArrayGeometry, PathComponent, PowerOracle, channel_matrix, vec
+from .channel import ArrayGeometry, Channel, PathComponent, PowerOracle
 from .electrical import AsspParams
 from .frames import wrap_angle
 
@@ -52,7 +52,7 @@ class ConvergenceStats:
 
 def offset_channel(
     geom: ArrayGeometry, offset_deg: float = 0.3, gain: complex = 1.0 + 0j
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[Channel, float, float]:
     """LOS channel arriving ``offset_deg`` off-normal along each array axis.
 
     The two direction sines are sin(offset) each, i.e. the polar arrival
@@ -61,8 +61,8 @@ def offset_channel(
     u = math.sin(offset_deg * D2R)
     azimuth = math.asin(min(1.0, math.hypot(u, u)))
     elevation = math.atan2(u, u)
-    h = vec(channel_matrix(geom, [PathComponent(azimuth, elevation, gain, 0.0)]))
-    return h, azimuth, elevation
+    chan = Channel.from_paths(geom, [PathComponent(azimuth, elevation, gain, 0.0)])
+    return chan, azimuth, elevation
 
 
 def run_trial(
@@ -74,13 +74,13 @@ def run_trial(
     offset_deg: float = 0.3,
     threshold: float = 0.99,
 ) -> TrialResult:
-    h, true_az, true_el = offset_channel(geom, offset_deg)
+    chan, true_az, true_el = offset_channel(geom, offset_deg)
     noise_power = 10.0 ** (-snr_db / 10.0)
     # str hash is process-randomized; derive the stream tag from the bytes
     method_tag = sum(method.encode())
     master = np.random.SeedSequence((seed, method_tag))
     noise_seq, perturb_seq = master.spawn(2)
-    oracle = PowerOracle(h, 1.0, noise_power, np.random.default_rng(noise_seq))
+    oracle = PowerOracle(chan.vec(), 1.0, noise_power, np.random.default_rng(noise_seq))
     runner = METHOD_RUNNERS[method]
     phases, trace = runner(
         np.zeros(geom.size), oracle, params, np.random.default_rng(perturb_seq), geom

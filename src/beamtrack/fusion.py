@@ -50,8 +50,9 @@ class FusionConfig:
     def __post_init__(self):
         if not self.initial_covariance > 0:
             raise ValueError("initial_covariance must be positive")
-        if not (self.process_noise >= 0 and self.measurement_noise >= 0):
-            raise ValueError("process_noise and measurement_noise must be non-negative")
+        # a zero measurement noise lets the innovation covariance go singular
+        if not (self.process_noise >= 0 and self.measurement_noise > 0):
+            raise ValueError("process_noise and measurement_noise must be >= 0 and > 0")
 
 
 def make_filter_state(q0: np.ndarray, cov: FusionConfig) -> FilterState:
@@ -87,14 +88,20 @@ def predict(state: FilterState, body_rates: np.ndarray, sample_period: float) ->
     return FilterState(q_pred, kappa_pred, state.q_chi, state.q_u)
 
 
+# the largest |pitch| that frames.dcm_to_euler still resolves
+_PITCH_LIMIT = math.asin(1.0 - 2.0 * frames.GIMBAL_LOCK_EPS)
+
+
 def measurement_quat(
     yaw_m: float, pitch_m: float, roll_m: float, q_ref: np.ndarray | None = None
 ) -> np.ndarray:
     """Measurement quaternion from sensor angles, hemisphere-aligned to ``q_ref``.
 
     q and -q encode the same attitude; aligning the sign keeps the linear
-    innovation small.
+    innovation small.  The pitch is clamped just short of +/-90 deg (which a
+    saturated accelerometer reads), where the estimate has no Euler angles.
     """
+    pitch_m = min(_PITCH_LIMIT, max(-_PITCH_LIMIT, pitch_m))
     z = frames.euler_to_quat(Attitude(yaw_m, pitch_m, roll_m))
     if q_ref is not None and z.dot(q_ref) < 0.0:
         z = -z
@@ -133,20 +140,3 @@ def fuse_step(
     attitude = frames.dcm_to_euler(frames.quat_to_dcm(posterior.q))
     return posterior, attitude
 
-
-def quat_exact_step(q: np.ndarray, body_rates: np.ndarray, sample_period: float) -> np.ndarray:
-    """Exact constant-rate quaternion propagation.
-
-    Closed-form exponential of the same generator the first-order
-    transition matrix truncates: exp((T_s/2) Omega) = cos(half) I +
-    sin(half)/|omega| * Omega.  Reference for transition-matrix accuracy.
-    """
-    w = np.asarray(body_rates, dtype=float)
-    speed = np.linalg.norm(w)
-    q = np.asarray(q, dtype=float)
-    if speed * sample_period < 1e-15:
-        return q.copy()
-    half = speed * sample_period / 2.0
-    omega = (transition_matrix(w, 2.0) - np.eye(4))  # bare Omega(w)
-    out = (math.cos(half) * np.eye(4) + (math.sin(half) / speed) * omega) @ q
-    return out / np.linalg.norm(out)

@@ -7,8 +7,10 @@ once: ``start`` sets the loop up at t = 0, ``step`` advances it one tick,
 and ``sense_and_fuse`` is its gimbal-free first half.  Per tick
 ``run_simulation`` also records the normalized received power of the
 current analog weights against the instantaneous satellite direction in
-the beam frame.  At configured epochs the electrical stage refines the
-weights against a channel frozen at the epoch's geometry.
+the beam frame, read from the factored channel (``channel.Channel``) and
+the conjugated weight matrix, which changes only at the epochs.  At
+configured epochs the electrical stage refines the weights against the
+MN channel vector frozen at the epoch's geometry.
 
 Randomness is split into independent per-subsystem streams (sensor
 noise, channel noise, perturbations) from the master seed, so changing
@@ -83,8 +85,9 @@ def beam_frame_arrival(
     return azimuth, elevation
 
 
-def build_channel(cfg: ScenarioConfig, azimuth: float, elevation: float) -> np.ndarray:
-    """Channel vector for the LOS ray (plus the optional weak second ray)."""
+def build_channel(cfg: ScenarioConfig, azimuth: float, elevation: float) -> ch.Channel:
+    """The LOS ray (plus the optional weak second ray) arriving from
+    (azimuth, elevation) in the beam frame."""
     paths = [ch.PathComponent(azimuth, elevation, cfg.signal.los_gain_abs + 0j, 0.0)]
     if cfg.nlos.gain > 0.0:
         paths.append(
@@ -95,7 +98,7 @@ def build_channel(cfg: ScenarioConfig, azimuth: float, elevation: float) -> np.n
                 cfg.nlos.path_length,
             )
         )
-    return ch.vec(ch.channel_matrix(cfg.array, paths, cfg.wavelength))
+    return ch.Channel.from_paths(cfg.array, paths, cfg.wavelength)
 
 
 class Tick(NamedTuple):
@@ -185,6 +188,7 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
 
     tick = start(cfg, euler, sensor_rng)
     phases = np.zeros(cfg.array.size)
+    wbar = ch.conj_weight_matrix(phases, cfg.array)  # changes only at the epochs
     next_epoch = cfg.electrical.first_epoch
     total_queries = 0
     records: list[TraceRecord] = []
@@ -193,7 +197,7 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
         t = k * t_s
         tick = step(cfg, euler, tick, t, sensor_rng)
         truth, gimbal = tick.truth.attitude, tick.gimbal
-        h_vec = build_channel(cfg, *beam_frame_arrival(gimbal.angles, truth, sat_dir_ned))
+        chan = build_channel(cfg, *beam_frame_arrival(gimbal.angles, truth, sat_dir_ned))
         # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
         # angles, pointing error (azimuth, elevation)
         angles = (
@@ -202,18 +206,19 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
         )
         base = TraceRecord(
             t, "mech", *(a * R2D for a in angles),
-            ch.nrsp(phases, h_vec), 0, total_queries, int(gimbal.rate_clamped),
+            chan.nrsp(wbar), 0, total_queries, int(gimbal.rate_clamped),
         )
         records.append(base)
 
         if t >= next_epoch - 1e-12:
             next_epoch += cfg.electrical.epoch_period
             oracle = ch.PowerOracle(
-                h_vec, cfg.signal.symbol, cfg.signal.noise_power, channel_rng
+                chan.vec(), cfg.signal.symbol, cfg.signal.noise_power, channel_rng
             )
             phases, trace = el.RUNNERS[cfg.electrical.method](
                 phases, oracle, cfg.electrical.params, perturb_rng, cfg.array
             )
+            wbar = ch.conj_weight_matrix(phases, cfg.array)
             records.extend(
                 replace(
                     base, phase="elec", nrsp=trace.nrsp[i], elec_iteration=trace.k[i],

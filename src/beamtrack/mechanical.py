@@ -21,6 +21,10 @@ from . import frames
 from .frames import Attitude, SingularityError
 
 
+# |gimbal elevation| at which isolation_rates is singular
+KEYHOLE = math.pi / 2 - 1e-6
+
+
 class NoVisibilityError(ValueError):
     """Raised when the satellite is below the local horizon."""
 
@@ -58,6 +62,7 @@ class GeoConfig:
             raise ValueError("uav_latitude must lie strictly inside +/-90 deg")
         if not self.orbit_radius > self.earth_radius > 0:
             raise ValueError("orbit_radius must exceed earth_radius > 0")
+        pointing_euler(self)  # NoVisibilityError when the satellite is below the horizon
 
 
 @dataclass
@@ -75,6 +80,8 @@ class ServoConfig:
             raise ValueError("gain and rate_limit must be positive")
         if self.elevation_min >= self.elevation_max:
             raise ValueError("elevation stops are inverted")
+        if max(-self.elevation_min, self.elevation_max) >= KEYHOLE:
+            raise ValueError("elevation stops must stay short of the +/-90 deg keyhole")
 
 
 @dataclass
@@ -145,7 +152,7 @@ def isolation_rates(angles: GimbalAngles, body_rates: np.ndarray) -> GimbalRates
     Singular as the elevation approaches +/-90 deg (keyhole), where the
     azimuth axis loses authority over the beam.
     """
-    if abs(angles.elevation) >= math.pi / 2 - 1e-6:
+    if abs(angles.elevation) >= KEYHOLE:
         raise SingularityError("elevation too close to +/-90 deg (keyhole)")
     wx, wy, wz = np.asarray(body_rates, dtype=float).tolist()
     ca, sa = math.cos(angles.azimuth), math.sin(angles.azimuth)

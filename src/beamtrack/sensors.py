@@ -53,12 +53,12 @@ class SensorNoiseConfig:
             "gyro_bias",
             "accel_white_sigma",
             "gps_yaw_sigma",
-            "gravity",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        # a zero baseline has no direction, so GPS yaw would be atan2(0, 0)
-        for name in ("sample_period", "gps_baseline_length"):
+        # a zero baseline has no direction, so GPS yaw would be atan2(0, 0);
+        # the accelerometer pitch divides by gravity
+        for name in ("sample_period", "gravity", "gps_baseline_length"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 

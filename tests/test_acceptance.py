@@ -62,7 +62,7 @@ def closed_loop_runs():
             pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, truth, euler)
             if nrsp_pre is None and k * t_s >= 5.0:
                 arrival = harness.beam_frame_arrival(tick.gimbal.angles, truth, sat_dir)
-                h = harness.build_channel(cfg, *arrival)
+                h = harness.build_channel(cfg, *arrival).vec()
                 nrsp_pre = nrsp(np.zeros(cfg.array.size), h)
         results.append((att_err, gyro_err, pt_err, nrsp_pre))
     return results, time.perf_counter() - started

@@ -5,18 +5,16 @@ import pytest
 
 from beamtrack.channel import (
     ArrayGeometry,
+    Channel,
     PathComponent,
     PowerOracle,
     SignalModel,
-    array_response,
-    channel_matrix,
-    estimate_effective_gain,
+    conj_weight_matrix,
+    direction_sines,
     matched_weights,
     nrsp,
-    received_power,
-    received_signal,
+    plane_wave,
     spatial_spectrum,
-    vec,
     weights_from_phases,
 )
 
@@ -24,37 +22,57 @@ D2R = math.pi / 180.0
 
 
 def los_channel(geom, azimuth=0.0, elevation=0.0, gain=1.0 + 0j, path_length=0.0):
-    return vec(channel_matrix(geom, [PathComponent(azimuth, elevation, gain, path_length)]))
+    return Channel.from_paths(geom, [PathComponent(azimuth, elevation, gain, path_length)]).vec()
+
+
+def response_matrix(geom, azimuth, elevation):
+    """The (rows, cols) response matrix r c^T of one plane wave."""
+    r, c = plane_wave(geom, *direction_sines(azimuth, elevation))
+    return np.outer(r, c)
+
+
+def received_signal(phases, h_vec, symbol, noise_power, rng):
+    """Reference per-element noise model: y = w^H h s + w^H n, with n
+    circular complex Gaussian of per-element variance ``noise_power``."""
+    w = weights_from_phases(phases)
+    y = np.vdot(w, np.asarray(h_vec)) * symbol
+    if noise_power > 0.0:
+        n = math.sqrt(noise_power / 2.0) * (
+            rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
+        )
+        y += np.vdot(w, n)
+    return complex(y)
 
 
 class TestArrayResponse:
     def test_broadside_all_ones(self):
-        a = array_response(ArrayGeometry(4, 3), 0.0, 0.7)
+        a = response_matrix(ArrayGeometry(4, 3), 0.0, 0.7)
         np.testing.assert_allclose(a, np.ones((4, 3)), atol=1e-15)
 
     def test_single_element_phase(self):
         # element (2,1) at azimuth 30 deg, elevation 0, half-wavelength spacing
-        a = array_response(ArrayGeometry(4, 4, 0.5), 30 * D2R, 0.0)
+        a = response_matrix(ArrayGeometry(4, 4, 0.5), 30 * D2R, 0.0)
         assert a[1, 0] == pytest.approx(np.exp(1j * math.pi * 0.5), abs=1e-12)
         assert a[1, 0] == pytest.approx(1j, abs=1e-12)
 
     def test_unit_modulus(self):
-        a = array_response(ArrayGeometry(8, 5), 0.4, 1.1)
+        a = response_matrix(ArrayGeometry(8, 5), 0.4, 1.1)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-14)
 
     def test_corner_element_is_one(self):
-        a = array_response(ArrayGeometry(8, 5), 0.6, -0.4)
+        a = response_matrix(ArrayGeometry(8, 5), 0.6, -0.4)
         assert a[0, 0] == 1.0 + 0j
 
 
 class TestChannelMatrix:
     def test_single_path_whole_wavelength(self):
         geom = ArrayGeometry(8, 4)
-        h = channel_matrix(geom, [PathComponent(0.2, 0.1, 1.0, 3 * 0.015)], wavelength=0.015)
+        chan = Channel.from_paths(geom, [PathComponent(0.2, 0.1, 1.0, 3 * 0.015)], 0.015)
         np.testing.assert_allclose(
-            h, array_response(geom, 0.2, 0.1) / math.sqrt(geom.size), atol=1e-12
+            chan.vec(), response_matrix(geom, 0.2, 0.1).flatten(order="F") / math.sqrt(geom.size),
+            atol=1e-12,
         )
-        assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
+        assert chan.power() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_path_frobenius_norm_brute_force(self):
         geom = ArrayGeometry(16, 8)
@@ -62,36 +80,43 @@ class TestChannelMatrix:
             PathComponent(0.1, 0.3, 1.0, 0.0),
             PathComponent(-0.25, 1.2, 0.5 * np.exp(0.7j), 1.234),
         ]
-        h = channel_matrix(geom, paths, wavelength=0.015)
-        # brute-force oracle: accumulate each entry directly from the model
-        total = 0.0
-        for m in range(geom.rows):
-            for n in range(geom.cols):
-                entry = 0.0 + 0.0j
-                for p in paths:
-                    phase = (
-                        2 * math.pi * geom.spacing_over_wavelength * math.sin(p.azimuth)
-                        * (m * math.cos(p.elevation) + n * math.sin(p.elevation))
-                    )
-                    entry += (
-                        p.gain
-                        * np.exp(-2j * math.pi * p.path_length / 0.015)
-                        * np.exp(1j * phase)
-                        / math.sqrt(geom.size)
-                    )
-                total += abs(entry) ** 2
-        assert np.linalg.norm(h) ** 2 == pytest.approx(total, abs=1e-12)
+        rng = np.random.default_rng(8)
+        for chosen in (paths[:1], paths):  # LOS alone, LOS plus the second ray
+            chan = Channel.from_paths(geom, chosen, wavelength=0.015)
+            # brute-force oracle: accumulate each entry directly from the model
+            h = np.zeros((geom.rows, geom.cols), dtype=complex)
+            for m in range(geom.rows):
+                for n in range(geom.cols):
+                    for p in chosen:
+                        phase = (
+                            2 * math.pi * geom.spacing_over_wavelength * math.sin(p.azimuth)
+                            * (m * math.cos(p.elevation) + n * math.sin(p.elevation))
+                        )
+                        h[m, n] += (
+                            p.gain
+                            * np.exp(-2j * math.pi * p.path_length / 0.015)
+                            * np.exp(1j * phase)
+                            / math.sqrt(geom.size)
+                        )
+            total = float(np.sum(np.abs(h) ** 2))
+            np.testing.assert_allclose(chan.vec(), h.flatten(order="F"), atol=1e-12)
+            assert chan.power() == pytest.approx(total, abs=1e-12)
+            # the factored NRSP against the full-vector reference
+            for _ in range(20):
+                phases = rng.uniform(-math.pi, math.pi, geom.size)
+                assert chan.nrsp(conj_weight_matrix(phases, geom)) == pytest.approx(
+                    nrsp(phases, chan.vec()), abs=1e-12
+                )
 
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):
-            channel_matrix(ArrayGeometry(2, 2), [])
+            Channel.from_paths(ArrayGeometry(2, 2), [])
 
 
 class TestSpatialSpectrum:
     def test_broadside_concentrates_at_origin(self):
         geom = ArrayGeometry(16, 8)
-        h = channel_matrix(geom, [PathComponent(0.0, 0.0)])
-        s = spatial_spectrum(h)
+        s = spatial_spectrum(Channel.from_paths(geom, [PathComponent(0.0, 0.0)]))
         assert s[0, 0] == pytest.approx(1.0, abs=1e-12)
         mask = np.ones_like(s, dtype=bool)
         mask[0, 0] = False
@@ -100,8 +125,7 @@ class TestSpatialSpectrum:
     def test_peak_bin_at_generic_doa(self):
         geom = ArrayGeometry(32, 16)
         az, el = 14 * D2R, 33 * D2R
-        h = channel_matrix(geom, [PathComponent(az, el)])
-        s = spatial_spectrum(h)
+        s = spatial_spectrum(Channel.from_paths(geom, [PathComponent(az, el)]))
         got = np.unravel_index(np.argmax(s), s.shape)
         # stationary-phase prediction, verified by exhaustive search over bins
         u_r = geom.spacing_over_wavelength * math.sin(az) * math.cos(el)
@@ -112,10 +136,15 @@ class TestSpatialSpectrum:
         assert got in (want, want_conj)
 
     def test_parseval(self):
+        # three terms with arbitrary complex factors, not only plane waves
         rng = np.random.default_rng(5)
-        h = rng.standard_normal((12, 7)) + 1j * rng.standard_normal((12, 7))
-        assert np.linalg.norm(spatial_spectrum(h)) == pytest.approx(
-            np.linalg.norm(h), abs=1e-10
+        draw = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        chan = Channel(tuple((complex(draw(1)[0]), draw(12), draw(7)) for _ in range(3)))
+        assert np.linalg.norm(spatial_spectrum(chan)) == pytest.approx(
+            np.linalg.norm(chan.vec()), abs=1e-10
+        )
+        assert np.linalg.norm(spatial_spectrum(chan)) ** 2 == pytest.approx(
+            chan.power(), rel=1e-12
         )
 
 
@@ -126,7 +155,9 @@ class TestMatchedWeights:
     def test_phases_match_response(self):
         geom = ArrayGeometry(8, 6)
         w = weights_from_phases(matched_weights(geom, 0.3, 1.0))
-        np.testing.assert_allclose(w, vec(array_response(geom, 0.3, 1.0)), atol=1e-12)
+        np.testing.assert_allclose(
+            w, response_matrix(geom, 0.3, 1.0).flatten(order="F"), atol=1e-12
+        )
 
     def test_first_phase_zero(self):
         assert matched_weights(ArrayGeometry(16, 16), 0.5, -0.3)[0] == 0.0
@@ -174,30 +205,30 @@ class TestReceivedSignal:
 
 class TestReceivedPower:
     def test_matched_full_size_value(self):
+        # |w^H h|^2 = MN for a matched unit-norm channel, which the oracle
+        # scales to 1
         geom = ArrayGeometry(128, 64)
         h = los_channel(geom, 0.1, 0.2)
         w = matched_weights(geom, 0.1, 0.2)
-        p = received_power(w, h, 1.0, 0.0, np.random.default_rng(0))
+        p = abs(received_signal(w, h, 1.0, 0.0, np.random.default_rng(0))) ** 2
         assert p == pytest.approx(8192.0, rel=1e-10)
+        assert PowerOracle(h, 1.0, 0.0, None)(w) == pytest.approx(1.0, rel=1e-10)
 
     def test_nonnegative(self):
         geom = ArrayGeometry(4, 2)
-        h = los_channel(geom)
-        rng = np.random.default_rng(12)
+        oracle = PowerOracle(los_channel(geom), 1.0, 1.0, np.random.default_rng(12))
         for _ in range(50):
-            p = received_power(np.zeros(geom.size), h, 1.0, 1.0, rng)
-            assert p >= 0.0
+            assert oracle(np.zeros(geom.size)) >= 0.0
 
     def test_expectation(self):
         geom = ArrayGeometry(8, 4)
         h = los_channel(geom, 0.05, 0.0)
         w = np.zeros(geom.size)
-        rng = np.random.default_rng(3)
         noise_power = 0.1
-        n = 200_000
-        draws = np.array([received_power(w, h, 1.0, noise_power, rng) for _ in range(n)])
-        clean = abs(np.vdot(weights_from_phases(w), h)) ** 2
-        expected = clean + geom.size * noise_power
+        oracle = PowerOracle(h, 1.0, noise_power, np.random.default_rng(3))
+        draws = np.array([oracle(w) for _ in range(200_000)])
+        # noise adds MN * noise_power to |w^H h|^2 before the MN ||h||^2 scale
+        expected = nrsp(w, h) + noise_power / np.vdot(h, h).real
         assert draws.mean() == pytest.approx(expected, rel=0.02)
 
 
@@ -234,36 +265,6 @@ class TestNrsp:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
-class TestGainEstimation:
-    def test_single_noiseless_pilot_exact(self):
-        geom = ArrayGeometry(8, 4)
-        h = los_channel(geom, 0.1, 0.0)
-        w = matched_weights(geom, 0.1, 0.0)
-        s = 0.7 - 0.2j
-        y = received_signal(w, h, s, 0.0, np.random.default_rng(0))
-        g_hat = estimate_effective_gain([(y, s)])
-        assert g_hat == pytest.approx(np.vdot(weights_from_phases(w), h), abs=1e-10)
-
-    def test_mse_scales_inversely_with_pilots(self):
-        geom = ArrayGeometry(8, 4)
-        h = los_channel(geom)
-        w = matched_weights(geom, 0.0, 0.0)
-        g_true = np.vdot(weights_from_phases(w), h)
-        rng = np.random.default_rng(21)
-        noise_power = 0.2
-        for k in (1, 4, 16):
-            errs = []
-            for _ in range(4000 // k):
-                pairs = [(received_signal(w, h, 1.0, noise_power, rng), 1.0) for _ in range(k)]
-                errs.append(abs(estimate_effective_gain(pairs) - g_true) ** 2)
-            mse = np.mean(errs)
-            assert mse == pytest.approx(geom.size * noise_power / k, rel=0.15)
-
-    def test_zero_pilots_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_effective_gain([(1.0 + 1j, 0.0)])
-
-
 class TestPowerOracle:
     def test_noiseless_matched_reads_one(self):
         geom = ArrayGeometry(16, 8)
@@ -280,7 +281,9 @@ class TestPowerOracle:
         noise_power = 0.1
         scale = geom.size * np.vdot(h, h).real
         rng = np.random.default_rng(77)
-        a = np.array([received_power(w, h, 1.0, noise_power, rng) / scale for _ in range(100_000)])
+        a = np.array([
+            abs(received_signal(w, h, 1.0, noise_power, rng)) ** 2 / scale for _ in range(100_000)
+        ])
         oracle = PowerOracle(h, 1.0, noise_power, np.random.default_rng(78))
         b = np.array([oracle(w) for _ in range(100_000)])
         assert a.mean() == pytest.approx(b.mean(), rel=0.02)

@@ -35,6 +35,16 @@ class TestGeometry:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--sat-lon", "inf", "geo.satellite_longitude_deg"),
+        ("--lon", "nan", "geo.longitude_deg"),
+        ("--earth-radius-km", "big", "geo.earth_radius_km"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, capsys, flag, value, key):
+        code, _, err = run_cli(capsys, ["geometry", flag, value])
+        assert code == 2
+        assert err.startswith(f"error: {flag}: {key}: ")
+
     def test_bad_attitude_usage(self, capsys):
         code, _, err = run_cli(capsys, ["geometry", "--attitude", "1,2"])
         assert code == 2
@@ -101,11 +111,10 @@ class TestSweep:
         )
         assert code == 2
 
-    def test_unknown_param_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["sweep", "--param", "bogus", "--values", "1"]
-        )
+    def test_param_option_rejected_by_argparse(self, capsys):
+        code, _, err = run_cli(capsys, ["sweep", "--param", "snr_db", "--values", "1"])
         assert code == 2
+        assert "unrecognized arguments: --param" in err
 
     def test_usage_error_without_values(self, capsys):
         assert cli_main(["sweep"]) == 2

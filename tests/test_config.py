@@ -2,10 +2,12 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamtrack.config import (
     SCHEMA, ConfigError, default_scenario, load_scenario, load_scenario_text,
 )
+from beamtrack.harness import TRACE_COLUMNS, run_simulation
 
 D2R = math.pi / 180.0
 
@@ -136,6 +138,18 @@ class TestParsing:
         ("[signal]\nwavelength = 0", "signal: wavelength"),
         ("[signal]\nnlos_gain = -0.1", "signal: nlos_gain"),
         ("[electrical]\nepoch_period = 0", "electrical: epochs"),
+        # isolation_rates is singular at elevation +/-90 deg
+        ("[servo]\nelevation_max_deg = 90", "servo: elevation stops"),
+        # each of these used to load and then fail in the middle of a run
+        ("[geo]\nlatitude_deg = 85", "geo: satellite below horizon"),
+        ("[sensors]\ngravity = 0", "sensors: gravity"),
+        ("[fusion]\nprocess_noise = 0\nmeasurement_noise = 0", "fusion: process_noise"),
+        ("[electrical]\ngain_offset = 0", "electrical: gain, isotropic_weight and gain_offset"),
+        ("[run]\nseed = -1", "run: run.duration must be positive and run.seed"),
+        ("[signal]\nlos_gain = 0", r"signal: los_gain \* \|symbol\|"),
+        ("[signal]\nsymbol = 1e-60\nlos_gain = 1e-60", r"signal: los_gain \* \|symbol\|"),
+        ("[signal]\nsnr_db = -5000", "signal: snr_db"),
+        ("[sensors]\ngyro_white_sigma = 1e300", r"^sensors\.gyro_white_sigma: .* beyond"),
         ("[DEFAULT]\nrows = 4\n[array]\ncols = 4", r"unknown section \[DEFAULT\]"),
     ])
     def test_rejected_at_load_time(self, text, message):
@@ -195,3 +209,52 @@ class TestTable:
         raw = f"{bad} @ 0.1" if section == "profile" else bad
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
             load_scenario_text(f"[{section}]\n{key} = {raw}\n")
+
+
+# A short run on a small array: these keys are fixed, and the two keys that
+# set how many ticks and epochs a run has are drawn from a bounded range.
+SHORT_RUN = {("array", "rows"): "4", ("array", "cols"): "4", ("run", "duration"): "0.5"}
+SPECIAL = ["0", "-1", "nan", "inf", "1e6", "-1e6", "1e300", "garbage"]
+
+
+def raw_value(section, key):
+    """Raw text for ``[section] key``: a special value, or its default
+    scaled by a factor in [-3, 3]."""
+    default = DEFAULTS[section][key]
+    parse = next(row[4] for row in SCHEMA if row[:2] == (section, key))
+    special = st.sampled_from(SPECIAL)
+    if key == "method":
+        return st.sampled_from(["assp", "spsa", "sequential", "bogus"])
+    if section == "profile":
+        term = st.tuples(st.floats(-90, 90), st.floats(-2, 2), st.floats(-360, 360))
+        return st.lists(term.map(lambda t: "%r @ %r @ %r" % t), max_size=3).map(", ".join) | special
+    if key == "symbol":
+        return st.complex_numbers(max_magnitude=3).map(str) | special
+    if key in ("sample_period", "epoch_period"):
+        return st.floats(0.002, 30).map(repr) | special
+    scaled = st.floats(-3, 3).map(lambda f: (default or 1) * f)
+    return (scaled.map(int) if isinstance(parse("7"), int) else scaled).map(repr) | special
+
+
+FREE_KEYS = [k for k in KEYS if k not in SHORT_RUN and k != ("run", "output")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_random_scenario_loads_or_runs_finite(data):
+    # the outcome of any scenario text is a ConfigError at load time or a
+    # complete run with a finite trace, never an error in the middle
+    chosen = data.draw(st.lists(st.sampled_from(FREE_KEYS), unique=True, max_size=8))
+    values = {**{k: data.draw(raw_value(*k), label=f"{k[0]}.{k[1]}") for k in chosen}, **SHORT_RUN}
+    sections = {}
+    for (section, key), raw in values.items():
+        sections.setdefault(section, []).append(f"{key} = {raw}\n")
+    text = "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+    try:
+        cfg = load_scenario_text(text)
+    except ConfigError:
+        return
+    records = run_simulation(cfg)
+    assert len(records) >= round(0.5 / cfg.sensors.sample_period)
+    cells = [getattr(r, c) for r in records for c in TRACE_COLUMNS if c != "phase"]
+    assert all(math.isfinite(v) for v in cells)

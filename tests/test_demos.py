@@ -1,4 +1,5 @@
-"""Smoke test: demos 02 and 03 run as scripts on the harness stepper."""
+"""Smoke test: demos 02 and 03 (on the harness stepper) and 04 (on the
+factored channel) run as scripts."""
 
 import os
 import subprocess
@@ -15,6 +16,7 @@ SRC = str(Path(beamtrack.__file__).resolve().parents[1])
 TABLES = {
     "02_attitude_fusion.py": "      pipeline  rmse [deg]  max [deg]  <=0.5 deg",
     "03_dynamic_isolation.py": "isolation + servo: max pointing error",
+    "04_array_and_spectrum.py": "matched weights at the true arrival restore nrsp",
 }
 
 

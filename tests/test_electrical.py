@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from beamtrack.channel import ArrayGeometry, PathComponent, PowerOracle, channel_matrix, vec
+from beamtrack.channel import ArrayGeometry, Channel, PathComponent, PowerOracle
 from beamtrack.electrical import (
     AsspParams,
     DegeneratePerturbationError,
     OptimizerTrace,
     aligned_gradient,
-    assp_gradient,
     draw_perturbation,
     fit_doa,
     perturbation_vector,
@@ -24,9 +23,20 @@ D2R = math.pi / 180.0
 
 
 def make_oracle(geom, az, el, snr_db=None, seed=0):
-    h = vec(channel_matrix(geom, [PathComponent(az, el)]))
+    h = Channel.from_paths(geom, [PathComponent(az, el)]).vec()
     noise = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
     return PowerOracle(h, 1.0, noise, np.random.default_rng(seed))
+
+
+def assp_gradient(phases, delta, oracle):
+    """Reference elementwise central-difference gradient: queries the oracle
+    at phases +/- delta and divides the difference by 2*delta per element."""
+    delta = np.asarray(delta, dtype=float)
+    if np.any(delta == 0.0):
+        raise DegeneratePerturbationError("perturbation has a zero component")
+    p_plus = oracle(phases + delta)
+    p_minus = oracle(phases - delta)
+    return (p_plus - p_minus) / (2.0 * delta), p_plus, p_minus
 
 
 class TestStructureMatrix:
@@ -128,7 +138,7 @@ class TestGradients:
         # structured probes differ in magnitude per element: dividing
         # elementwise (assp_gradient) kicks small-probe elements hard
         geom, params = ArrayGeometry(16, 8), AsspParams()
-        h, _, _ = offset_channel(geom, 0.3)
+        h = offset_channel(geom, 0.3)[0].vec()
         structure = structure_matrix(geom)
         final = {}
         for form in ("aligned", "reciprocal"):
@@ -260,7 +270,7 @@ class TestSequential:
         # global phase), so the smallest meaningful case is one probed
         # element against one reference element
         geom = ArrayGeometry(2, 1)
-        h = vec(channel_matrix(geom, [PathComponent(0.0, 0.0)]))
+        h = Channel.from_paths(geom, [PathComponent(0.0, 0.0)]).vec()
         h[1] *= np.exp(0.9j)  # relative phase the walk must match
         oracle = PowerOracle(h, 1.0, 0.0, np.random.default_rng(0))
         params = AsspParams(seq_step=0.25, seq_max_sweeps=10)

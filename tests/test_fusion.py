@@ -7,8 +7,8 @@ from beamtrack import frames, fusion, harness, sensors
 from beamtrack.config import ScenarioConfig
 from beamtrack.frames import Attitude
 from beamtrack.fusion import (
-    FilterState, FusionConfig, make_filter_state, measurement_quat, predict, quat_exact_step,
-    transition_matrix, update,
+    FilterState, FusionConfig, make_filter_state, measurement_quat, predict, transition_matrix,
+    update,
 )
 from beamtrack.sensors import ProfileConfig, SensorNoiseConfig, Sinusoid
 
@@ -16,6 +16,21 @@ D2R = math.pi / 180.0
 MOVING = ProfileConfig(yaw=[Sinusoid(10 * D2R, 0.1)], pitch=[Sinusoid(5 * D2R, 0.2)],
                        roll=[Sinusoid(8 * D2R, 0.15)])
 QUIET = SensorNoiseConfig(gyro_white_sigma=0, gyro_bias=0, accel_white_sigma=0, gps_yaw_sigma=0)
+
+
+def quat_exact_step(q, body_rates, sample_period):
+    """Reference exact constant-rate propagation: the closed-form exponential
+    of the generator the first-order transition matrix truncates,
+    exp((T_s/2) Omega) = cos(half) I + sin(half)/|omega| * Omega."""
+    w = np.asarray(body_rates, dtype=float)
+    speed = np.linalg.norm(w)
+    q = np.asarray(q, dtype=float)
+    if speed * sample_period < 1e-15:
+        return q.copy()
+    half = speed * sample_period / 2.0
+    omega = transition_matrix(w, 2.0) - np.eye(4)  # bare Omega(w)
+    out = (math.cos(half) * np.eye(4) + (math.sin(half) / speed) * omega) @ q
+    return out / np.linalg.norm(out)
 
 
 class TestTransitionMatrix:
@@ -86,6 +101,14 @@ class TestMeasurementQuat:
         q_ref = -frames.euler_to_quat(Attitude(0.4, 0.1, -0.2))
         z = measurement_quat(0.4, 0.1, -0.2, q_ref)
         assert float(np.dot(z, q_ref)) >= 0.0
+
+    def test_saturated_pitch_keeps_euler_angles(self):
+        # a saturated accelerometer reads pitch +/-90 deg, where dcm_to_euler
+        # raises; the measurement stays just short of it
+        for pitch in (math.pi / 2, -math.pi / 2):
+            z = measurement_quat(0.3, pitch, 0.1)
+            att = frames.dcm_to_euler(frames.quat_to_dcm(z))
+            assert att.pitch == pytest.approx(pitch, abs=1e-4)
 
 
 class TestUpdate:
