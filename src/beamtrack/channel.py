@@ -198,7 +198,20 @@ class PowerOracle:
     circular Gaussian with variance MN*noise_power for every phase setting,
     so it is drawn directly (one complex draw per query instead of MN).
 
-    Queries are counted; ``true_nrsp`` is the noiseless diagnostic used for
+    Every query is counted and draws its noise from ``rng`` in query order,
+    real part then imaginary part, whichever path it takes:
+
+    * ``__call__(phases)`` measures one phase setting from scratch;
+    * ``hold(phases)`` / ``probe_pair(delta)`` / ``move(step)`` serve the
+      simultaneous methods.  The oracle carries u = conj(exp(j*phases)) * h
+      for the held phases, so a probe pair at phases +/- delta costs one
+      exponential and a move one more; the optimizer passes phase offsets
+      and never reads h;
+    * ``noise_terms(n)`` hands the sequential walk the noise of its next n
+      queries in one draw, for combiner sums it keeps itself
+      (``sample_pair`` is the one-query form of the same measurement).
+
+    ``true_nrsp`` and ``held_nrsp`` are the noiseless diagnostics used for
     traces and never consumed by the optimizers.
     """
 
@@ -207,13 +220,16 @@ class PowerOracle:
     noise_power: float
     rng: np.random.Generator
     queries: int = 0
-    _scale: float = field(init=False)
+    scale: float = field(init=False)
+    _matched: float = field(init=False)
     _noise_sigma: float = field(init=False)
+    _held: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         h = np.asarray(self.h_vec)
-        self._scale = h.size * np.vdot(h, h).real * abs(self.symbol) ** 2
-        if self._scale == 0.0:
+        self._matched = h.size * np.vdot(h, h).real
+        self.scale = self._matched * abs(self.symbol) ** 2
+        if self.scale == 0.0:
             raise ValueError("degenerate channel/symbol: zero matched power")
         self._noise_sigma = math.sqrt(h.size * self.noise_power / 2.0)
 
@@ -221,16 +237,44 @@ class PowerOracle:
         return self._measure(np.vdot(weights_from_phases(phases), self.h_vec))
 
     def sample_pair(self, base: complex, delta: complex) -> float:
-        """Fast path for sequential probing: power of an incrementally
-        adjusted combiner sum (base + delta), same scaling and noise law."""
+        """Power of an incrementally adjusted combiner sum (base + delta),
+        same scaling and noise law."""
         return self._measure(base + delta)
+
+    def noise_terms(self, n: int) -> list[complex]:
+        """Additive noise of the next ``n`` queries, as Python complex
+        numbers, counted as ``n`` queries.  A query reads
+        ``abs(combined * symbol + noise) ** 2 / scale``."""
+        self.queries += n
+        if self.noise_power > 0.0:
+            # 2n normals in one draw are the 2n scalar draws of n queries
+            return (self._noise_sigma * self.rng.standard_normal(2 * n)).view(complex).tolist()
+        return [0j] * n
+
+    def hold(self, phases: np.ndarray) -> None:
+        """Carry the per-element combiner terms of ``phases``."""
+        self._held = np.conj(weights_from_phases(phases)) * self.h_vec
+
+    def probe_pair(self, delta: np.ndarray) -> tuple[float, float]:
+        """Powers at the held phases + delta and - delta, in that order."""
+        e = np.exp(-1j * delta)
+        p_plus = self._measure(self._held @ e)
+        return p_plus, self._measure(np.vdot(e, self._held))
+
+    def move(self, step: np.ndarray) -> None:
+        """Advance the held phases by ``step``."""
+        self._held *= np.exp(-1j * step)
+
+    def held_nrsp(self) -> float:
+        """``true_nrsp`` of the held phases, from the carried terms."""
+        return float(abs(self._held.sum()) ** 2 / self._matched)
 
     def _measure(self, combined: complex) -> float:
         self.queries += 1
         y = combined * self.symbol
         if self.noise_power > 0.0:
             y += self._noise_sigma * complex(self.rng.standard_normal(), self.rng.standard_normal())
-        return abs(y) ** 2 / self._scale
+        return abs(y) ** 2 / self.scale
 
     def true_nrsp(self, phases: np.ndarray) -> float:
         return nrsp(phases, self.h_vec)

@@ -151,13 +151,14 @@ def _cmd_sweep(args) -> int:
         key=lambda r: r[:2],
     )
     header = (
-        f"{'snr_db':>8} {'method':>12} {'med_iters':>10} {'reach':>6} "
+        f"{'snr_db':>8} {'method':>12} {'med_iters':>10} {'iters_run':>10} {'reach':>6} "
         f"{'med_nrsp':>9} {'med_queries':>12} {'fit_az_deg':>11} {'fit_el_deg':>11}"
     )
     print(header)
     for value, method, s in rows:
         print(
             f"{value:8.1f} {method:>12} {s.median_iterations:10.1f} "
+            f"{s.median_iterations_run:10.1f} "
             f"{s.reach_fraction:6.2f} {s.median_final_nrsp:9.4f} "
             f"{s.median_queries:12.1f} {s.median_fit_azimuth_err_deg:11.4f} "
             f"{s.median_fit_elevation_err_deg:11.4f}"

@@ -2,7 +2,8 @@
 shifters against the noisy instant-power oracle.
 
 Three optimizers share the oracle contract (two queries per iteration for
-the simultaneous methods, 2*MN per sweep for the sequential baseline):
+the simultaneous methods, 2*MN per sweep for the sequential baseline; see
+``channel.PowerOracle``):
 
 * ``run_assp`` - simultaneous perturbation whose probe mixes a
   deterministic element-distance structure (a radial ramp that swings the
@@ -11,6 +12,12 @@ the simultaneous methods, 2*MN per sweep for the sequential baseline):
   forced to zero; the classic fully isotropic baseline.
 * ``run_sequential_perturbation`` - one shifter at a time, keeping the
   probe sign that increased measured power.
+
+The simultaneous methods pass the oracle phase offsets and never read the
+channel: ``hold`` the start, then per iteration ``probe_pair(delta)`` and
+``move(step)``, with ``held_nrsp`` for the trace.  The sequential walk
+keeps the combiner sum itself and takes its noise a block at a time
+(``noise_terms``).
 
 Gradient estimate: ``aligned_gradient`` projects the measured central
 difference back onto the probe direction.  For pure +/-c Bernoulli probes
@@ -160,18 +167,16 @@ def assp_step(
             break
     else:
         raise DegeneratePerturbationError("could not draw a nonzero perturbation")
-    p_plus = oracle(state.phases + delta)
-    p_minus = oracle(state.phases - delta)
-    grad = aligned_gradient(p_plus, p_minus, delta)
-    phases = state.phases + params.step_size(state.k) * grad
+    p_plus, p_minus = oracle.probe_pair(delta)
+    step = params.step_size(state.k) * aligned_gradient(p_plus, p_minus, delta)
+    oracle.move(step)
+    phases = state.phases + step
     k = state.k + 1
 
     observed, best = max(p_plus, p_minus), state.best_power
     improved = observed > best * (1.0 + params.stop_epsilon) or best == -math.inf
     stalled = 0 if improved else state.stalled + 1
-    trace.append(
-        k, p_plus, p_minus, oracle.true_nrsp(phases), float(phases.sum()), oracle.queries
-    )
+    trace.append(k, p_plus, p_minus, oracle.held_nrsp(), float(phases.sum()), oracle.queries)
     return OptimizerState(phases, k, max(best, observed), stalled)
 
 
@@ -187,6 +192,7 @@ def run_assp(
     stop_window consecutive iterations)."""
     structure = structure_matrix(geom)
     state = OptimizerState(np.asarray(initial_phases, dtype=float).copy())
+    oracle.hold(state.phases)
     trace = OptimizerTrace()
     while state.k < params.max_iters:
         state = assp_step(state, oracle, params, rng, structure, trace)
@@ -210,6 +216,11 @@ def run_isotropic_spsa(
     return run_assp(initial_phases, oracle, replace(params, structure_weight=0.0), rng, geom)
 
 
+# elements per noise block of the sequential walk: the block's memory stays
+# fixed whatever the array size
+_SEQ_CHUNK = 256
+
+
 def run_sequential_perturbation(
     initial_phases: np.ndarray,
     oracle: PowerOracle,
@@ -222,7 +233,9 @@ def run_sequential_perturbation(
 
     One trace row per full sweep (2*MN oracle queries); the recorded
     p_plus/p_minus are from the sweep's last element.  The combiner sum is
-    maintained incrementally, so each probe costs O(1).
+    maintained incrementally and each probe reads its noise from a block
+    drawn for _SEQ_CHUNK elements, so a probe costs O(1) Python
+    arithmetic: exactly that of ``PowerOracle.sample_pair``.
     """
     phases = np.asarray(initial_phases, dtype=float).copy()
     size = phases.size
@@ -231,23 +244,33 @@ def run_sequential_perturbation(
     step = params.seq_step
     rot_plus = complex(np.exp(-1j * step))
     rot_minus = complex(np.exp(1j * step))
+    symbol, scale = oracle.symbol, float(oracle.scale)
     for sweep in range(1, params.seq_max_sweeps + 1):
         contrib = np.conj(np.exp(1j * phases)) * h  # per-element terms of w^H h
         total = complex(contrib.sum())
         p_plus = p_minus = 0.0
-        for i in range(size):
-            ci = complex(contrib[i])
-            base = total - ci
-            p_plus = oracle.sample_pair(base, ci * rot_plus)
-            p_minus = oracle.sample_pair(base, ci * rot_minus)
-            if p_plus > p_minus:
-                phases[i] += step
-                contrib[i] = ci * rot_plus
-                total = base + ci * rot_plus
-            elif p_minus > p_plus:
-                phases[i] -= step
-                contrib[i] = ci * rot_minus
-                total = base + ci * rot_minus
+        for start in range(0, size, _SEQ_CHUNK):
+            stop = min(start + _SEQ_CHUNK, size)
+            walked = phases[start:stop].tolist()
+            noise = oracle.noise_terms(2 * (stop - start))
+            probes = zip(contrib[start:stop].tolist(), noise[0::2], noise[1::2])
+            for i, (ci, noise_plus, noise_minus) in enumerate(probes):
+                base = total - ci
+                plus = base + ci * rot_plus
+                minus = base + ci * rot_minus
+                y = plus * symbol
+                y += noise_plus
+                p_plus = abs(y) ** 2 / scale
+                y = minus * symbol
+                y += noise_minus
+                p_minus = abs(y) ** 2 / scale
+                if p_plus > p_minus:
+                    walked[i] += step
+                    total = plus
+                elif p_minus > p_plus:
+                    walked[i] -= step
+                    total = minus
+            phases[start:stop] = walked
         trace.append(
             sweep, p_plus, p_minus, oracle.true_nrsp(phases), float(phases.sum()),
             oracle.queries,
@@ -297,10 +320,12 @@ def fit_doa(phases: np.ndarray, geom: ArrayGeometry, pad: int = 4) -> tuple[floa
     h = 1e-6
     for _ in range(60):
         f0 = corr(u_r, u_c)
-        gr = (corr(u_r + h, u_c) - corr(u_r - h, u_c)) / (2 * h)
-        gc = (corr(u_r, u_c + h) - corr(u_r, u_c - h)) / (2 * h)
-        hrr = (corr(u_r + h, u_c) - 2 * f0 + corr(u_r - h, u_c)) / h**2
-        hcc = (corr(u_r, u_c + h) - 2 * f0 + corr(u_r, u_c - h)) / h**2
+        r_plus, r_minus = corr(u_r + h, u_c), corr(u_r - h, u_c)
+        c_plus, c_minus = corr(u_r, u_c + h), corr(u_r, u_c - h)
+        gr = (r_plus - r_minus) / (2 * h)
+        gc = (c_plus - c_minus) / (2 * h)
+        hrr = (r_plus - 2 * f0 + r_minus) / h**2
+        hcc = (c_plus - 2 * f0 + c_minus) / h**2
         step_r = -gr / hrr if hrr < 0 else 0.0
         step_c = -gc / hcc if hcc < 0 else 0.0
         u_r += step_r

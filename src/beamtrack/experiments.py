@@ -30,6 +30,7 @@ METHOD_RUNNERS = el.RUNNERS
 @dataclass
 class TrialResult:
     iterations_to_threshold: int
+    iterations_run: int  # trace rows: iterations (sweeps) before the run stopped
     reached: bool
     final_nrsp: float
     queries: int
@@ -42,6 +43,7 @@ class TrialResult:
 class ConvergenceStats:
     method: str
     median_iterations: float
+    median_iterations_run: float
     reach_fraction: float
     median_final_nrsp: float
     median_queries: float
@@ -93,6 +95,7 @@ def run_trial(
     fit_az, fit_el = el.fit_doa(phases, geom)
     return TrialResult(
         iterations_to_threshold=iters,
+        iterations_run=len(trace),
         reached=reached,
         final_nrsp=trace.nrsp[-1] if trace.nrsp else float("nan"),
         queries=oracle.queries,
@@ -119,6 +122,7 @@ def convergence_stats(
     return ConvergenceStats(
         method=method,
         median_iterations=med([t.iterations_to_threshold for t in trials]),
+        median_iterations_run=med([t.iterations_run for t in trials]),
         reach_fraction=float(np.mean([t.reached for t in trials])),
         median_final_nrsp=med([t.final_nrsp for t in trials]),
         median_queries=med([t.queries for t in trials]),

@@ -289,6 +289,46 @@ class TestPowerOracle:
         assert a.mean() == pytest.approx(b.mean(), rel=0.02)
         assert a.var() == pytest.approx(b.var(), rel=0.05)
 
+    def test_noise_terms_are_the_per_query_draws(self):
+        geom = ArrayGeometry(8, 4)
+        h = los_channel(geom, 0.02, 0.1)
+        block = PowerOracle(h, 1.0, 0.1, np.random.default_rng(5))
+        single = PowerOracle(h, 1.0, 0.1, np.random.default_rng(5))
+        terms = block.noise_terms(7)
+        assert all(type(t) is complex for t in terms)
+        # sample_pair(0, 0) reads |noise|^2 / scale from the scalar draws
+        assert [abs(t) ** 2 / block.scale for t in terms] == [
+            single.sample_pair(0j, 0j) for _ in range(7)
+        ]
+        assert block.queries == single.queries == 7
+        assert block.rng.standard_normal() == single.rng.standard_normal()
+
+    def test_noiseless_noise_terms_draw_nothing(self):
+        geom = ArrayGeometry(4, 2)
+        rng = np.random.default_rng(9)
+        oracle = PowerOracle(los_channel(geom), 1.0, 0.0, rng)
+        assert oracle.noise_terms(5) == [0j] * 5
+        assert oracle.queries == 5
+        assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
+
+    def test_probe_pair_and_move_match_from_scratch_queries(self):
+        geom = ArrayGeometry(16, 8)
+        h = los_channel(geom, 0.01, 0.7, gain=0.8 * np.exp(0.4j))
+        rng = np.random.default_rng(3)
+        phases = rng.uniform(-3.0, 3.0, geom.size)
+        delta = 0.05 * rng.standard_normal(geom.size)
+        step = 0.3 * rng.standard_normal(geom.size)
+        held = PowerOracle(h, 0.6 + 0.8j, 0.01, np.random.default_rng(4))
+        fresh = PowerOracle(h, 0.6 + 0.8j, 0.01, np.random.default_rng(4))
+        held.hold(phases)
+        assert held.held_nrsp() == pytest.approx(fresh.true_nrsp(phases), abs=1e-14)
+        p_plus, p_minus = held.probe_pair(delta)
+        assert p_plus == pytest.approx(fresh(phases + delta), rel=1e-12)
+        assert p_minus == pytest.approx(fresh(phases - delta), rel=1e-12)
+        held.move(step)
+        assert held.held_nrsp() == pytest.approx(fresh.true_nrsp(phases + step), abs=1e-14)
+        assert held.queries == fresh.queries == 2
+
     def test_signal_model_noise_power(self):
         assert SignalModel(snr_db=20.0).noise_power == pytest.approx(0.01)
         assert SignalModel(snr_db=10.0, los_gain_abs=2.0).noise_power == pytest.approx(0.4)

@@ -105,6 +105,23 @@ class TestSweep:
         lines = [l for l in out.strip().splitlines() if re.match(r"\s*\d", l)]
         assert len(lines) == 2 * 2
 
+    def test_iters_run_shows_the_stall_stop(self, capsys, tmp_path):
+        # med_iters scores the 100-iteration budget when 0.99 is never
+        # reached; the stop rule ended those runs long before it
+        cfg = tmp_path / "small.ini"
+        cfg.write_text("[array]\nrows = 16\ncols = 8\n")
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--config", str(cfg), "--values", "10", "--seeds", "3",
+             "--methods", "assp"],
+        )
+        assert code == 0
+        header, row = out.strip().splitlines()
+        values = {k: float(v) for k, v in zip(header.split(), row.split()) if k != "method"}
+        assert values["med_iters"] == 100.0
+        assert values["iters_run"] < values["med_iters"]
+        assert values["med_queries"] == 2 * values["iters_run"]
+
     def test_unknown_method_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, ["sweep", "--values", "20", "--methods", "foo"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from beamtrack import channel, electrical
 from beamtrack.channel import ArrayGeometry, Channel, PathComponent, PowerOracle
 from beamtrack.electrical import (
     AsspParams,
@@ -37,6 +38,64 @@ def assp_gradient(phases, delta, oracle):
     p_plus = oracle(phases + delta)
     p_minus = oracle(phases - delta)
     return (p_plus - p_minus) / (2.0 * delta), p_plus, p_minus
+
+
+class PhaseOracle:
+    """The offset contract of ``PowerOracle`` served from scratch: it keeps
+    the phases and evaluates ``power`` at phases +/- delta, and the
+    diagnostic at the phases."""
+
+    def __init__(self, power, diagnostic):
+        self.power, self.diagnostic = power, diagnostic
+        self.queries = 0
+
+    def hold(self, phases):
+        self.phases = np.array(phases, dtype=float)
+
+    def probe_pair(self, delta):
+        self.queries += 2
+        return self.power(self.phases + delta), self.power(self.phases - delta)
+
+    def move(self, step):
+        self.phases = self.phases + step
+
+    def held_nrsp(self):
+        return self.diagnostic(self.phases)
+
+
+def sequential_reference(initial_phases, oracle, params):
+    """The per-query sequential walk: one ``sample_pair`` call per probe."""
+    phases = np.asarray(initial_phases, dtype=float).copy()
+    h = np.asarray(oracle.h_vec)
+    trace = OptimizerTrace()
+    step = params.seq_step
+    rot_plus = complex(np.exp(-1j * step))
+    rot_minus = complex(np.exp(1j * step))
+    for sweep in range(1, params.seq_max_sweeps + 1):
+        contrib = np.conj(np.exp(1j * phases)) * h
+        total = complex(contrib.sum())
+        p_plus = p_minus = 0.0
+        for i in range(phases.size):
+            ci = complex(contrib[i])
+            base = total - ci
+            p_plus = oracle.sample_pair(base, ci * rot_plus)
+            p_minus = oracle.sample_pair(base, ci * rot_minus)
+            if p_plus > p_minus:
+                phases[i] += step
+                total = base + ci * rot_plus
+            elif p_minus > p_plus:
+                phases[i] -= step
+                total = base + ci * rot_minus
+        trace.append(
+            sweep, p_plus, p_minus, oracle.true_nrsp(phases), float(phases.sum()),
+            oracle.queries,
+        )
+        if trace.nrsp[-1] >= 1.0 - 1e-9:
+            break
+    return phases, trace
+
+
+TRACE_FIELDS = ("k", "p_plus", "p_minus", "nrsp", "checksum", "queries")
 
 
 class TestStructureMatrix:
@@ -241,15 +300,8 @@ class TestAsspRun:
         # 1e-3 within 500 iterations for at least 95% of seeds
         target = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.25, -0.15, 0.05])
 
-        class QuadraticOracle:
-            queries = 0
-
-            def __call__(self, p):
-                self.queries += 1
-                return -float(np.sum((p - target) ** 2))
-
-            def true_nrsp(self, p):
-                return -self(p)
+        def quadratic(p):
+            return -float(np.sum((p - target) ** 2))
 
         geom = ArrayGeometry(8, 1)
         params = AsspParams(max_iters=500, stop_window=10**9)
@@ -257,11 +309,63 @@ class TestAsspRun:
         seeds = 40
         for seed in range(seeds):
             phases, _ = run_isotropic_spsa(
-                np.zeros(8), QuadraticOracle(), params, np.random.default_rng(seed), geom
+                np.zeros(8), PhaseOracle(quadratic, quadratic), params,
+                np.random.default_rng(seed), geom,
             )
             if float(np.sum((phases - target) ** 2)) <= 1e-3:
                 ok += 1
         assert ok >= math.ceil(0.95 * seeds)
+
+    def test_carried_phasor_matches_per_query_reference(self):
+        # the held terms against from-scratch probes and diagnostic on the
+        # same noise stream: equal control flow, floats to rounding
+        geom = ArrayGeometry(16, 8)
+        params = AsspParams(max_iters=100, stop_window=10**9)
+        az = math.asin(math.sqrt(2.0) * math.sin(0.3 * D2R))
+        fast = make_oracle(geom, az, 45 * D2R, snr_db=10, seed=4)
+        slow = make_oracle(geom, az, 45 * D2R, snr_db=10, seed=4)
+        ref = PhaseOracle(slow, slow.true_nrsp)
+        p1, t1 = run_assp(np.zeros(geom.size), fast, params, np.random.default_rng(8), geom)
+        p2, t2 = run_assp(np.zeros(geom.size), ref, params, np.random.default_rng(8), geom)
+        assert len(t1) == params.max_iters
+        assert t1.k == t2.k and t1.queries == t2.queries
+        assert fast.queries == slow.queries == ref.queries
+        for name in ("p_plus", "p_minus", "nrsp", "checksum"):
+            np.testing.assert_allclose(getattr(t1, name), getattr(t2, name), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-11)
+
+    def test_held_nrsp_tracks_true_nrsp_over_large_phases(self):
+        geom = ArrayGeometry(16, 8)
+        oracle = make_oracle(geom, 0.4 * D2R, 45 * D2R, snr_db=20, seed=6)
+        phases, trace = run_isotropic_spsa(
+            np.zeros(geom.size), oracle, AsspParams(max_iters=100, stop_window=10**9),
+            np.random.default_rng(2), geom,
+        )
+        assert len(trace) == 100
+        assert oracle.held_nrsp() == trace.nrsp[-1]
+        assert abs(oracle.held_nrsp() - oracle.true_nrsp(phases)) <= 1e-12
+
+    def test_two_full_array_exponentials_per_iteration(self, monkeypatch):
+        geom = ArrayGeometry(16, 8)
+        sizes = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x):
+                sizes.append(np.size(x))
+                return np.exp(x)
+
+        for module in (channel, electrical):
+            monkeypatch.setattr(module, "np", CountingNumpy())
+        oracle = make_oracle(geom, 0.3 * D2R, 45 * D2R, snr_db=20)
+        _, trace = run_assp(
+            np.zeros(geom.size), oracle, AsspParams(max_iters=7, stop_window=10**9),
+            np.random.default_rng(0), geom,
+        )
+        # one for the held start, then a probe pair and a move per iteration
+        assert sizes.count(geom.size) == 1 + 2 * len(trace) == 15
 
 
 class TestSequential:
@@ -311,6 +415,44 @@ class TestSequential:
         assert trace.nrsp[-1] == pytest.approx(oracle.true_nrsp(phases), abs=1e-12)
 
 
+    @pytest.mark.parametrize("rows, cols, symbol, snr_db", [
+        (8, 4, 1.0, 20.0),
+        (8, 4, 1.0, None),
+        (8, 4, 0.6 - 0.8j, 10.0),
+        (24, 16, 1.0, 10.0),  # one and a half noise blocks
+    ])
+    def test_matches_per_query_reference_bit_for_bit(self, rows, cols, symbol, snr_db):
+        geom = ArrayGeometry(rows, cols)
+        h = Channel.from_paths(geom, [PathComponent(0.9 * D2R, 40 * D2R)]).vec()
+        noise = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
+        fast, slow = (
+            PowerOracle(h, symbol, noise, np.random.default_rng(21)) for _ in range(2)
+        )
+        params = AsspParams(seq_step=0.2, seq_max_sweeps=5)
+        p1, t1 = run_sequential_perturbation(
+            np.zeros(geom.size), fast, params, np.random.default_rng(0), geom
+        )
+        p2, t2 = sequential_reference(np.zeros(geom.size), slow, params)
+        np.testing.assert_array_equal(p1, p2)
+        for name in TRACE_FIELDS:
+            assert getattr(t1, name) == getattr(t2, name), name
+        assert fast.queries == slow.queries == 2 * geom.size * len(t1)
+        assert fast.rng.standard_normal() == slow.rng.standard_normal()
+
+    def test_no_oracle_call_per_query(self, monkeypatch):
+        def per_query(*args):
+            raise AssertionError("per-query oracle call")
+
+        monkeypatch.setattr(PowerOracle, "_measure", per_query)
+        geom = ArrayGeometry(16, 8)
+        oracle = make_oracle(geom, 0.5 * D2R, 10 * D2R, snr_db=20)
+        _, trace = run_sequential_perturbation(
+            np.zeros(geom.size), oracle, AsspParams(seq_max_sweeps=2),
+            np.random.default_rng(0), geom,
+        )
+        assert trace.queries == [2 * geom.size, 4 * geom.size]
+
+
 class TestTrace:
     def test_iterations_to_threshold(self):
         trace = OptimizerTrace()
@@ -329,6 +471,20 @@ class TestDoaFit:
         fit_az, fit_el = fit_doa(matched_weights(geom, az, el), geom)
         assert fit_az == pytest.approx(az, abs=1e-9)
         assert fit_el == pytest.approx(el, abs=1e-7)
+
+    def test_each_correlation_point_evaluated_once(self, monkeypatch):
+        points = []
+
+        def counted(geom, u_r, u_c):
+            points.append((u_r, u_c))
+            return channel.plane_wave(geom, u_r, u_c)
+
+        monkeypatch.setattr(electrical, "plane_wave", counted)
+        geom = ArrayGeometry(16, 8)
+        fit_doa(channel.matched_weights(geom, 0.35 * D2R, 40 * D2R), geom)
+        # f0 and +/-h on each axis: five plane waves per Newton step
+        assert len(points) % 5 == 0 and len(points) > 5
+        assert len(set(points)) == len(points)
 
     def test_noisy_phases_still_close(self):
         geom = ArrayGeometry(64, 32)
