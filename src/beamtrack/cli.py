@@ -37,6 +37,41 @@ GEO_FLAGS = {
 }
 
 
+def _scenario_file(text: str) -> str:
+    if not Path(text).exists():
+        raise argparse.ArgumentTypeError(f"scenario file not found: {text}")
+    return text
+
+
+def _snr_values(text: str) -> list[float]:
+    # each entry parsed and checked as the [signal] snr_db key of a scenario
+    cfg = default_scenario()
+    values = []
+    for raw in filter(None, (v.strip() for v in text.split(","))):
+        try:
+            set_key(cfg, "signal", "snr_db", raw)
+            values.append(validate(cfg).signal.snr_db)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return values
+
+
+def _checked(kind, ok, rule: str):
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beamtrack",
@@ -45,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run the closed-loop scenario")
-    sim.add_argument("--config", help="scenario file (defaults apply if omitted)")
+    sim.add_argument("--config", type=_scenario_file,
+                     help="scenario file (defaults apply if omitted)")
     sim.add_argument("--seed", type=int, help="override run.seed")
     sim.add_argument("--out", help="output directory (default from config)")
 
@@ -59,22 +95,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sw = sub.add_parser("sweep", help="electrical convergence statistics")
-    sw.add_argument("--config", help="scenario file providing the base setup")
-    sw.add_argument("--values", required=True, help="comma-separated SNRs, dB")
-    sw.add_argument("--seeds", type=int, default=100)
+    sw.add_argument("--config", type=_scenario_file,
+                    help="scenario file providing the base setup")
+    sw.add_argument("--values", type=_snr_values, required=True,
+                    help="comma-separated SNRs, dB, each checked as [signal] snr_db")
+    sw.add_argument("--seeds", type=_count, default=100)
     sw.add_argument("--methods", default=",".join(RUNNERS), help="comma-separated method list")
-    sw.add_argument("--offset-deg", type=float, default=0.3, help="initial offset per axis")
-    sw.add_argument("--threshold", type=float, default=0.99, help="nrsp threshold")
-    sw.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    sw.add_argument("--offset-deg", type=_checked(float, math.isfinite, "a finite number"),
+                    default=0.3, help="initial offset per axis")
+    sw.add_argument("--threshold", type=_checked(float, lambda x: 0 < x <= 1, "a number in (0, 1]"),
+                    default=0.99, help="nrsp threshold")
+    sw.add_argument("--jobs", type=_count, default=1,
+                    help="parallel worker processes, at most one per row")
     return parser
 
 
 def _cmd_simulate(args) -> int:
-    if args.config is not None and not Path(args.config).exists():
-        print(f"usage: beamtrack simulate [--config FILE] [--seed N] [--out DIR]",
-              file=sys.stderr)
-        print(f"error: scenario file not found: {args.config}", file=sys.stderr)
-        return 2
     cfg = load_scenario(args.config)
     if args.seed is not None:
         cfg.run.seed = args.seed
@@ -130,7 +166,6 @@ def _sweep_task(task):
 
 def _cmd_sweep(args) -> int:
     cfg = load_scenario(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in RUNNERS:
@@ -138,11 +173,13 @@ def _cmd_sweep(args) -> int:
             return 2
     tasks = [
         (m, cfg.array, v, args.seeds, cfg.electrical.params, args.offset_deg, args.threshold)
-        for v in values
+        for v in args.values
         for m in methods
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers when it starts: one per task at most
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
         results = [_sweep_task(t) for t in tasks]

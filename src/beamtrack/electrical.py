@@ -13,6 +13,12 @@ the simultaneous methods, 2*MN per sweep for the sequential baseline; see
 * ``run_sequential_perturbation`` - one shifter at a time, keeping the
   probe sign that increased measured power.
 
+Each runner takes ``(initial_phases, oracle, params, rng, geom)`` and
+returns the final phases and an ``OptimizerTrace`` whose row i is
+iteration i + 1 (sweep i + 1 for the sequential walk) and whose
+``budget`` is the runner's own limit: ``max_iters`` for ASSP and SPSA,
+``seq_max_sweeps`` for the sequential walk.
+
 The simultaneous methods pass the oracle phase offsets and never read the
 channel: ``hold`` the start, then per iteration ``probe_pair(delta)`` and
 ``move(step)``, with ``held_nrsp`` for the trace.  The sequential walk
@@ -107,17 +113,18 @@ def aligned_gradient(p_plus: float, p_minus: float, delta: np.ndarray) -> np.nda
 
 @dataclass
 class OptimizerTrace:
-    """Per-iteration records; for the sequential method one row per sweep."""
+    """One row per iteration (per sweep for the sequential method): row i is
+    iteration i + 1.  ``budget`` is the runner's own iteration or sweep
+    limit, the score of a run that never reaches a threshold."""
 
-    k: list[int] = field(default_factory=list)
+    budget: int
     p_plus: list[float] = field(default_factory=list)
     p_minus: list[float] = field(default_factory=list)
     nrsp: list[float] = field(default_factory=list)
     checksum: list[float] = field(default_factory=list)
     queries: list[int] = field(default_factory=list)
 
-    def append(self, k, p_plus, p_minus, nrsp, checksum, queries):
-        self.k.append(k)
+    def append(self, p_plus, p_minus, nrsp, checksum, queries):
         self.p_plus.append(p_plus)
         self.p_minus.append(p_minus)
         self.nrsp.append(nrsp)
@@ -125,59 +132,11 @@ class OptimizerTrace:
         self.queries.append(queries)
 
     def __len__(self):
-        return len(self.k)
+        return len(self.nrsp)
 
-    def iterations_to(self, threshold: float, budget: int | None = None) -> int:
-        """1-based iteration count at which nrsp first reached ``threshold``.
-
-        Runs that never reach it score the configured iteration budget
-        (falling back to the trace length), so medians stay meaningful when
-        some seeds stall."""
-        for i, v in enumerate(self.nrsp):
-            if v >= threshold:
-                return i + 1
-        return budget if budget is not None else len(self.nrsp)
-
-
-@dataclass
-class OptimizerState:
-    phases: np.ndarray
-    k: int = 0
-    best_power: float = -math.inf
-    stalled: int = 0
-
-
-def assp_step(
-    state: OptimizerState,
-    oracle,
-    params: AsspParams,
-    rng: np.random.Generator,
-    structure: np.ndarray,
-    trace: OptimizerTrace,
-) -> OptimizerState:
-    """One perturbation/measure/update cycle; appends a trace row.
-
-    Degenerate draws (a perturbation component exactly zero) are resampled;
-    they can only occur when b*D_i*xi and c*Delta_i cancel exactly.
-    """
-    for _ in range(16):
-        xi, bern = draw_perturbation(rng, state.phases.size)
-        delta = perturbation_vector(structure, xi, bern, params, state.k)
-        if not np.any(delta == 0.0):
-            break
-    else:
-        raise DegeneratePerturbationError("could not draw a nonzero perturbation")
-    p_plus, p_minus = oracle.probe_pair(delta)
-    step = params.step_size(state.k) * aligned_gradient(p_plus, p_minus, delta)
-    oracle.move(step)
-    phases = state.phases + step
-    k = state.k + 1
-
-    observed, best = max(p_plus, p_minus), state.best_power
-    improved = observed > best * (1.0 + params.stop_epsilon) or best == -math.inf
-    stalled = 0 if improved else state.stalled + 1
-    trace.append(k, p_plus, p_minus, oracle.held_nrsp(), float(phases.sum()), oracle.queries)
-    return OptimizerState(phases, k, max(best, observed), stalled)
+    def first_reaching(self, threshold: float) -> int | None:
+        """Row of the first nrsp at or above ``threshold``, or None."""
+        return next((i for i, v in enumerate(self.nrsp) if v >= threshold), None)
 
 
 def run_assp(
@@ -187,18 +146,38 @@ def run_assp(
     rng: np.random.Generator,
     geom: ArrayGeometry,
 ) -> tuple[np.ndarray, OptimizerTrace]:
-    """Iterate ASSP until the iteration budget or the stop rule fires
-    (best observed power improved by less than stop_epsilon relative over
-    stop_window consecutive iterations)."""
+    """Iterate perturb/measure/update until the iteration budget or the stop
+    rule fires (best observed power improved by less than stop_epsilon
+    relative over stop_window consecutive iterations).
+
+    Degenerate draws (a perturbation component exactly zero) are resampled;
+    they can only occur when b*D_i*xi and c*Delta_i cancel exactly.
+    """
     structure = structure_matrix(geom)
-    state = OptimizerState(np.asarray(initial_phases, dtype=float).copy())
-    oracle.hold(state.phases)
-    trace = OptimizerTrace()
-    while state.k < params.max_iters:
-        state = assp_step(state, oracle, params, rng, structure, trace)
-        if state.stalled >= params.stop_window:
+    phases = np.asarray(initial_phases, dtype=float).copy()
+    oracle.hold(phases)
+    trace = OptimizerTrace(params.max_iters)
+    best, stalled = -math.inf, 0
+    for k in range(params.max_iters):
+        for _ in range(16):
+            xi, bern = draw_perturbation(rng, phases.size)
+            delta = perturbation_vector(structure, xi, bern, params, k)
+            if not np.any(delta == 0.0):
+                break
+        else:
+            raise DegeneratePerturbationError("could not draw a nonzero perturbation")
+        p_plus, p_minus = oracle.probe_pair(delta)
+        step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
+        oracle.move(step)
+        phases += step
+        trace.append(p_plus, p_minus, oracle.held_nrsp(), float(phases.sum()), oracle.queries)
+        observed = max(p_plus, p_minus)
+        improved = observed > best * (1.0 + params.stop_epsilon) or best == -math.inf
+        stalled = 0 if improved else stalled + 1
+        best = max(best, observed)
+        if stalled >= params.stop_window:
             break
-    return state.phases, trace
+    return phases, trace
 
 
 def run_isotropic_spsa(
@@ -240,12 +219,12 @@ def run_sequential_perturbation(
     phases = np.asarray(initial_phases, dtype=float).copy()
     size = phases.size
     h = np.asarray(oracle.h_vec)
-    trace = OptimizerTrace()
+    trace = OptimizerTrace(params.seq_max_sweeps)
     step = params.seq_step
     rot_plus = complex(np.exp(-1j * step))
     rot_minus = complex(np.exp(1j * step))
     symbol, scale = oracle.symbol, float(oracle.scale)
-    for sweep in range(1, params.seq_max_sweeps + 1):
+    for _ in range(params.seq_max_sweeps):
         contrib = np.conj(np.exp(1j * phases)) * h  # per-element terms of w^H h
         total = complex(contrib.sum())
         p_plus = p_minus = 0.0
@@ -271,10 +250,7 @@ def run_sequential_perturbation(
                     walked[i] -= step
                     total = minus
             phases[start:stop] = walked
-        trace.append(
-            sweep, p_plus, p_minus, oracle.true_nrsp(phases), float(phases.sum()),
-            oracle.queries,
-        )
+        trace.append(p_plus, p_minus, oracle.true_nrsp(phases), float(phases.sum()), oracle.queries)
         if trace.nrsp[-1] >= 1.0 - 1e-9:
             break
     return phases, trace

@@ -87,14 +87,13 @@ def run_trial(
     phases, trace = runner(
         np.zeros(geom.size), oracle, params, np.random.default_rng(perturb_seq), geom
     )
-    budget = params.seq_max_sweeps if method == "sequential" else params.max_iters
-    iters = trace.iterations_to(threshold, budget)
-    first = next((i for i, v in enumerate(trace.nrsp) if v >= threshold), None)
+    # a run that never reaches the threshold scores the runner's budget
+    first = trace.first_reaching(threshold)
     reached = first is not None
     queries_to = trace.queries[first if reached else -1] if trace.queries else 0
     fit_az, fit_el = el.fit_doa(phases, geom)
     return TrialResult(
-        iterations_to_threshold=iters,
+        iterations_to_threshold=first + 1 if reached else trace.budget,
         iterations_run=len(trace),
         reached=reached,
         final_nrsp=trace.nrsp[-1] if trace.nrsp else float("nan"),

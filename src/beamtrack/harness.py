@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -221,7 +221,7 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
             wbar = ch.conj_weight_matrix(phases, cfg.array)
             records.extend(
                 replace(
-                    base, phase="elec", nrsp=trace.nrsp[i], elec_iteration=trace.k[i],
+                    base, phase="elec", nrsp=trace.nrsp[i], elec_iteration=i + 1,
                     oracle_queries=total_queries + trace.queries[i], rate_clamped=0,
                 )
                 for i in range(len(trace))
@@ -267,11 +267,8 @@ def parse_csv(path: str | Path) -> tuple[list[str], list[list]]:
     if not lines or not lines[0].startswith(f"# {TRACE_SCHEMA}"):
         raise ValueError("not a beamtrack trace file")
     columns = lines[1].split(",")
-    kinds = [
-        str if name == "phase"
-        else int if name in ("elec_iteration", "oracle_queries", "rate_clamped")
-        else float
-        for name in columns
-    ]
+    # cell types from the record's annotations; a column it lacks reads as float
+    types = get_type_hints(TraceRecord)
+    kinds = [types.get(name, float) for name in columns]
     rows = [[kind(cell) for kind, cell in zip(kinds, line.split(","))] for line in lines[2:]]
     return columns, rows

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from beamtrack import cli
 from beamtrack.cli import cli_main
 
 
@@ -95,6 +96,14 @@ class TestSimulate:
         assert "error" in err
 
 
+@pytest.fixture
+def small_sweep(tmp_path):
+    """sweep argv on a 4x4 array, one seed, ASSP only."""
+    cfg = tmp_path / "small.ini"
+    cfg.write_text("[array]\nrows = 4\ncols = 4\n")
+    return ["sweep", "--config", str(cfg), "--seeds", "1", "--methods", "assp"]
+
+
 class TestSweep:
     def test_row_count_is_values_times_methods(self, capsys):
         code, out, _ = run_cli(
@@ -136,3 +145,54 @@ class TestSweep:
     def test_usage_error_without_values(self, capsys):
         assert cli_main(["sweep"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--values", "nan"),
+        ("--values", "-400"),
+        ("--values", "20,x"),
+        ("--seeds", "0"),
+        ("--offset-deg", "nan"),
+        ("--jobs", "0"),
+        ("--jobs", "-3"),
+        ("--threshold", "0"),
+        ("--threshold", "1.5"),
+    ])
+    def test_bad_flag_value_exits_2_naming_the_flag(self, capsys, small_sweep, flag, value):
+        code, out, err = run_cli(capsys, small_sweep + ["--values", "20", flag, value])
+        assert code == 2
+        assert f"error: argument {flag}: " in err
+        assert out == ""
+
+    def test_missing_config_exits_2_with_usage(self, capsys):
+        code, _, err = run_cli(capsys, ["sweep", "--config", "/no/such/file.ini", "--values", "20"])
+        assert code == 2
+        assert "usage" in err.lower()
+
+    def test_jobs_capped_at_one_worker_per_task(self, capsys, small_sweep, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code, _, _ = run_cli(capsys, small_sweep + ["--values", "20,10", "--jobs", "64"])
+        assert code == 0
+        assert asked == [2]
+
+    def test_pool_prints_the_serial_table(self, capsys, small_sweep):
+        serial, pooled = (
+            run_cli(capsys, small_sweep + ["--values", "20,10", "--seeds", "2", "--jobs", jobs])
+            for jobs in ("1", "2")
+        )
+        assert serial[0] == 0
+        assert pooled == serial

@@ -18,7 +18,7 @@ from beamtrack.electrical import (
     run_sequential_perturbation,
     structure_matrix,
 )
-from beamtrack.experiments import offset_channel
+from beamtrack.experiments import offset_channel, run_trial
 
 D2R = math.pi / 180.0
 
@@ -67,11 +67,11 @@ def sequential_reference(initial_phases, oracle, params):
     """The per-query sequential walk: one ``sample_pair`` call per probe."""
     phases = np.asarray(initial_phases, dtype=float).copy()
     h = np.asarray(oracle.h_vec)
-    trace = OptimizerTrace()
+    trace = OptimizerTrace(params.seq_max_sweeps)
     step = params.seq_step
     rot_plus = complex(np.exp(-1j * step))
     rot_minus = complex(np.exp(1j * step))
-    for sweep in range(1, params.seq_max_sweeps + 1):
+    for _ in range(params.seq_max_sweeps):
         contrib = np.conj(np.exp(1j * phases)) * h
         total = complex(contrib.sum())
         p_plus = p_minus = 0.0
@@ -86,16 +86,13 @@ def sequential_reference(initial_phases, oracle, params):
             elif p_minus > p_plus:
                 phases[i] -= step
                 total = base + ci * rot_minus
-        trace.append(
-            sweep, p_plus, p_minus, oracle.true_nrsp(phases), float(phases.sum()),
-            oracle.queries,
-        )
+        trace.append(p_plus, p_minus, oracle.true_nrsp(phases), float(phases.sum()), oracle.queries)
         if trace.nrsp[-1] >= 1.0 - 1e-9:
             break
     return phases, trace
 
 
-TRACE_FIELDS = ("k", "p_plus", "p_minus", "nrsp", "checksum", "queries")
+TRACE_FIELDS = ("p_plus", "p_minus", "nrsp", "checksum", "queries")
 
 
 class TestStructureMatrix:
@@ -328,7 +325,7 @@ class TestAsspRun:
         p1, t1 = run_assp(np.zeros(geom.size), fast, params, np.random.default_rng(8), geom)
         p2, t2 = run_assp(np.zeros(geom.size), ref, params, np.random.default_rng(8), geom)
         assert len(t1) == params.max_iters
-        assert t1.k == t2.k and t1.queries == t2.queries
+        assert len(t1) == len(t2) and t1.queries == t2.queries
         assert fast.queries == slow.queries == ref.queries
         for name in ("p_plus", "p_minus", "nrsp", "checksum"):
             np.testing.assert_allclose(getattr(t1, name), getattr(t2, name), rtol=0, atol=1e-11)
@@ -455,11 +452,19 @@ class TestSequential:
 
 class TestTrace:
     def test_iterations_to_threshold(self):
-        trace = OptimizerTrace()
+        trace = OptimizerTrace(4)
         for i, v in enumerate([0.5, 0.8, 0.995, 0.97]):
-            trace.append(i + 1, 0, 0, v, 0.0, 2 * (i + 1))
-        assert trace.iterations_to(0.99) == 3
-        assert trace.iterations_to(0.999) == 4  # budget when never reached
+            trace.append(0, 0, v, 0.0, 2 * (i + 1))
+        assert trace.first_reaching(0.99) == 2  # row 2 is iteration 3
+        assert trace.first_reaching(0.999) is None  # never reached
+
+    @pytest.mark.parametrize("method, budget", [("assp", 7), ("spsa", 7), ("sequential", 3)])
+    def test_unreached_threshold_scores_the_runners_budget(self, method, budget):
+        # distinct limits, so a budget read from the wrong one fails
+        params = AsspParams(max_iters=7, seq_max_sweeps=3)
+        result = run_trial(method, ArrayGeometry(8, 4), 20.0, 0, params, threshold=2.0)
+        assert not result.reached
+        assert result.iterations_to_threshold == budget
 
 
 class TestDoaFit:

@@ -145,6 +145,7 @@ class TestExport:
         for rec, row in zip(records[:50], rows[:50]):
             for name, cell in zip(columns, row):
                 want = getattr(rec, name)
+                assert type(cell) is type(want), name
                 if isinstance(want, float):
                     assert cell == pytest.approx(want, rel=1e-8, abs=1e-12)
                 else:
