@@ -205,8 +205,10 @@ class PowerOracle:
     * ``hold(phases)`` / ``probe_pair(delta)`` / ``move(step)`` serve the
       simultaneous methods.  The oracle carries u = conj(exp(j*phases)) * h
       for the held phases, so a probe pair at phases +/- delta costs one
-      exponential and a move one more; the optimizer passes phase offsets
-      and never reads h;
+      MN-element exponential and a move one more; the optimizer passes
+      phase offsets and never reads h.  An offset that is one magnitude
+      on +/-1 ``signs`` (the isotropic SPSA probe and its step) costs one
+      scalar exponential instead, bit for bit the same rotation;
     * ``noise_terms(n)`` hands the sequential walk the noise of its next n
       queries in one draw, for combiner sums it keeps itself
       (``sample_pair`` is the one-query form of the same measurement).
@@ -224,6 +226,7 @@ class PowerOracle:
     _matched: float = field(init=False)
     _noise_sigma: float = field(init=False)
     _held: np.ndarray | None = field(init=False, default=None)
+    _spin: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         h = np.asarray(self.h_vec)
@@ -254,16 +257,30 @@ class PowerOracle:
     def hold(self, phases: np.ndarray) -> None:
         """Carry the per-element combiner terms of ``phases``."""
         self._held = np.conj(weights_from_phases(phases)) * self.h_vec
+        self._spin = np.empty_like(self._held)
 
-    def probe_pair(self, delta: np.ndarray) -> tuple[float, float]:
-        """Powers at the held phases + delta and - delta, in that order."""
-        e = np.exp(-1j * delta)
+    def probe_pair(self, delta: np.ndarray, signs: np.ndarray | None = None) -> tuple[float, float]:
+        """Powers at the held phases + delta and - delta, in that order.
+        ``signs``, if given, are the +/-1 signs of an offset of one
+        magnitude: delta == signs * delta[0] * signs[0]."""
+        e = self._rotation(delta, signs)
         p_plus = self._measure(self._held @ e)
         return p_plus, self._measure(np.vdot(e, self._held))
 
-    def move(self, step: np.ndarray) -> None:
-        """Advance the held phases by ``step``."""
-        self._held *= np.exp(-1j * step)
+    def move(self, step: np.ndarray, signs: np.ndarray | None = None) -> None:
+        """Advance the held phases by ``step`` (``signs`` as for probe_pair)."""
+        self._held *= self._rotation(step, signs)
+
+    def _rotation(self, offset: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
+        """exp(-1j * offset); with ``signs``, from one scalar exponential:
+        cos is even and sin odd, so element i is cos(x) - j*signs[i]*sin(x)
+        for x = offset[0] * signs[0], bit for bit."""
+        if signs is None:
+            return np.exp(-1j * offset)
+        p = np.exp(-1j * (offset[:1] * signs[:1]))
+        self._spin.real = p.real
+        np.multiply(signs, p.imag, out=self._spin.imag)
+        return self._spin
 
     def held_nrsp(self) -> float:
         """``true_nrsp`` of the held phases, from the carried terms."""

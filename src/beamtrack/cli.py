@@ -43,17 +43,32 @@ def _scenario_file(text: str) -> str:
     return text
 
 
+def _entries(text: str) -> list[str]:
+    entries = [v.strip() for v in text.split(",") if v.strip()]
+    if not entries:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no entry")
+    return entries
+
+
 def _snr_values(text: str) -> list[float]:
     # each entry parsed and checked as the [signal] snr_db key of a scenario
     cfg = default_scenario()
     values = []
-    for raw in filter(None, (v.strip() for v in text.split(","))):
+    for raw in _entries(text):
         try:
             set_key(cfg, "signal", "snr_db", raw)
             values.append(validate(cfg).signal.snr_db)
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return values
+
+
+def _methods(text: str) -> list[str]:
+    methods = _entries(text)
+    for m in methods:
+        if m not in RUNNERS:
+            raise argparse.ArgumentTypeError(f"unknown method {m!r}, not one of {tuple(RUNNERS)}")
+    return methods
 
 
 def _checked(kind, ok, rule: str):
@@ -100,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--values", type=_snr_values, required=True,
                     help="comma-separated SNRs, dB, each checked as [signal] snr_db")
     sw.add_argument("--seeds", type=_count, default=100)
-    sw.add_argument("--methods", default=",".join(RUNNERS), help="comma-separated method list")
+    sw.add_argument("--methods", type=_methods, default=list(RUNNERS),
+                    help="comma-separated method list (default: all)")
     sw.add_argument("--offset-deg", type=_checked(float, math.isfinite, "a finite number"),
                     default=0.3, help="initial offset per axis")
     sw.add_argument("--threshold", type=_checked(float, lambda x: 0 < x <= 1, "a number in (0, 1]"),
@@ -166,15 +182,10 @@ def _sweep_task(task):
 
 def _cmd_sweep(args) -> int:
     cfg = load_scenario(args.config)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in RUNNERS:
-            print(f"unknown method {m!r}", file=sys.stderr)
-            return 2
     tasks = [
         (m, cfg.array, v, args.seeds, cfg.electrical.params, args.offset_deg, args.threshold)
         for v in args.values
-        for m in methods
+        for m in args.methods
     ]
     # the pool forks all its workers when it starts: one per task at most
     workers = min(args.jobs, len(tasks))

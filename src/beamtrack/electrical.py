@@ -21,8 +21,12 @@ iteration i + 1 (sweep i + 1 for the sequential walk) and whose
 
 The simultaneous methods pass the oracle phase offsets and never read the
 channel: ``hold`` the start, then per iteration ``probe_pair(delta)`` and
-``move(step)``, with ``held_nrsp`` for the trace.  The sequential walk
-keeps the combiner sum itself and takes its noise a block at a time
+``move(step)``, with ``held_nrsp`` for the trace.  For ASSP the probe and
+the move each cost one MN-element exponential.  Isotropic SPSA also hands
+over its Bernoulli signs: its probe and step are one magnitude on those
+signs, so each costs one scalar exponential and the whole trial makes one
+MN-element exponential (the ``hold``).  The sequential walk keeps the
+combiner sum itself and takes its noise a block at a time
 (``noise_terms``).
 
 Gradient estimate: ``aligned_gradient`` projects the measured central
@@ -71,6 +75,9 @@ class AsspParams:
             raise ValueError("structure_weight must be non-negative")
         if not (0 < self.probe_exponent <= 1 and 0 < self.step_exponent <= 1):
             raise ValueError("exponents must lie in (0, 1]")
+        for name in ("max_iters", "stop_window", "seq_max_sweeps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def step_size(self, k: int) -> float:
         return self.gain / (self.gain_offset + k) ** self.step_exponent
@@ -158,6 +165,10 @@ def run_assp(
     oracle.hold(phases)
     trace = OptimizerTrace(params.max_iters)
     best, stalled = -math.inf, 0
+    # without the structured term every probe and step component is one
+    # magnitude on the Bernoulli signs, which the oracle rotates by from a
+    # single scalar exponential
+    isotropic = params.structure_weight == 0.0
     for k in range(params.max_iters):
         for _ in range(16):
             xi, bern = draw_perturbation(rng, phases.size)
@@ -166,9 +177,10 @@ def run_assp(
                 break
         else:
             raise DegeneratePerturbationError("could not draw a nonzero perturbation")
-        p_plus, p_minus = oracle.probe_pair(delta)
+        signs = bern if isotropic else None
+        p_plus, p_minus = oracle.probe_pair(delta, signs)
         step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
-        oracle.move(step)
+        oracle.move(step, signs)
         phases += step
         trace.append(p_plus, p_minus, oracle.held_nrsp(), float(phases.sum()), oracle.queries)
         observed = max(p_plus, p_minus)

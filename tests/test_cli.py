@@ -132,10 +132,13 @@ class TestSweep:
         assert values["med_queries"] == 2 * values["iters_run"]
 
     def test_unknown_method_usage_error(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, ["sweep", "--values", "20", "--methods", "foo"]
         )
         assert code == 2
+        assert err.startswith("usage: ")
+        assert "error: argument --methods: unknown method 'foo'" in err
+        assert out == ""
 
     def test_param_option_rejected_by_argparse(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--param", "snr_db", "--values", "1"])
@@ -156,11 +159,17 @@ class TestSweep:
         ("--jobs", "-3"),
         ("--threshold", "0"),
         ("--threshold", "1.5"),
+        # empty lists used to print only the header
+        ("--values", ","),
+        ("--values", " "),
+        ("--methods", ","),
+        ("--methods", "assp,foo"),
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, capsys, small_sweep, flag, value):
         code, out, err = run_cli(capsys, small_sweep + ["--values", "20", flag, value])
         assert code == 2
         assert f"error: argument {flag}: " in err
+        assert err.startswith("usage: ")
         assert out == ""
 
     def test_missing_config_exits_2_with_usage(self, capsys):

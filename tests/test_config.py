@@ -145,6 +145,10 @@ class TestParsing:
         ("[sensors]\ngravity = 0", "sensors: gravity"),
         ("[fusion]\nprocess_noise = 0\nmeasurement_noise = 0", "fusion: process_noise"),
         ("[electrical]\ngain_offset = 0", "electrical: gain, isotropic_weight and gain_offset"),
+        # iteration limits below 1 ran no iteration and scored a nan nrsp
+        ("[electrical]\nmax_iters = 0", "electrical: max_iters must be at least 1, got 0"),
+        ("[electrical]\nstop_window = 0", "electrical: stop_window must be at least 1"),
+        ("[electrical]\nseq_max_sweeps = -2", "electrical: seq_max_sweeps must be at least 1"),
         ("[run]\nseed = -1", "run: run.duration must be positive and run.seed"),
         ("[signal]\nlos_gain = 0", r"signal: los_gain \* \|symbol\|"),
         ("[signal]\nsymbol = 1e-60\nlos_gain = 1e-60", r"signal: los_gain \* \|symbol\|"),

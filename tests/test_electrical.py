@@ -43,7 +43,8 @@ def assp_gradient(phases, delta, oracle):
 class PhaseOracle:
     """The offset contract of ``PowerOracle`` served from scratch: it keeps
     the phases and evaluates ``power`` at phases +/- delta, and the
-    diagnostic at the phases."""
+    diagnostic at the phases.  The offsets say everything, so the sign
+    hint of an isotropic probe is ignored."""
 
     def __init__(self, power, diagnostic):
         self.power, self.diagnostic = power, diagnostic
@@ -52,15 +53,30 @@ class PhaseOracle:
     def hold(self, phases):
         self.phases = np.array(phases, dtype=float)
 
-    def probe_pair(self, delta):
+    def probe_pair(self, delta, signs=None):
         self.queries += 2
         return self.power(self.phases + delta), self.power(self.phases - delta)
 
-    def move(self, step):
+    def move(self, step, signs=None):
         self.phases = self.phases + step
 
     def held_nrsp(self):
         return self.diagnostic(self.phases)
+
+
+class ElementwiseOracle(PowerOracle):
+    """``PowerOracle`` that exponentiates every element of every offset,
+    ignoring the sign hint of an isotropic probe."""
+
+    def probe_pair(self, delta, signs=None):
+        return super().probe_pair(delta)
+
+    def move(self, step, signs=None):
+        super().move(step)
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
 
 
 def sequential_reference(initial_phases, oracle, params):
@@ -342,8 +358,11 @@ class TestAsspRun:
         assert oracle.held_nrsp() == trace.nrsp[-1]
         assert abs(oracle.held_nrsp() - oracle.true_nrsp(phases)) <= 1e-12
 
-    def test_two_full_array_exponentials_per_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("runner, full", [(run_assp, True), (run_isotropic_spsa, False)],
+                             ids=["assp", "spsa"])
+    def test_full_array_exponentials_per_iteration(self, monkeypatch, runner, full):
         geom = ArrayGeometry(16, 8)
+        oracle = make_oracle(geom, 0.3 * D2R, 45 * D2R, snr_db=20)
         sizes = []
 
         class CountingNumpy:
@@ -356,13 +375,67 @@ class TestAsspRun:
 
         for module in (channel, electrical):
             monkeypatch.setattr(module, "np", CountingNumpy())
-        oracle = make_oracle(geom, 0.3 * D2R, 45 * D2R, snr_db=20)
-        _, trace = run_assp(
+        _, trace = runner(
             np.zeros(geom.size), oracle, AsspParams(max_iters=7, stop_window=10**9),
             np.random.default_rng(0), geom,
         )
-        # one for the held start, then a probe pair and a move per iteration
-        assert sizes.count(geom.size) == 1 + 2 * len(trace) == 15
+        # one for the held start, then a probe pair and a move per
+        # iteration: full-array for ASSP, one scalar each for isotropic SPSA
+        assert len(trace) == 7
+        assert sizes == [geom.size] + [geom.size if full else 1] * 2 * len(trace)
+
+
+class TestSignedRotation:
+    """The isotropic probe's rotation, built from one scalar exponential,
+    against ``np.exp(-1j * offset)`` element for element."""
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 0.01, 0.7, 2.8, 31.4159, 123.4, 999.9])
+    @pytest.mark.parametrize("kind", ["mixed", "plus", "minus"])
+    def test_bits_equal_the_elementwise_exponential(self, magnitude, kind):
+        geom = ArrayGeometry(16, 8)
+        oracle = make_oracle(geom, 0.3 * D2R, 45 * D2R)
+        oracle.hold(np.zeros(geom.size))
+        signs = {
+            "mixed": np.random.default_rng(3).integers(0, 2, geom.size) * 2.0 - 1.0,
+            "plus": np.ones(geom.size),
+            "minus": -np.ones(geom.size),
+        }[kind]
+        for x in (magnitude, -magnitude):
+            offset = signs * x
+            assert np.array_equal(bits(oracle._rotation(offset, signs)), bits(np.exp(-1j * offset)))
+
+    def test_signed_zero_step(self):
+        # p_plus == p_minus makes a step of +0.0 on + signs and -0.0 on -
+        # signs, whose exponentials differ in the sign of the zero
+        # imaginary part
+        geom = ArrayGeometry(4, 2)
+        oracle = make_oracle(geom, 0.3 * D2R, 45 * D2R)
+        oracle.hold(np.zeros(geom.size))
+        signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
+        for first in (1.0, -1.0):
+            signs[0] = first
+            step = 0.0 * signs
+            assert np.array_equal(bits(oracle._rotation(step, signs)), bits(np.exp(-1j * step)))
+
+    @pytest.mark.parametrize("rows, cols", [(16, 8), (128, 64)])
+    def test_spsa_run_equals_elementwise_reference(self, rows, cols):
+        # SPSA phases drift large; the whole run stays bit for bit equal
+        geom = ArrayGeometry(rows, cols)
+        params = AsspParams(max_iters=100, stop_window=10**9)
+        az = math.asin(math.sqrt(2.0) * math.sin(0.3 * D2R))
+        h = Channel.from_paths(geom, [PathComponent(az, 45 * D2R)]).vec()
+        runs = []
+        for cls in (PowerOracle, ElementwiseOracle):
+            oracle = cls(h, 1.0, 0.1, np.random.default_rng(4))
+            runs.append(run_isotropic_spsa(
+                np.zeros(geom.size), oracle, params, np.random.default_rng(8), geom
+            ))
+        (p1, t1), (p2, t2) = runs
+        assert len(t1) == params.max_iters
+        assert np.array_equal(p1.view(np.uint64), p2.view(np.uint64))
+        for name in ("p_plus", "p_minus", "nrsp", "checksum"):
+            assert np.array_equal(bits(getattr(t1, name)), bits(getattr(t2, name)))
+        assert t1.queries == t2.queries
 
 
 class TestSequential:
