@@ -8,7 +8,7 @@ few vehicle attitudes.  The reference location is Xi'an (34.27 N,
 
 import math
 
-from beamtrack.frames import Attitude
+from beamtrack.frames import Attitude, c_n_b
 from beamtrack.mechanical import GeoConfig, pointing_euler, stabilization_command
 
 D2R = math.pi / 180.0
@@ -25,7 +25,7 @@ print("Gimbal commands that keep the beam on target as the vehicle moves:")
 print(f"  {'attitude (yaw, pitch, roll)':34s} {'azimuth':>9} {'elevation':>10} {'polar.':>8}")
 for att_deg in [(0, 0, 0), (20, 0, 0), (0, 8, 0), (0, 0, -10), (15, 5, -8)]:
     att = Attitude(*(a * D2R for a in att_deg))
-    cmd = stabilization_command(att, euler)
+    cmd = stabilization_command(c_n_b(att), euler)
     print(
         f"  {str(att_deg):34s} {cmd.azimuth / D2R:9.3f} {cmd.elevation / D2R:10.3f} "
         f"{cmd.polarization / D2R:8.3f}"

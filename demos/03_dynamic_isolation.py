@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from beamtrack import harness, mechanical
+from beamtrack import frames, harness, mechanical
 from beamtrack.config import default_scenario
 from beamtrack.mechanical import GimbalAngles, GimbalRates
 
@@ -45,10 +45,12 @@ for use_isolation in (True, False):
             tick = harness.step(cfg, euler, tick, k * t_s, rng)
         else:
             sensed = harness.sense_and_fuse(cfg, tick.filter_state, k * t_s, rng)
-            target = mechanical.stabilization_command(sensed.est, euler)
+            target = mechanical.stabilization_command(sensed.c_n_b, euler)
             gimbal = mechanical.gimbal_step(tick.gimbal, target, still, cfg.servo, t_s)
             tick = sensed._replace(gimbal=gimbal)
-        errs.append(mechanical.pointing_error(tick.gimbal, tick.truth.attitude, euler))
+        errs.append(
+            mechanical.pointing_error(tick.gimbal, frames.c_n_b(tick.truth.attitude), euler)
+        )
     e = np.abs(np.array(errs)) / D2R
     label = "isolation + servo" if use_isolation else "servo only       "
     print(

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import experiments, harness, mechanical
 from .config import ConfigError, default_scenario, load_scenario, set_key, validate
 from .electrical import RUNNERS
-from .frames import Attitude
+from .frames import Attitude, c_n_b
 
 D2R = math.pi / 180.0
 
@@ -165,7 +165,7 @@ def _cmd_geometry(args) -> int:
     except ValueError:
         print("--attitude must be yaw,pitch,roll in degrees", file=sys.stderr)
         return 2
-    gimbal = mechanical.stabilization_command(Attitude(yaw, pitch, roll), euler)
+    gimbal = mechanical.stabilization_command(c_n_b(Attitude(yaw, pitch, roll)), euler)
     print(f"heading_deg = {euler.heading / D2R:.4f}")
     print(f"heading_offset_deg = {euler.heading / D2R - 180.0:.4f}")
     print(f"elevation_deg = {euler.elevation / D2R:.4f}")

@@ -27,7 +27,8 @@ GIMBAL_LOCK_EPS = 1e-9
 
 
 class SingularityError(ValueError):
-    """Raised when an Euler extraction hits the +/-90 degree singularity."""
+    """Raised when a map with no defined answer at a +/-90 degree
+    singularity is asked for one there."""
 
 
 class Attitude(NamedTuple):
@@ -241,14 +242,15 @@ def quat_to_dcm(q: np.ndarray) -> np.ndarray:
 def dcm_to_euler(matrix: np.ndarray) -> Attitude:
     """Yaw/pitch/roll from a body-to-NED DCM.
 
-    Raises
-    ------
-    SingularityError
-        When |C31| is within ``GIMBAL_LOCK_EPS`` of 1 (pitch at +/-90 deg).
+    Total.  When |C31| is within ``GIMBAL_LOCK_EPS`` of 1 (pitch at +/-90
+    deg, gimbal lock) yaw and roll turn about the same axis and only their
+    combination is defined; the convention there is roll 0, pitch -/+90 deg
+    by the sign of C31, and yaw atan2(-C12, C22), which at the pole rebuilds
+    the same DCM.
     """
-    (m00, _, _), (m10, _, _), (m20, m21, m22) = _require_rotation(matrix)
+    (m00, m01, _), (m10, m11, _), (m20, m21, m22) = _require_rotation(matrix)
     if abs(m20) >= 1.0 - GIMBAL_LOCK_EPS:
-        raise SingularityError("pitch at +/-90 deg: yaw/roll undefined")
+        return Attitude(math.atan2(-m01, m11), math.copysign(math.pi / 2, -m20), 0.0)
     yaw = math.atan2(m10, m00)
     pitch = -math.asin(m20)
     roll = math.atan2(m21, m22)

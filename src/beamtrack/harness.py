@@ -67,17 +67,18 @@ TRACE_COLUMNS = [f.name for f in fields(TraceRecord)]
 
 def beam_frame_arrival(
     gimbal: mechanical.GimbalAngles,
-    attitude_truth: frames.Attitude,
+    c_n_b_truth: np.ndarray,
     sat_dir_ned: np.ndarray,
 ) -> tuple[float, float]:
-    """Arrival direction of the satellite in the actual beam frame.
+    """Arrival direction of the satellite in the actual beam frame, for the
+    truth NED-to-body DCM ``c_n_b_truth``.
 
     Returns the (azimuth, elevation) pair of the channel model: azimuth is
     the polar angle off the array normal, elevation the orientation of the
     offset around it.  Perfect pointing gives azimuth 0.
     """
     # np.dot: the same BLAS products as @, at half the call overhead
-    to_beam = np.dot(frames.c_b_t(*gimbal), frames.c_n_b(attitude_truth))
+    to_beam = np.dot(frames.c_b_t(*gimbal), c_n_b_truth)
     u = np.dot(to_beam, sat_dir_ned)
     transverse = math.hypot(u[1], u[2])
     azimuth = math.atan2(transverse, u[0])
@@ -109,7 +110,8 @@ class Tick(NamedTuple):
     pitch_roll: sensors.PitchRoll
     psi_m: float
     filter_state: fusion.FilterState
-    est: frames.Attitude
+    c_n_b: np.ndarray  # NED-to-body DCM of the estimate
+    est: frames.Attitude  # its yaw/pitch/roll, for the trace
     gimbal: GimbalState | None  # None from sense_and_fuse
 
 
@@ -125,9 +127,9 @@ def start(cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator) -
     state = fusion.make_filter_state(
         fusion.measurement_quat(psi0, pr0.pitch, pr0.roll), cfg.fusion
     )
-    est = frames.dcm_to_euler(frames.quat_to_dcm(state.q))
-    gimbal = GimbalState(mechanical.stabilization_command(est, euler))
-    return Tick(first, None, pr0, psi0, state, est, gimbal)
+    c_n_b, est = fusion.estimate(state.q)
+    gimbal = GimbalState(mechanical.stabilization_command(c_n_b, euler))
+    return Tick(first, None, pr0, psi0, state, c_n_b, est, gimbal)
 
 
 def sense_and_fuse(
@@ -142,8 +144,8 @@ def sense_and_fuse(
     )
     psi_m = sensors.gps_yaw_measure(truth.attitude, cfg.sensors, rng)
     t_s = cfg.sensors.sample_period
-    state, est = fusion.fuse_step(state, omega_m, psi_m, pr.pitch, pr.roll, t_s)
-    return Tick(truth, omega_m, pr, psi_m, state, est, None)
+    state = fusion.fuse_step(state, omega_m, psi_m, pr.pitch, pr.roll, t_s)
+    return Tick(truth, omega_m, pr, psi_m, state, *fusion.estimate(state.q), None)
 
 
 def step(
@@ -153,7 +155,7 @@ def step(
     gimbal to the stabilization solution, isolate the measured body rates,
     and servo."""
     tick = sense_and_fuse(cfg, prev.filter_state, t, rng)
-    target = mechanical.stabilization_command(tick.est, euler)
+    target = mechanical.stabilization_command(tick.c_n_b, euler)
     isolation = mechanical.isolation_rates(prev.gimbal.angles, tick.omega_m)
     gimbal = mechanical.gimbal_step(
         prev.gimbal, target, isolation, cfg.servo, cfg.sensors.sample_period
@@ -197,12 +199,13 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
         t = k * t_s
         tick = step(cfg, euler, tick, t, sensor_rng)
         truth, gimbal = tick.truth.attitude, tick.gimbal
-        chan = build_channel(cfg, *beam_frame_arrival(gimbal.angles, truth, sat_dir_ned))
+        c_n_b = frames.c_n_b(truth)
+        chan = build_channel(cfg, *beam_frame_arrival(gimbal.angles, c_n_b, sat_dir_ned))
         # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
         # angles, pointing error (azimuth, elevation)
         angles = (
             *truth, *tick.est, *attitude_error(tick.est, truth), *gimbal.angles,
-            *mechanical.pointing_error(gimbal, truth, euler),
+            *mechanical.pointing_error(gimbal, c_n_b, euler),
         )
         base = TraceRecord(
             t, "mech", *(a * R2D for a in angles),

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import frames
-from .frames import Attitude, SingularityError
+from .frames import SingularityError
 
 
 # |gimbal elevation| at which isolation_rates is singular
@@ -122,14 +122,15 @@ def _ned_to_beam(euler: tuple[float, float, float]) -> np.ndarray:
     return c_nt
 
 
-def stabilization_command(attitude: Attitude, euler: PointingEuler) -> GimbalAngles:
-    """Gimbal angles pointing the beam at the satellite for a given attitude.
+def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> GimbalAngles:
+    """Gimbal angles pointing the beam at the satellite for a vehicle whose
+    NED-to-body DCM is ``c_n_b``.
 
     Factors the NED-to-beam map through the body frame: c_b_t(result) @
-    c_n_b(attitude) = c_n_t(euler), so coordinates flow n -> b -> t.  A pure
-    yaw of the vehicle shifts the azimuth command by the opposite amount.
+    c_n_b = c_n_t(euler), so coordinates flow n -> b -> t.  A pure yaw of
+    the vehicle shifts the azimuth command by the opposite amount.
     """
-    c_bt = np.dot(_ned_to_beam(tuple(euler)), frames.c_n_b(attitude).T)
+    c_bt = np.dot(_ned_to_beam(tuple(euler)), c_n_b.T)
     return GimbalAngles(*frames.extract_gimbal_angles(c_bt))
 
 
@@ -196,11 +197,11 @@ def gimbal_step(
 
 
 def pointing_error(
-    state: GimbalState, attitude_truth: Attitude, euler: PointingEuler
+    state: GimbalState, c_n_b_truth: np.ndarray, euler: PointingEuler
 ) -> tuple[float, float]:
     """Azimuth/elevation error of the actual gimbal against the ideal
-    stabilization solution under the truth attitude."""
-    ideal = stabilization_command(attitude_truth, euler)
+    stabilization solution under the truth NED-to-body DCM."""
+    ideal = stabilization_command(c_n_b_truth, euler)
     return (
         frames.wrap_angle(ideal.azimuth - state.angles.azimuth),
         frames.wrap_angle(ideal.elevation - state.angles.elevation),

@@ -56,12 +56,13 @@ def closed_loop_runs():
         for k in range(1, steps + 1):
             tick = harness.step(cfg, euler, tick, k * t_s, rng)
             truth = tick.truth.attitude
+            c_n_b = frames.c_n_b(truth)
             gyro_only = sensors.gyro_integrate(gyro_only, tick.omega_m, t_s)
             att_err[k - 1] = max(map(abs, harness.attitude_error(tick.est, truth)))
             gyro_err[k - 1] = max(map(abs, harness.attitude_error(gyro_only, truth)))
-            pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, truth, euler)
+            pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, c_n_b, euler)
             if nrsp_pre is None and k * t_s >= 5.0:
-                arrival = harness.beam_frame_arrival(tick.gimbal.angles, truth, sat_dir)
+                arrival = harness.beam_frame_arrival(tick.gimbal.angles, c_n_b, sat_dir)
                 h = harness.build_channel(cfg, *arrival).vec()
                 nrsp_pre = nrsp(np.zeros(cfg.array.size), h)
         results.append((att_err, gyro_err, pt_err, nrsp_pre))

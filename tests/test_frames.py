@@ -342,10 +342,19 @@ class TestDcmToEuler:
             assert abs(out.pitch - att.pitch) <= 1e-10
             assert abs(wrap_angle(out.roll - att.roll)) <= 1e-10
 
-    def test_pitch_singularity(self):
-        m = c_n_b(Attitude(0.0, math.pi / 2, 0.0)).T
-        with pytest.raises(SingularityError):
-            dcm_to_euler(m)
+    def test_pitch_pole_convention_round_trip(self):
+        # at pitch +/-90 deg yaw and roll turn about one axis: roll reads 0,
+        # pitch -/+90 deg by the sign of C31, and the yaw carries the rest
+        for pitch in (math.pi / 2, -math.pi / 2):
+            for yaw, roll in ((0.7, 0.0), (-2.9, 0.0), (0.4, 1.1), (3.0, -2.5)):
+                att = Attitude(yaw, pitch, roll)
+                for m in (c_n_b(att).T, quat_to_dcm(euler_to_quat(att))):
+                    out = dcm_to_euler(m)
+                    assert out.pitch == math.copysign(math.pi / 2, -m[2, 0]) == pitch
+                    assert out.roll == 0.0
+                    np.testing.assert_allclose(c_n_b(out).T, m, rtol=0, atol=1e-10)
+                    if roll == 0.0:
+                        assert abs(wrap_angle(out.yaw - yaw)) <= 1e-10
 
 
 class TestWrap:

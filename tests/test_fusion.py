@@ -1,14 +1,14 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from beamtrack import frames, fusion, harness, sensors
-from beamtrack.config import ScenarioConfig
+from beamtrack import frames, fusion, harness, mechanical, sensors
+from beamtrack.config import ScenarioConfig, default_scenario
 from beamtrack.frames import Attitude
 from beamtrack.fusion import (
-    FilterState, FusionConfig, make_filter_state, measurement_quat, predict, transition_matrix,
-    update,
+    FilterState, FusionConfig, make_filter_state, measurement_quat, predict, update,
 )
 from beamtrack.sensors import ProfileConfig, SensorNoiseConfig, Sinusoid
 
@@ -16,6 +16,56 @@ D2R = math.pi / 180.0
 MOVING = ProfileConfig(yaw=[Sinusoid(10 * D2R, 0.1)], pitch=[Sinusoid(5 * D2R, 0.2)],
                        roll=[Sinusoid(8 * D2R, 0.15)])
 QUIET = SensorNoiseConfig(gyro_white_sigma=0, gyro_bias=0, accel_white_sigma=0, gps_yaw_sigma=0)
+
+
+def transition_matrix(body_rates, sample_period):
+    """Reference first-order quaternion propagation: I + (T_s/2) * Omega(omega)."""
+    wx, wy, wz = np.asarray(body_rates, dtype=float).tolist()
+    omega = np.array(
+        [
+            [0.0, -wx, -wy, -wz],
+            [wx, 0.0, wz, -wy],
+            [wy, -wz, 0.0, wx],
+            [wz, wy, -wx, 0.0],
+        ]
+    )
+    return np.eye(4) + (sample_period / 2.0) * omega
+
+
+class MatrixFilter(NamedTuple):
+    """Reference: the filter with full 4x4 covariances, which the scalar
+    filter must match while they stay scaled identities."""
+
+    q: np.ndarray
+    kappa: np.ndarray
+    q_chi: np.ndarray
+    q_u: np.ndarray
+
+
+def matrix_state(state: FilterState) -> MatrixFilter:
+    eye = np.eye(4)
+    return MatrixFilter(state.q, state.kappa * eye, state.q_chi * eye, state.q_u * eye)
+
+
+def matrix_predict(state: MatrixFilter, body_rates, sample_period) -> MatrixFilter:
+    gamma = transition_matrix(body_rates, sample_period)
+    kappa = gamma @ state.kappa @ gamma.T + state.q_chi
+    return state._replace(q=gamma @ state.q, kappa=kappa)
+
+
+def matrix_update(state: MatrixFilter, z) -> MatrixFilter:
+    gain = state.kappa @ np.linalg.inv(state.kappa + state.q_u)
+    q = state.q + gain @ (np.asarray(z, dtype=float) - state.q)
+    kappa = (np.eye(4) - gain) @ state.kappa
+    return state._replace(q=q / np.linalg.norm(q), kappa=0.5 * (kappa + kappa.T))
+
+
+def assert_scalar_covariance(k, kappa):
+    """The scalar ``k`` equals the reference's diagonal to a relative 1e-15,
+    and the reference's off-diagonal stays below 1e-15 of its diagonal."""
+    diag = np.diag(kappa)
+    assert np.abs(diag - k).max() <= 1e-15 * k
+    assert np.abs(kappa - np.diag(diag)).max() <= 1e-15 * diag.min()
 
 
 def quat_exact_step(q, body_rates, sample_period):
@@ -33,27 +83,42 @@ def quat_exact_step(q, body_rates, sample_period):
     return out / np.linalg.norm(out)
 
 
+def prior_q(q, body_rates, sample_period):
+    """The program's first-order propagation of ``q``, without noise."""
+    state = FilterState(np.asarray(q, dtype=float), 1.0, 0.0, 1.0)
+    return predict(state, body_rates, sample_period).q
+
+
 class TestTransitionMatrix:
     def test_zero_rates_identity(self):
         np.testing.assert_array_equal(transition_matrix(np.zeros(3), 0.01), np.eye(4))
+        np.testing.assert_array_equal(prior_q([0.5, 0.5, -0.5, 0.5], np.zeros(3), 0.01),
+                                      [0.5, 0.5, -0.5, 0.5])
 
     def test_antisymmetric_generator(self):
         g = transition_matrix(np.array([0.3, -0.4, 0.9]), 0.01) - np.eye(4)
         np.testing.assert_allclose(g, -g.T, atol=1e-15)
 
+    def test_predict_applies_the_transition_matrix(self):
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            q = frames.euler_to_quat(Attitude(*rng.uniform(-1.5, 1.5, 3)))
+            w = rng.uniform(-3, 3, 3)
+            np.testing.assert_allclose(
+                prior_q(q, w, 0.01), transition_matrix(w, 0.01) @ q, rtol=0, atol=1e-15
+            )
+
     def test_first_order_against_exact_exponential(self):
         q = frames.euler_to_quat(Attitude(0.2, -0.1, 0.4))
         w = np.array([0.1, 0.0, 0.0])
         t_s = 0.01
-        approx = transition_matrix(w, t_s) @ q
+        approx = prior_q(q, w, t_s)
         approx /= np.linalg.norm(approx)
         exact = quat_exact_step(q, w, t_s)
         assert np.abs(approx - exact).max() < 1e-6
 
     def test_norm_preserved_to_second_order(self):
-        q = np.array([1.0, 0.0, 0.0, 0.0])
-        w = np.array([0.1, 0.0, 0.0])
-        out = transition_matrix(w, 0.01) @ q
+        out = prior_q([1.0, 0.0, 0.0, 0.0], np.array([0.1, 0.0, 0.0]), 0.01)
         assert abs(np.linalg.norm(out) - 1.0) < (0.01 * 0.1) ** 2
 
 
@@ -62,28 +127,46 @@ class TestPredict:
         state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig(process_noise=0.0))
         prior = predict(state, np.zeros(3), 0.01)
         np.testing.assert_array_equal(prior.q, state.q)
-        np.testing.assert_array_equal(prior.kappa, state.kappa)
+        assert prior.kappa == state.kappa
 
     def test_covariance_identity(self):
+        # Gamma (k I) Gamma^T + q_chi I of the 4x4 filter, as a scalar
         state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
         w = np.array([0.2, -0.1, 0.3])
         prior = predict(state, w, 0.01)
-        gamma = transition_matrix(w, 0.01)
-        np.testing.assert_allclose(
-            prior.kappa - gamma @ state.kappa @ gamma.T, state.q_chi, atol=1e-15
-        )
+        assert_scalar_covariance(prior.kappa, matrix_predict(matrix_state(state), w, 0.01).kappa)
 
     def test_covariance_stays_symmetric_psd(self):
+        # the scalar filter against the 4x4 reference over a random walk: the
+        # reference covariance stays k I (so symmetric, positive) and the
+        # estimates agree
         rng = np.random.default_rng(13)
         state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
+        ref = matrix_state(state)
         for _ in range(10_000):
-            state = predict(state, rng.uniform(-0.5, 0.5, 3), 0.01)
-            z = measurement_quat(
-                rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(-1, 1), state.q
-            )
-            state = update(state, z)
-            np.testing.assert_allclose(state.kappa, state.kappa.T, atol=1e-12)
-            assert np.linalg.eigvalsh(state.kappa).min() >= -1e-10
+            w = rng.uniform(-0.5, 0.5, 3)
+            state, ref = predict(state, w, 0.01), matrix_predict(ref, w, 0.01)
+            angles = rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(-1, 1)
+            state = update(state, measurement_quat(*angles, state.q))
+            ref = matrix_update(ref, measurement_quat(*angles, ref.q))
+            assert state.kappa > 0
+            assert_scalar_covariance(state.kappa, ref.kappa)
+            np.testing.assert_allclose(state.q, ref.q, rtol=0, atol=1e-12)
+
+    def test_covariance_matches_matrix_filter_on_reference_ticks(self):
+        # the same comparison over 60 s of the reference scenario's sensor stream
+        cfg = default_scenario()
+        rng = np.random.default_rng(1)
+        tick = harness.start(cfg, mechanical.pointing_euler(cfg.geo), rng)
+        ref = matrix_state(tick.filter_state)
+        t_s = cfg.sensors.sample_period
+        for k in range(1, 6001):
+            tick = harness.sense_and_fuse(cfg, tick.filter_state, k * t_s, rng)
+            ref = matrix_predict(ref, tick.omega_m, t_s)
+            pr = tick.pitch_roll
+            ref = matrix_update(ref, measurement_quat(tick.psi_m, pr.pitch, pr.roll, ref.q))
+            assert_scalar_covariance(tick.filter_state.kappa, ref.kappa)
+            np.testing.assert_allclose(tick.filter_state.q, ref.q, rtol=0, atol=1e-12)
 
 
 class TestMeasurementQuat:
@@ -103,8 +186,8 @@ class TestMeasurementQuat:
         assert float(np.dot(z, q_ref)) >= 0.0
 
     def test_saturated_pitch_keeps_euler_angles(self):
-        # a saturated accelerometer reads pitch +/-90 deg, where dcm_to_euler
-        # raises; the measurement stays just short of it
+        # a saturated accelerometer reads pitch +/-90 deg, where yaw and roll
+        # merge; the measurement stays just short of it
         for pitch in (math.pi / 2, -math.pi / 2):
             z = measurement_quat(0.3, pitch, 0.1)
             att = frames.dcm_to_euler(frames.quat_to_dcm(z))
@@ -116,22 +199,18 @@ class TestUpdate:
         state = make_filter_state(frames.euler_to_quat(Attitude(0.3, 0.1, -0.5)), FusionConfig())
         post = update(state, state.q.copy())
         np.testing.assert_allclose(post.q, state.q, atol=1e-15)
-        gain = state.kappa @ np.linalg.inv(state.kappa + state.q_u)
-        np.testing.assert_allclose(
-            post.kappa, 0.5 * ((np.eye(4) - gain) @ state.kappa
-                               + ((np.eye(4) - gain) @ state.kappa).T), atol=1e-15
-        )
+        assert_scalar_covariance(post.kappa, matrix_update(matrix_state(state), state.q).kappa)
 
     def test_measurement_rejection_limit(self):
         q = frames.euler_to_quat(Attitude(0.2, 0.0, 0.0))
-        state = FilterState(q=q, kappa=1e-2 * np.eye(4), q_chi=np.zeros((4, 4)), q_u=1e12 * np.eye(4))
+        state = FilterState(q=q, kappa=1e-2, q_chi=0.0, q_u=1e12)
         z = frames.euler_to_quat(Attitude(-0.9, 0.3, 0.3))
         post = update(state, z)
         assert np.abs(post.q - q).max() < 1e-6
 
     def test_measurement_trust_limit(self):
         q = frames.euler_to_quat(Attitude(0.2, 0.0, 0.0))
-        state = FilterState(q=q, kappa=1e6 * np.eye(4), q_chi=np.zeros((4, 4)), q_u=1e-6 * np.eye(4))
+        state = FilterState(q=q, kappa=1e6, q_chi=0.0, q_u=1e-6)
         z = frames.euler_to_quat(Attitude(-0.9, 0.3, 0.3))
         post = update(state, z)
         assert np.abs(post.q - z / np.linalg.norm(z)).max() < 1e-6
@@ -208,7 +287,7 @@ class TestFuseStep:
         np.testing.assert_array_equal(a, b)
 
     def test_singular_innovation_raises(self):
-        zero = np.zeros((4, 4))
-        state = FilterState(q=np.array([1.0, 0, 0, 0]), kappa=zero, q_chi=zero, q_u=zero)
+        # a zero innovation variance k- + q_u has no Kalman gain
+        state = FilterState(q=np.array([1.0, 0, 0, 0]), kappa=0.0, q_chi=0.0, q_u=0.0)
         with pytest.raises(fusion.NumericalError):
             update(state, np.array([1.0, 0, 0, 0]))

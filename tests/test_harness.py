@@ -40,21 +40,21 @@ class TestBeamFrameArrival:
         euler = mechanical.pointing_euler(mechanical.GeoConfig())
         sat = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
         att = frames.Attitude(0.2, -0.1, 0.3)
-        gimbal = mechanical.stabilization_command(att, euler)
-        az, el = beam_frame_arrival(gimbal, att, sat)
+        gimbal = mechanical.stabilization_command(frames.c_n_b(att), euler)
+        az, el = beam_frame_arrival(gimbal, frames.c_n_b(att), sat)
         assert az == pytest.approx(0.0, abs=1e-10)
 
     def test_known_offset_magnitude(self):
         euler = mechanical.pointing_euler(mechanical.GeoConfig())
         sat = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
         att = frames.Attitude(0.0, 0.0, 0.0)
-        ideal = mechanical.stabilization_command(att, euler)
+        ideal = mechanical.stabilization_command(frames.c_n_b(att), euler)
         # pure polarization-axis rotation tilts the arrival off-normal by
         # exactly the elevation perturbation
         off = mechanical.GimbalAngles(
             ideal.azimuth, ideal.elevation + 0.3 * D2R, ideal.polarization
         )
-        az, el = beam_frame_arrival(off, att, sat)
+        az, el = beam_frame_arrival(off, frames.c_n_b(att), sat)
         assert az == pytest.approx(0.3 * D2R, abs=1e-9)
 
 
@@ -115,6 +115,44 @@ class TestRunSimulation:
         elec = [r for r in records if r.phase == "elec"]
         assert [r.elec_iteration for r in elec] == list(range(1, len(elec) + 1))
         assert all(r.oracle_queries >= 2 * r.elec_iteration for r in elec)
+
+    def test_two_dcms_per_tick(self, monkeypatch):
+        # a tick and its trace row build the gimbal's c_b_t and the truth's
+        # c_n_b through frames._zyx; the estimate's DCM comes from its
+        # quaternion, and the truth's serves both the arrival and the error
+        built = []
+        zyx = frames._zyx
+
+        def counted(*angles):
+            built.append(angles)
+            return zyx(*angles)
+
+        monkeypatch.setattr(frames, "_zyx", counted)
+        counts = []
+        for duration in (1, 2):
+            built.clear()
+            mechanical._ned_to_beam.cache_clear()  # the same setup in both runs
+            run_simulation(load_scenario_text(
+                f"[array]\nrows = 4\ncols = 4\n[run]\nduration = {duration}\n"
+                "[electrical]\nfirst_epoch = 100\n"
+            ))
+            counts.append(len(built))
+        assert counts[1] - counts[0] == 2 * 100  # 100 ticks of 0.01 s
+
+    @pytest.mark.parametrize("gravity", ["0.0383203125", "0.01"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_fused_pitch_pole_runs_to_a_finite_trace(self, gravity, seed):
+        # garbage gyro rates and a saturated accelerometer can carry the fused
+        # estimate to pitch +/-90 deg; its Euler angles then read the
+        # gimbal-lock convention of frames.dcm_to_euler instead of raising
+        cfg = load_scenario_text(
+            "[array]\nrows = 4\ncols = 4\n[run]\nduration = 0.5\n"
+            f"seed = {seed}\n[sensors]\ngyro_white_sigma = 1e6\ngravity = {gravity}\n"
+        )
+        records = run_simulation(cfg)
+        assert len(records) == 50
+        cells = [getattr(r, c) for r in records for c in TRACE_COLUMNS if c != "phase"]
+        assert all(math.isfinite(v) for v in cells)
 
 
 class TestExport:
