@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -130,8 +129,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed is not None:
         cfg.run.seed = args.seed
-    out_dir = Path(args.out if args.out is not None else
-                   os.environ.get("BEAMTRACK_OUT", cfg.run.output))
+    out_dir = Path(args.out if args.out is not None else cfg.run.output)
     records = harness.run_simulation(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "trace.csv"

@@ -188,7 +188,6 @@ SCHEMA = (
     ("sensors", "gps_yaw_sigma_deg", "sensors", "gps_yaw_sigma", _float, D2R),
     ("sensors", "sample_period", "sensors", "sample_period", _float, 1),
     ("sensors", "gravity", "sensors", "gravity", _float, 1),
-    ("sensors", "gps_baseline_length", "sensors", "gps_baseline_length", _float, 1),
     ("fusion", "initial_covariance", "fusion", "initial_covariance", _float, 1),
     ("fusion", "process_noise", "fusion", "process_noise", _float, 1),
     ("fusion", "measurement_noise", "fusion", "measurement_noise", _float, 1),

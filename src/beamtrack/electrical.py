@@ -49,10 +49,6 @@ import numpy as np
 from .channel import ArrayGeometry, PowerOracle, conj_weight_matrix, plane_wave
 
 
-class DegeneratePerturbationError(RuntimeError):
-    """A perturbation component is exactly zero; the draw must be resampled."""
-
-
 @dataclass
 class AsspParams:
     gain: float = 0.7  # a: step-size scale
@@ -157,8 +153,9 @@ def run_assp(
     rule fires (best observed power improved by less than stop_epsilon
     relative over stop_window consecutive iterations).
 
-    Degenerate draws (a perturbation component exactly zero) are resampled;
-    they can only occur when b*D_i*xi and c*Delta_i cancel exactly.
+    A probe component that is exactly zero (b*D_i*xi and c*Delta_i cancel)
+    needs no resample: ``aligned_gradient`` divides by mean(delta^2), never
+    by delta_i, so that element only stays put for the iteration.
     """
     structure = structure_matrix(geom)
     phases = np.asarray(initial_phases, dtype=float).copy()
@@ -170,13 +167,8 @@ def run_assp(
     # single scalar exponential
     isotropic = params.structure_weight == 0.0
     for k in range(params.max_iters):
-        for _ in range(16):
-            xi, bern = draw_perturbation(rng, phases.size)
-            delta = perturbation_vector(structure, xi, bern, params, k)
-            if not np.any(delta == 0.0):
-                break
-        else:
-            raise DegeneratePerturbationError("could not draw a nonzero perturbation")
+        xi, bern = draw_perturbation(rng, phases.size)
+        delta = perturbation_vector(structure, xi, bern, params, k)
         signs = bern if isotropic else None
         p_plus, p_minus = oracle.probe_pair(delta, signs)
         step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
@@ -277,7 +269,11 @@ RUNNERS = {
 }
 
 
-def fit_doa(phases: np.ndarray, geom: ArrayGeometry, pad: int = 4) -> tuple[float, float]:
+# zero-padding factor of fit_doa's FFT grid along each axis
+_FFT_PAD = 4
+
+
+def fit_doa(phases: np.ndarray, geom: ArrayGeometry) -> tuple[float, float]:
     """Fit the converged phase vector to the plane-wave model, least squares
     in the complex domain.
 
@@ -288,10 +284,10 @@ def fit_doa(phases: np.ndarray, geom: ArrayGeometry, pad: int = 4) -> tuple[floa
     to 2*pi wraps.
     """
     wbar = conj_weight_matrix(phases, geom)
-    spec = np.fft.fft2(np.conj(wbar), s=(pad * geom.rows, pad * geom.cols))
+    spec = np.fft.fft2(np.conj(wbar), s=(_FFT_PAD * geom.rows, _FFT_PAD * geom.cols))
     peak = np.unravel_index(np.argmax(np.abs(spec)), spec.shape)
-    fr = peak[0] / (pad * geom.rows)
-    fc = peak[1] / (pad * geom.cols)
+    fr = peak[0] / (_FFT_PAD * geom.rows)
+    fc = peak[1] / (_FFT_PAD * geom.cols)
     if fr > 0.5:
         fr -= 1.0
     if fc > 0.5:

@@ -52,9 +52,7 @@ class ConvergenceStats:
     median_fit_elevation_err_deg: float
 
 
-def offset_channel(
-    geom: ArrayGeometry, offset_deg: float = 0.3, gain: complex = 1.0 + 0j
-) -> tuple[Channel, float, float]:
+def offset_channel(geom: ArrayGeometry, offset_deg: float = 0.3) -> tuple[Channel, float, float]:
     """LOS channel arriving ``offset_deg`` off-normal along each array axis.
 
     The two direction sines are sin(offset) each, i.e. the polar arrival
@@ -63,7 +61,7 @@ def offset_channel(
     u = math.sin(offset_deg * D2R)
     azimuth = math.asin(min(1.0, math.hypot(u, u)))
     elevation = math.atan2(u, u)
-    chan = Channel.from_paths(geom, [PathComponent(azimuth, elevation, gain, 0.0)])
+    chan = Channel.from_paths(geom, [PathComponent(azimuth, elevation)])
     return chan, azimuth, elevation
 
 

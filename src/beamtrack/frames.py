@@ -22,7 +22,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# asin argument threshold at which pitch/elevation extraction degenerates
+# |C13| within this of 1 takes the pole convention of zyx_angles
 GIMBAL_LOCK_EPS = 1e-9
 
 
@@ -166,32 +166,29 @@ def is_rotation(matrix: np.ndarray, tol: float = 1e-8) -> bool:
     return _rotation_rows(matrix, tol) is not None
 
 
-def _require_rotation(matrix: np.ndarray) -> list[list[float]]:
+def zyx_angles(matrix: np.ndarray) -> tuple[float, float, float]:
+    """(z, y, x) of a rotation ``c = rot_x(x) @ rot_y(y) @ rot_z(z)``.
+
+    The inverse of :func:`c_n_b` (yaw, pitch, roll), :func:`c_b_t`
+    (azimuth, elevation, polarization) and :func:`c_n_t` alike.
+    Quadrant-correct arctangents make the round trip exact away from
+    y = +/-90 deg.
+
+    Total.  When |C13| is within ``GIMBAL_LOCK_EPS`` of 1 (y at +/-90 deg:
+    gimbal lock of an attitude, the keyhole of the gimbal) z and x turn
+    about the same axis and only their combination is defined; the
+    convention there is x = 0, y = +/-90 deg by the sign of -C13, and
+    z = atan2(-C21, C22), which at the pole rebuilds the same DCM.
+
+    Raises ``ValueError`` when ``matrix`` is not a rotation.
+    """
     rows = _rotation_rows(matrix)
     if rows is None:
         raise ValueError("input is not a rotation matrix")
-    return rows
-
-
-def extract_gimbal_angles(matrix: np.ndarray) -> tuple[float, float, float]:
-    """Recover (azimuth, elevation, polarization) from a body-to-beam DCM.
-
-    Inverse of :func:`c_b_t` on the open domain |elevation| < pi/2.  Uses
-    quadrant-correct arctangents so the round trip is exact away from the
-    elevation singularity.
-
-    Raises
-    ------
-    SingularityError
-        When |C13| is within ``GIMBAL_LOCK_EPS`` of 1 (elevation at +/-90 deg).
-    """
-    (m00, m01, m02), (_, _, m12), (_, _, m22) = _require_rotation(matrix)
-    if abs(m02) >= 1.0 - GIMBAL_LOCK_EPS:
-        raise SingularityError("elevation at +/-90 deg: azimuth/polarization undefined")
-    azimuth = math.atan2(m01, m00)
-    elevation = -math.asin(m02)
-    polarization = math.atan2(m12, m22)
-    return azimuth, elevation, polarization
+    (c11, c12, c13), (c21, c22, c23), (_, _, c33) = rows
+    if abs(c13) >= 1.0 - GIMBAL_LOCK_EPS:
+        return math.atan2(-c21, c22), math.copysign(math.pi / 2, -c13), 0.0
+    return math.atan2(c12, c11), -math.asin(c13), math.atan2(c23, c33)
 
 
 def euler_to_quat(attitude: Attitude) -> np.ndarray:
@@ -237,21 +234,3 @@ def quat_to_dcm(q: np.ndarray) -> np.ndarray:
             q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3,
         ]
     )
-
-
-def dcm_to_euler(matrix: np.ndarray) -> Attitude:
-    """Yaw/pitch/roll from a body-to-NED DCM.
-
-    Total.  When |C31| is within ``GIMBAL_LOCK_EPS`` of 1 (pitch at +/-90
-    deg, gimbal lock) yaw and roll turn about the same axis and only their
-    combination is defined; the convention there is roll 0, pitch -/+90 deg
-    by the sign of C31, and yaw atan2(-C12, C22), which at the pole rebuilds
-    the same DCM.
-    """
-    (m00, m01, _), (m10, m11, _), (m20, m21, m22) = _require_rotation(matrix)
-    if abs(m20) >= 1.0 - GIMBAL_LOCK_EPS:
-        return Attitude(math.atan2(-m01, m11), math.copysign(math.pi / 2, -m20), 0.0)
-    yaw = math.atan2(m10, m00)
-    pitch = -math.asin(m20)
-    roll = math.atan2(m21, m22)
-    return Attitude(yaw, pitch, roll)

@@ -78,8 +78,8 @@ def predict(state: FilterState, body_rates: np.ndarray, sample_period: float) ->
     return FilterState(q_pred, kappa, state.q_chi, state.q_u)
 
 
-# the largest |pitch| that frames.dcm_to_euler resolves without its
-# gimbal-lock convention
+# the largest |pitch| that frames.zyx_angles resolves without its pole
+# convention
 _PITCH_LIMIT = math.asin(1.0 - 2.0 * frames.GIMBAL_LOCK_EPS)
 
 
@@ -129,5 +129,5 @@ def fuse_step(
 def estimate(q: np.ndarray) -> tuple[np.ndarray, Attitude]:
     """The NED-to-body DCM of the estimate ``q`` and its yaw/pitch/roll,
     both read from the one DCM ``quat_to_dcm`` builds."""
-    c_b_n = frames.quat_to_dcm(q)
-    return c_b_n.T, frames.dcm_to_euler(c_b_n)
+    c_n_b = frames.quat_to_dcm(q).T
+    return c_n_b, Attitude(*frames.zyx_angles(c_n_b))

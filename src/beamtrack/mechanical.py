@@ -128,10 +128,12 @@ def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> GimbalAngl
 
     Factors the NED-to-beam map through the body frame: c_b_t(result) @
     c_n_b = c_n_t(euler), so coordinates flow n -> b -> t.  A pure yaw of
-    the vehicle shifts the azimuth command by the opposite amount.
+    the vehicle shifts the azimuth command by the opposite amount.  At the
+    keyhole (elevation +/-90 deg) the angles take the pole convention of
+    ``frames.zyx_angles``: polarization 0, the azimuth carrying the rest.
     """
     c_bt = np.dot(_ned_to_beam(tuple(euler)), c_n_b.T)
-    return GimbalAngles(*frames.extract_gimbal_angles(c_bt))
+    return GimbalAngles(*frames.zyx_angles(c_bt))
 
 
 def coupled_beam_rate(angles: GimbalAngles, body_rates: np.ndarray) -> np.ndarray:

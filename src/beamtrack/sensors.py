@@ -45,7 +45,6 @@ class SensorNoiseConfig:
     gps_yaw_sigma: float = math.radians(0.3)  # rad
     sample_period: float = 0.01  # s
     gravity: float = 9.81  # m/s^2
-    gps_baseline_length: float = 1.0  # m
 
     def __post_init__(self):
         for name in (
@@ -56,9 +55,8 @@ class SensorNoiseConfig:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        # a zero baseline has no direction, so GPS yaw would be atan2(0, 0);
         # the accelerometer pitch divides by gravity
-        for name in ("sample_period", "gravity", "gps_baseline_length"):
+        for name in ("sample_period", "gravity"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -186,14 +184,15 @@ def gps_yaw_measure(
 ) -> float:
     """Dual-antenna GPS heading.
 
-    The body-fixed baseline [L, 0, 0] is expressed in NED coordinates and its
-    horizontal direction gives yaw; the baseline length cancels.
+    The body-fixed unit baseline [1, 0, 0] is expressed in NED coordinates
+    and its horizontal direction gives yaw; a baseline of any length gives
+    the same direction.
     """
     yaw, pitch, roll = attitude
     if not (math.isfinite(yaw) and math.isfinite(pitch) and math.isfinite(roll)):
         raise ValueError(f"attitude must be finite, got {attitude!r}")
-    # c_n_b(attitude).T @ [L, 0, 0] is L times the first row of c_n_b,
-    # whose entries cos(pitch) cos(yaw) and cos(pitch) sin(yaw) are single products
-    cp, length = math.cos(pitch), noise.gps_baseline_length
-    north, east = cp * math.cos(yaw) * length, cp * math.sin(yaw) * length
+    # c_n_b(attitude).T @ [1, 0, 0] is the first row of c_n_b, whose entries
+    # cos(pitch) cos(yaw) and cos(pitch) sin(yaw) are single products
+    cp = math.cos(pitch)
+    north, east = cp * math.cos(yaw), cp * math.sin(yaw)
     return math.atan2(east, north) + noise.gps_yaw_sigma * rng.standard_normal()

@@ -31,6 +31,14 @@ class TestGeometry:
         assert code == 0
         assert "gimbal_azimuth_deg" in out
 
+    def test_zenith_takes_the_keyhole_convention(self, capsys):
+        # the satellite overhead puts the beam at the gimbal keyhole, which
+        # answers with polarization 0 and elevation 90 deg
+        code, out, _ = run_cli(capsys, ["geometry", "--lat", "0.001", "--lon", "105.5"])
+        assert code == 0
+        assert "gimbal_elevation_deg = 90.0000" in out.splitlines()
+        assert "gimbal_polarization_deg = 0.0000" in out.splitlines()
+
     def test_below_horizon_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, ["geometry", "--lat", "85"])
         assert code == 1

@@ -103,11 +103,6 @@ class TestParsing:
         with pytest.raises(ConfigError, match="electrical.method"):
             load_scenario_text("[electrical]\nmethod = annealing\n")
 
-    def test_zero_gps_baseline_rejected(self):
-        # a zero baseline has no direction: GPS yaw would be atan2(0, 0)
-        with pytest.raises(ConfigError, match="gps_baseline_length"):
-            load_scenario_text("[sensors]\ngps_baseline_length = 0\n")
-
     def test_parse_error_reports_line(self):
         with pytest.raises(ConfigError, match="parse error"):
             load_scenario_text("[array\nrows = 4\n")
@@ -168,7 +163,7 @@ DEFAULTS = {
     "array": dict(rows=128, cols=64, spacing_over_wavelength=0.5),
     "profile": dict(yaw="10 @ 0.1 @ 0", pitch="5 @ 0.2 @ 90", roll="8 @ 0.15 @ 200"),
     "sensors": dict(gyro_white_sigma=0.01, gyro_bias=0.002, accel_white_sigma=0.05,
-                    gps_yaw_sigma_deg=0.3, sample_period=0.01, gravity=9.81, gps_baseline_length=1),
+                    gps_yaw_sigma_deg=0.3, sample_period=0.01, gravity=9.81),
     "fusion": dict(initial_covariance=1e-2, process_noise=1e-6, measurement_noise=1e-4),
     "servo": dict(gain=20, rate_limit_deg=60, azimuth_stop_deg=180, elevation_min_deg=0,
                   elevation_max_deg=85),
@@ -195,7 +190,7 @@ def leaves(obj, path=""):
 class TestTable:
     def test_defaults_file_writes_every_key(self):
         assert sorted((s, k) for s in DEFAULTS for k in DEFAULTS[s]) == sorted(KEYS)
-        assert len(KEYS) == 51
+        assert len(KEYS) == 50
         text = "".join(
             f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in DEFAULTS[s].items()) for s in DEFAULTS
         )

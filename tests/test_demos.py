@@ -1,5 +1,8 @@
-"""Smoke test: demos 02 and 03 (on the harness stepper) and 04 (on the
-factored channel) run as scripts."""
+"""Smoke test: demos 01 (the stabilization solve), 02 and 03 (on the
+harness stepper), 04 (on the factored channel) and 06 (the whole loop,
+writing its trace into the working directory) run as scripts.  Demo 05
+is left out: it takes seconds, and the acceptance fixtures run its
+optimizers."""
 
 import os
 import subprocess
@@ -14,9 +17,11 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 SRC = str(Path(beamtrack.__file__).resolve().parents[1])
 # the first line of each demo's result table
 TABLES = {
+    "01_pointing_geometry.py": "Gimbal commands that keep the beam on target",
     "02_attitude_fusion.py": "      pipeline  rmse [deg]  max [deg]  <=0.5 deg",
     "03_dynamic_isolation.py": "isolation + servo: max pointing error",
     "04_array_and_spectrum.py": "matched weights at the true arrival restore nrsp",
+    "06_full_scenario.py": "attitude error:  max",
 }
 
 
@@ -29,3 +34,5 @@ def test_demo_runs(tmp_path, script):
     )
     assert done.returncode == 0, done.stderr
     assert any(ln.startswith(TABLES[script]) for ln in done.stdout.splitlines()), done.stdout
+    if script == "06_full_scenario.py":
+        assert (tmp_path / "trace.csv").is_file() and (tmp_path / "trace.json").is_file()

@@ -7,7 +7,6 @@ from beamtrack import channel, electrical
 from beamtrack.channel import ArrayGeometry, Channel, PathComponent, PowerOracle
 from beamtrack.electrical import (
     AsspParams,
-    DegeneratePerturbationError,
     OptimizerTrace,
     aligned_gradient,
     draw_perturbation,
@@ -29,12 +28,16 @@ def make_oracle(geom, az, el, snr_db=None, seed=0):
     return PowerOracle(h, 1.0, noise, np.random.default_rng(seed))
 
 
+class ZeroProbeError(ValueError):
+    """The elementwise reference gradient cannot divide by a zero probe."""
+
+
 def assp_gradient(phases, delta, oracle):
     """Reference elementwise central-difference gradient: queries the oracle
     at phases +/- delta and divides the difference by 2*delta per element."""
     delta = np.asarray(delta, dtype=float)
     if np.any(delta == 0.0):
-        raise DegeneratePerturbationError("perturbation has a zero component")
+        raise ZeroProbeError("perturbation has a zero component")
     p_plus = oracle(phases + delta)
     p_minus = oracle(phases - delta)
     return (p_plus - p_minus) / (2.0 * delta), p_plus, p_minus
@@ -170,7 +173,7 @@ class TestGradients:
         assert p_plus - p_minus == pytest.approx(-0.08, abs=1e-12)
 
     def test_zero_component_raises(self):
-        with pytest.raises(DegeneratePerturbationError):
+        with pytest.raises(ZeroProbeError):
             assp_gradient(np.zeros(2), np.array([0.0, 0.01]), lambda p: 0.0)
 
     def test_aligned_equals_reciprocal_for_bernoulli(self):
@@ -257,6 +260,18 @@ class TestAsspRun:
         )
         assert oracle.queries == 2 * len(trace)
         assert trace.queries == [2 * (i + 1) for i in range(len(trace))]
+
+    def test_exact_zero_probe_component_runs(self):
+        # b*D = c at the four elements at distance D = 5 (0.002 * 5.0 == 0.01
+        # in floats), so a draw with xi*Delta = -1 at any of them probes it by
+        # exactly 0: 15 draws in 16 do
+        geom = ArrayGeometry(16, 8)
+        params = AsspParams(structure_weight=0.002, isotropic_weight=0.01, stop_window=10**9)
+        delta = perturbation_vector(structure_matrix(geom), 1, -np.ones(geom.size), params, 0)
+        assert np.count_nonzero(delta == 0.0) == 4
+        result = run_trial("assp", geom, 20.0, 0, params)
+        assert result.iterations_run == params.max_iters
+        assert 0.0 <= result.final_nrsp <= 1.0
 
     def test_equal_seeds_identical_traces(self):
         geom = ArrayGeometry(8, 8)

@@ -6,23 +6,25 @@ import pytest
 from beamtrack import frames
 from beamtrack.frames import (
     Attitude,
-    SingularityError,
     c_b_t,
     c_n_b,
     c_n_t,
-    dcm_to_euler,
     euler_to_quat,
     euler_rates_in_frame,
-    extract_gimbal_angles,
     is_rotation,
     quat_to_dcm,
     rot_x,
     rot_y,
     rot_z,
     wrap_angle,
+    zyx_angles,
 )
 
 D2R = math.pi / 180.0
+# the +/-90 deg middle angles of the z-y-x pole, and (outer, inner) angle
+# pairs tried at each: the inner angle 0, or both turning at once
+POLES = (math.pi / 2, -math.pi / 2)
+POLE_PAIRS = ((0.7, 0.0), (-2.9, 0.0), (0.4, 1.1), (3.0, -2.5))
 
 
 def closed_form_b_to_t(a, b, g):
@@ -240,12 +242,14 @@ class TestIsRotation:
 
 
 class TestGimbalExtraction:
+    """zyx_angles as the inverse of c_b_t: (azimuth, elevation, polarization)."""
+
     def test_identity_maps_to_zero(self):
-        assert extract_gimbal_angles(np.eye(3)) == (0.0, 0.0, 0.0)
+        assert zyx_angles(np.eye(3)) == (0.0, 0.0, 0.0)
 
     def test_round_trips_known_triple(self):
         angles = (30 * D2R, 20 * D2R, 10 * D2R)
-        out = extract_gimbal_angles(c_b_t(*angles))
+        out = zyx_angles(c_b_t(*angles))
         np.testing.assert_allclose(out, angles, atol=1e-12)
 
     def test_round_trip_property(self):
@@ -254,7 +258,7 @@ class TestGimbalExtraction:
             a = rng.uniform(-math.pi, math.pi)
             b = rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3)
             g = rng.uniform(-math.pi, math.pi)
-            out = extract_gimbal_angles(c_b_t(a, b, g))
+            out = zyx_angles(c_b_t(a, b, g))
             assert abs(wrap_angle(out[0] - a)) <= 1e-10
             assert abs(out[1] - b) <= 1e-10
             assert abs(wrap_angle(out[2] - g)) <= 1e-10
@@ -267,15 +271,25 @@ class TestGimbalExtraction:
                 rng.uniform(-1.4, 1.4),
                 rng.uniform(-math.pi, math.pi),
             )
-            np.testing.assert_allclose(c_b_t(*extract_gimbal_angles(m)), m, atol=1e-10)
+            np.testing.assert_allclose(c_b_t(*zyx_angles(m)), m, atol=1e-10)
 
-    def test_elevation_singularity_raises(self):
-        with pytest.raises(SingularityError):
-            extract_gimbal_angles(c_b_t(0.0, math.pi / 2, 0.0))
+    def test_keyhole_convention_round_trip(self):
+        # at elevation +/-90 deg azimuth and polarization turn about one
+        # axis: polarization reads 0, elevation +/-90 deg by the sign of
+        # -C13, and the azimuth carries the rest
+        for elevation in POLES:
+            for azimuth, polarization in POLE_PAIRS:
+                m = c_b_t(azimuth, elevation, polarization)
+                out = zyx_angles(m)
+                assert out[1] == math.copysign(math.pi / 2, -m[0, 2]) == elevation
+                assert out[2] == 0.0
+                np.testing.assert_allclose(c_b_t(*out), m, rtol=0, atol=1e-10)
+                if polarization == 0.0:
+                    assert abs(wrap_angle(out[0] - azimuth)) <= 1e-10
 
     def test_non_rotation_rejected(self):
         with pytest.raises(ValueError):
-            extract_gimbal_angles(np.ones((3, 3)))
+            zyx_angles(np.ones((3, 3)))
 
 
 class TestQuaternions:
@@ -321,12 +335,15 @@ class TestQuaternions:
 
 
 class TestDcmToEuler:
+    """zyx_angles as the inverse of c_n_b: yaw/pitch/roll of the transposed
+    quaternion DCM."""
+
     def test_identity(self):
-        assert dcm_to_euler(np.eye(3)) == Attitude(0.0, 0.0, 0.0)
+        assert Attitude(*zyx_angles(np.eye(3))) == Attitude(0.0, 0.0, 0.0)
 
     def test_round_trip_known(self):
         att = Attitude(45 * D2R, 10 * D2R, -20 * D2R)
-        out = dcm_to_euler(quat_to_dcm(euler_to_quat(att)))
+        out = zyx_angles(quat_to_dcm(euler_to_quat(att)).T)
         np.testing.assert_allclose(out, att, atol=1e-12)
 
     def test_round_trip_property(self):
@@ -337,22 +354,22 @@ class TestDcmToEuler:
                 rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3),
                 rng.uniform(-math.pi, math.pi),
             )
-            out = dcm_to_euler(quat_to_dcm(euler_to_quat(att)))
+            out = Attitude(*zyx_angles(quat_to_dcm(euler_to_quat(att)).T))
             assert abs(wrap_angle(out.yaw - att.yaw)) <= 1e-10
             assert abs(out.pitch - att.pitch) <= 1e-10
             assert abs(wrap_angle(out.roll - att.roll)) <= 1e-10
 
     def test_pitch_pole_convention_round_trip(self):
         # at pitch +/-90 deg yaw and roll turn about one axis: roll reads 0,
-        # pitch -/+90 deg by the sign of C31, and the yaw carries the rest
-        for pitch in (math.pi / 2, -math.pi / 2):
-            for yaw, roll in ((0.7, 0.0), (-2.9, 0.0), (0.4, 1.1), (3.0, -2.5)):
+        # pitch +/-90 deg by the sign of -C13, and the yaw carries the rest
+        for pitch in POLES:
+            for yaw, roll in POLE_PAIRS:
                 att = Attitude(yaw, pitch, roll)
-                for m in (c_n_b(att).T, quat_to_dcm(euler_to_quat(att))):
-                    out = dcm_to_euler(m)
-                    assert out.pitch == math.copysign(math.pi / 2, -m[2, 0]) == pitch
+                for m in (c_n_b(att), quat_to_dcm(euler_to_quat(att)).T):
+                    out = Attitude(*zyx_angles(m))
+                    assert out.pitch == math.copysign(math.pi / 2, -m[0, 2]) == pitch
                     assert out.roll == 0.0
-                    np.testing.assert_allclose(c_n_b(out).T, m, rtol=0, atol=1e-10)
+                    np.testing.assert_allclose(c_n_b(out), m, rtol=0, atol=1e-10)
                     if roll == 0.0:
                         assert abs(wrap_angle(out.yaw - yaw)) <= 1e-10
 

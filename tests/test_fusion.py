@@ -190,7 +190,7 @@ class TestMeasurementQuat:
         # merge; the measurement stays just short of it
         for pitch in (math.pi / 2, -math.pi / 2):
             z = measurement_quat(0.3, pitch, 0.1)
-            att = frames.dcm_to_euler(frames.quat_to_dcm(z))
+            att = Attitude(*frames.zyx_angles(frames.quat_to_dcm(z).T))
             assert att.pitch == pytest.approx(pitch, abs=1e-4)
 
 

@@ -144,7 +144,7 @@ class TestRunSimulation:
     def test_fused_pitch_pole_runs_to_a_finite_trace(self, gravity, seed):
         # garbage gyro rates and a saturated accelerometer can carry the fused
         # estimate to pitch +/-90 deg; its Euler angles then read the
-        # gimbal-lock convention of frames.dcm_to_euler instead of raising
+        # pole convention of frames.zyx_angles instead of raising
         cfg = load_scenario_text(
             "[array]\nrows = 4\ncols = 4\n[run]\nduration = 0.5\n"
             f"seed = {seed}\n[sensors]\ngyro_white_sigma = 1e6\ngravity = {gravity}\n"

@@ -1,0 +1,111 @@
+"""Digests of the program's deterministic output, for comparing two trees.
+
+Runs ``beamtrack simulate`` on seven fixed configs (A-G) and prints, for
+each, the sha256 of ``trace.csv``, of ``trace.json`` and of the printed
+summary.  Then runs 156 ``experiments.run_trial`` calls (3 methods x 20/10
+dB x default/acceptance parameters, seeds 0-9 at 16x8 and 0-2 at 128x64)
+and prints one sha256 over the reprs of their results.
+
+A change that is meant to move no bit prints the same lines before and
+after.  Run it from the root of each tree:
+
+    python3 tools/trace_digests.py
+
+It imports ``beamtrack`` from the ``src/`` next to it, writes its traces
+into a temporary directory, and takes about half a minute on a 2-vCPU
+x86-64 machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from beamtrack.channel import ArrayGeometry  # noqa: E402
+from beamtrack.cli import cli_main  # noqa: E402
+from beamtrack.electrical import AsspParams  # noqa: E402
+from beamtrack.experiments import run_trial  # noqa: E402
+
+EPOCHS = "[electrical]\nfirst_epoch = 2\nepoch_period = 5\n"
+# each config's scenario text (its [run] section holds duration and seed)
+CONFIGS = {
+    "A": "[array]\nrows = 16\ncols = 8\n[run]\nduration = 60\nseed = 7\n",
+    "B": "[run]\nduration = 15\nseed = 1\n",
+    "C": "[run]\nduration = 30\nseed = 3\n",
+    # the config of acceptance criterion 10
+    "D": "[array]\nrows = 16\ncols = 8\n[run]\nduration = 3\nseed = 11\n"
+         "[electrical]\nfirst_epoch = 1.5\nmax_iters = 20\n",
+    "E": "[array]\nrows = 32\ncols = 16\n[signal]\nnlos_gain = 0.3\n"
+         + EPOCHS + "method = sequential\n[run]\nduration = 20\nseed = 5\n",
+    "F": "[array]\nrows = 16\ncols = 8\n[signal]\nnlos_gain = 0.2\n"
+         + EPOCHS + "method = spsa\n[run]\nduration = 20\nseed = 2\n",
+    "G": "[run]\nduration = 60\nseed = 1\n",
+}
+
+METHODS = ("assp", "spsa", "sequential")
+SNRS_DB = (20.0, 10.0)
+# the parameters of the acceptance experiments: a fixed 100-iteration
+# budget, no stall stop, 4 sequential sweeps
+PARAMS = {
+    "default": AsspParams(),
+    "acceptance": AsspParams(max_iters=100, stop_window=10**9, seq_max_sweeps=4),
+}
+# (rows, cols, seeds) of the trial arrays
+ARRAYS = ((16, 8, 10), (128, 64, 3))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def simulate_digests(work: Path) -> None:
+    for name, text in CONFIGS.items():
+        cfg = work / f"{name}.ini"
+        cfg.write_text(text)
+        summary = io.StringIO()
+        # a relative --out keeps the summary's "trace written to" line the
+        # same in every checkout
+        with contextlib.redirect_stdout(summary):
+            code = cli_main(["simulate", "--config", cfg.name, "--out", name])
+        if code != 0:
+            sys.exit(f"trace_digests: simulate exited {code} on config {name}")
+        out = work / name
+        print(f"{name} trace.csv   {sha256((out / 'trace.csv').read_bytes())}")
+        print(f"{name} trace.json  {sha256((out / 'trace.json').read_bytes())}")
+        print(f"{name} summary     {sha256(summary.getvalue().encode())}")
+
+
+def trial_digest() -> None:
+    reprs = [
+        repr(run_trial(method, ArrayGeometry(rows, cols), snr, seed, params))
+        for rows, cols, seeds in ARRAYS
+        for params in PARAMS.values()
+        for method in METHODS
+        for snr in SNRS_DB
+        for seed in range(seeds)
+    ]
+    print(f"run_trial x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        previous = os.getcwd()
+        os.chdir(work)
+        try:
+            simulate_digests(work)
+        finally:
+            os.chdir(previous)
+    trial_digest()
+
+
+if __name__ == "__main__":
+    main()
