@@ -2,6 +2,13 @@
 matched analog weights, spatial spectrum, the normalized received power,
 and the noisy power oracle of the electrical stage.
 
+Every power reading is normalized to the matched-beam maximum MN*||h||^2,
+and the noise variance is set relative to a unit-gain LOS ray, so the
+transmitted symbol cancels from the blind reading and the LOS gain is the
+unit of every other path gain.  The carrier is fixed at ``WAVELENGTH``;
+the array spacing is given in wavelengths, so the carrier enters only
+through the carrier phase of a path length.
+
 Element (m, n) of the response to a plane wave carries phase
 2*pi*(d/lambda) * (m u_r + n u_c), with direction sines u_r = sin(az)
 cos(el) and u_c = sin(az) sin(el); ``az`` is the polar angle off the
@@ -20,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+WAVELENGTH = 0.015  # m, the Ka-band carrier
 
 
 @dataclass
@@ -58,22 +67,19 @@ class PathComponent:
 
 @dataclass
 class SignalModel:
-    symbol: complex = 1.0 + 0.0j
+    """Link SNR of the blind power reading, relative to a unit-gain LOS ray
+    and a unit-power symbol."""
+
     snr_db: float = 20.0
-    los_gain_abs: float = 1.0
 
     def __post_init__(self):
-        # the matched power |los_gain * symbol|^2 * MN normalizes every reading
-        if not self.los_gain_abs * abs(self.symbol) >= 1e-100:
-            raise ValueError("los_gain * |symbol| must be at least 1e-100")
         if not self.snr_db >= -300:  # 10^(-snr/10) overflows near -3080 dB
             raise ValueError("snr_db must be at least -300")
 
     @property
     def noise_power(self) -> float:
         """Per-element noise variance from the configured SNR."""
-        sig = (self.los_gain_abs * abs(self.symbol)) ** 2
-        return sig * 10.0 ** (-self.snr_db / 10.0)
+        return 10.0 ** (-self.snr_db / 10.0)
 
 
 def direction_sines(azimuth: float, elevation: float) -> tuple[float, float]:
@@ -101,18 +107,14 @@ class Channel:
     terms: tuple[tuple[complex, np.ndarray, np.ndarray], ...]
 
     @classmethod
-    def from_paths(
-        cls, geom: ArrayGeometry, paths: list[PathComponent], wavelength: float = 0.015
-    ) -> Channel:
+    def from_paths(cls, geom: ArrayGeometry, paths: list[PathComponent]) -> Channel:
         """One plane-wave term per path, arriving from (azimuth, elevation)."""
         if not paths:
             raise ValueError("at least one path is required")
-        if wavelength <= 0:
-            raise ValueError("wavelength must be positive")
         scale = 1.0 / math.sqrt(geom.size)
         return cls(tuple(
             (
-                p.gain * np.exp(-2j * math.pi * p.path_length / wavelength) * scale,
+                p.gain * np.exp(-2j * math.pi * p.path_length / WAVELENGTH) * scale,
                 *plane_wave(geom, *direction_sines(p.azimuth, p.elevation)),
             )
             for p in paths
@@ -191,15 +193,16 @@ def nrsp(phases: np.ndarray, h_vec: np.ndarray) -> float:
 class PowerOracle:
     """Noisy instant-power oracle for the electrical optimizers.
 
-    Returns the instantaneous received power scaled by the matched-beam
-    maximum MN*||h||^2*|s|^2, so a perfectly aligned noiseless measurement
-    reads 1.0.  The measurement noise is the exact scalar projection of the
-    per-element noise vector through the unit-modulus combiner: w^H n is
-    circular Gaussian with variance MN*noise_power for every phase setting,
-    so it is drawn directly (one complex draw per query instead of MN).
+    A query reads |w^H h + w^H n|^2 / (MN*||h||^2): the instantaneous
+    received power over the matched-beam maximum ``scale`` = MN*||h||^2, so
+    a perfectly aligned noiseless measurement reads 1.0.  The measurement
+    noise is the exact scalar projection of the per-element noise vector
+    through the unit-modulus combiner: w^H n is circular Gaussian with
+    variance MN*noise_power for every phase setting, so it is drawn
+    directly (one complex draw per query instead of MN).
 
-    Every query is counted and draws its noise from ``rng`` in query order,
-    real part then imaginary part, whichever path it takes:
+    Every query is counted and draws its noise through ``noise_terms`` in
+    query order, real part then imaginary part, whichever path it takes:
 
     * ``__call__(phases)`` measures one phase setting from scratch;
     * ``hold(phases)`` / ``probe_pair(delta)`` / ``move(step)`` serve the
@@ -218,22 +221,19 @@ class PowerOracle:
     """
 
     h_vec: np.ndarray
-    symbol: complex
     noise_power: float
     rng: np.random.Generator
     queries: int = 0
     scale: float = field(init=False)
-    _matched: float = field(init=False)
     _noise_sigma: float = field(init=False)
     _held: np.ndarray | None = field(init=False, default=None)
     _spin: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         h = np.asarray(self.h_vec)
-        self._matched = h.size * np.vdot(h, h).real
-        self.scale = self._matched * abs(self.symbol) ** 2
+        self.scale = h.size * np.vdot(h, h).real
         if self.scale == 0.0:
-            raise ValueError("degenerate channel/symbol: zero matched power")
+            raise ValueError("channel vector is identically zero")
         self._noise_sigma = math.sqrt(h.size * self.noise_power / 2.0)
 
     def __call__(self, phases: np.ndarray) -> float:
@@ -247,7 +247,7 @@ class PowerOracle:
     def noise_terms(self, n: int) -> list[complex]:
         """Additive noise of the next ``n`` queries, as Python complex
         numbers, counted as ``n`` queries.  A query reads
-        ``abs(combined * symbol + noise) ** 2 / scale``."""
+        ``abs(combined + noise) ** 2 / scale``."""
         self.queries += n
         if self.noise_power > 0.0:
             # 2n normals in one draw are the 2n scalar draws of n queries
@@ -284,14 +284,10 @@ class PowerOracle:
 
     def held_nrsp(self) -> float:
         """``true_nrsp`` of the held phases, from the carried terms."""
-        return float(abs(self._held.sum()) ** 2 / self._matched)
+        return float(abs(self._held.sum()) ** 2 / self.scale)
 
     def _measure(self, combined: complex) -> float:
-        self.queries += 1
-        y = combined * self.symbol
-        if self.noise_power > 0.0:
-            y += self._noise_sigma * complex(self.rng.standard_normal(), self.rng.standard_normal())
-        return abs(y) ** 2 / self.scale
+        return abs(combined + self.noise_terms(1)[0]) ** 2 / self.scale
 
     def true_nrsp(self, phases: np.ndarray) -> float:
         return nrsp(phases, self.h_vec)

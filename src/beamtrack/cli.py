@@ -49,17 +49,22 @@ def _entries(text: str) -> list[str]:
     return entries
 
 
-def _snr_values(text: str) -> list[float]:
-    # each entry parsed and checked as the [signal] snr_db key of a scenario
+def _as_key(section: str, key: str, raw: str):
+    """The default scenario with ``raw`` parsed and checked as ``[section] key``."""
     cfg = default_scenario()
-    values = []
-    for raw in _entries(text):
-        try:
-            set_key(cfg, "signal", "snr_db", raw)
-            values.append(validate(cfg).signal.snr_db)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return values
+    try:
+        set_key(cfg, section, key, raw)
+        return validate(cfg)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _snr_values(text: str) -> list[float]:
+    return [_as_key("signal", "snr_db", raw).signal.snr_db for raw in _entries(text)]
+
+
+def _seed(text: str) -> int:
+    return _as_key("run", "seed", text).run.seed
 
 
 def _methods(text: str) -> list[str]:
@@ -84,6 +89,11 @@ def _checked(kind, ok, rule: str):
 
 
 _count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_attitude = _checked(
+    lambda text: [float(x) for x in text.split(",")],
+    lambda v: len(v) == 3 and all(map(math.isfinite, v)),
+    "yaw,pitch,roll: three finite numbers of degrees",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the closed-loop scenario")
     sim.add_argument("--config", type=_scenario_file,
                      help="scenario file (defaults apply if omitted)")
-    sim.add_argument("--seed", type=int, help="override run.seed")
+    sim.add_argument("--seed", type=_seed, help="override [run] seed")
     sim.add_argument("--out", help="output directory (default from config)")
 
     geo = sub.add_parser("geometry", help="print the pointing solution")
@@ -104,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
         geo.add_argument(flag, dest=key, metavar="X", help=f"[geo] {key} (default: the scenario's)")
     geo.add_argument(
         "--attitude",
+        type=_attitude,
         default="0,0,0",
         help="yaw,pitch,roll in degrees for the gimbal solution (default level)",
     )
@@ -158,11 +169,7 @@ def _cmd_geometry(args) -> int:
             return 2
     # a geometry that loads but has no solution (e.g. below the horizon) exits 1
     euler = mechanical.pointing_euler(validate(cfg).geo)
-    try:
-        yaw, pitch, roll = (float(x) * D2R for x in args.attitude.split(","))
-    except ValueError:
-        print("--attitude must be yaw,pitch,roll in degrees", file=sys.stderr)
-        return 2
+    yaw, pitch, roll = (x * D2R for x in args.attitude)
     gimbal = mechanical.stabilization_command(c_n_b(Attitude(yaw, pitch, roll)), euler)
     print(f"heading_deg = {euler.heading / D2R:.4f}")
     print(f"heading_offset_deg = {euler.heading / D2R - 180.0:.4f}")

@@ -19,7 +19,6 @@ the electrical stage.
 
 from __future__ import annotations
 
-import cmath
 import configparser
 import io
 import math
@@ -84,14 +83,9 @@ class ScenarioConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     servo: ServoConfig = field(default_factory=ServoConfig)
     signal: SignalModel = field(default_factory=SignalModel)
-    wavelength: float = 0.015
     nlos: NlosConfig = field(default_factory=NlosConfig)
     electrical: ElectricalConfig = field(default_factory=ElectricalConfig)
     run: RunConfig = field(default_factory=RunConfig)
-
-    def __post_init__(self):
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
 
 
 def default_profile() -> ProfileConfig:
@@ -123,7 +117,7 @@ def _number(kind, noun: str, raw: str):
         value = kind(raw)
     except ValueError:
         raise ValueError(f"cannot parse {raw!r} as {noun}") from None
-    if kind is not int and not cmath.isfinite(value):
+    if kind is not int and not math.isfinite(value):
         raise ValueError(f"{raw!r} is not a finite number")
     if kind is not int and abs(value) > LIMIT:
         raise ValueError(f"{raw!r} is beyond +/-{LIMIT:g}")
@@ -132,10 +126,6 @@ def _number(kind, noun: str, raw: str):
 
 _float = partial(_number, float, "a number")
 _int = partial(_number, int, "an integer")
-
-
-def _complex(raw: str) -> complex:
-    return _number(complex, "a complex number", raw.replace(" ", ""))
 
 
 def _method(raw: str) -> str:
@@ -169,7 +159,7 @@ def _pitch_terms(raw: str) -> list[Sinusoid]:
 # One row per scenario key: (section, key, holder, attribute, parse, scale).
 # The raw text of ``[section] key`` is parsed, multiplied by ``scale`` (file
 # units to radians/SI) and stored as ``attribute`` of the object at the
-# dotted ``holder`` path of the scenario ("" is the scenario itself).
+# dotted ``holder`` path of the scenario.
 SCHEMA = (
     ("geo", "latitude_deg", "geo", "uav_latitude", _float, D2R),
     ("geo", "longitude_deg", "geo", "uav_longitude", _float, D2R),
@@ -197,9 +187,6 @@ SCHEMA = (
     ("servo", "elevation_min_deg", "servo", "elevation_min", _float, D2R),
     ("servo", "elevation_max_deg", "servo", "elevation_max", _float, D2R),
     ("signal", "snr_db", "signal", "snr_db", _float, 1),
-    ("signal", "symbol", "signal", "symbol", _complex, 1),
-    ("signal", "los_gain", "signal", "los_gain_abs", _float, 1),
-    ("signal", "wavelength", "", "wavelength", _float, 1),
     ("signal", "nlos_gain", "nlos", "gain", _float, 1),
     ("signal", "nlos_azimuth_offset_deg", "nlos", "azimuth_offset", _float, D2R),
     ("signal", "nlos_elevation_offset_deg", "nlos", "elevation_offset", _float, D2R),
@@ -230,7 +217,7 @@ _SECTIONS = {section for section, *_ in SCHEMA}
 
 
 def _holder(cfg: ScenarioConfig, path: str):
-    for name in filter(None, path.split(".")):
+    for name in path.split("."):
         cfg = getattr(cfg, name)
     return cfg
 

@@ -218,7 +218,8 @@ def run_sequential_perturbation(
     p_plus/p_minus are from the sweep's last element.  The combiner sum is
     maintained incrementally and each probe reads its noise from a block
     drawn for _SEQ_CHUNK elements, so a probe costs O(1) Python
-    arithmetic: exactly that of ``PowerOracle.sample_pair``.
+    arithmetic: |sum + noise|^2 / scale, exactly that of
+    ``PowerOracle.sample_pair``.
     """
     phases = np.asarray(initial_phases, dtype=float).copy()
     size = phases.size
@@ -227,7 +228,7 @@ def run_sequential_perturbation(
     step = params.seq_step
     rot_plus = complex(np.exp(-1j * step))
     rot_minus = complex(np.exp(1j * step))
-    symbol, scale = oracle.symbol, float(oracle.scale)
+    scale = float(oracle.scale)
     for _ in range(params.seq_max_sweeps):
         contrib = np.conj(np.exp(1j * phases)) * h  # per-element terms of w^H h
         total = complex(contrib.sum())
@@ -241,12 +242,8 @@ def run_sequential_perturbation(
                 base = total - ci
                 plus = base + ci * rot_plus
                 minus = base + ci * rot_minus
-                y = plus * symbol
-                y += noise_plus
-                p_plus = abs(y) ** 2 / scale
-                y = minus * symbol
-                y += noise_minus
-                p_minus = abs(y) ** 2 / scale
+                p_plus = abs(plus + noise_plus) ** 2 / scale
+                p_minus = abs(minus + noise_minus) ** 2 / scale
                 if p_plus > p_minus:
                     walked[i] += step
                     total = plus

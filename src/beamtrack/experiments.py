@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import electrical as el
-from .channel import ArrayGeometry, Channel, PathComponent, PowerOracle
+from .channel import ArrayGeometry, Channel, PathComponent, PowerOracle, SignalModel
 from .electrical import AsspParams
 from .frames import wrap_angle
 
@@ -75,12 +75,12 @@ def run_trial(
     threshold: float = 0.99,
 ) -> TrialResult:
     chan, true_az, true_el = offset_channel(geom, offset_deg)
-    noise_power = 10.0 ** (-snr_db / 10.0)
+    noise_power = SignalModel(snr_db=snr_db).noise_power
     # str hash is process-randomized; derive the stream tag from the bytes
     method_tag = sum(method.encode())
     master = np.random.SeedSequence((seed, method_tag))
     noise_seq, perturb_seq = master.spawn(2)
-    oracle = PowerOracle(chan.vec(), 1.0, noise_power, np.random.default_rng(noise_seq))
+    oracle = PowerOracle(chan.vec(), noise_power, np.random.default_rng(noise_seq))
     runner = METHOD_RUNNERS[method]
     phases, trace = runner(
         np.zeros(geom.size), oracle, params, np.random.default_rng(perturb_seq), geom

@@ -89,7 +89,7 @@ def beam_frame_arrival(
 def build_channel(cfg: ScenarioConfig, azimuth: float, elevation: float) -> ch.Channel:
     """The LOS ray (plus the optional weak second ray) arriving from
     (azimuth, elevation) in the beam frame."""
-    paths = [ch.PathComponent(azimuth, elevation, cfg.signal.los_gain_abs + 0j, 0.0)]
+    paths = [ch.PathComponent(azimuth, elevation)]
     if cfg.nlos.gain > 0.0:
         paths.append(
             ch.PathComponent(
@@ -99,7 +99,7 @@ def build_channel(cfg: ScenarioConfig, azimuth: float, elevation: float) -> ch.C
                 cfg.nlos.path_length,
             )
         )
-    return ch.Channel.from_paths(cfg.array, paths, cfg.wavelength)
+    return ch.Channel.from_paths(cfg.array, paths)
 
 
 class Tick(NamedTuple):
@@ -215,9 +215,7 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
 
         if t >= next_epoch - 1e-12:
             next_epoch += cfg.electrical.epoch_period
-            oracle = ch.PowerOracle(
-                chan.vec(), cfg.signal.symbol, cfg.signal.noise_power, channel_rng
-            )
+            oracle = ch.PowerOracle(chan.vec(), cfg.signal.noise_power, channel_rng)
             phases, trace = el.RUNNERS[cfg.electrical.method](
                 phases, oracle, cfg.electrical.params, perturb_rng, cfg.array
             )

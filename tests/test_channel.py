@@ -9,6 +9,7 @@ from beamtrack.channel import (
     PathComponent,
     PowerOracle,
     SignalModel,
+    WAVELENGTH,
     conj_weight_matrix,
     direction_sines,
     matched_weights,
@@ -31,11 +32,11 @@ def response_matrix(geom, azimuth, elevation):
     return np.outer(r, c)
 
 
-def received_signal(phases, h_vec, symbol, noise_power, rng):
-    """Reference per-element noise model: y = w^H h s + w^H n, with n
+def received_signal(phases, h_vec, noise_power, rng):
+    """Reference per-element noise model: y = w^H h + w^H n, with n
     circular complex Gaussian of per-element variance ``noise_power``."""
     w = weights_from_phases(phases)
-    y = np.vdot(w, np.asarray(h_vec)) * symbol
+    y = np.vdot(w, np.asarray(h_vec))
     if noise_power > 0.0:
         n = math.sqrt(noise_power / 2.0) * (
             rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
@@ -67,7 +68,7 @@ class TestArrayResponse:
 class TestChannelMatrix:
     def test_single_path_whole_wavelength(self):
         geom = ArrayGeometry(8, 4)
-        chan = Channel.from_paths(geom, [PathComponent(0.2, 0.1, 1.0, 3 * 0.015)], 0.015)
+        chan = Channel.from_paths(geom, [PathComponent(0.2, 0.1, 1.0, 3 * WAVELENGTH)])
         np.testing.assert_allclose(
             chan.vec(), response_matrix(geom, 0.2, 0.1).flatten(order="F") / math.sqrt(geom.size),
             atol=1e-12,
@@ -82,7 +83,7 @@ class TestChannelMatrix:
         ]
         rng = np.random.default_rng(8)
         for chosen in (paths[:1], paths):  # LOS alone, LOS plus the second ray
-            chan = Channel.from_paths(geom, chosen, wavelength=0.015)
+            chan = Channel.from_paths(geom, chosen)
             # brute-force oracle: accumulate each entry directly from the model
             h = np.zeros((geom.rows, geom.cols), dtype=complex)
             for m in range(geom.rows):
@@ -94,7 +95,7 @@ class TestChannelMatrix:
                         )
                         h[m, n] += (
                             p.gain
-                            * np.exp(-2j * math.pi * p.path_length / 0.015)
+                            * np.exp(-2j * math.pi * p.path_length / WAVELENGTH)
                             * np.exp(1j * phase)
                             / math.sqrt(geom.size)
                         )
@@ -168,7 +169,7 @@ class TestReceivedSignal:
         geom = ArrayGeometry(16, 8)
         h = los_channel(geom, 0.2, 0.4)
         w = matched_weights(geom, 0.2, 0.4)
-        y = received_signal(w, h, 1.0, 0.0, np.random.default_rng(0))
+        y = received_signal(w, h, 0.0, np.random.default_rng(0))
         assert abs(y) == pytest.approx(math.sqrt(geom.size), abs=1e-10)
 
     def test_orthogonal_steering_nulls(self):
@@ -178,7 +179,7 @@ class TestReceivedSignal:
         null_u = 1.0 / geom.rows  # one DFT bin off along rows
         az = math.asin(null_u / geom.spacing_over_wavelength)
         w = matched_weights(geom, az, 0.0)
-        y = received_signal(w, h, 1.0, 0.0, np.random.default_rng(0))
+        y = received_signal(w, h, 0.0, np.random.default_rng(0))
         assert abs(y) < 1e-10
 
     def test_noise_variance(self):
@@ -187,9 +188,9 @@ class TestReceivedSignal:
         w = matched_weights(geom, 0.0, 0.0)
         rng = np.random.default_rng(33)
         noise_power = 0.05
-        clean = received_signal(w, h, 1.0, 0.0, rng)
+        clean = received_signal(w, h, 0.0, rng)
         draws = np.array(
-            [received_signal(w, h, 1.0, noise_power, rng) - clean for _ in range(100_000)]
+            [received_signal(w, h, noise_power, rng) - clean for _ in range(100_000)]
         )
         var = np.mean(np.abs(draws) ** 2)
         assert var == pytest.approx(geom.size * noise_power, rel=0.03)
@@ -198,8 +199,8 @@ class TestReceivedSignal:
         geom = ArrayGeometry(4, 4)
         h = los_channel(geom)
         w = matched_weights(geom, 0.0, 0.0)
-        y1 = received_signal(w, h, 1.0, 0.1, np.random.default_rng(9))
-        y2 = received_signal(w, h, 1.0, 0.1, np.random.default_rng(9))
+        y1 = received_signal(w, h, 0.1, np.random.default_rng(9))
+        y2 = received_signal(w, h, 0.1, np.random.default_rng(9))
         assert y1 == y2
 
 
@@ -210,13 +211,13 @@ class TestReceivedPower:
         geom = ArrayGeometry(128, 64)
         h = los_channel(geom, 0.1, 0.2)
         w = matched_weights(geom, 0.1, 0.2)
-        p = abs(received_signal(w, h, 1.0, 0.0, np.random.default_rng(0))) ** 2
+        p = abs(received_signal(w, h, 0.0, np.random.default_rng(0))) ** 2
         assert p == pytest.approx(8192.0, rel=1e-10)
-        assert PowerOracle(h, 1.0, 0.0, None)(w) == pytest.approx(1.0, rel=1e-10)
+        assert PowerOracle(h, 0.0, None)(w) == pytest.approx(1.0, rel=1e-10)
 
     def test_nonnegative(self):
         geom = ArrayGeometry(4, 2)
-        oracle = PowerOracle(los_channel(geom), 1.0, 1.0, np.random.default_rng(12))
+        oracle = PowerOracle(los_channel(geom), 1.0, np.random.default_rng(12))
         for _ in range(50):
             assert oracle(np.zeros(geom.size)) >= 0.0
 
@@ -225,7 +226,7 @@ class TestReceivedPower:
         h = los_channel(geom, 0.05, 0.0)
         w = np.zeros(geom.size)
         noise_power = 0.1
-        oracle = PowerOracle(h, 1.0, noise_power, np.random.default_rng(3))
+        oracle = PowerOracle(h, noise_power, np.random.default_rng(3))
         draws = np.array([oracle(w) for _ in range(200_000)])
         # noise adds MN * noise_power to |w^H h|^2 before the MN ||h||^2 scale
         expected = nrsp(w, h) + noise_power / np.vdot(h, h).real
@@ -269,7 +270,7 @@ class TestPowerOracle:
     def test_noiseless_matched_reads_one(self):
         geom = ArrayGeometry(16, 8)
         h = los_channel(geom, 0.1, 0.3)
-        oracle = PowerOracle(h, 1.0, 0.0, np.random.default_rng(0))
+        oracle = PowerOracle(h, 0.0, np.random.default_rng(0))
         assert oracle(matched_weights(geom, 0.1, 0.3)) == pytest.approx(1.0, abs=1e-12)
         assert oracle.queries == 1
 
@@ -282,9 +283,9 @@ class TestPowerOracle:
         scale = geom.size * np.vdot(h, h).real
         rng = np.random.default_rng(77)
         a = np.array([
-            abs(received_signal(w, h, 1.0, noise_power, rng)) ** 2 / scale for _ in range(100_000)
+            abs(received_signal(w, h, noise_power, rng)) ** 2 / scale for _ in range(100_000)
         ])
-        oracle = PowerOracle(h, 1.0, noise_power, np.random.default_rng(78))
+        oracle = PowerOracle(h, noise_power, np.random.default_rng(78))
         b = np.array([oracle(w) for _ in range(100_000)])
         assert a.mean() == pytest.approx(b.mean(), rel=0.02)
         assert a.var() == pytest.approx(b.var(), rel=0.05)
@@ -292,8 +293,8 @@ class TestPowerOracle:
     def test_noise_terms_are_the_per_query_draws(self):
         geom = ArrayGeometry(8, 4)
         h = los_channel(geom, 0.02, 0.1)
-        block = PowerOracle(h, 1.0, 0.1, np.random.default_rng(5))
-        single = PowerOracle(h, 1.0, 0.1, np.random.default_rng(5))
+        block = PowerOracle(h, 0.1, np.random.default_rng(5))
+        single = PowerOracle(h, 0.1, np.random.default_rng(5))
         terms = block.noise_terms(7)
         assert all(type(t) is complex for t in terms)
         # sample_pair(0, 0) reads |noise|^2 / scale from the scalar draws
@@ -306,7 +307,7 @@ class TestPowerOracle:
     def test_noiseless_noise_terms_draw_nothing(self):
         geom = ArrayGeometry(4, 2)
         rng = np.random.default_rng(9)
-        oracle = PowerOracle(los_channel(geom), 1.0, 0.0, rng)
+        oracle = PowerOracle(los_channel(geom), 0.0, rng)
         assert oracle.noise_terms(5) == [0j] * 5
         assert oracle.queries == 5
         assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
@@ -318,8 +319,8 @@ class TestPowerOracle:
         phases = rng.uniform(-3.0, 3.0, geom.size)
         delta = 0.05 * rng.standard_normal(geom.size)
         step = 0.3 * rng.standard_normal(geom.size)
-        held = PowerOracle(h, 0.6 + 0.8j, 0.01, np.random.default_rng(4))
-        fresh = PowerOracle(h, 0.6 + 0.8j, 0.01, np.random.default_rng(4))
+        held = PowerOracle(h, 0.01, np.random.default_rng(4))
+        fresh = PowerOracle(h, 0.01, np.random.default_rng(4))
         held.hold(phases)
         assert held.held_nrsp() == pytest.approx(fresh.true_nrsp(phases), abs=1e-14)
         p_plus, p_minus = held.probe_pair(delta)
@@ -331,4 +332,4 @@ class TestPowerOracle:
 
     def test_signal_model_noise_power(self):
         assert SignalModel(snr_db=20.0).noise_power == pytest.approx(0.01)
-        assert SignalModel(snr_db=10.0, los_gain_abs=2.0).noise_power == pytest.approx(0.4)
+        assert SignalModel(snr_db=-10.0).noise_power == pytest.approx(10.0)

@@ -54,9 +54,13 @@ class TestGeometry:
         assert code == 2
         assert err.startswith(f"error: {flag}: {key}: ")
 
-    def test_bad_attitude_usage(self, capsys):
-        code, _, err = run_cli(capsys, ["geometry", "--attitude", "1,2"])
+    @pytest.mark.parametrize("attitude", ["1,2", "nan,0,0", "0,inf,0"])
+    def test_bad_attitude_usage(self, capsys, attitude):
+        code, out, err = run_cli(capsys, ["geometry", "--attitude", attitude])
         assert code == 2
+        assert err.startswith("usage: ")
+        assert "error: argument --attitude: " in err
+        assert out == ""
 
 
 class TestSimulate:
@@ -172,9 +176,11 @@ class TestSweep:
         ("--values", " "),
         ("--methods", ","),
         ("--methods", "assp,foo"),
+        ("--seed", "-1"),  # a simulate flag, checked as [run] seed
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, capsys, small_sweep, flag, value):
-        code, out, err = run_cli(capsys, small_sweep + ["--values", "20", flag, value])
+        command = ["simulate"] if flag == "--seed" else small_sweep + ["--values", "20"]
+        code, out, err = run_cli(capsys, command + [flag, value])
         assert code == 2
         assert f"error: argument {flag}: " in err
         assert err.startswith("usage: ")

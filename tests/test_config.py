@@ -88,13 +88,6 @@ class TestParsing:
         with pytest.raises(ConfigError, match="signal.snr_db"):
             load_scenario_text("[signal]\nsnr_db = garbage\n")
 
-    def test_complex_symbol(self):
-        cfg = load_scenario_text("[signal]\nsymbol = 0.6+0.8j\n")
-        assert cfg.signal.symbol == 0.6 + 0.8j
-        assert cfg.signal.noise_power == pytest.approx(0.01)
-        with pytest.raises(ConfigError, match="signal.symbol"):
-            load_scenario_text("[signal]\nsymbol = pineapple\n")
-
     def test_invariant_violation_names_section(self):
         with pytest.raises(ConfigError, match="array"):
             load_scenario_text("[array]\nrows = 0\n")
@@ -130,7 +123,6 @@ class TestParsing:
         # checks made by the section's holder
         ("[fusion]\ninitial_covariance = 0", "fusion: initial_covariance"),
         ("[fusion]\nmeasurement_noise = -1", "fusion: process_noise and measurement_noise"),
-        ("[signal]\nwavelength = 0", "signal: wavelength"),
         ("[signal]\nnlos_gain = -0.1", "signal: nlos_gain"),
         ("[electrical]\nepoch_period = 0", "electrical: epochs"),
         # isolation_rates is singular at elevation +/-90 deg
@@ -145,11 +137,13 @@ class TestParsing:
         ("[electrical]\nstop_window = 0", "electrical: stop_window must be at least 1"),
         ("[electrical]\nseq_max_sweeps = -2", "electrical: seq_max_sweeps must be at least 1"),
         ("[run]\nseed = -1", "run: run.duration must be positive and run.seed"),
-        ("[signal]\nlos_gain = 0", r"signal: los_gain \* \|symbol\|"),
-        ("[signal]\nsymbol = 1e-60\nlos_gain = 1e-60", r"signal: los_gain \* \|symbol\|"),
         ("[signal]\nsnr_db = -5000", "signal: snr_db"),
         ("[sensors]\ngyro_white_sigma = 1e300", r"^sensors\.gyro_white_sigma: .* beyond"),
         ("[DEFAULT]\nrows = 4\n[array]\ncols = 4", r"unknown section \[DEFAULT\]"),
+        # keys that cancel from the normalized power reading
+        ("[signal]\nsymbol = 1+0j", "unknown key signal.symbol"),
+        ("[signal]\nlos_gain = 1", "unknown key signal.los_gain"),
+        ("[signal]\nwavelength = 0.015", "unknown key signal.wavelength"),
     ])
     def test_rejected_at_load_time(self, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -167,8 +161,8 @@ DEFAULTS = {
     "fusion": dict(initial_covariance=1e-2, process_noise=1e-6, measurement_noise=1e-4),
     "servo": dict(gain=20, rate_limit_deg=60, azimuth_stop_deg=180, elevation_min_deg=0,
                   elevation_max_deg=85),
-    "signal": dict(snr_db=20, symbol="1+0j", los_gain=1, wavelength=0.015, nlos_gain=0,
-                   nlos_azimuth_offset_deg=2, nlos_elevation_offset_deg=30, nlos_path_length=0.5),
+    "signal": dict(snr_db=20, nlos_gain=0, nlos_azimuth_offset_deg=2, nlos_elevation_offset_deg=30,
+                   nlos_path_length=0.5),
     "electrical": dict(method="assp", gain=0.7, structure_weight=0.02, isotropic_weight=0.01,
                        gain_offset=0.1, step_exponent=0.602, probe_exponent=0.101, max_iters=100,
                        stop_epsilon=1e-3, stop_window=3, seq_step=0.25, seq_max_sweeps=12,
@@ -190,7 +184,7 @@ def leaves(obj, path=""):
 class TestTable:
     def test_defaults_file_writes_every_key(self):
         assert sorted((s, k) for s in DEFAULTS for k in DEFAULTS[s]) == sorted(KEYS)
-        assert len(KEYS) == 50
+        assert len(KEYS) == 47
         text = "".join(
             f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in DEFAULTS[s].items()) for s in DEFAULTS
         )
@@ -227,8 +221,6 @@ def raw_value(section, key):
     if section == "profile":
         term = st.tuples(st.floats(-90, 90), st.floats(-2, 2), st.floats(-360, 360))
         return st.lists(term.map(lambda t: "%r @ %r @ %r" % t), max_size=3).map(", ".join) | special
-    if key == "symbol":
-        return st.complex_numbers(max_magnitude=3).map(str) | special
     if key in ("sample_period", "epoch_period"):
         return st.floats(0.002, 30).map(repr) | special
     scaled = st.floats(-3, 3).map(lambda f: (default or 1) * f)

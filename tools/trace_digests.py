@@ -12,8 +12,8 @@ after.  Run it from the root of each tree:
     python3 tools/trace_digests.py
 
 It imports ``beamtrack`` from the ``src/`` next to it, writes its traces
-into a temporary directory, and takes about half a minute on a 2-vCPU
-x86-64 machine.
+into a temporary directory, and takes about 10 s on a 2-vCPU x86-64
+machine.
 """
 
 from __future__ import annotations
