@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,14 +89,20 @@ def direction_sines(azimuth: float, elevation: float) -> tuple[float, float]:
     return s * math.cos(elevation), s * math.sin(elevation)
 
 
+@lru_cache(maxsize=16)
+def _indices(n: int) -> np.ndarray:
+    """Read-only 1j * (0 .. n-1); times x, bit for bit 1j * (x * (0 .. n-1))."""
+    idx = 1j * np.arange(n, dtype=float)
+    idx.flags.writeable = False
+    return idx
+
+
 def plane_wave(geom: ArrayGeometry, u_r: float, u_c: float) -> tuple[np.ndarray, np.ndarray]:
     """Unit-modulus factors (r, c) of the response to a plane wave with
-    direction sines (u_r, u_c): element (m, n) is r[m] * c[n]."""
+    direction sines (u_r, u_c): element (m, n) is r[m] * c[n]; one exponential makes both."""
     k = 2.0 * math.pi * geom.spacing_over_wavelength
-    return (
-        np.exp(1j * (k * u_r * np.arange(geom.rows))),
-        np.exp(1j * (k * u_c * np.arange(geom.cols))),
-    )
+    e = np.exp(np.concatenate((k * u_r * _indices(geom.rows), k * u_c * _indices(geom.cols))))
+    return e[:geom.rows], e[geom.rows:]
 
 
 @dataclass(frozen=True)
@@ -250,8 +257,11 @@ class PowerOracle:
         ``abs(combined + noise) ** 2 / scale``."""
         self.queries += n
         if self.noise_power > 0.0:
+            sigma, draw = self._noise_sigma, self.rng.standard_normal
             # 2n normals in one draw are the 2n scalar draws of n queries
-            return (self._noise_sigma * self.rng.standard_normal(2 * n)).view(complex).tolist()
+            if n == 1:  # so one query draws two scalars, without the array
+                return [complex(sigma * draw(), sigma * draw())]
+            return (sigma * draw(2 * n)).view(complex).tolist()
         return [0j] * n
 
     def hold(self, phases: np.ndarray) -> None:

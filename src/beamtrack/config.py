@@ -245,6 +245,9 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             check()
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
+    # run_simulation runs round(duration / sample_period) ticks
+    if round(cfg.run.duration / cfg.sensors.sample_period) < 1:
+        raise ConfigError("run.duration: shorter than half a sensors.sample_period, no tick runs")
     return cfg
 
 

@@ -9,6 +9,8 @@ Conventions used throughout the package:
 * ``c_n_b`` etc. are direction cosine matrices named source-to-target:
   ``c_n_b(att) @ v_n`` gives the vector in body coordinates.
 * Quaternions are scalar-first arrays ``[q0, q1, q2, q3]`` with unit norm.
+* The loop's 3-vectors (rates, sensor readings) are float tuples; a function
+  that takes one accepts any 3-sequence, an array too.
 * The yaw/pitch/roll sequence is z-y-x: ``c_n_b = rot_x(roll) @
   rot_y(pitch) @ rot_z(yaw)``.
 """
@@ -59,11 +61,15 @@ def _matrix3(entries: list[float]) -> np.ndarray:
     return np.array(entries).reshape(3, 3)
 
 
-def rot_z(angle: float) -> np.ndarray:
-    """Frame rotation by ``angle`` about the z axis."""
+def _rot_z(angle: float) -> list[float]:
     a = _check_finite(angle)
     c, s = math.cos(a), math.sin(a)
-    return _matrix3([c, s, 0.0, -s, c, 0.0, 0.0, 0.0, 1.0])
+    return [c, s, 0.0, -s, c, 0.0, 0.0, 0.0, 1.0]
+
+
+def rot_z(angle: float) -> np.ndarray:
+    """Frame rotation by ``angle`` about the z axis."""
+    return _matrix3(_rot_z(angle))
 
 
 def rot_y(angle: float) -> np.ndarray:
@@ -83,6 +89,8 @@ def rot_x(angle: float) -> np.ndarray:
 def _rot_xy(x: float, y: float) -> list[float]:
     """Row-major entries of ``rot_x(x) @ rot_y(y)``, written out.  Every entry
     is a single product, so it equals the matrix product exactly."""
+    _check_finite(x)
+    _check_finite(y)
     cx, sx = math.cos(x), math.sin(x)
     cy, sy = math.cos(y), math.sin(y)
     return [cy, 0.0, -sy, sx * sy, cx, sx * cy, cx * sy, -sx, cx * cy]
@@ -91,12 +99,12 @@ def _rot_xy(x: float, y: float) -> list[float]:
 def _zyx(z: float, y: float, x: float) -> np.ndarray:
     """``rot_x(x) @ rot_y(y) @ rot_z(z)``, with one matrix product instead of two.
 
-    ``np.dot`` makes the same BLAS call as ``@`` on 2-D float arrays, so the
-    bits match, at half the call overhead.
+    Both factors are built in one array.  ``ndarray.dot`` runs the BLAS call of
+    ``np.dot`` and ``@`` on 2-D float arrays, so the bits match, at a third
+    of the call overhead.
     """
-    _check_finite(x)
-    _check_finite(y)
-    return np.dot(_matrix3(_rot_xy(x, y)), rot_z(z))
+    factors = np.array(_rot_xy(x, y) + _rot_z(z)).reshape(2, 3, 3)
+    return factors[0].dot(factors[1])
 
 
 def c_b_t(azimuth: float, elevation: float, polarization: float) -> np.ndarray:
@@ -116,19 +124,15 @@ def c_n_t(heading: float, elevation: float, polarization: float) -> np.ndarray:
 
 def euler_rates_in_frame(
     x: float, y: float, x_rate: float, y_rate: float, z_rate: float
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """Angular velocity, in the last frame of the z-y-x sequence, of the angle rates.
 
     ``[x_rate, 0, 0] + rot_x(x) @ [0, y_rate, 0] + rot_x(x) @ rot_y(y) @
     [0, 0, z_rate]``, written out; every matrix entry involved is a single
     product, so the result equals the matrix form exactly.
     """
-    _check_finite(x)
-    _check_finite(y)
     _, _, r02, _, r11, r12, _, r21, r22 = _rot_xy(x, y)
-    return np.array(
-        [x_rate + r02 * z_rate, r11 * y_rate + r12 * z_rate, r21 * y_rate + r22 * z_rate]
-    )
+    return (x_rate + r02 * z_rate, r11 * y_rate + r12 * z_rate, r21 * y_rate + r22 * z_rate)
 
 
 def _rotation_rows(matrix: np.ndarray, tol: float = 1e-8) -> list[list[float]] | None:
@@ -180,11 +184,17 @@ def zyx_angles(matrix: np.ndarray) -> tuple[float, float, float]:
     convention there is x = 0, y = +/-90 deg by the sign of -C13, and
     z = atan2(-C21, C22), which at the pole rebuilds the same DCM.
 
-    Raises ``ValueError`` when ``matrix`` is not a rotation.
+    Raises ``ValueError`` when ``matrix`` is not a rotation.  The loop reads
+    its own DCMs without that check, through ``_zyx_of_rows``.
     """
     rows = _rotation_rows(matrix)
     if rows is None:
         raise ValueError("input is not a rotation matrix")
+    return _zyx_of_rows(rows)
+
+
+def _zyx_of_rows(rows: list[list[float]]) -> tuple[float, float, float]:
+    """:func:`zyx_angles` of the rotation with float ``rows``, unchecked."""
     (c11, c12, c13), (c21, c22, c23), (_, _, c33) = rows
     if abs(c13) >= 1.0 - GIMBAL_LOCK_EPS:
         return math.atan2(-c21, c22), math.copysign(math.pi / 2, -c13), 0.0
@@ -220,7 +230,7 @@ def quat_to_dcm(q: np.ndarray) -> np.ndarray:
     n = math.sqrt(q.dot(q))
     if abs(n - 1.0) > 1e-6:
         raise ValueError(f"quaternion norm {n} departs from 1 beyond 1e-6")
-    q0, q1, q2, q3 = (q / n).tolist()
+    q0, q1, q2, q3 = [v / n for v in q.tolist()]
     return _matrix3(
         [
             q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,

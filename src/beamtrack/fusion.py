@@ -59,13 +59,13 @@ def make_filter_state(q0: np.ndarray, cov: FusionConfig) -> FilterState:
     )
 
 
-def predict(state: FilterState, body_rates: np.ndarray, sample_period: float) -> FilterState:
+def predict(state: FilterState, body_rates, sample_period: float) -> FilterState:
     """Propagate estimate and covariance one step; returns the prior.
 
-    q- = (I + (T_s/2) Omega(omega)) q, written out in floats.
+    q- = (I + (T_s/2) Omega(omega)) q, written out in floats; ``body_rates`` is a 3-sequence.
     """
     h = sample_period / 2.0
-    wx, wy, wz = np.asarray(body_rates, dtype=float).tolist()
+    wx, wy, wz = body_rates
     x, y, z = h * wx, h * wy, h * wz
     q0, q1, q2, q3 = state.q.tolist()
     q_pred = np.array([
@@ -105,7 +105,12 @@ def update(state: FilterState, z: np.ndarray) -> FilterState:
     if innovation == 0.0:
         raise NumericalError("zero innovation variance")
     gain = state.kappa / innovation
-    q_new = state.q + gain * (np.asarray(z, dtype=float) - state.q)
+    # q + g (z - q), written out in floats: the same IEEE operations
+    q0, q1, q2, q3 = state.q.tolist()
+    z0, z1, z2, z3 = np.asarray(z, dtype=float).tolist()
+    q_new = np.array([
+        q0 + gain * (z0 - q0), q1 + gain * (z1 - q1), q2 + gain * (z2 - q2), q3 + gain * (z3 - q3)
+    ])
     # np.linalg.norm's own formula, without its overhead
     norm = math.sqrt(q_new.dot(q_new))
     if norm == 0.0:
@@ -113,21 +118,8 @@ def update(state: FilterState, z: np.ndarray) -> FilterState:
     return FilterState(q_new / norm, (1.0 - gain) * state.kappa, state.q_chi, state.q_u)
 
 
-def fuse_step(
-    state: FilterState,
-    body_rates_measured: np.ndarray,
-    yaw_m: float,
-    pitch_m: float,
-    roll_m: float,
-    sample_period: float,
-) -> FilterState:
-    """One full fusion cycle: predict, measure, update."""
-    prior = predict(state, body_rates_measured, sample_period)
-    return update(prior, measurement_quat(yaw_m, pitch_m, roll_m, q_ref=prior.q))
-
-
 def estimate(q: np.ndarray) -> tuple[np.ndarray, Attitude]:
     """The NED-to-body DCM of the estimate ``q`` and its yaw/pitch/roll,
-    both read from the one DCM ``quat_to_dcm`` builds."""
+    both read from the one DCM ``quat_to_dcm`` builds, a rotation: unchecked."""
     c_n_b = frames.quat_to_dcm(q).T
-    return c_n_b, Attitude(*frames.zyx_angles(c_n_b))
+    return c_n_b, Attitude(*frames._zyx_of_rows(c_n_b.tolist()))

@@ -131,9 +131,10 @@ def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> GimbalAngl
     the vehicle shifts the azimuth command by the opposite amount.  At the
     keyhole (elevation +/-90 deg) the angles take the pole convention of
     ``frames.zyx_angles``: polarization 0, the azimuth carrying the rest.
+    ``c_n_b`` must be a rotation (the loop's own DCMs): it is not checked.
     """
-    c_bt = np.dot(_ned_to_beam(tuple(euler)), c_n_b.T)
-    return GimbalAngles(*frames.zyx_angles(c_bt))
+    c_bt = _ned_to_beam(tuple(euler)).dot(c_n_b.T)  # np.dot's routine, as in frames._zyx
+    return GimbalAngles(*frames._zyx_of_rows(c_bt.tolist()))
 
 
 def coupled_beam_rate(angles: GimbalAngles, body_rates: np.ndarray) -> np.ndarray:
@@ -141,23 +142,23 @@ def coupled_beam_rate(angles: GimbalAngles, body_rates: np.ndarray) -> np.ndarra
     return np.dot(frames.c_b_t(*angles), np.asarray(body_rates, dtype=float))
 
 
-def monitor_beam_rate(angles: GimbalAngles, rates: GimbalRates) -> np.ndarray:
-    """Net beam-frame rate produced by the three gimbal motors."""
+def monitor_beam_rate(angles: GimbalAngles, rates: GimbalRates) -> tuple[float, float, float]:
+    """Net beam-frame rate produced by the three gimbal motors, a float tuple."""
     return frames.euler_rates_in_frame(
         angles.polarization, angles.elevation,
         rates.polarization, rates.elevation, rates.azimuth,
     )
 
 
-def isolation_rates(angles: GimbalAngles, body_rates: np.ndarray) -> GimbalRates:
-    """Gimbal rates that exactly cancel the coupled beam rate.
+def isolation_rates(angles: GimbalAngles, body_rates) -> GimbalRates:
+    """Gimbal rates that exactly cancel the coupled beam rate of ``body_rates``.
 
     Singular as the elevation approaches +/-90 deg (keyhole), where the
     azimuth axis loses authority over the beam.
     """
     if abs(angles.elevation) >= KEYHOLE:
         raise SingularityError("elevation too close to +/-90 deg (keyhole)")
-    wx, wy, wz = np.asarray(body_rates, dtype=float).tolist()
+    wx, wy, wz = body_rates
     ca, sa = math.cos(angles.azimuth), math.sin(angles.azimuth)
     tb = math.tan(angles.elevation)
     sec_b = 1.0 / math.cos(angles.elevation)

@@ -67,8 +67,8 @@ class FlightState:
 
     time: float
     attitude: Attitude
-    euler_rates: np.ndarray  # [roll_rate, pitch_rate, yaw_rate], rad/s
-    body_rates: np.ndarray  # rad/s in the body frame
+    euler_rates: tuple[float, float, float]  # (roll_rate, pitch_rate, yaw_rate), rad/s
+    body_rates: tuple[float, float, float]  # rad/s in the body frame
 
 
 def _axis_value_rate(terms: Sequence[Sinusoid], t: float) -> tuple[float, float]:
@@ -89,11 +89,11 @@ def flight_profile(t: float, profile: ProfileConfig) -> FlightState:
     pitch, pitch_rate = _axis_value_rate(profile.pitch, t)
     roll, roll_rate = _axis_value_rate(profile.roll, t)
     attitude = Attitude(yaw, pitch, roll)
-    euler_rates = np.array([roll_rate, pitch_rate, yaw_rate])
+    euler_rates = (roll_rate, pitch_rate, yaw_rate)
     return FlightState(t, attitude, euler_rates, euler_rates_to_body_rates(attitude, euler_rates))
 
 
-def euler_rates_to_body_rates(attitude: Attitude, euler_rates: np.ndarray) -> np.ndarray:
+def euler_rates_to_body_rates(attitude: Attitude, euler_rates) -> tuple[float, float, float]:
     """Map (roll, pitch, yaw) rates to body angular rates.
 
     Composition of the per-axis rotation rates expressed in the body frame:
@@ -102,7 +102,7 @@ def euler_rates_to_body_rates(attitude: Attitude, euler_rates: np.ndarray) -> np
     """
     if abs(attitude.pitch) >= math.pi / 2:
         raise SingularityError("pitch at +/-90 deg")
-    roll_rate, pitch_rate, yaw_rate = np.asarray(euler_rates, dtype=float).tolist()
+    roll_rate, pitch_rate, yaw_rate = euler_rates
     return frames.euler_rates_in_frame(
         attitude.roll, attitude.pitch, roll_rate, pitch_rate, yaw_rate
     )
@@ -125,13 +125,13 @@ def body_rates_to_euler_rates(attitude: Attitude, body_rates: np.ndarray) -> np.
 
 
 def gyro_measure(
-    truth: np.ndarray, noise: SensorNoiseConfig, rng: np.random.Generator
-) -> np.ndarray:
+    truth, noise: SensorNoiseConfig, rng: np.random.Generator
+) -> tuple[float, float, float]:
     """Gyro triad output: truth + constant bias + white noise per axis."""
-    wx, wy, wz = np.asarray(truth, dtype=float).tolist()
+    wx, wy, wz = truth
     nx, ny, nz = rng.standard_normal(3).tolist()
     bias, sigma = noise.gyro_bias, noise.gyro_white_sigma
-    return np.array([wx + bias + sigma * nx, wy + bias + sigma * ny, wz + bias + sigma * nz])
+    return (wx + bias + sigma * nx, wy + bias + sigma * ny, wz + bias + sigma * nz)
 
 
 def gyro_integrate(prev: Attitude, body_rates: np.ndarray, sample_period: float) -> Attitude:
@@ -146,7 +146,7 @@ def gyro_integrate(prev: Attitude, body_rates: np.ndarray, sample_period: float)
 
 def accel_measure(
     attitude: Attitude, noise: SensorNoiseConfig, rng: np.random.Generator
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """Accelerometer triad under quasi-static flight: gravity projection + noise.
 
     Level attitude gives (0, 0, -g).
@@ -155,7 +155,7 @@ def accel_measure(
     sr, cr = math.sin(attitude.roll), math.cos(attitude.roll)
     nx, ny, nz = rng.standard_normal(3).tolist()
     g, sigma = -noise.gravity, noise.accel_white_sigma
-    return np.array([g * -sp + sigma * nx, g * (sr * cp) + sigma * ny, g * (cr * cp) + sigma * nz])
+    return (g * -sp + sigma * nx, g * (sr * cp) + sigma * ny, g * (cr * cp) + sigma * nz)
 
 
 class PitchRoll(NamedTuple):
@@ -164,14 +164,14 @@ class PitchRoll(NamedTuple):
     saturated: bool
 
 
-def accel_to_pitch_roll(f: np.ndarray, gravity: float) -> PitchRoll:
+def accel_to_pitch_roll(f, gravity: float) -> PitchRoll:
     """Invert the accelerometer model.
 
     Pitch comes from asin(f_x/g); noise can push |f_x| past g, in which case
     the ratio is clamped and the result flagged.  Roll uses the two-argument
     arctangent with signs chosen so a level (0, 0, -g) reading maps to zero.
     """
-    fx, fy, fz = np.asarray(f, dtype=float).tolist()
+    fx, fy, fz = f
     ratio = fx / gravity
     saturated = abs(ratio) > 1.0
     pitch = math.asin(min(1.0, max(-1.0, ratio)))

@@ -64,6 +64,26 @@ class TestArrayResponse:
         a = response_matrix(ArrayGeometry(8, 5), 0.6, -0.4)
         assert a[0, 0] == 1.0 + 0j
 
+    def test_two_geometries_in_one_process(self):
+        # plane_wave keeps one index vector per length: interleaved sizes
+        # must give each its own factors, with the bits of one exponential
+        # per factor, and leave earlier factors as they were
+        rng = np.random.default_rng(83)
+        geoms = (ArrayGeometry(16, 8), ArrayGeometry(5, 12, 0.7))
+        kept = []
+        for i in range(60):
+            geom = geoms[i % 2]
+            u_r, u_c = rng.uniform(-1, 1, 2).tolist()
+            if i % 5 == 0:
+                u_r, u_c = -0.0, 0.0  # signed zeros
+            k = 2.0 * math.pi * geom.spacing_over_wavelength
+            r, c = plane_wave(geom, u_r, u_c)
+            assert r.tobytes() == np.exp(1j * (k * u_r * np.arange(geom.rows))).tobytes()
+            assert c.tobytes() == np.exp(1j * (k * u_c * np.arange(geom.cols))).tobytes()
+            kept.append((r, c, r.copy(), c.copy()))
+        for r, c, r0, c0 in kept:
+            assert r.tobytes() == r0.tobytes() and c.tobytes() == c0.tobytes()
+
 
 class TestChannelMatrix:
     def test_single_path_whole_wavelength(self):
@@ -303,6 +323,20 @@ class TestPowerOracle:
         ]
         assert block.queries == single.queries == 7
         assert block.rng.standard_normal() == single.rng.standard_normal()
+
+    def test_one_query_noise_is_the_array_draw(self):
+        # noise_terms(1) draws two scalars: the stream of one array draw
+        h = los_channel(ArrayGeometry(8, 4), 0.02, 0.1)
+        scalar = PowerOracle(h, 0.1, np.random.default_rng(17))
+        block = PowerOracle(h, 0.1, np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        for n in (1, 1, 3, 1, 2, 1, 1):
+            terms = [t for _ in range(n) for t in scalar.noise_terms(1)]
+            assert terms == block.noise_terms(n)
+            want = (scalar._noise_sigma * rng.standard_normal(2 * n)).view(complex)
+            assert np.array(terms).tobytes() == want.tobytes()
+            assert all(type(t) is complex for t in terms)
+        assert scalar.queries == block.queries == 10
 
     def test_noiseless_noise_terms_draw_nothing(self):
         geom = ArrayGeometry(4, 2)

@@ -137,6 +137,9 @@ class TestParsing:
         ("[electrical]\nstop_window = 0", "electrical: stop_window must be at least 1"),
         ("[electrical]\nseq_max_sweeps = -2", "electrical: seq_max_sweeps must be at least 1"),
         ("[run]\nseed = -1", "run: run.duration must be positive and run.seed"),
+        # no tick: run_simulation rounds duration / sample_period to 0
+        ("[run]\nduration = 0.004", r"^run\.duration: .*no tick runs"),
+        ("[run]\nduration = 1\n[sensors]\nsample_period = 2.5", r"^run\.duration: "),
         ("[signal]\nsnr_db = -5000", "signal: snr_db"),
         ("[sensors]\ngyro_white_sigma = 1e300", r"^sensors\.gyro_white_sigma: .* beyond"),
         ("[DEFAULT]\nrows = 4\n[array]\ncols = 4", r"unknown section \[DEFAULT\]"),

@@ -288,8 +288,43 @@ class TestGimbalExtraction:
                     assert abs(wrap_angle(out[0] - azimuth)) <= 1e-10
 
     def test_non_rotation_rejected(self):
-        with pytest.raises(ValueError):
-            zyx_angles(np.ones((3, 3)))
+        # the check outside callers get; the loop's own DCMs skip it
+        for matrix in (
+            np.ones((3, 3)), np.diag([1.0, 1.0, -1.0]) @ R0, 1.01 * R0, shear(1.1e-8),
+            np.full((3, 3), float("nan")), np.eye(2), np.eye(3).ravel(),
+        ):
+            with pytest.raises(ValueError, match="not a rotation"):
+                zyx_angles(matrix)
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestUncheckedReader:
+    """``frames._zyx_of_rows`` reads the loop's own DCMs without the rotation
+    check, and must read exactly what ``zyx_angles`` reads after it."""
+
+    def test_equals_zyx_angles_bit_for_bit(self):
+        rng = np.random.default_rng(53)
+        in_band = 0
+        for i in range(4000):
+            z, x = rng.uniform(-math.pi, math.pi, size=2)
+            # every other middle angle within 1e-4 rad of a pole: the pole
+            # band (about 4.5e-5 rad) and just outside it
+            if i % 2:
+                y = math.copysign(math.pi / 2 - rng.uniform(0.0, 1e-4), rng.uniform(-1, 1))
+            else:
+                y = rng.uniform(-math.pi / 2, math.pi / 2)
+            for m in (c_b_t(z, y, x), quat_to_dcm(euler_to_quat(Attitude(z, y, x))).T):
+                angles = frames._zyx_of_rows(m.tolist())
+                assert bits(angles) == bits(zyx_angles(m))
+                in_band += angles[2] == 0.0 and abs(angles[1]) == math.pi / 2
+        assert 500 < in_band < 3500  # both sides of the band edge were read
+        for y in POLES:
+            for z, x in POLE_PAIRS:
+                m = c_b_t(z, y, x)
+                assert bits(frames._zyx_of_rows(m.tolist())) == bits(zyx_angles(m))
 
 
 class TestQuaternions:

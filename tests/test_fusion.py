@@ -224,6 +224,18 @@ class TestUpdate:
             state = update(state, z)
             assert abs(np.linalg.norm(state.q) - 1.0) <= 1e-9
 
+    def test_keeps_the_bits_of_the_array_form(self):
+        # q + g (z - q) is written out in floats: the same IEEE operations
+        rng = np.random.default_rng(71)
+        for _ in range(2000):
+            q = rng.standard_normal(4)
+            q /= np.linalg.norm(q)
+            z = rng.standard_normal(4)
+            state = FilterState(q, rng.uniform(1e-6, 1e-1), 1e-6, 10.0 ** rng.uniform(-6, -2))
+            q_new = q + state.kappa / (state.kappa + state.q_u) * (z - q)
+            want = q_new / math.sqrt(q_new.dot(q_new))
+            assert update(state, z).q.tobytes() == want.tobytes()
+
 
 def fusion_ticks(profile, noise_cfg, seed, duration, **covariances):
     """The sense-and-fuse ticks of a filter started on the noiseless truth."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamtrack import frames, sensors
+from beamtrack import frames, fusion, mechanical, sensors
 from beamtrack.frames import Attitude, SingularityError
 from beamtrack.sensors import (
     ProfileConfig,
@@ -300,3 +300,62 @@ class TestNoiselessRoundTrips:
             SensorNoiseConfig(sample_period=0.0)
         with pytest.raises(ValueError):
             SensorNoiseConfig(gyro_white_sigma=-1.0)
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestFloatTupleVectors:
+    """The loop's 3-vectors are float tuples with the bits of the array forms
+    they replace, and the functions that read one also take an array."""
+
+    def test_flight_profile_rates(self):
+        prof = default_profile()
+        for t in np.linspace(0.0, 20.0, 57).tolist():
+            state = flight_profile(t, prof)
+            for vec in (state.euler_rates, state.body_rates):
+                assert type(vec) is tuple and all(type(v) is float for v in vec)
+            roll_rate, pitch_rate, yaw_rate = state.euler_rates
+            roll, pitch = state.attitude.roll, state.attitude.pitch
+            matrix_form = (
+                np.array([roll_rate, 0.0, 0.0])
+                + frames.rot_x(roll) @ np.array([0.0, pitch_rate, 0.0])
+                + frames.rot_x(roll) @ frames.rot_y(pitch) @ np.array([0.0, 0.0, yaw_rate])
+            )
+            assert bits(state.body_rates) == bits(matrix_form)
+
+    def test_sensor_draws_match_their_array_forms(self):
+        cfg = SensorNoiseConfig()
+        rng = np.random.default_rng(61)
+        for seed in range(50):
+            truth = rng.uniform(-1, 1, 3)
+            att = Attitude(*rng.uniform(-1.4, 1.4, 3))
+            draws, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            omega = gyro_measure(tuple(truth.tolist()), cfg, draws)
+            f = accel_measure(att, cfg, draws)
+            assert type(omega) is tuple and type(f) is tuple
+            assert bits(omega) == bits(
+                truth + cfg.gyro_bias + cfg.gyro_white_sigma * ref.standard_normal(3)
+            )
+            sp, cp = math.sin(att.pitch), math.cos(att.pitch)
+            sr, cr = math.sin(att.roll), math.cos(att.roll)
+            assert bits(f) == bits(
+                -cfg.gravity * np.array([-sp, sr * cp, cr * cp])
+                + cfg.accel_white_sigma * ref.standard_normal(3)
+            )
+
+    def test_readers_take_arrays(self):
+        cfg = SensorNoiseConfig()
+        rates = (0.31, -0.22, 0.13)
+        array = np.array(rates)
+        state = fusion.make_filter_state(np.array([0.9, 0.1, -0.2, 0.3]), fusion.FusionConfig())
+        angles = mechanical.GimbalAngles(0.4, 0.7, -0.2)
+        for reader in (
+            lambda v: fusion.predict(state, v, 0.01).q,
+            lambda v: mechanical.isolation_rates(angles, v),
+            lambda v: accel_to_pitch_roll(v, cfg.gravity)[:2],
+            lambda v: gyro_measure(v, cfg, np.random.default_rng(3)),
+            lambda v: euler_rates_to_body_rates(Attitude(0.1, 0.2, 0.3), v),
+        ):
+            assert bits(reader(array)) == bits(reader(rates))

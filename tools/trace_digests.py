@@ -9,7 +9,12 @@ and prints one sha256 over the reprs of their results.
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
 
-    python3 tools/trace_digests.py
+    python3 tools/trace_digests.py > before.txt        # on the old tree
+    python3 tools/trace_digests.py --expect before.txt  # on the new tree
+
+With ``--expect FILE`` it compares its lines with a saved run: it exits 1
+and prints the lines that differ (``-`` saved, ``+`` this run) on standard
+error, or exits 0 when every line matches.
 
 It imports ``beamtrack`` from the ``src/`` next to it, writes its traces
 into a temporary directory, and takes about 10 s on a 2-vCPU x86-64
@@ -18,7 +23,9 @@ machine.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import os
@@ -66,7 +73,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def simulate_digests(work: Path) -> None:
+def simulate_digests(work: Path):
     for name, text in CONFIGS.items():
         cfg = work / f"{name}.ini"
         cfg.write_text(text)
@@ -78,12 +85,12 @@ def simulate_digests(work: Path) -> None:
         if code != 0:
             sys.exit(f"trace_digests: simulate exited {code} on config {name}")
         out = work / name
-        print(f"{name} trace.csv   {sha256((out / 'trace.csv').read_bytes())}")
-        print(f"{name} trace.json  {sha256((out / 'trace.json').read_bytes())}")
-        print(f"{name} summary     {sha256(summary.getvalue().encode())}")
+        yield f"{name} trace.csv   {sha256((out / 'trace.csv').read_bytes())}"
+        yield f"{name} trace.json  {sha256((out / 'trace.json').read_bytes())}"
+        yield f"{name} summary     {sha256(summary.getvalue().encode())}"
 
 
-def trial_digest() -> None:
+def trial_digest() -> str:
     reprs = [
         repr(run_trial(method, ArrayGeometry(rows, cols), snr, seed, params))
         for rows, cols, seeds in ARRAYS
@@ -92,20 +99,45 @@ def trial_digest() -> None:
         for snr in SNRS_DB
         for seed in range(seeds)
     ]
-    print(f"run_trial x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}")
+    return f"run_trial x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--expect", metavar="FILE", type=Path,
+        help="a saved run of this script: exit 1 and print the lines that differ",
+    )
+    args = parser.parse_args(argv)
+    expected = None
+    if args.expect:
+        # read first, so that a missing file fails before the 10 s of runs
+        try:
+            expected = args.expect.read_text().splitlines()
+        except OSError as exc:
+            parser.error(f"--expect: {exc}")
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         previous = os.getcwd()
         os.chdir(work)
         try:
-            simulate_digests(work)
+            for line in simulate_digests(work):
+                print(line, flush=True)
+                lines.append(line)
         finally:
             os.chdir(previous)
-    trial_digest()
+    lines.append(trial_digest())
+    print(lines[-1])
+    if expected is None:
+        return 0
+    diff = list(difflib.unified_diff(expected, lines, str(args.expect), "this run", lineterm="", n=0))
+    if diff:
+        print("\n".join(diff), file=sys.stderr)
+        return 1
+    print(f"trace_digests: all {len(lines)} lines match {args.expect}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
