@@ -1,6 +1,7 @@
 """Ka-band multipath channel of the uniform planar array, kept factored;
-matched analog weights, spatial spectrum, the normalized received power,
-and the noisy power oracle of the electrical stage.
+the link that sets its paths and noise (``SignalModel``), matched analog
+weights, spatial spectrum, the normalized received power, and the noisy
+power oracle of the electrical stage.
 
 Every power reading is normalized to the matched-beam maximum MN*||h||^2,
 and the noise variance is set relative to a unit-gain LOS ray, so the
@@ -53,14 +54,12 @@ class ArrayGeometry:
 class PathComponent:
     azimuth: float  # rad, polar angle off the array normal
     elevation: float  # rad, orientation around the normal
-    gain: complex = 1.0 + 0.0j
-    path_length: float = 0.0  # m
+    gain: complex = 1.0 + 0.0j  # carries the carrier phase of the path length
 
     def __post_init__(self):
         if not (
             math.isfinite(self.azimuth)
             and math.isfinite(self.elevation)
-            and math.isfinite(self.path_length)
             and math.isfinite(abs(self.gain))
         ):
             raise ValueError("path parameters must be finite")
@@ -68,19 +67,39 @@ class PathComponent:
 
 @dataclass
 class SignalModel:
-    """Link SNR of the blind power reading, relative to a unit-gain LOS ray
-    and a unit-power symbol."""
+    """The link of the blind power reading: its SNR, relative to a
+    unit-gain LOS ray and a unit-power symbol, and the optional weak second
+    ray, offset from the LOS arrival and delayed by a path length."""
 
     snr_db: float = 20.0
+    nlos_gain: float = 0.0  # magnitude of the second ray; 0 disables
+    nlos_azimuth_offset: float = math.radians(2.0)
+    nlos_elevation_offset: float = math.radians(30.0)
+    nlos_path_length: float = 0.5  # m
 
     def __post_init__(self):
         if not self.snr_db >= -300:  # 10^(-snr/10) overflows near -3080 dB
             raise ValueError("snr_db must be at least -300")
+        if not self.nlos_gain >= 0:
+            raise ValueError("nlos_gain must be non-negative")
 
     @property
     def noise_power(self) -> float:
         """Per-element noise variance from the configured SNR."""
         return 10.0 ** (-self.snr_db / 10.0)
+
+    def paths(self, azimuth: float, elevation: float) -> list[PathComponent]:
+        """The LOS ray arriving from (azimuth, elevation), plus the second
+        ray when ``nlos_gain`` > 0, its gain turned by the carrier phase of
+        ``nlos_path_length``."""
+        paths = [PathComponent(azimuth, elevation)]
+        if self.nlos_gain > 0.0:
+            paths.append(PathComponent(
+                azimuth + self.nlos_azimuth_offset,
+                elevation + self.nlos_elevation_offset,
+                (self.nlos_gain + 0j) * np.exp(-2j * math.pi * self.nlos_path_length / WAVELENGTH),
+            ))
+        return paths
 
 
 def direction_sines(azimuth: float, elevation: float) -> tuple[float, float]:
@@ -108,8 +127,8 @@ def plane_wave(geom: ArrayGeometry, u_r: float, u_c: float) -> tuple[np.ndarray,
 @dataclass(frozen=True)
 class Channel:
     """Multipath channel h = sum over paths of g * r c^T, kept as its
-    (g, r, c) terms; g carries the path gain, the carrier phase of the path
-    length and the 1/sqrt(MN) array normalization."""
+    (g, r, c) terms; g carries the path gain (with its carrier phase) and
+    the 1/sqrt(MN) array normalization."""
 
     terms: tuple[tuple[complex, np.ndarray, np.ndarray], ...]
 
@@ -120,10 +139,7 @@ class Channel:
             raise ValueError("at least one path is required")
         scale = 1.0 / math.sqrt(geom.size)
         return cls(tuple(
-            (
-                p.gain * np.exp(-2j * math.pi * p.path_length / WAVELENGTH) * scale,
-                *plane_wave(geom, *direction_sines(p.azimuth, p.elevation)),
-            )
+            (p.gain * scale, *plane_wave(geom, *direction_sines(p.azimuth, p.elevation)))
             for p in paths
         ))
 

@@ -63,18 +63,6 @@ class RunConfig:
 
 
 @dataclass
-class NlosConfig:
-    gain: float = 0.0  # magnitude of the optional second ray; 0 disables
-    azimuth_offset: float = 2.0 * D2R
-    elevation_offset: float = 30.0 * D2R
-    path_length: float = 0.5  # m
-
-    def __post_init__(self):
-        if not self.gain >= 0:
-            raise ValueError("nlos_gain must be non-negative")
-
-
-@dataclass
 class ScenarioConfig:
     geo: GeoConfig = field(default_factory=GeoConfig)
     array: ArrayGeometry = field(default_factory=ArrayGeometry)
@@ -83,7 +71,6 @@ class ScenarioConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     servo: ServoConfig = field(default_factory=ServoConfig)
     signal: SignalModel = field(default_factory=SignalModel)
-    nlos: NlosConfig = field(default_factory=NlosConfig)
     electrical: ElectricalConfig = field(default_factory=ElectricalConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
@@ -187,10 +174,10 @@ SCHEMA = (
     ("servo", "elevation_min_deg", "servo", "elevation_min", _float, D2R),
     ("servo", "elevation_max_deg", "servo", "elevation_max", _float, D2R),
     ("signal", "snr_db", "signal", "snr_db", _float, 1),
-    ("signal", "nlos_gain", "nlos", "gain", _float, 1),
-    ("signal", "nlos_azimuth_offset_deg", "nlos", "azimuth_offset", _float, D2R),
-    ("signal", "nlos_elevation_offset_deg", "nlos", "elevation_offset", _float, D2R),
-    ("signal", "nlos_path_length", "nlos", "path_length", _float, 1),
+    ("signal", "nlos_gain", "signal", "nlos_gain", _float, 1),
+    ("signal", "nlos_azimuth_offset_deg", "signal", "nlos_azimuth_offset", _float, D2R),
+    ("signal", "nlos_elevation_offset_deg", "signal", "nlos_elevation_offset", _float, D2R),
+    ("signal", "nlos_path_length", "signal", "nlos_path_length", _float, 1),
     ("electrical", "method", "electrical", "method", _method, 1),
     ("electrical", "gain", "electrical.params", "gain", _float, 1),
     ("electrical", "structure_weight", "electrical.params", "structure_weight", _float, 1),
@@ -245,6 +232,9 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             check()
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
+    # the channel vector and the weights hold rows * cols elements each
+    if cfg.array.size > LIMIT:
+        raise ConfigError(f"array: rows * cols = {cfg.array.size} elements, beyond {LIMIT:g}")
     # run_simulation runs round(duration / sample_period) ticks
     if round(cfg.run.duration / cfg.sensors.sample_period) < 1:
         raise ConfigError("run.duration: shorter than half a sensors.sample_period, no tick runs")

@@ -121,17 +121,11 @@ class OptimizerTrace:
     limit, the score of a run that never reaches a threshold."""
 
     budget: int
-    p_plus: list[float] = field(default_factory=list)
-    p_minus: list[float] = field(default_factory=list)
     nrsp: list[float] = field(default_factory=list)
-    checksum: list[float] = field(default_factory=list)
     queries: list[int] = field(default_factory=list)
 
-    def append(self, p_plus, p_minus, nrsp, checksum, queries):
-        self.p_plus.append(p_plus)
-        self.p_minus.append(p_minus)
+    def append(self, nrsp: float, queries: int) -> None:
         self.nrsp.append(nrsp)
-        self.checksum.append(checksum)
         self.queries.append(queries)
 
     def __len__(self):
@@ -174,7 +168,7 @@ def run_assp(
         step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
         oracle.move(step, signs)
         phases += step
-        trace.append(p_plus, p_minus, oracle.held_nrsp(), float(phases.sum()), oracle.queries)
+        trace.append(oracle.held_nrsp(), oracle.queries)
         observed = max(p_plus, p_minus)
         improved = observed > best * (1.0 + params.stop_epsilon) or best == -math.inf
         stalled = 0 if improved else stalled + 1
@@ -214,8 +208,7 @@ def run_sequential_perturbation(
     """Coordinate-wise baseline: probe each shifter +/-seq_step in turn and
     keep the sign that increased measured power.
 
-    One trace row per full sweep (2*MN oracle queries); the recorded
-    p_plus/p_minus are from the sweep's last element.  The combiner sum is
+    One trace row per full sweep (2*MN oracle queries).  The combiner sum is
     maintained incrementally and each probe reads its noise from a block
     drawn for _SEQ_CHUNK elements, so a probe costs O(1) Python
     arithmetic: |sum + noise|^2 / scale, exactly that of
@@ -232,7 +225,6 @@ def run_sequential_perturbation(
     for _ in range(params.seq_max_sweeps):
         contrib = np.conj(np.exp(1j * phases)) * h  # per-element terms of w^H h
         total = complex(contrib.sum())
-        p_plus = p_minus = 0.0
         for start in range(0, size, _SEQ_CHUNK):
             stop = min(start + _SEQ_CHUNK, size)
             walked = phases[start:stop].tolist()
@@ -251,7 +243,7 @@ def run_sequential_perturbation(
                     walked[i] -= step
                     total = minus
             phases[start:stop] = walked
-        trace.append(p_plus, p_minus, oracle.true_nrsp(phases), float(phases.sum()), oracle.queries)
+        trace.append(oracle.true_nrsp(phases), oracle.queries)
         if trace.nrsp[-1] >= 1.0 - 1e-9:
             break
     return phases, trace

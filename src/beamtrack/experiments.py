@@ -88,15 +88,14 @@ def run_trial(
     # a run that never reaches the threshold scores the runner's budget
     first = trace.first_reaching(threshold)
     reached = first is not None
-    queries_to = trace.queries[first if reached else -1] if trace.queries else 0
     fit_az, fit_el = el.fit_doa(phases, geom)
     return TrialResult(
         iterations_to_threshold=first + 1 if reached else trace.budget,
         iterations_run=len(trace),
         reached=reached,
-        final_nrsp=trace.nrsp[-1] if trace.nrsp else float("nan"),
+        final_nrsp=trace.nrsp[-1],
         queries=oracle.queries,
-        queries_to_threshold=queries_to,
+        queries_to_threshold=trace.queries[first if reached else -1],
         fit_azimuth_err_deg=abs(fit_az - true_az) / D2R,
         fit_elevation_err_deg=abs(wrap_angle(fit_el - true_el)) / D2R,
     )

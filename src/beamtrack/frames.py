@@ -135,12 +135,16 @@ def euler_rates_in_frame(
     return (x_rate + r02 * z_rate, r11 * y_rate + r12 * z_rate, r21 * y_rate + r22 * z_rate)
 
 
-def _rotation_rows(matrix: np.ndarray, tol: float = 1e-8) -> list[list[float]] | None:
-    """Rows of ``matrix`` as floats when it is a rotation within ``tol``, else None.
+# how far a rotation's m @ m.T and determinant may depart from I and +1
+ROTATION_TOL = 1e-8
+
+
+def _rotation_rows(matrix: np.ndarray) -> list[list[float]] | None:
+    """Rows of ``matrix`` as floats when it is a rotation within ``ROTATION_TOL``, else None.
 
     The test of :func:`is_rotation`: a finite 3x3 matrix whose ``m @ m.T``
-    departs from the identity by at most ``tol`` in every entry and whose
-    determinant departs from +1 by at most ``tol``.  Worked in Python floats,
+    departs from the identity by at most ``ROTATION_TOL`` in every entry and
+    whose determinant departs from +1 by at most that.  Worked in Python floats,
     since numpy's per-call overhead dwarfs nine-entry arithmetic.
     """
     m = np.asarray(matrix, dtype=float)
@@ -152,6 +156,7 @@ def _rotation_rows(matrix: np.ndarray, tol: float = 1e-8) -> list[list[float]] |
     if not math.isfinite(a + b + c + d + e + f + g + h + i):
         return None
     # chained comparisons, so that a nan from an overflowing product rejects
+    tol = ROTATION_TOL
     if (
         abs(a * a + b * b + c * c - 1.0) <= tol
         and abs(d * d + e * e + f * f - 1.0) <= tol
@@ -165,9 +170,9 @@ def _rotation_rows(matrix: np.ndarray, tol: float = 1e-8) -> list[list[float]] |
     return None
 
 
-def is_rotation(matrix: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when ``matrix`` is orthonormal with determinant +1 within ``tol``."""
-    return _rotation_rows(matrix, tol) is not None
+def is_rotation(matrix: np.ndarray) -> bool:
+    """True when ``matrix`` is orthonormal with determinant +1 within ``ROTATION_TOL``."""
+    return _rotation_rows(matrix) is not None
 
 
 def zyx_angles(matrix: np.ndarray) -> tuple[float, float, float]:

@@ -86,22 +86,6 @@ def beam_frame_arrival(
     return azimuth, elevation
 
 
-def build_channel(cfg: ScenarioConfig, azimuth: float, elevation: float) -> ch.Channel:
-    """The LOS ray (plus the optional weak second ray) arriving from
-    (azimuth, elevation) in the beam frame."""
-    paths = [ch.PathComponent(azimuth, elevation)]
-    if cfg.nlos.gain > 0.0:
-        paths.append(
-            ch.PathComponent(
-                azimuth + cfg.nlos.azimuth_offset,
-                elevation + cfg.nlos.elevation_offset,
-                cfg.nlos.gain + 0j,
-                cfg.nlos.path_length,
-            )
-        )
-    return ch.Channel.from_paths(cfg.array, paths)
-
-
 class Tick(NamedTuple):
     """One tick of the closed loop, and the loop state for the next."""
 
@@ -200,7 +184,8 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
         tick = step(cfg, euler, tick, t, sensor_rng)
         truth, gimbal = tick.truth.attitude, tick.gimbal
         c_n_b = frames.c_n_b(truth)
-        chan = build_channel(cfg, *beam_frame_arrival(gimbal.angles, c_n_b, sat_dir_ned))
+        arrival = beam_frame_arrival(gimbal.angles, c_n_b, sat_dir_ned)
+        chan = ch.Channel.from_paths(cfg.array, cfg.signal.paths(*arrival))
         # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
         # angles, pointing error (azimuth, elevation)
         angles = (

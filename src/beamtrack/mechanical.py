@@ -71,13 +71,16 @@ class ServoConfig:
 
     gain: float = 20.0  # 1/s
     rate_limit: float = math.radians(60.0)  # rad/s per axis
-    azimuth_stop: float = math.radians(170.0)  # |azimuth| <= stop; >= pi disables
+    # |azimuth| <= stop, not negative; a stop >= pi holds every wrapped azimuth
+    azimuth_stop: float = math.radians(170.0)
     elevation_min: float = 0.0
     elevation_max: float = math.radians(85.0)
 
     def __post_init__(self):
         if self.gain <= 0 or self.rate_limit <= 0:
             raise ValueError("gain and rate_limit must be positive")
+        if self.azimuth_stop < 0:
+            raise ValueError("azimuth_stop must not be negative")
         if self.elevation_min >= self.elevation_max:
             raise ValueError("elevation stops are inverted")
         if max(-self.elevation_min, self.elevation_max) >= KEYHOLE:
@@ -192,8 +195,7 @@ def gimbal_step(
             clamped = True
         moved.append(angle + rate * sample_period)
     azimuth = frames.wrap_angle(moved[0])
-    if servo.azimuth_stop < math.pi:
-        azimuth = min(servo.azimuth_stop, max(-servo.azimuth_stop, azimuth))
+    azimuth = min(servo.azimuth_stop, max(-servo.azimuth_stop, azimuth))
     elevation = min(servo.elevation_max, max(servo.elevation_min, moved[1]))
     polarization = frames.wrap_angle(moved[2])
     return GimbalState(GimbalAngles(azimuth, elevation, polarization), clamped)

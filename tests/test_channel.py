@@ -22,8 +22,8 @@ from beamtrack.channel import (
 D2R = math.pi / 180.0
 
 
-def los_channel(geom, azimuth=0.0, elevation=0.0, gain=1.0 + 0j, path_length=0.0):
-    return Channel.from_paths(geom, [PathComponent(azimuth, elevation, gain, path_length)]).vec()
+def los_channel(geom, azimuth=0.0, elevation=0.0, gain=1.0 + 0j):
+    return Channel.from_paths(geom, [PathComponent(azimuth, elevation, gain)]).vec()
 
 
 def response_matrix(geom, azimuth, elevation):
@@ -88,18 +88,18 @@ class TestArrayResponse:
 class TestChannelMatrix:
     def test_single_path_whole_wavelength(self):
         geom = ArrayGeometry(8, 4)
-        chan = Channel.from_paths(geom, [PathComponent(0.2, 0.1, 1.0, 3 * WAVELENGTH)])
-        np.testing.assert_allclose(
-            chan.vec(), response_matrix(geom, 0.2, 0.1).flatten(order="F") / math.sqrt(geom.size),
-            atol=1e-12,
-        )
+        _, ray = SignalModel(nlos_gain=1.0, nlos_path_length=3 * WAVELENGTH).paths(0.0, 0.0)
+        assert ray.gain == pytest.approx(1.0, abs=1e-12)  # three wavelengths turn no phase
+        chan = Channel.from_paths(geom, [PathComponent(0.2, 0.1, ray.gain)])
+        expected = response_matrix(geom, 0.2, 0.1).flatten(order="F") / math.sqrt(geom.size)
+        np.testing.assert_allclose(chan.vec(), expected, atol=1e-12)
         assert chan.power() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_path_frobenius_norm_brute_force(self):
         geom = ArrayGeometry(16, 8)
         paths = [
-            PathComponent(0.1, 0.3, 1.0, 0.0),
-            PathComponent(-0.25, 1.2, 0.5 * np.exp(0.7j), 1.234),
+            PathComponent(0.1, 0.3, 1.0),
+            PathComponent(-0.25, 1.2, 0.5 * np.exp(0.7j) * np.exp(-2j * math.pi * 1.234 / WAVELENGTH)),
         ]
         rng = np.random.default_rng(8)
         for chosen in (paths[:1], paths):  # LOS alone, LOS plus the second ray
@@ -113,12 +113,7 @@ class TestChannelMatrix:
                             2 * math.pi * geom.spacing_over_wavelength * math.sin(p.azimuth)
                             * (m * math.cos(p.elevation) + n * math.sin(p.elevation))
                         )
-                        h[m, n] += (
-                            p.gain
-                            * np.exp(-2j * math.pi * p.path_length / WAVELENGTH)
-                            * np.exp(1j * phase)
-                            / math.sqrt(geom.size)
-                        )
+                        h[m, n] += p.gain * np.exp(1j * phase) / math.sqrt(geom.size)
             total = float(np.sum(np.abs(h) ** 2))
             np.testing.assert_allclose(chan.vec(), h.flatten(order="F"), atol=1e-12)
             assert chan.power() == pytest.approx(total, abs=1e-12)
@@ -257,7 +252,7 @@ class TestNrsp:
     def test_matched_is_one(self):
         geom = ArrayGeometry(16, 8)
         for az, el in ((0.0, 0.0), (0.3, 0.5), (-0.8, 2.0), (1.0, -1.4)):
-            h = los_channel(geom, az, el, gain=0.8 * np.exp(1.1j), path_length=0.0123)
+            h = los_channel(geom, az, el, gain=0.8 * np.exp(1.1j - 2j * math.pi * 0.0123 / WAVELENGTH))
             w = matched_weights(geom, az, el)
             assert nrsp(w, h) == pytest.approx(1.0, abs=1e-12)
 
@@ -367,3 +362,13 @@ class TestPowerOracle:
     def test_signal_model_noise_power(self):
         assert SignalModel(snr_db=20.0).noise_power == pytest.approx(0.01)
         assert SignalModel(snr_db=-10.0).noise_power == pytest.approx(10.0)
+
+    def test_signal_model_paths(self):
+        assert SignalModel().paths(0.1, 0.3) == [PathComponent(0.1, 0.3)]
+        model = SignalModel(nlos_gain=0.3, nlos_path_length=0.0123)
+        los, ray = model.paths(0.1, 0.3)
+        assert los == PathComponent(0.1, 0.3)
+        assert ray.azimuth == 0.1 + model.nlos_azimuth_offset
+        assert ray.elevation == 0.3 + model.nlos_elevation_offset
+        x = 2 * math.pi * 0.0123 / WAVELENGTH  # the carrier phase, in radians
+        assert ray.gain == pytest.approx(0.3 * complex(math.cos(x), -math.sin(x)), abs=1e-12)

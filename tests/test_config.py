@@ -127,11 +127,14 @@ class TestParsing:
         ("[electrical]\nepoch_period = 0", "electrical: epochs"),
         # isolation_rates is singular at elevation +/-90 deg
         ("[servo]\nelevation_max_deg = 90", "servo: elevation stops"),
+        # a negative stop held the gimbal at the stop for the whole run
+        ("[servo]\nazimuth_stop_deg = -10", "servo: azimuth_stop must not be negative"),
         # each of these used to load and then fail in the middle of a run
         ("[geo]\nlatitude_deg = 85", "geo: satellite below horizon"),
         ("[sensors]\ngravity = 0", "sensors: gravity"),
         ("[fusion]\nprocess_noise = 0\nmeasurement_noise = 0", "fusion: process_noise"),
         ("[electrical]\ngain_offset = 0", "electrical: gain, isotropic_weight and gain_offset"),
+        ("[array]\nrows = 100000\ncols = 100000", r"^array: "),  # numpy's MemoryError
         # iteration limits below 1 ran no iteration and scored a nan nrsp
         ("[electrical]\nmax_iters = 0", "electrical: max_iters must be at least 1, got 0"),
         ("[electrical]\nstop_window = 0", "electrical: stop_window must be at least 1"),

@@ -224,11 +224,6 @@ class TestIsRotation:
     def test_wrong_shape_rejected(self, matrix):
         assert not is_rotation(matrix)
 
-    def test_tolerance_argument(self):
-        assert is_rotation(shear(0.9e-6), tol=1e-6)
-        assert not is_rotation(shear(1.1e-6), tol=1e-6)
-        assert not is_rotation(shear(0.9e-6))
-
     def test_agrees_with_reference_on_perturbed_rotations(self):
         rng = np.random.default_rng(31)
         seen = set()
