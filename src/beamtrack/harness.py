@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -216,35 +218,57 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     return records
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+# One %-format per row, from the declared column types: 9 significant
+# digits for a float column, str() otherwise.  run_simulation, the one
+# writer of records (its replace(...) rows included), puts floats in the
+# float columns and ints in the int columns, so no cell needs its runtime
+# type; an int in a float column is written as the float it equals.
+_TYPES = get_type_hints(TraceRecord)
+_COLUMN_TYPES = tuple(_TYPES[c] for c in TRACE_COLUMNS)
+_ROW_FORMAT = ",".join("%.9g" if kind is float else "%s" for kind in _COLUMN_TYPES)
+_row_values = operator.attrgetter(*TRACE_COLUMNS)
+
+
+def _data_lines(records: list[TraceRecord]) -> list[str]:
+    """One CSV line per record, each formatted by one C-level call."""
+    return [_ROW_FORMAT % _row_values(rec) for rec in records]
+
+
+def _json_token(kind: type, cell: str) -> str:
+    """The JSON token of one CSV cell: for a float column, the token of
+    ``float(cell)``, which %.9g writes in the same digits as float repr
+    except for integral values, positive exponents, subnormals and nan/inf."""
+    if kind is not float:
+        return encode_basestring_ascii(cell) if kind is str else cell
+    if "e+" in cell or "e-3" in cell or cell[-1] in "nf":
+        # 1.5e+09 (repr: 1500000000.0), e-3xx (a subnormal holds fewer
+        # than 9 digits: 5e-324), nan, inf
+        return json.dumps(float(cell))
+    if "." in cell or "e" in cell:  # 0.25, 1e-05
+        return cell
+    return cell + ".0"  # 5, -0
 
 
 def export_csv(records: list[TraceRecord], path: str | Path) -> None:
     """Write the trace as CSV: schema comment, header, 9-significant-digit
     floats, one line per record."""
-    lines = [f"# {TRACE_SCHEMA}", ",".join(TRACE_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(_format_value(getattr(rec, c)) for c in TRACE_COLUMNS))
+    lines = [f"# {TRACE_SCHEMA}", ",".join(TRACE_COLUMNS), *_data_lines(records)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def export_json(records: list[TraceRecord], path: str | Path) -> None:
-    """JSON mirror of the CSV columns."""
-    payload = {
-        "schema": TRACE_SCHEMA,
-        "columns": TRACE_COLUMNS,
-        "rows": [
-            [
-                float(f"{v:.9g}") if isinstance(v, float) else v
-                for v in (getattr(rec, c) for c in TRACE_COLUMNS)
-            ]
-            for rec in records
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    """JSON mirror of the CSV columns, in the layout of ``json.dumps(...,
+    indent=1)``: each float is the float of its 9-digit CSV cell."""
+    rows = ",\n".join(
+        "  [\n   " + ",\n   ".join(map(_json_token, _COLUMN_TYPES, line.split(","))) + "\n  ]"
+        for line in _data_lines(records)
+    )
+    columns = ",\n  ".join(map(encode_basestring_ascii, TRACE_COLUMNS))
+    body = f"[\n{rows}\n ]" if rows else "[]"
+    Path(path).write_text(
+        f'{{\n "schema": {encode_basestring_ascii(TRACE_SCHEMA)},\n'
+        f' "columns": [\n  {columns}\n ],\n "rows": {body}\n}}\n'
+    )
 
 
 def parse_csv(path: str | Path) -> tuple[list[str], list[list]]:
@@ -254,7 +278,6 @@ def parse_csv(path: str | Path) -> tuple[list[str], list[list]]:
         raise ValueError("not a beamtrack trace file")
     columns = lines[1].split(",")
     # cell types from the record's annotations; a column it lacks reads as float
-    types = get_type_hints(TraceRecord)
-    kinds = [types.get(name, float) for name in columns]
+    kinds = [_TYPES.get(name, float) for name in columns]
     rows = [[kind(cell) for kind, cell in zip(kinds, line.split(","))] for line in lines[2:]]
     return columns, rows

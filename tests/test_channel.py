@@ -45,6 +45,30 @@ def received_signal(phases, h_vec, noise_power, rng):
     return complex(y)
 
 
+def received_signals(phases, h_vec, noise_power, rng, n):
+    """``n`` calls of ``received_signal`` from one draw of the per-element
+    noise, which is the stream of the n calls' draws: bit for bit their
+    values."""
+    w = weights_from_phases(phases)
+    y = np.vdot(w, np.asarray(h_vec))
+    z = rng.standard_normal((n, 2, w.size))
+    noise = math.sqrt(noise_power / 2.0) * (z[:, 0] + 1j * z[:, 1])
+    # np.vdot per row: a matrix product sums in another order
+    return [complex(y + np.vdot(w, row)) for row in noise]
+
+
+def oracle_readings(oracle, phases, n):
+    """``n`` calls of ``oracle(phases)`` from one ``noise_terms(n)`` draw:
+    bit for bit their readings (Python's abs and ** are the scalar
+    oracle's; numpy's array forms round differently)."""
+    combined = complex(np.vdot(weights_from_phases(phases), oracle.h_vec))
+    scale = float(oracle.scale)
+    return np.array([abs(combined + t) ** 2 / scale for t in oracle.noise_terms(n)])
+
+
+PREFIX = 1000  # queries on which a block form is checked against its loop
+
+
 class TestArrayResponse:
     def test_broadside_all_ones(self):
         a = response_matrix(ArrayGeometry(4, 3), 0.0, 0.7)
@@ -204,9 +228,11 @@ class TestReceivedSignal:
         rng = np.random.default_rng(33)
         noise_power = 0.05
         clean = received_signal(w, h, 0.0, rng)
-        draws = np.array(
-            [received_signal(w, h, noise_power, rng) - clean for _ in range(100_000)]
-        )
+        loop = np.random.default_rng(33)
+        prefix = [received_signal(w, h, noise_power, loop) for _ in range(PREFIX)]
+        signals = received_signals(w, h, noise_power, rng, 100_000)
+        assert np.array(signals[:PREFIX]).tobytes() == np.array(prefix).tobytes()
+        draws = np.array(signals) - clean
         var = np.mean(np.abs(draws) ** 2)
         assert var == pytest.approx(geom.size * noise_power, rel=0.03)
 
@@ -241,8 +267,11 @@ class TestReceivedPower:
         h = los_channel(geom, 0.05, 0.0)
         w = np.zeros(geom.size)
         noise_power = 0.1
+        loop = PowerOracle(h, noise_power, np.random.default_rng(3))
+        prefix = np.array([loop(w) for _ in range(PREFIX)])
         oracle = PowerOracle(h, noise_power, np.random.default_rng(3))
-        draws = np.array([oracle(w) for _ in range(200_000)])
+        draws = oracle_readings(oracle, w, 200_000)
+        assert draws[:PREFIX].tobytes() == prefix.tobytes()
         # noise adds MN * noise_power to |w^H h|^2 before the MN ||h||^2 scale
         expected = nrsp(w, h) + noise_power / np.vdot(h, h).real
         assert draws.mean() == pytest.approx(expected, rel=0.02)
@@ -296,12 +325,15 @@ class TestPowerOracle:
         w = np.zeros(geom.size)
         noise_power = 0.1
         scale = geom.size * np.vdot(h, h).real
+        signals = received_signals(w, h, noise_power, np.random.default_rng(77), 100_000)
+        b = oracle_readings(PowerOracle(h, noise_power, np.random.default_rng(78)), w, 100_000)
+        # the block forms read the loops' values, bit for bit
         rng = np.random.default_rng(77)
-        a = np.array([
-            abs(received_signal(w, h, noise_power, rng)) ** 2 / scale for _ in range(100_000)
-        ])
+        loop = [received_signal(w, h, noise_power, rng) for _ in range(PREFIX)]
+        assert np.array(signals[:PREFIX]).tobytes() == np.array(loop).tobytes()
         oracle = PowerOracle(h, noise_power, np.random.default_rng(78))
-        b = np.array([oracle(w) for _ in range(100_000)])
+        assert b[:PREFIX].tobytes() == np.array([oracle(w) for _ in range(PREFIX)]).tobytes()
+        a = np.array([abs(y) ** 2 / scale for y in signals])
         assert a.mean() == pytest.approx(b.mean(), rel=0.02)
         assert a.var() == pytest.approx(b.var(), rel=0.05)
 
@@ -372,3 +404,21 @@ class TestPowerOracle:
         assert ray.elevation == 0.3 + model.nlos_elevation_offset
         x = 2 * math.pi * 0.0123 / WAVELENGTH  # the carrier phase, in radians
         assert ray.gain == pytest.approx(0.3 * complex(math.cos(x), -math.sin(x)), abs=1e-12)
+
+    @pytest.mark.parametrize("path_length", [0.5, 0.0123, 0.0, -0.0, 7.5e-3])
+    def test_signal_model_second_ray_gain_bits(self, path_length):
+        # the second ray's gain is made once per field value, in the bits of
+        # the direct expression; rebinding a field (as config.set_key does)
+        # makes it again, and -0.0 is never taken for 0.0
+        def direct(gain, length):
+            return (gain + 0j) * np.exp(-2j * math.pi * length / WAVELENGTH)
+
+        model = SignalModel(nlos_gain=0.3)
+        model.nlos_path_length = -path_length
+        model.paths(0.1, 0.2)
+        model.nlos_path_length = path_length
+        for _ in range(2):
+            gain = model.paths(0.1, 0.2)[1].gain
+            assert gain.tobytes() == direct(0.3, path_length).tobytes()
+        model.nlos_gain = 0.7
+        assert model.paths(0.1, 0.2)[1].gain.tobytes() == direct(0.7, path_length).tobytes()

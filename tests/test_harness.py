@@ -1,4 +1,6 @@
+import json
 import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from beamtrack import frames, mechanical
 from beamtrack.config import load_scenario_text
 from beamtrack.harness import (
     TRACE_COLUMNS,
+    TRACE_SCHEMA,
+    TraceRecord,
     beam_frame_arrival,
     export_csv,
     export_json,
@@ -15,6 +19,50 @@ from beamtrack.harness import (
 )
 
 D2R = math.pi / 180.0
+COLUMN_TYPES = get_type_hints(TraceRecord)
+FLOAT_COLUMNS = [c for c in TRACE_COLUMNS if COLUMN_TYPES[c] is float]
+
+
+def format_value(value) -> str:
+    """Reference cell of the trace CSV: 9 significant digits for a float,
+    str() otherwise, chosen by the value's runtime type."""
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def reference_csv(records) -> str:
+    """Reference trace CSV, formatted cell by cell."""
+    lines = [f"# {TRACE_SCHEMA}", ",".join(TRACE_COLUMNS)]
+    for rec in records:
+        lines.append(",".join(format_value(getattr(rec, c)) for c in TRACE_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(records) -> str:
+    """Reference trace JSON: each float is the float of its CSV cell,
+    through the generic encoder."""
+    payload = {
+        "schema": TRACE_SCHEMA,
+        "columns": TRACE_COLUMNS,
+        "rows": [
+            [
+                float(f"{v:.9g}") if isinstance(v, float) else v
+                for v in (getattr(rec, c) for c in TRACE_COLUMNS)
+            ]
+            for rec in records
+        ],
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+# float cells that the digest configs never reach: signed zero, integral
+# values (t reads 1.0 at tick 100), the 9-digit integer limit and beyond,
+# negative exponents down to the subnormals, nan/inf and a numpy float
+EDGE_FLOATS = [
+    -0.0, 5.0, 1.0, 123456789.0, 1.5e9, 1e-05, 1.23456789e-05, 5e-324, 2.5e-310,
+    1e300, float("nan"), float("inf"), float("-inf"), np.float64(2.0) / 3.0,
+]
 
 
 def small_scenario(extra=""):
@@ -172,6 +220,9 @@ class TestExport:
         export_csv([], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
+        assert path.read_bytes() == reference_csv([]).encode()
+        export_json([], tmp_path / "empty.json")
+        assert (tmp_path / "empty.json").read_bytes() == reference_json([]).encode()
 
     def test_csv_round_trip(self, tmp_path):
         records = run_simulation(small_scenario())
@@ -190,8 +241,6 @@ class TestExport:
                     assert cell == want
 
     def test_json_mirrors_columns(self, tmp_path):
-        import json
-
         records = run_simulation(small_scenario())
         path = tmp_path / "trace.json"
         export_json(records, path)
@@ -199,3 +248,55 @@ class TestExport:
         assert payload["columns"] == TRACE_COLUMNS
         assert len(payload["rows"]) == len(records)
         assert all(len(row) == len(TRACE_COLUMNS) for row in payload["rows"])
+
+    def test_bytes_match_reference_writer(self, tmp_path):
+        records = run_simulation(small_scenario())
+        export_csv(records, tmp_path / "trace.csv")
+        export_json(records, tmp_path / "trace.json")
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(records).encode()
+        assert (tmp_path / "trace.json").read_bytes() == reference_json(records).encode()
+
+    def test_edge_cells(self, tmp_path):
+        # every float column of one record holds one edge value, shifted by
+        # one column per record, so each value meets each column
+        records = []
+        for i in range(len(EDGE_FLOATS)):
+            cells = {
+                c: EDGE_FLOATS[(i + j) % len(EDGE_FLOATS)] for j, c in enumerate(FLOAT_COLUMNS)
+            }
+            records.append(TraceRecord(
+                phase=("mech", "elec")[i % 2], elec_iteration=i, oracle_queries=10**12 + i,
+                rate_clamped=i % 2, **cells,
+            ))
+        export_csv(records, tmp_path / "trace.csv")
+        export_json(records, tmp_path / "trace.json")
+        csv_text = (tmp_path / "trace.csv").read_text()
+        json_text = (tmp_path / "trace.json").read_text()
+        assert csv_text == reference_csv(records)
+        assert json_text == reference_json(records)
+        # in the indent=1 layout each row cell is one line indented by three
+        tokens = [
+            line.strip().rstrip(",") for line in json_text.splitlines()
+            if line.startswith("   ")
+        ]
+        cells = [cell for line in csv_text.splitlines()[2:] for cell in line.split(",")]
+        assert len(tokens) == len(cells) == len(records) * len(TRACE_COLUMNS)
+        for k, (token, cell) in enumerate(zip(tokens, cells)):
+            name = TRACE_COLUMNS[k % len(TRACE_COLUMNS)]
+            if name in FLOAT_COLUMNS:
+                assert token == json.dumps(float(cell)), (name, cell)
+            elif name == "phase":
+                assert token == json.dumps(cell)
+            else:
+                assert token == cell
+
+    def test_cells_hold_their_declared_types(self):
+        # the writer formats by declared column type, so run_simulation
+        # (mechanical rows and the replace(...) electrical rows) must put a
+        # float in every float column and an int in every int column
+        records = run_simulation(small_scenario("[signal]\nnlos_gain = 0.3\n"))
+        assert {r.phase for r in records} == {"mech", "elec"}
+        for rec in records:
+            for name in TRACE_COLUMNS:
+                value, kind = getattr(rec, name), COLUMN_TYPES[name]
+                assert isinstance(value, float) if kind is float else type(value) is kind, name
