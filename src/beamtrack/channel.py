@@ -76,8 +76,6 @@ class SignalModel:
     nlos_azimuth_offset: float = math.radians(2.0)
     nlos_elevation_offset: float = math.radians(30.0)
     nlos_path_length: float = 0.5  # m
-    # (nlos_gain, nlos_path_length, the second ray's gain) as last computed
-    _nlos_ray: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.snr_db >= -300:  # 10^(-snr/10) overflows near -3080 dB
@@ -99,22 +97,9 @@ class SignalModel:
             paths.append(PathComponent(
                 azimuth + self.nlos_azimuth_offset,
                 elevation + self.nlos_elevation_offset,
-                self._nlos_ray_gain(),
+                (self.nlos_gain + 0j) * np.exp(-2j * math.pi * self.nlos_path_length / WAVELENGTH),
             ))
         return paths
-
-    def _nlos_ray_gain(self) -> complex:
-        """(nlos_gain + 0j) * exp(-2j*pi*nlos_path_length / WAVELENGTH), made
-        again only when a field holds another float object: ``config.set_key``
-        rebinds the fields after construction, and an identity test never
-        takes -0.0 for 0.0."""
-        gain, length = self.nlos_gain, self.nlos_path_length
-        ray = self._nlos_ray
-        if ray is None or ray[0] is not gain or ray[1] is not length:
-            ray = self._nlos_ray = (
-                gain, length, (gain + 0j) * np.exp(-2j * math.pi * length / WAVELENGTH)
-            )
-        return ray[2]
 
 
 def direction_sines(azimuth: float, elevation: float) -> tuple[float, float]:

@@ -42,6 +42,10 @@ TRACE_SCHEMA = "beamtrack-trace v1"
 
 @dataclass
 class TraceRecord:
+    """One trace row.  The writers format a cell by its declared type, so a
+    float column must hold a float: an int there is written as %.9g writes
+    it (1000000000 as 1e+09)."""
+
     t: float
     phase: str  # "mech" per tick, "elec" per optimizer iteration
     yaw_true_deg: float
@@ -241,8 +245,8 @@ def _json_token(kind: type, cell: str) -> str:
     if kind is not float:
         return encode_basestring_ascii(cell) if kind is str else cell
     if "e+" in cell or "e-3" in cell or cell[-1] in "nf":
-        # 1.5e+09 (repr: 1500000000.0), e-3xx (a subnormal holds fewer
-        # than 9 digits: 5e-324), nan, inf
+        # 1.5e+09 (repr: 1500000000.0), e-3x and e-3xx (the subnormals
+        # among them, which hold fewer than 9 digits: 5e-324), nan, inf
         return json.dumps(float(cell))
     if "." in cell or "e" in cell:  # 0.25, 1e-05
         return cell

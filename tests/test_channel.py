@@ -407,9 +407,8 @@ class TestPowerOracle:
 
     @pytest.mark.parametrize("path_length", [0.5, 0.0123, 0.0, -0.0, 7.5e-3])
     def test_signal_model_second_ray_gain_bits(self, path_length):
-        # the second ray's gain is made once per field value, in the bits of
-        # the direct expression; rebinding a field (as config.set_key does)
-        # makes it again, and -0.0 is never taken for 0.0
+        # the second ray's gain has the bits of the direct expression, also
+        # after a field is rebound (as config.set_key does), -0.0 included
         def direct(gain, length):
             return (gain + 0j) * np.exp(-2j * math.pi * length / WAVELENGTH)
 

@@ -290,11 +290,16 @@ class TestExport:
             else:
                 assert token == cell
 
-    def test_cells_hold_their_declared_types(self):
+    @pytest.mark.parametrize("method", ["assp", "spsa", "sequential"])
+    def test_cells_hold_their_declared_types(self, method):
         # the writer formats by declared column type, so run_simulation
-        # (mechanical rows and the replace(...) electrical rows) must put a
-        # float in every float column and an int in every int column
-        records = run_simulation(small_scenario("[signal]\nnlos_gain = 0.3\n"))
+        # (mechanical rows and the replace(...) electrical rows of each
+        # runner) must put a float in every float column and an int in
+        # every int column
+        # (the extra text opens inside small_scenario's [electrical])
+        records = run_simulation(small_scenario(
+            f"method = {method}\n[signal]\nnlos_gain = 0.3\n"
+        ))
         assert {r.phase for r in records} == {"mech", "elec"}
         for rec in records:
             for name in TRACE_COLUMNS:
