@@ -188,8 +188,30 @@ def matched_weights(geom: ArrayGeometry, azimuth: float, elevation: float) -> np
     return np.angle(np.outer(c, r).ravel())
 
 
+def _unit_phasor(x: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
+    """exp(sign * 1j * x) for finite x and sign +1 or -1, written into the
+    complex array ``out`` from cos and sin, without a complex temporary.
+
+    The complex exponential of sign * 1j * x is cos and sin of its
+    imaginary part, which is 0.0 + x for sign +1 (a -0.0 reads +0.0) and
+    -x for sign -1.  That part is built in ``out.imag`` and both functions
+    take it, so the result is bit for bit ``np.exp(sign * 1j * x)`` where
+    numpy's float cos and sin are the routines its complex exp calls, as
+    the tests check."""
+    arg = out.imag
+    if sign > 0:
+        np.add(x, 0.0, out=arg)
+    else:
+        np.negative(x, out=arg)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=arg)
+    return out
+
+
 def weights_from_phases(phases: np.ndarray) -> np.ndarray:
-    return np.exp(1j * np.asarray(phases, dtype=float))
+    """exp(1j * phases), the unit-modulus weights of a phase setting."""
+    x = np.asarray(phases, dtype=float)
+    return _unit_phasor(x, 1, np.empty(x.shape, dtype=complex))
 
 
 def conj_weight_matrix(phases: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
@@ -231,10 +253,11 @@ class PowerOracle:
     * ``hold(phases)`` / ``probe_pair(delta)`` / ``move(step)`` serve the
       simultaneous methods.  The oracle carries u = conj(exp(j*phases)) * h
       for the held phases, so a probe pair at phases +/- delta costs one
-      MN-element exponential and a move one more; the optimizer passes
-      phase offsets and never reads h.  An offset that is one magnitude
-      on +/-1 ``signs`` (the isotropic SPSA probe and its step) costs one
-      scalar exponential instead, bit for bit the same rotation;
+      MN-element rotation exp(-j*delta) (one cos and one sin) and a move
+      one more; the optimizer passes phase offsets and never reads h.  An
+      offset that is one magnitude on +/-1 ``signs`` (the isotropic SPSA
+      probe and its step) costs one scalar exponential instead, bit for
+      bit the same rotation;
     * ``noise_terms(n)`` hands the sequential walk the noise of its next n
       queries in one draw, for combiner sums it keeps itself
       (``sample_pair`` is the one-query form of the same measurement).
@@ -298,11 +321,12 @@ class PowerOracle:
         self._held *= self._rotation(step, signs)
 
     def _rotation(self, offset: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
-        """exp(-1j * offset); with ``signs``, from one scalar exponential:
-        cos is even and sin odd, so element i is cos(x) - j*signs[i]*sin(x)
-        for x = offset[0] * signs[0], bit for bit."""
+        """exp(-1j * offset), written into the oracle's one rotation
+        buffer; with ``signs``, from one scalar exponential: cos is even and
+        sin odd, so element i is cos(x) - j*signs[i]*sin(x) for
+        x = offset[0] * signs[0], bit for bit."""
         if signs is None:
-            return np.exp(-1j * offset)
+            return _unit_phasor(offset, -1, self._spin)
         p = np.exp(-1j * (offset[:1] * signs[:1]))
         self._spin.real = p.real
         np.multiply(signs, p.imag, out=self._spin.imag)

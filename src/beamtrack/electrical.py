@@ -22,12 +22,14 @@ iteration i + 1 (sweep i + 1 for the sequential walk) and whose
 The simultaneous methods pass the oracle phase offsets and never read the
 channel: ``hold`` the start, then per iteration ``probe_pair(delta)`` and
 ``move(step)``, with ``held_nrsp`` for the trace.  For ASSP the probe and
-the move each cost one MN-element exponential.  Isotropic SPSA also hands
-over its Bernoulli signs: its probe and step are one magnitude on those
-signs, so each costs one scalar exponential and the whole trial makes one
-MN-element exponential (the ``hold``).  The sequential walk keeps the
-combiner sum itself and takes its noise a block at a time
-(``noise_terms``).
+the move each cost one MN-element rotation (a cos and a sin).  Isotropic
+SPSA also hands over its Bernoulli signs: its probe and step are one
+magnitude on those signs, so each costs one scalar exponential and the
+whole trial makes one MN-element rotation (the ``hold``).  The sequential
+walk keeps the combiner sum itself and takes its noise a block at a time
+(``noise_terms``).  The iteration's helpers work in place: besides the
+Bernoulli draw, the probe and the step, an ASSP iteration makes one
+MN-element temporary (c*Delta).
 
 Gradient estimate: ``aligned_gradient`` projects the measured central
 difference back onto the probe direction.  For pure +/-c Bernoulli probes
@@ -46,7 +48,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ArrayGeometry, PowerOracle, conj_weight_matrix, plane_wave
+from .channel import (
+    ArrayGeometry,
+    PowerOracle,
+    conj_weight_matrix,
+    plane_wave,
+    weights_from_phases,
+)
 
 
 @dataclass
@@ -89,8 +97,9 @@ def structure_matrix(geom: ArrayGeometry) -> np.ndarray:
 def draw_perturbation(rng: np.random.Generator, size: int) -> tuple[int, np.ndarray]:
     """One Bernoulli draw: scalar xi and the +/-1 vector, each fair."""
     xi = int(rng.integers(0, 2)) * 2 - 1
-    delta = rng.integers(0, 2, size) * 2 - 1
-    return xi, delta.astype(float)
+    delta = np.multiply(rng.integers(0, 2, size), 2.0)
+    delta -= 1.0
+    return xi, delta
 
 
 def perturbation_vector(
@@ -98,10 +107,11 @@ def perturbation_vector(
 ) -> np.ndarray:
     """Per-element probe (b*D*xi + c*Delta) / (k+1)^Omega."""
     decay = (k + 1) ** params.probe_exponent
-    return (
-        params.structure_weight * structure * xi
-        + params.isotropic_weight * bernoulli
-    ) / decay
+    delta = params.structure_weight * structure
+    delta *= xi
+    delta += params.isotropic_weight * bernoulli
+    delta /= decay
+    return delta
 
 
 def aligned_gradient(p_plus: float, p_minus: float, delta: np.ndarray) -> np.ndarray:
@@ -111,7 +121,11 @@ def aligned_gradient(p_plus: float, p_minus: float, delta: np.ndarray) -> np.nda
     elementwise division when all probe magnitudes are equal.
     """
     delta = np.asarray(delta, dtype=float)
-    return (p_plus - p_minus) * delta / (2.0 * float(np.mean(delta * delta)))
+    grad = np.multiply(delta, delta)
+    denom = 2.0 * float(np.mean(grad))
+    np.multiply(p_plus - p_minus, delta, out=grad)
+    grad /= denom
+    return grad
 
 
 @dataclass
@@ -165,7 +179,8 @@ def run_assp(
         delta = perturbation_vector(structure, xi, bern, params, k)
         signs = bern if isotropic else None
         p_plus, p_minus = oracle.probe_pair(delta, signs)
-        step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
+        step = aligned_gradient(p_plus, p_minus, delta)
+        step *= params.step_size(k)
         oracle.move(step, signs)
         phases += step
         trace.append(oracle.held_nrsp(), oracle.queries)
@@ -223,7 +238,7 @@ def run_sequential_perturbation(
     rot_minus = complex(np.exp(1j * step))
     scale = float(oracle.scale)
     for _ in range(params.seq_max_sweeps):
-        contrib = np.conj(np.exp(1j * phases)) * h  # per-element terms of w^H h
+        contrib = np.conj(weights_from_phases(phases)) * h  # per-element terms of w^H h
         total = complex(contrib.sum())
         for start in range(0, size, _SEQ_CHUNK):
             stop = min(start + _SEQ_CHUNK, size)

@@ -310,6 +310,40 @@ class TestNrsp:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def phasor_arguments():
+    """Finite phases of both signs from 1e-3 to 1e6 in magnitude, the
+    signed zeros, the smallest subnormal and multiples of pi."""
+    rng = np.random.default_rng(12)
+    magnitudes = np.concatenate((
+        np.logspace(-3, 6, 91),
+        10.0 ** rng.uniform(-3, 6, 5000),
+        math.pi * np.array([0.5, 1, 2, 3, 4, 7, 8, 100, 1000, 12345, 1e5]),
+        [0.0, 5e-324],
+    ))
+    return np.concatenate((magnitudes, -magnitudes))
+
+
+class TestUnitPhasor:
+    """The rotations built from cos and sin against the complex exponential
+    they replace, bit for bit: a platform whose float cos and sin are not
+    the routines of its complex exp fails here instead of moving traces."""
+
+    def test_weights_are_the_exponential(self):
+        x = phasor_arguments()
+        assert weights_from_phases(x).tobytes() == np.exp(1j * x).tobytes()
+        assert weights_from_phases(list(x[:7])).tobytes() == np.exp(1j * x[:7]).tobytes()
+
+    def test_held_terms_and_rotation_are_the_exponential(self):
+        x = phasor_arguments()
+        rng = np.random.default_rng(13)
+        h = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+        oracle = PowerOracle(h, 0.0, np.random.default_rng(0))
+        oracle.hold(x)
+        assert oracle._held.tobytes() == (np.conj(np.exp(1j * x)) * h).tobytes()
+        for offset in (x, x[::-1].copy(), 1e-2 * x):
+            assert oracle._rotation(offset, None).tobytes() == np.exp(-1j * offset).tobytes()
+
+
 class TestPowerOracle:
     def test_noiseless_matched_reads_one(self):
         geom = ArrayGeometry(16, 8)

@@ -68,14 +68,17 @@ class PhaseOracle:
 
 
 class ElementwiseOracle(PowerOracle):
-    """``PowerOracle`` that exponentiates every element of every offset,
-    ignoring the sign hint of an isotropic probe."""
+    """``PowerOracle`` with its rotations written as complex exponentials:
+    the held terms from ``np.exp(1j * phases)`` and every offset rotated
+    by ``np.exp(-1j * offset)`` element by element, ignoring the sign hint
+    of an isotropic probe."""
 
-    def probe_pair(self, delta, signs=None):
-        return super().probe_pair(delta)
+    def hold(self, phases):
+        super().hold(phases)
+        self._held = np.conj(np.exp(1j * np.asarray(phases, dtype=float))) * self.h_vec
 
-    def move(self, step, signs=None):
-        super().move(step)
+    def _rotation(self, offset, signs):
+        return np.exp(-1j * offset)
 
 
 def bits(values):
@@ -153,6 +156,39 @@ class TestPerturbationVector:
         d0 = perturbation_vector(d, +1, np.ones(4), params, 0)
         d9 = perturbation_vector(d, +1, np.ones(4), params, 9)
         np.testing.assert_allclose(d9, d0 / 10**params.probe_exponent, atol=1e-15)
+
+
+class TestInPlaceForms:
+    """The iteration's helpers, which work in place, against the one
+    expression of each formula, bit for bit; their inputs stay untouched."""
+
+    def test_draw_perturbation(self):
+        for seed in range(4):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            xi, bern = draw_perturbation(rng, 1000)
+            assert xi == int(ref.integers(0, 2)) * 2 - 1
+            assert bern.dtype == float
+            assert bern.tobytes() == (ref.integers(0, 2, 1000) * 2 - 1).astype(float).tobytes()
+
+    @pytest.mark.parametrize("structure_weight", [0.02, 0.0])
+    def test_perturbation_vector_and_gradient(self, structure_weight):
+        params = AsspParams(structure_weight=structure_weight)
+        structure = structure_matrix(ArrayGeometry(16, 8))
+        rng = np.random.default_rng(7)
+        for xi, k in ((1, 0), (-1, 0), (1, 5), (-1, 37)):
+            _, bern = draw_perturbation(rng, structure.size)
+            bern_in = bern.copy()
+            delta = perturbation_vector(structure, xi, bern, params, k)
+            want = (
+                params.structure_weight * structure * xi + params.isotropic_weight * bern
+            ) / (k + 1) ** params.probe_exponent
+            assert delta.tobytes() == want.tobytes()
+            assert bern.tobytes() == bern_in.tobytes()
+            for p_plus, p_minus in ((0.73, 0.71), (0.5, 0.5), (0.2, 0.9)):
+                grad = aligned_gradient(p_plus, p_minus, delta)
+                want = (p_plus - p_minus) * delta / (2.0 * float(np.mean(delta * delta)))
+                assert grad.tobytes() == want.tobytes()
+            assert delta.tobytes() == perturbation_vector(structure, xi, bern, params, k).tobytes()
 
 
 class TestGradients:
@@ -372,17 +408,28 @@ class TestAsspRun:
     @pytest.mark.parametrize("runner, full", [(run_assp, True), (run_isotropic_spsa, False)],
                              ids=["assp", "spsa"])
     def test_full_array_exponentials_per_iteration(self, monkeypatch, runner, full):
+        # a rotation is a cos and a sin of the same size, or one scalar
+        # exponential: ``sizes`` records each exp and each cos, ``sines``
+        # each sin
         geom = ArrayGeometry(16, 8)
         oracle = make_oracle(geom, 0.3 * D2R, 45 * D2R, snr_db=20)
-        sizes = []
+        sizes, sines = [], []
 
         class CountingNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def exp(self, x):
+            def exp(self, x, **kwargs):
                 sizes.append(np.size(x))
-                return np.exp(x)
+                return np.exp(x, **kwargs)
+
+            def cos(self, x, **kwargs):
+                sizes.append(np.size(x))
+                return np.cos(x, **kwargs)
+
+            def sin(self, x, **kwargs):
+                sines.append(np.size(x))
+                return np.sin(x, **kwargs)
 
         for module in (channel, electrical):
             monkeypatch.setattr(module, "np", CountingNumpy())
@@ -394,6 +441,7 @@ class TestAsspRun:
         # iteration: full-array for ASSP, one scalar each for isotropic SPSA
         assert len(trace) == 7
         assert sizes == [geom.size] + [geom.size if full else 1] * 2 * len(trace)
+        assert sines == [n for n in sizes if n == geom.size]
 
 
 class TestSignedRotation:
@@ -428,9 +476,16 @@ class TestSignedRotation:
             step = 0.0 * signs
             assert np.array_equal(bits(oracle._rotation(step, signs)), bits(np.exp(-1j * step)))
 
-    @pytest.mark.parametrize("rows, cols", [(16, 8), (128, 64)])
-    def test_spsa_run_equals_elementwise_reference(self, rows, cols):
-        # SPSA phases drift large; the whole run stays bit for bit equal
+    @pytest.mark.parametrize("rows, cols, runner", [
+        (16, 8, run_isotropic_spsa),
+        (128, 64, run_isotropic_spsa),
+        (16, 8, run_assp),
+        (128, 64, run_assp),
+    ], ids=["16-8", "128-64", "assp-16-8", "assp-128-64"])
+    def test_spsa_run_equals_elementwise_reference(self, rows, cols, runner):
+        # SPSA phases drift large; the whole run, SPSA's from scalar
+        # exponentials or ASSP's from cos and sin, stays bit for bit equal
+        # to rotations by complex exponentials
         geom = ArrayGeometry(rows, cols)
         params = AsspParams(max_iters=100, stop_window=10**9)
         az = math.asin(math.sqrt(2.0) * math.sin(0.3 * D2R))
@@ -438,7 +493,7 @@ class TestSignedRotation:
         runs = []
         for cls in (PowerOracle, ElementwiseOracle):
             oracle = cls(h, 0.1, np.random.default_rng(4))
-            runs.append(run_isotropic_spsa(
+            runs.append(runner(
                 np.zeros(geom.size), oracle, params, np.random.default_rng(8), geom
             ))
         (p1, t1), (p2, t2) = runs
