@@ -27,9 +27,7 @@ SPSA also hands over its Bernoulli signs: its probe and step are one
 magnitude on those signs, so each costs one scalar exponential and the
 whole trial makes one MN-element rotation (the ``hold``).  The sequential
 walk keeps the combiner sum itself and takes its noise a block at a time
-(``noise_terms``).  The iteration's helpers work in place: besides the
-Bernoulli draw, the probe and the step, an ASSP iteration makes one
-MN-element temporary (c*Delta).
+(``noise_terms``).
 
 Gradient estimate: ``aligned_gradient`` projects the measured central
 difference back onto the probe direction.  For pure +/-c Bernoulli probes
@@ -97,9 +95,8 @@ def structure_matrix(geom: ArrayGeometry) -> np.ndarray:
 def draw_perturbation(rng: np.random.Generator, size: int) -> tuple[int, np.ndarray]:
     """One Bernoulli draw: scalar xi and the +/-1 vector, each fair."""
     xi = int(rng.integers(0, 2)) * 2 - 1
-    delta = np.multiply(rng.integers(0, 2, size), 2.0)
-    delta -= 1.0
-    return xi, delta
+    delta = rng.integers(0, 2, size) * 2 - 1
+    return xi, delta.astype(float)
 
 
 def perturbation_vector(
@@ -107,11 +104,10 @@ def perturbation_vector(
 ) -> np.ndarray:
     """Per-element probe (b*D*xi + c*Delta) / (k+1)^Omega."""
     decay = (k + 1) ** params.probe_exponent
-    delta = params.structure_weight * structure
-    delta *= xi
-    delta += params.isotropic_weight * bernoulli
-    delta /= decay
-    return delta
+    return (
+        params.structure_weight * structure * xi
+        + params.isotropic_weight * bernoulli
+    ) / decay
 
 
 def aligned_gradient(p_plus: float, p_minus: float, delta: np.ndarray) -> np.ndarray:
@@ -121,11 +117,7 @@ def aligned_gradient(p_plus: float, p_minus: float, delta: np.ndarray) -> np.nda
     elementwise division when all probe magnitudes are equal.
     """
     delta = np.asarray(delta, dtype=float)
-    grad = np.multiply(delta, delta)
-    denom = 2.0 * float(np.mean(grad))
-    np.multiply(p_plus - p_minus, delta, out=grad)
-    grad /= denom
-    return grad
+    return (p_plus - p_minus) * delta / (2.0 * float(np.mean(delta * delta)))
 
 
 @dataclass
@@ -179,8 +171,7 @@ def run_assp(
         delta = perturbation_vector(structure, xi, bern, params, k)
         signs = bern if isotropic else None
         p_plus, p_minus = oracle.probe_pair(delta, signs)
-        step = aligned_gradient(p_plus, p_minus, delta)
-        step *= params.step_size(k)
+        step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
         oracle.move(step, signs)
         phases += step
         trace.append(oracle.held_nrsp(), oracle.queries)

@@ -158,39 +158,6 @@ class TestPerturbationVector:
         np.testing.assert_allclose(d9, d0 / 10**params.probe_exponent, atol=1e-15)
 
 
-class TestInPlaceForms:
-    """The iteration's helpers, which work in place, against the one
-    expression of each formula, bit for bit; their inputs stay untouched."""
-
-    def test_draw_perturbation(self):
-        for seed in range(4):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            xi, bern = draw_perturbation(rng, 1000)
-            assert xi == int(ref.integers(0, 2)) * 2 - 1
-            assert bern.dtype == float
-            assert bern.tobytes() == (ref.integers(0, 2, 1000) * 2 - 1).astype(float).tobytes()
-
-    @pytest.mark.parametrize("structure_weight", [0.02, 0.0])
-    def test_perturbation_vector_and_gradient(self, structure_weight):
-        params = AsspParams(structure_weight=structure_weight)
-        structure = structure_matrix(ArrayGeometry(16, 8))
-        rng = np.random.default_rng(7)
-        for xi, k in ((1, 0), (-1, 0), (1, 5), (-1, 37)):
-            _, bern = draw_perturbation(rng, structure.size)
-            bern_in = bern.copy()
-            delta = perturbation_vector(structure, xi, bern, params, k)
-            want = (
-                params.structure_weight * structure * xi + params.isotropic_weight * bern
-            ) / (k + 1) ** params.probe_exponent
-            assert delta.tobytes() == want.tobytes()
-            assert bern.tobytes() == bern_in.tobytes()
-            for p_plus, p_minus in ((0.73, 0.71), (0.5, 0.5), (0.2, 0.9)):
-                grad = aligned_gradient(p_plus, p_minus, delta)
-                want = (p_plus - p_minus) * delta / (2.0 * float(np.mean(delta * delta)))
-                assert grad.tobytes() == want.tobytes()
-            assert delta.tobytes() == perturbation_vector(structure, xi, bern, params, k).tobytes()
-
-
 class TestGradients:
     def test_equal_powers_zero_gradient(self):
         calls = iter([5.0, 5.0])

@@ -2,20 +2,21 @@
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGED_TREE --workload sweep_assp --pairs 10
 
-Pair i runs ``perfbench/run.py --workload W --seed i --seconds S --trace 0``
-once in each tree, the parent first on odd pairs and the change first on
-even ones, so a drift of the machine's speed falls on both sides alike.
-Each tree runs its own ``perfbench/`` on its own ``src/``.
+Pair i runs ``perfbench/run.py --workload W --seed i --trace 0`` once in
+each tree, for the ``run_seconds`` of that tree's ``BENCHMARK.json``, the
+parent first on odd pairs and the change first on even ones, so a drift
+of the machine's speed falls on both sides alike.  Each tree runs its own
+``perfbench/`` on its own ``src/``.
 
 It prints each pair's end-to-end metrics (parent / change), then per
 metric each side's median and quartiles (``statistics.quantiles``, n=4)
 and the median's change against the metric's bound in the parent's
-``BENCHMARK.json``.  For the claimed metric (``--metric``, default
-``units_per_s``) it counts the pairs the change wins and checks the gain
-rule: the change is better on at least nine pairs in ten, and its median
-is better than the parent's by more than the parent's quartile spread.
-It exits 0 when the rule holds and every run reads ``correct`` with no
-failed unit, 1 otherwise.
+``BENCHMARK.json``.  For ``units_per_s``, the metric a gain is claimed
+on, it counts the pairs the change wins and checks the gain rule: the
+change is better on at least nine pairs in ten, and its median is better
+than the parent's by more than the parent's quartile spread.  It exits 0
+when the rule holds and every run reads ``correct`` with no failed unit,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ import sys
 from pathlib import Path
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+CLAIMED = "units_per_s"
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run in ``tree``: its last line of output."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         stdout=subprocess.PIPE, cwd=tree, check=True,
     )
     return json.loads(done.stdout.decode().strip().splitlines()[-1])
@@ -52,21 +56,17 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--metric", default="units_per_s", help="the metric a gain is claimed on")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    if args.metric not in metrics:
-        parser.error(f"--metric must be one of {', '.join(metrics)}")
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args.workload, i, args.seconds))
+            runs[side].append(run_once(getattr(args, side), args.workload, i))
         cells = "  ".join(
             f"{name} {runs['parent'][-1]['metrics'][name]['value']:.6g}"
             f"/{runs['change'][-1]['metrics'][name]['value']:.6g}"
@@ -84,14 +84,14 @@ def main(argv=None) -> int:
               f"change median {cmed:.6g} (q1 {cq1:.6g}, q3 {cq3:.6g}), "
               f"{change:+.1%} ({m['better']} is better, bound {m['bound']:.0%})")
 
-    sign = 1.0 if metrics[args.metric]["better"] == "higher" else -1.0
-    parent = [r["metrics"][args.metric]["value"] for r in runs["parent"]]
-    change = [r["metrics"][args.metric]["value"] for r in runs["change"]]
+    sign = 1.0 if metrics[CLAIMED]["better"] == "higher" else -1.0
+    parent = [r["metrics"][CLAIMED]["value"] for r in runs["parent"]]
+    change = [r["metrics"][CLAIMED]["value"] for r in runs["change"]]
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     pq1, pmed, pq3 = quartiles(parent)
     gap = sign * (statistics.median(change) - pmed)
     holds = wins >= math.ceil(0.9 * args.pairs) and gap > pq3 - pq1
-    print(f"{args.metric}: the change wins {wins}/{args.pairs}; median gap {gap:+.6g} "
+    print(f"{CLAIMED}: the change wins {wins}/{args.pairs}; median gap {gap:+.6g} "
           f"against the parent's quartile spread {pq3 - pq1:.6g}; gain rule holds: {holds}")
     return 0 if holds and sound else 1
 
