@@ -25,8 +25,14 @@ channel: ``hold`` the start, then per iteration ``probe_pair(delta)`` and
 the move each cost one MN-element rotation (a cos and a sin).  Isotropic
 SPSA also hands over its Bernoulli signs: its probe and step are one
 magnitude on those signs, so each costs one scalar exponential and the
-whole trial makes one MN-element rotation (the ``hold``).  The sequential
-walk keeps the combiner sum itself and takes its noise a block at a time
+whole trial makes one MN-element rotation (the ``hold``).  ``run_assp``
+works that magnitude, mean(delta^2) and the step's scale as scalars and
+puts them on the signs once each, bit for bit what
+``perturbation_vector`` and ``aligned_gradient`` give with the structure
+weight at zero.  The signs come from ``draw_perturbation``, which reads
+the generator's raw 64-bit words, bit for bit and state for state the
+``rng.integers`` draws that fix the traces.  The sequential walk keeps
+the combiner sum itself and takes its noise a block at a time
 (``noise_terms``).
 
 Gradient estimate: ``aligned_gradient`` projects the measured central
@@ -93,10 +99,35 @@ def structure_matrix(geom: ArrayGeometry) -> np.ndarray:
 
 
 def draw_perturbation(rng: np.random.Generator, size: int) -> tuple[int, np.ndarray]:
-    """One Bernoulli draw: scalar xi and the +/-1 vector, each fair."""
-    xi = int(rng.integers(0, 2)) * 2 - 1
-    delta = rng.integers(0, 2, size) * 2 - 1
-    return xi, delta.astype(float)
+    """One Bernoulli draw: scalar xi and the +/-1 vector, each fair.
+
+    Bit for bit ``rng.integers(0, 2)`` then ``rng.integers(0, 2, size)``
+    mapped to +/-1, generator state included: each fair bit is the top bit
+    of one 32-bit word (Lemire's bounded draw with a range of 2 never
+    rejects), and a 64-bit generator (PCG64, the default, and numpy's
+    other 64-bit ones) hands out the low half of an output first, keeping
+    the high half in its state (``has_uint32``, ``uinteger``).  The words
+    are read here from ``random_raw`` (the half-word view assumes a
+    little-endian machine) and the buffered half is written back as the
+    two calls leave it.  A 32-bit generator (MT19937) keeps no half and
+    takes the two calls.
+    """
+    bits = rng.bit_generator
+    state = bits.state
+    if "has_uint32" not in state:
+        return int(rng.integers(0, 2)) * 2 - 1, rng.integers(0, 2, size) * 2.0 - 1.0
+    buffered = state["has_uint32"]
+    need = size + 1 - buffered  # words to take from fresh 64-bit outputs
+    words = bits.random_raw((need + 1) // 2).view(np.uint32)
+    if buffered:
+        xi, tops = state["uinteger"] >> 31, words[:size]
+    else:
+        xi, tops = int(words[0]) >> 31, words[1 : size + 1]
+    state = bits.state
+    state["has_uint32"] = need % 2
+    state["uinteger"] = int(words[-1])  # stale when no half is left over
+    bits.state = state
+    return xi * 2 - 1, (tops >> 31) * 2.0 - 1.0
 
 
 def perturbation_vector(
@@ -163,16 +194,26 @@ def run_assp(
     trace = OptimizerTrace(params.max_iters)
     best, stalled = -math.inf, 0
     # without the structured term every probe and step component is one
-    # magnitude on the Bernoulli signs, which the oracle rotates by from a
-    # single scalar exponential
+    # magnitude on the Bernoulli signs: the probe, mean(delta^2) and the
+    # step are worked as scalars, and the oracle rotates by one scalar
+    # exponential.  Bit for bit the general formulas: b*D*xi is +/-0.0, so
+    # adding it to +/-c is exact, multiplying by +/-1 is exact, and
+    # (-x)*(-x) == x*x; a zero step keeps the sign of its Bernoulli entry.
     isotropic = params.structure_weight == 0.0
     for k in range(params.max_iters):
         xi, bern = draw_perturbation(rng, phases.size)
-        delta = perturbation_vector(structure, xi, bern, params, k)
-        signs = bern if isotropic else None
-        p_plus, p_minus = oracle.probe_pair(delta, signs)
-        step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
-        oracle.move(step, signs)
+        if isotropic:
+            mag = params.isotropic_weight / (k + 1) ** params.probe_exponent
+            # np.mean's pairwise sum of n equal squares is not always the square
+            msq = float(np.mean(np.full(bern.size, mag * mag)))
+            p_plus, p_minus = oracle.probe_pair(bern * mag, bern)
+            step = bern * (params.step_size(k) * ((p_plus - p_minus) * mag / (2.0 * msq)))
+            oracle.move(step, bern)
+        else:
+            delta = perturbation_vector(structure, xi, bern, params, k)
+            p_plus, p_minus = oracle.probe_pair(delta)
+            step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
+            oracle.move(step)
         phases += step
         trace.append(oracle.held_nrsp(), oracle.queries)
         observed = max(p_plus, p_minus)
@@ -193,7 +234,7 @@ def run_isotropic_spsa(
 ) -> tuple[np.ndarray, OptimizerTrace]:
     """Fully isotropic baseline: ASSP with the structure weight zeroed.
 
-    Shares the exact code path and random stream, so equal seeds give
+    Runs ``run_assp`` on the same random stream, so equal seeds give
     bit-identical traces to ``run_assp`` with b = 0.
     """
     return run_assp(initial_phases, oracle, replace(params, structure_weight=0.0), rng, geom)

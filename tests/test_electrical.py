@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,32 @@ def bits(values):
     return np.asarray(values, dtype=complex).view(np.uint64)
 
 
+def reference_draw(rng, size):
+    """``draw_perturbation`` as the two ``rng.integers`` calls that fix
+    the traces' stream."""
+    xi = int(rng.integers(0, 2)) * 2 - 1
+    return xi, (rng.integers(0, 2, size) * 2 - 1).astype(float)
+
+
+def simultaneous_reference(initial_phases, oracle, params, rng, geom):
+    """``run_assp`` without its stop rule, from the general formulas: the
+    reference draw, ``perturbation_vector`` and ``aligned_gradient`` on
+    every element, and no sign hint to the oracle."""
+    structure = structure_matrix(geom)
+    phases = np.asarray(initial_phases, dtype=float).copy()
+    oracle.hold(phases)
+    trace = OptimizerTrace(params.max_iters)
+    for k in range(params.max_iters):
+        xi, bern = reference_draw(rng, phases.size)
+        delta = perturbation_vector(structure, xi, bern, params, k)
+        p_plus, p_minus = oracle.probe_pair(delta)
+        step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
+        oracle.move(step)
+        phases += step
+        trace.append(oracle.held_nrsp(), oracle.queries)
+    return phases, trace
+
+
 def sequential_reference(initial_phases, oracle, params):
     """The per-query sequential walk: one ``sample_pair`` call per probe."""
     phases = np.asarray(initial_phases, dtype=float).copy()
@@ -127,6 +154,28 @@ class TestStructureMatrix:
         assert d[0, 0] == 0.0
         assert np.all(np.diff(d, axis=0) >= 0)
         assert np.all(np.diff(d, axis=1) >= 0)
+
+
+class TestDraw:
+    @pytest.mark.parametrize("size", [1, 2, 3, 127, 128, 8191, 8192])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_equals_the_integers_draws(self, size, buffered, bit_generator):
+        # xi, the signs, the whole generator state (the buffered half word
+        # included) and the stream after it, over draws of alternating
+        # parity; MT19937 keeps no half word and takes the integers calls
+        ref, fast = (np.random.Generator(bit_generator(17)) for _ in range(2))
+        if buffered:
+            ref.integers(0, 2)
+            fast.integers(0, 2)
+        for _ in range(4):
+            xi, signs = draw_perturbation(fast, size)
+            ref_xi, ref_signs = reference_draw(ref, size)
+            assert xi == ref_xi and type(xi) is int
+            assert signs.dtype == np.float64
+            assert signs.tobytes() == ref_signs.tobytes()
+            np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+        assert fast.random() == ref.random()
 
 
 class TestPerturbationVector:
@@ -450,20 +499,25 @@ class TestSignedRotation:
         (128, 64, run_assp),
     ], ids=["16-8", "128-64", "assp-16-8", "assp-128-64"])
     def test_spsa_run_equals_elementwise_reference(self, rows, cols, runner):
-        # SPSA phases drift large; the whole run, SPSA's from scalar
-        # exponentials or ASSP's from cos and sin, stays bit for bit equal
-        # to rotations by complex exponentials
+        # SPSA phases drift large; the whole run, SPSA's worked as one
+        # magnitude on its signs and rotated by scalar exponentials or
+        # ASSP's rotated by cos and sin, stays bit for bit equal to the
+        # general formulas on every element and rotations by complex
+        # exponentials
         geom = ArrayGeometry(rows, cols)
         params = AsspParams(max_iters=100, stop_window=10**9)
         az = math.asin(math.sqrt(2.0) * math.sin(0.3 * D2R))
         h = Channel.from_paths(geom, [PathComponent(az, 45 * D2R)]).vec()
-        runs = []
-        for cls in (PowerOracle, ElementwiseOracle):
-            oracle = cls(h, 0.1, np.random.default_rng(4))
-            runs.append(runner(
-                np.zeros(geom.size), oracle, params, np.random.default_rng(8), geom
-            ))
-        (p1, t1), (p2, t2) = runs
+        p1, t1 = runner(
+            np.zeros(geom.size), PowerOracle(h, 0.1, np.random.default_rng(4)), params,
+            np.random.default_rng(8), geom,
+        )
+        if runner is run_isotropic_spsa:
+            params = replace(params, structure_weight=0.0)
+        p2, t2 = simultaneous_reference(
+            np.zeros(geom.size), ElementwiseOracle(h, 0.1, np.random.default_rng(4)), params,
+            np.random.default_rng(8), geom,
+        )
         assert len(t1) == params.max_iters
         assert np.array_equal(p1.view(np.uint64), p2.view(np.uint64))
         assert np.array_equal(bits(t1.nrsp), bits(t2.nrsp))

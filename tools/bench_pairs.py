@@ -11,12 +11,16 @@ of the machine's speed falls on both sides alike.  Each tree runs its own
 It prints each pair's end-to-end metrics (parent / change), then per
 metric each side's median and quartiles (``statistics.quantiles``, n=4)
 and the median's change against the metric's bound in the parent's
-``BENCHMARK.json``.  For ``units_per_s``, the metric a gain is claimed
-on, it counts the pairs the change wins and checks the gain rule: the
-change is better on at least nine pairs in ten, and its median is better
-than the parent's by more than the parent's quartile spread.  It exits 0
-when the rule holds and every run reads ``correct`` with no failed unit,
-1 otherwise.
+``BENCHMARK.json``, flagging ``REGRESSION`` where the change's median is
+worse than the parent's by more than that bound.  For ``units_per_s``,
+the metric a gain is claimed on, it counts the pairs the change wins and
+checks the gain rule: the change is better on at least nine pairs in
+ten, and its median is better than the parent's by more than the
+parent's quartile spread.
+
+Exit status: 0 when the gain rule holds, 1 when a run is not ``correct``
+or has a failed unit or a metric regresses beyond its bound, and 3 when
+neither: no regression, and no gain (2 is argparse's usage error).
 """
 
 from __future__ import annotations
@@ -76,13 +80,19 @@ def main(argv=None) -> int:
 
     sound = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
     print(f"every run correct with 0 failed: {sound}")
+    regressed = []
     for name, m in metrics.items():
         values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(values["parent"]), quartiles(values["change"])
         change = (cmed - pmed) / pmed if pmed else math.inf
+        regresses = (-change if m["better"] == "higher" else change) > m["bound"]
+        if regresses:
+            regressed.append(name)
         print(f"{name}: parent median {pmed:.6g} (q1 {pq1:.6g}, q3 {pq3:.6g}), "
               f"change median {cmed:.6g} (q1 {cq1:.6g}, q3 {cq3:.6g}), "
-              f"{change:+.1%} ({m['better']} is better, bound {m['bound']:.0%})")
+              f"{change:+.1%} ({m['better']} is better, bound {m['bound']:.0%})"
+              + ("  REGRESSION" if regresses else ""))
+    print(f"metrics worse than the parent beyond their bound: {', '.join(regressed) or 'none'}")
 
     sign = 1.0 if metrics[CLAIMED]["better"] == "higher" else -1.0
     parent = [r["metrics"][CLAIMED]["value"] for r in runs["parent"]]
@@ -93,7 +103,9 @@ def main(argv=None) -> int:
     holds = wins >= math.ceil(0.9 * args.pairs) and gap > pq3 - pq1
     print(f"{CLAIMED}: the change wins {wins}/{args.pairs}; median gap {gap:+.6g} "
           f"against the parent's quartile spread {pq3 - pq1:.6g}; gain rule holds: {holds}")
-    return 0 if holds and sound else 1
+    if not sound or regressed:
+        return 1
+    return 0 if holds else 3
 
 
 if __name__ == "__main__":
