@@ -104,18 +104,15 @@ def draw_perturbation(rng: np.random.Generator, size: int) -> tuple[int, np.ndar
     Bit for bit ``rng.integers(0, 2)`` then ``rng.integers(0, 2, size)``
     mapped to +/-1, generator state included: each fair bit is the top bit
     of one 32-bit word (Lemire's bounded draw with a range of 2 never
-    rejects), and a 64-bit generator (PCG64, the default, and numpy's
-    other 64-bit ones) hands out the low half of an output first, keeping
-    the high half in its state (``has_uint32``, ``uinteger``).  The words
-    are read here from ``random_raw`` (the half-word view assumes a
-    little-endian machine) and the buffered half is written back as the
-    two calls leave it.  A 32-bit generator (MT19937) keeps no half and
-    takes the two calls.
+    rejects), and numpy's 64-bit generators (PCG64, the default) hand out
+    the low half of an output first, keeping the high half in their state
+    (``has_uint32``, ``uinteger``).  The words are read here from
+    ``random_raw`` (the half-word view assumes a little-endian machine),
+    the buffered half first, and the buffer is written back as the two
+    calls leave it.
     """
     bits = rng.bit_generator
     state = bits.state
-    if "has_uint32" not in state:
-        return int(rng.integers(0, 2)) * 2 - 1, rng.integers(0, 2, size) * 2.0 - 1.0
     buffered = state["has_uint32"]
     need = size + 1 - buffered  # words to take from fresh 64-bit outputs
     words = bits.random_raw((need + 1) // 2).view(np.uint32)

@@ -159,12 +159,11 @@ class TestStructureMatrix:
 class TestDraw:
     @pytest.mark.parametrize("size", [1, 2, 3, 127, 128, 8191, 8192])
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
-    def test_equals_the_integers_draws(self, size, buffered, bit_generator):
+    def test_equals_the_integers_draws(self, size, buffered):
         # xi, the signs, the whole generator state (the buffered half word
         # included) and the stream after it, over draws of alternating
-        # parity; MT19937 keeps no half word and takes the integers calls
-        ref, fast = (np.random.Generator(bit_generator(17)) for _ in range(2))
+        # parity
+        ref, fast = (np.random.default_rng(17) for _ in range(2))
         if buffered:
             ref.integers(0, 2)
             fast.integers(0, 2)
