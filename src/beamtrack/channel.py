@@ -254,7 +254,8 @@ class PowerOracle:
       simultaneous methods.  The oracle carries u = conj(exp(j*phases)) * h
       for the held phases, so a probe pair at phases +/- delta costs one
       MN-element rotation exp(-j*delta) (one cos and one sin) and a move
-      one more; the optimizer passes phase offsets and never reads h.  An
+      one more, and the pair draws the noise of its two queries in one
+      call; the optimizer passes phase offsets and never reads h.  An
       offset that is one magnitude on +/-1 ``signs`` (the isotropic SPSA
       probe and its step) costs one scalar exponential instead, bit for
       bit the same rotation;
@@ -283,24 +284,21 @@ class PowerOracle:
         self._noise_sigma = math.sqrt(h.size * self.noise_power / 2.0)
 
     def __call__(self, phases: np.ndarray) -> float:
-        return self._measure(np.vdot(weights_from_phases(phases), self.h_vec))
+        return self._measure(np.vdot(weights_from_phases(phases), self.h_vec), *self.noise_terms(1))
 
     def sample_pair(self, base: complex, delta: complex) -> float:
         """Power of an incrementally adjusted combiner sum (base + delta),
         same scaling and noise law."""
-        return self._measure(base + delta)
+        return self._measure(base + delta, *self.noise_terms(1))
 
     def noise_terms(self, n: int) -> list[complex]:
         """Additive noise of the next ``n`` queries, as Python complex
-        numbers, counted as ``n`` queries.  A query reads
+        numbers, counted as ``n`` queries: 2n normals in one draw, which
+        are the 2n scalar draws of n queries.  A query reads
         ``abs(combined + noise) ** 2 / scale``."""
         self.queries += n
         if self.noise_power > 0.0:
-            sigma, draw = self._noise_sigma, self.rng.standard_normal
-            # 2n normals in one draw are the 2n scalar draws of n queries
-            if n == 1:  # so one query draws two scalars, without the array
-                return [complex(sigma * draw(), sigma * draw())]
-            return (sigma * draw(2 * n)).view(complex).tolist()
+            return (self._noise_sigma * self.rng.standard_normal(2 * n)).view(complex).tolist()
         return [0j] * n
 
     def hold(self, phases: np.ndarray) -> None:
@@ -313,8 +311,8 @@ class PowerOracle:
         ``signs``, if given, are the +/-1 signs of an offset of one
         magnitude: delta == signs * delta[0] * signs[0]."""
         e = self._rotation(delta, signs)
-        p_plus = self._measure(self._held @ e)
-        return p_plus, self._measure(np.vdot(e, self._held))
+        n_plus, n_minus = self.noise_terms(2)
+        return self._measure(self._held @ e, n_plus), self._measure(np.vdot(e, self._held), n_minus)
 
     def move(self, step: np.ndarray, signs: np.ndarray | None = None) -> None:
         """Advance the held phases by ``step`` (``signs`` as for probe_pair)."""
@@ -336,8 +334,8 @@ class PowerOracle:
         """``true_nrsp`` of the held phases, from the carried terms."""
         return float(abs(self._held.sum()) ** 2 / self.scale)
 
-    def _measure(self, combined: complex) -> float:
-        return abs(combined + self.noise_terms(1)[0]) ** 2 / self.scale
+    def _measure(self, combined: complex, noise: complex) -> float:
+        return abs(combined + noise) ** 2 / self.scale
 
     def true_nrsp(self, phases: np.ndarray) -> float:
         return nrsp(phases, self.h_vec)

@@ -121,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="electrical convergence statistics")
     sw.add_argument("--config", type=_scenario_file,
-                    help="scenario file providing the base setup")
+                    help="scenario file providing [array], the [signal] link and "
+                         "the [electrical] step parameters")
     sw.add_argument("--values", type=_snr_values, required=True,
                     help="comma-separated SNRs, dB, each checked as [signal] snr_db")
     sw.add_argument("--seeds", type=_count, default=100)
@@ -181,14 +182,12 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
-def _sweep_task(task):
-    return experiments.convergence_stats(*task)
-
-
 def _cmd_sweep(args) -> int:
     cfg = load_scenario(args.config)
+    # convergence_stats arguments per row: the scenario's link, at each --values SNR
     tasks = [
-        (m, cfg.array, v, args.seeds, cfg.electrical.params, args.offset_deg, args.threshold)
+        (m, cfg.array, v, args.seeds, cfg.electrical.params, args.offset_deg, args.threshold,
+         cfg.signal)
         for v in args.values
         for m in args.methods
     ]
@@ -196,9 +195,9 @@ def _cmd_sweep(args) -> int:
     workers = min(args.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, tasks))
+            results = list(pool.map(experiments.convergence_stats, *zip(*tasks)))
     else:
-        results = [_sweep_task(t) for t in tasks]
+        results = list(map(experiments.convergence_stats, *zip(*tasks)))
     rows = sorted(
         ((task[2], stats.method, stats) for task, stats in zip(tasks, results)),
         key=lambda r: r[:2],

@@ -1,22 +1,23 @@
 """Standalone electrical-alignment convergence experiments.
 
-Each trial starts the analog weights at zero phase against a channel
-arriving from a per-axis angular offset (the post-mechanical residual)
-and runs one optimizer to termination.  Statistics over seeds feed the
-sweep command and the acceptance experiments: iterations to a normalized
-power threshold (counting the budget when never reached), final
-normalized power, oracle queries, and the fitted arrival-angle error.
+Each trial starts the analog weights at zero phase against a link
+(``SignalModel``) whose LOS ray arrives from a per-axis angular offset
+(the post-mechanical residual) and runs one optimizer to termination.
+Statistics over seeds feed the sweep command and the acceptance
+experiments: iterations to a normalized power threshold (counting the
+budget when never reached), final normalized power, oracle queries, and
+the fitted arrival-angle error against the LOS arrival.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import electrical as el
-from .channel import ArrayGeometry, Channel, PathComponent, PowerOracle, SignalModel
+from .channel import ArrayGeometry, Channel, PowerOracle, SignalModel
 from .electrical import AsspParams
 from .frames import wrap_angle
 
@@ -52,17 +53,15 @@ class ConvergenceStats:
     median_fit_elevation_err_deg: float
 
 
-def offset_channel(geom: ArrayGeometry, offset_deg: float = 0.3) -> tuple[Channel, float, float]:
-    """LOS channel arriving ``offset_deg`` off-normal along each array axis.
+def offset_arrival(offset_deg: float = 0.3) -> tuple[float, float]:
+    """(azimuth, elevation) of a LOS ray arriving ``offset_deg`` off-normal
+    along each array axis.
 
     The two direction sines are sin(offset) each, i.e. the polar arrival
     angle is asin(sqrt(2)*sin(offset)) oriented at 45 degrees.
     """
     u = math.sin(offset_deg * D2R)
-    azimuth = math.asin(min(1.0, math.hypot(u, u)))
-    elevation = math.atan2(u, u)
-    chan = Channel.from_paths(geom, [PathComponent(azimuth, elevation)])
-    return chan, azimuth, elevation
+    return math.asin(min(1.0, math.hypot(u, u))), math.atan2(u, u)
 
 
 def run_trial(
@@ -73,14 +72,17 @@ def run_trial(
     params: AsspParams,
     offset_deg: float = 0.3,
     threshold: float = 0.99,
+    signal: SignalModel = SignalModel(),
 ) -> TrialResult:
-    chan, true_az, true_el = offset_channel(geom, offset_deg)
-    noise_power = SignalModel(snr_db=snr_db).noise_power
+    """One trial on the link ``signal``, with ``snr_db`` as its SNR."""
+    link = replace(signal, snr_db=snr_db)
+    true_az, true_el = offset_arrival(offset_deg)
+    chan = Channel.from_paths(geom, link.paths(true_az, true_el))
     # str hash is process-randomized; derive the stream tag from the bytes
     method_tag = sum(method.encode())
     master = np.random.SeedSequence((seed, method_tag))
     noise_seq, perturb_seq = master.spawn(2)
-    oracle = PowerOracle(chan.vec(), noise_power, np.random.default_rng(noise_seq))
+    oracle = PowerOracle(chan.vec(), link.noise_power, np.random.default_rng(noise_seq))
     runner = METHOD_RUNNERS[method]
     phases, trace = runner(
         np.zeros(geom.size), oracle, params, np.random.default_rng(perturb_seq), geom
@@ -109,9 +111,10 @@ def convergence_stats(
     params: AsspParams,
     offset_deg: float = 0.3,
     threshold: float = 0.99,
+    signal: SignalModel = SignalModel(),
 ) -> ConvergenceStats:
     trials = [
-        run_trial(method, geom, snr_db, seed, params, offset_deg, threshold)
+        run_trial(method, geom, snr_db, seed, params, offset_deg, threshold, signal)
         for seed in range(seeds)
     ]
     med = lambda xs: float(np.median(xs))

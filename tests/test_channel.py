@@ -386,7 +386,7 @@ class TestPowerOracle:
         assert block.rng.standard_normal() == single.rng.standard_normal()
 
     def test_one_query_noise_is_the_array_draw(self):
-        # noise_terms(1) draws two scalars: the stream of one array draw
+        # one query at a time reads the stream of one array draw, in query order
         h = los_channel(ArrayGeometry(8, 4), 0.02, 0.1)
         scalar = PowerOracle(h, 0.1, np.random.default_rng(17))
         block = PowerOracle(h, 0.1, np.random.default_rng(17))
@@ -424,6 +424,24 @@ class TestPowerOracle:
         held.move(step)
         assert held.held_nrsp() == pytest.approx(fresh.true_nrsp(phases + step), abs=1e-14)
         assert held.queries == fresh.queries == 2
+
+    def test_probe_pair_draws_both_noises_in_one_call(self):
+        geom = ArrayGeometry(16, 8)
+        h = los_channel(geom, 0.01, 0.7, gain=0.8 * np.exp(0.4j))
+        rng = np.random.default_rng(6)
+        phases = rng.uniform(-3.0, 3.0, geom.size)
+        delta = 0.05 * rng.standard_normal(geom.size)
+        oracle, twin = (PowerOracle(h, 0.01, np.random.default_rng(8)) for _ in range(2))
+        oracle.hold(phases)
+        held, e = oracle._held.copy(), np.exp(-1j * delta)
+        n0, n1 = twin.noise_terms(2)
+        before = oracle.queries
+        assert oracle.probe_pair(delta) == (
+            abs(held @ e + n0) ** 2 / oracle.scale,
+            abs(np.vdot(e, held) + n1) ** 2 / oracle.scale,
+        )
+        assert oracle.queries == before + 2
+        assert oracle.rng.standard_normal() == twin.rng.standard_normal()
 
     def test_signal_model_noise_power(self):
         assert SignalModel(snr_db=20.0).noise_power == pytest.approx(0.01)

@@ -108,12 +108,16 @@ class TestSimulate:
         assert "error" in err
 
 
+def sweep_argv(cfg, extra=""):
+    """sweep argv on a 4x4 array, one seed, ASSP only; ``extra`` is
+    appended to its config file ``cfg``."""
+    cfg.write_text("[array]\nrows = 4\ncols = 4\n" + extra)
+    return ["sweep", "--config", str(cfg), "--seeds", "1", "--methods", "assp"]
+
+
 @pytest.fixture
 def small_sweep(tmp_path):
-    """sweep argv on a 4x4 array, one seed, ASSP only."""
-    cfg = tmp_path / "small.ini"
-    cfg.write_text("[array]\nrows = 4\ncols = 4\n")
-    return ["sweep", "--config", str(cfg), "--seeds", "1", "--methods", "assp"]
+    return sweep_argv(tmp_path / "small.ini")
 
 
 class TestSweep:
@@ -204,18 +208,22 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *columns):
+                return map(fn, *columns)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         code, _, _ = run_cli(capsys, small_sweep + ["--values", "20,10", "--jobs", "64"])
         assert code == 0
         assert asked == [2]
 
-    def test_pool_prints_the_serial_table(self, capsys, small_sweep):
-        serial, pooled = (
-            run_cli(capsys, small_sweep + ["--values", "20,10", "--seeds", "2", "--jobs", jobs])
-            for jobs in ("1", "2")
+    @pytest.mark.parametrize("signal", ["", "[signal]\nnlos_gain = 0.9\n"], ids=["los", "two_ray"])
+    def test_pool_prints_the_serial_table(self, capsys, tmp_path, signal):
+        # the workers run the config's link: a second ray moves the table
+        plain, serial, pooled = (
+            run_cli(capsys, sweep_argv(tmp_path / f"{name}.ini", extra)
+                    + ["--values", "20,10", "--seeds", "2", "--jobs", jobs])
+            for name, extra, jobs in (("plain", "", "1"), ("link", signal, "1"), ("link", signal, "2"))
         )
         assert serial[0] == 0
         assert pooled == serial
+        assert (serial != plain) == bool(signal)

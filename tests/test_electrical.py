@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamtrack import channel, electrical
-from beamtrack.channel import ArrayGeometry, Channel, PathComponent, PowerOracle
+from beamtrack import channel, electrical, experiments
+from beamtrack.channel import ArrayGeometry, Channel, PathComponent, PowerOracle, SignalModel
 from beamtrack.electrical import (
     AsspParams,
     OptimizerTrace,
@@ -18,7 +18,7 @@ from beamtrack.electrical import (
     run_sequential_perturbation,
     structure_matrix,
 )
-from beamtrack.experiments import offset_channel, run_trial
+from beamtrack.experiments import offset_arrival, run_trial
 
 D2R = math.pi / 180.0
 
@@ -263,7 +263,7 @@ class TestGradients:
         # structured probes differ in magnitude per element: dividing
         # elementwise (assp_gradient) kicks small-probe elements hard
         geom, params = ArrayGeometry(16, 8), AsspParams()
-        h = offset_channel(geom, 0.3)[0].vec()
+        h = Channel.from_paths(geom, [PathComponent(*offset_arrival(0.3))]).vec()
         structure = structure_matrix(geom)
         final = {}
         for form in ("aligned", "reciprocal"):
@@ -620,6 +620,32 @@ class TestTrace:
         result = run_trial(method, ArrayGeometry(8, 4), 20.0, 0, params, threshold=2.0)
         assert not result.reached
         assert result.iterations_to_threshold == budget
+
+
+class TestTrialLink:
+    def test_snr_argument_replaces_the_links(self):
+        geom, params = ArrayGeometry(8, 4), AsspParams(max_iters=12)
+        for method in ("assp", "spsa", "sequential"):
+            for seed in (0, 1):
+                assert run_trial(
+                    method, geom, 20.0, seed, params, signal=SignalModel(snr_db=99.0)
+                ) == run_trial(method, geom, 20.0, seed, params)
+
+    def test_trial_runs_the_two_ray_link(self, monkeypatch):
+        geom, params = ArrayGeometry(16, 8), AsspParams(max_iters=12)
+        signal = SignalModel(nlos_gain=0.3)
+        seen = []
+
+        def recorder(initial, oracle, *rest):
+            seen.append(oracle)
+            return electrical.run_assp(initial, oracle, *rest)
+
+        monkeypatch.setitem(experiments.METHOD_RUNNERS, "assp", recorder)
+        two_ray = run_trial("assp", geom, 20.0, 3, params, signal=signal)
+        (oracle,) = seen
+        want = Channel.from_paths(geom, signal.paths(*offset_arrival(0.3))).vec()
+        assert oracle.h_vec.tobytes() == want.tobytes()
+        assert two_ray != run_trial("assp", geom, 20.0, 3, params)
 
 
 class TestDoaFit:

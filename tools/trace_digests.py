@@ -4,7 +4,9 @@ Runs ``beamtrack simulate`` on seven fixed configs (A-G) and prints, for
 each, the sha256 of ``trace.csv``, of ``trace.json`` and of the printed
 summary.  Then runs 156 ``experiments.run_trial`` calls (3 methods x 20/10
 dB x default/acceptance parameters, seeds 0-9 at 16x8 and 0-2 at 128x64)
-and prints one sha256 over the reprs of their results.
+and prints one sha256 over the reprs of their results, and last one over
+60 trials on a two-ray link (``SignalModel(nlos_gain=0.3)``: 16x8, 3
+methods x 20/10 dB, seeds 0-9, default parameters).
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -36,7 +38,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from beamtrack.channel import ArrayGeometry  # noqa: E402
+from beamtrack.channel import ArrayGeometry, SignalModel  # noqa: E402
 from beamtrack.cli import cli_main  # noqa: E402
 from beamtrack.electrical import AsspParams  # noqa: E402
 from beamtrack.experiments import run_trial  # noqa: E402
@@ -102,6 +104,17 @@ def trial_digest() -> str:
     return f"run_trial x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
 
 
+def two_ray_trial_digest() -> str:
+    link = SignalModel(nlos_gain=0.3)
+    reprs = [
+        repr(run_trial(method, ArrayGeometry(16, 8), snr, seed, PARAMS["default"], signal=link))
+        for method in METHODS
+        for snr in SNRS_DB
+        for seed in range(10)
+    ]
+    return f"run_trial nlos x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -127,8 +140,9 @@ def main(argv: list[str] | None = None) -> int:
                 lines.append(line)
         finally:
             os.chdir(previous)
-    lines.append(trial_digest())
-    print(lines[-1])
+    for digest in (trial_digest, two_ray_trial_digest):
+        lines.append(digest())
+        print(lines[-1], flush=True)
     if expected is None:
         return 0
     diff = list(difflib.unified_diff(expected, lines, str(args.expect), "this run", lineterm="", n=0))
