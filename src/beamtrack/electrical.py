@@ -310,17 +310,35 @@ def fit_doa(phases: np.ndarray, geom: ArrayGeometry) -> tuple[float, float]:
     """Fit the converged phase vector to the plane-wave model, least squares
     in the complex domain.
 
-    A zero-padded 2-D FFT of exp(j*phases) locates the dominant plane-wave
-    component; Newton refinement on the correlation power polishes the two
-    direction sines.  Returns (azimuth, elevation) of the fitted arrival.
-    Working on exp(j*phases) rather than raw phases keeps the fit immune
-    to 2*pi wraps.
+    The peak bin of the zero-padded 2-D FFT of exp(j*phases) locates the
+    dominant plane-wave component; Newton refinement on the correlation
+    power polishes the two direction sines.  Returns (azimuth, elevation)
+    of the fitted arrival.  Working on exp(j*phases) rather than raw phases
+    keeps the fit immune to 2*pi wraps.
+
+    The peak is the bin ``np.argmax(np.abs(np.fft.fft2(...)))`` picks, found
+    without the full grid.  One pass along the rows makes the first stage
+    of ``fft2`` (same bits).  A column's second-pass outputs are bounded by
+    the L1 norm of its first-pass column; pocketfft's rounding is near
+    log2(4 * rows) * eps of that norm, so a 1e-9 slack keeps the bound safe
+    by orders of magnitude, and a column whose bound is below one computed
+    peak can neither hold the maximum nor tie it.  Only the other columns
+    get their second pass, in ascending order, so ties go to the smallest
+    (row, column): the row-major-first bin of the full grid.  Each Newton
+    step makes three plane waves, at u and u +/- h on both axes, and shares
+    the row product r0 @ wbar between f0 and the column probes.
     """
     wbar = conj_weight_matrix(phases, geom)
-    spec = np.fft.fft2(np.conj(wbar), s=(_FFT_PAD * geom.rows, _FFT_PAD * geom.cols))
-    peak = np.unravel_index(np.argmax(np.abs(spec)), spec.shape)
-    fr = peak[0] / (_FFT_PAD * geom.rows)
-    fc = peak[1] / (_FFT_PAD * geom.cols)
+    n_rows, n_cols = _FFT_PAD * geom.rows, _FFT_PAD * geom.cols
+    s1 = np.fft.fft(np.conj(wbar), n=n_cols, axis=1)
+    bound = np.abs(s1).sum(axis=0) * (1.0 + 1e-9)
+    best = np.abs(np.fft.fft(s1[:, np.argmax(bound)], n=n_rows)).max()
+    keep = np.flatnonzero(bound >= best)
+    # on noise-like phases every column qualifies: transform s1, not a copy
+    spec = np.abs(np.fft.fft(s1 if keep.size == n_cols else s1[:, keep], n=n_rows, axis=0))
+    row, col = np.unravel_index(np.argmax(spec), spec.shape)
+    fr = row / n_rows
+    fc = keep[col] / n_cols
     if fr > 0.5:
         fr -= 1.0
     if fc > 0.5:
@@ -329,16 +347,17 @@ def fit_doa(phases: np.ndarray, geom: ArrayGeometry) -> tuple[float, float]:
     d = geom.spacing_over_wavelength
     u_r, u_c = fr / d, fc / d
 
-    def corr(ur, uc):
-        # |conj(r)^T W conj(c)|^2 = |r^T wbar c|^2 against the model r c^T
-        r, c = plane_wave(geom, ur, uc)
-        return abs(r @ wbar @ c) ** 2
-
+    # |conj(r)^T W conj(c)|^2 = |(r^T wbar) c|^2 against the model r c^T;
+    # plane_wave builds r from u_r alone and c from u_c alone
     h = 1e-6
     for _ in range(60):
-        f0 = corr(u_r, u_c)
-        r_plus, r_minus = corr(u_r + h, u_c), corr(u_r - h, u_c)
-        c_plus, c_minus = corr(u_r, u_c + h), corr(u_r, u_c - h)
+        r0, c0 = plane_wave(geom, u_r, u_c)
+        rp, cp = plane_wave(geom, u_r + h, u_c + h)
+        rm, cm = plane_wave(geom, u_r - h, u_c - h)
+        v0 = r0 @ wbar
+        f0 = abs(v0 @ c0) ** 2
+        r_plus, r_minus = abs(rp @ wbar @ c0) ** 2, abs(rm @ wbar @ c0) ** 2
+        c_plus, c_minus = abs(v0 @ cp) ** 2, abs(v0 @ cm) ** 2
         gr = (r_plus - r_minus) / (2 * h)
         gc = (c_plus - c_minus) / (2 * h)
         hrr = (r_plus - 2 * f0 + r_minus) / h**2

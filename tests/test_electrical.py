@@ -648,6 +648,68 @@ class TestTrialLink:
         assert two_ray != run_trial("assp", geom, 20.0, 3, params)
 
 
+def reference_fit_doa(phases, geom):
+    """The fit over the full zero-padded grid: ``fft2``, the argmax of its
+    magnitudes, and five correlations per Newton step."""
+    wbar = channel.conj_weight_matrix(phases, geom)
+    spec = np.fft.fft2(np.conj(wbar), s=(4 * geom.rows, 4 * geom.cols))
+    peak = np.unravel_index(np.argmax(np.abs(spec)), spec.shape)
+    fr = peak[0] / (4 * geom.rows)
+    fc = peak[1] / (4 * geom.cols)
+    if fr > 0.5:
+        fr -= 1.0
+    if fc > 0.5:
+        fc -= 1.0
+    d = geom.spacing_over_wavelength
+    u_r, u_c = fr / d, fc / d
+
+    def corr(ur, uc):
+        r, c = channel.plane_wave(geom, ur, uc)
+        return abs(r @ wbar @ c) ** 2
+
+    h = 1e-6
+    for _ in range(60):
+        f0 = corr(u_r, u_c)
+        r_plus, r_minus = corr(u_r + h, u_c), corr(u_r - h, u_c)
+        c_plus, c_minus = corr(u_r, u_c + h), corr(u_r, u_c - h)
+        gr = (r_plus - r_minus) / (2 * h)
+        gc = (c_plus - c_minus) / (2 * h)
+        hrr = (r_plus - 2 * f0 + r_minus) / h**2
+        hcc = (c_plus - 2 * f0 + c_minus) / h**2
+        step_r = -gr / hrr if hrr < 0 else 0.0
+        step_c = -gc / hcc if hcc < 0 else 0.0
+        u_r += step_r
+        u_c += step_c
+        if abs(step_r) < 1e-12 and abs(step_c) < 1e-12:
+            break
+    return math.asin(min(1.0, math.hypot(u_r, u_c))), math.atan2(u_c, u_r)
+
+
+def fit_phase_sets(geom):
+    """Named phase sets for the fit: each runner's converged output, zeros,
+    noise-like phases, phases in {0, pi} and matched weights."""
+    rng = np.random.default_rng(geom.size)
+    az = math.asin(math.sqrt(2.0) * math.sin(0.3 * D2R))
+    h = Channel.from_paths(geom, [PathComponent(az, 45 * D2R)]).vec()
+    params = AsspParams(max_iters=60, seq_max_sweeps=2)
+    sets = {
+        f"{method}-seed{seed}": runner(
+            np.zeros(geom.size), PowerOracle(h, 0.1, np.random.default_rng(seed)), params,
+            np.random.default_rng(seed + 10), geom,
+        )[0]
+        for method, runner in electrical.RUNNERS.items()
+        for seed in range(2)
+    }
+    sets["zeros"] = np.zeros(geom.size)
+    for k in range(3):
+        sets[f"noise{k}"] = rng.normal(0.0, 3.0, geom.size)
+    for k in range(8):
+        sets[f"binary{k}"] = np.pi * rng.integers(0, 2, geom.size)
+    for az_deg, el_deg in ((0.35, 40.0), (2.0, 200.0), (0.0, 0.0)):
+        sets[f"matched-{az_deg}-{el_deg}"] = channel.matched_weights(geom, az_deg * D2R, el_deg * D2R)
+    return sets
+
+
 class TestDoaFit:
     def test_exact_plane_wave(self):
         geom = ArrayGeometry(64, 32)
@@ -668,9 +730,69 @@ class TestDoaFit:
         monkeypatch.setattr(electrical, "plane_wave", counted)
         geom = ArrayGeometry(16, 8)
         fit_doa(channel.matched_weights(geom, 0.35 * D2R, 40 * D2R), geom)
-        # f0 and +/-h on each axis: five plane waves per Newton step
-        assert len(points) % 5 == 0 and len(points) > 5
+        # u and u +/- h on both axes: three plane waves per Newton step
+        assert len(points) % 3 == 0 and len(points) > 3
         assert len(set(points)) == len(points)
+        h = 1e-6
+        for (u_r, u_c), plus, minus in zip(points[::3], points[1::3], points[2::3]):
+            assert plus == (u_r + h, u_c + h)
+            assert minus == (u_r - h, u_c - h)
+
+    @pytest.mark.parametrize("rows, cols", [(16, 8), (64, 32), (5, 3), (1, 1)])
+    def test_fit_equals_full_grid_reference(self, rows, cols):
+        # the pruned peak search and the shared Newton products give the
+        # same tuple, bit for bit, as the full grid and five correlations
+        geom = ArrayGeometry(rows, cols)
+        for name, phases in fit_phase_sets(geom).items():
+            assert fit_doa(phases, geom) == reference_fit_doa(phases, geom), name
+
+    def test_binary_phases_hold_tied_peaks(self):
+        # a real spectrum is conjugate-symmetric, so its peak magnitude can
+        # occur twice: the equality above then pins the row-major tie rule
+        geom = ArrayGeometry(64, 32)
+        tied = 0
+        for name, phases in fit_phase_sets(geom).items():
+            if name.startswith("binary"):
+                wbar = channel.conj_weight_matrix(phases, geom)
+                spec = np.abs(np.fft.fft2(np.conj(wbar), s=(4 * geom.rows, 4 * geom.cols)))
+                tied += np.count_nonzero(spec == spec.max()) > 1
+        assert tied > 0
+
+    @staticmethod
+    def count_second_pass(monkeypatch, geom):
+        """Wrap ``np.fft.fft`` in ``electrical``: returns the list of the
+        column counts of each second-pass call, the first-pass outputs and
+        the second-pass inputs."""
+        fft = np.fft.fft
+        columns, firsts, seconds = [], [], []
+
+        def counted(a, n=None, axis=-1):
+            out = fft(a, n=n, axis=axis)
+            if n == 4 * geom.rows and (a.ndim == 1 or axis == 0):
+                columns.append(1 if a.ndim == 1 else a.shape[1])
+                seconds.append(a)
+            else:
+                firsts.append(out)
+            return out
+
+        monkeypatch.setattr(electrical.np.fft, "fft", counted)
+        return columns, firsts, seconds
+
+    def test_matched_weights_transform_at_most_two_columns(self, monkeypatch):
+        geom = ArrayGeometry(64, 32)
+        columns, firsts, _ = self.count_second_pass(monkeypatch, geom)
+        fit_doa(channel.matched_weights(geom, 0.35 * D2R, 40 * D2R), geom)
+        assert len(firsts) == 1
+        assert sum(columns) <= 2
+
+    def test_noise_transforms_every_column_without_a_copy(self, monkeypatch):
+        geom = ArrayGeometry(64, 32)
+        columns, firsts, seconds = self.count_second_pass(monkeypatch, geom)
+        phases = np.random.default_rng(9).normal(0.0, 3.0, geom.size)
+        fit_doa(phases, geom)
+        (s1,) = firsts
+        assert columns == [1, 4 * geom.cols]
+        assert seconds[-1] is s1
 
     def test_noisy_phases_still_close(self):
         geom = ArrayGeometry(64, 32)

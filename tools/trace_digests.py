@@ -4,9 +4,13 @@ Runs ``beamtrack simulate`` on seven fixed configs (A-G) and prints, for
 each, the sha256 of ``trace.csv``, of ``trace.json`` and of the printed
 summary.  Then runs 156 ``experiments.run_trial`` calls (3 methods x 20/10
 dB x default/acceptance parameters, seeds 0-9 at 16x8 and 0-2 at 128x64)
-and prints one sha256 over the reprs of their results, and last one over
-60 trials on a two-ray link (``SignalModel(nlos_gain=0.3)``: 16x8, 3
-methods x 20/10 dB, seeds 0-9, default parameters).
+and prints one sha256 over the reprs of their results, then one over 60
+trials on a two-ray link (``SignalModel(nlos_gain=0.3)``: 16x8, 3
+methods x 20/10 dB, seeds 0-9, default parameters).  The last line is one
+sha256 over the reprs of ``electrical.fit_doa`` at 128x64 and 5x3 on
+phases from a fixed generator: noise-like phases (at 128x64 every FFT
+column can hold the peak), phases in {0, pi} (whose peak magnitude can
+occur twice) and matched weights at three arrivals.
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -35,12 +39,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from beamtrack.channel import ArrayGeometry, SignalModel  # noqa: E402
+from beamtrack.channel import ArrayGeometry, SignalModel, matched_weights  # noqa: E402
 from beamtrack.cli import cli_main  # noqa: E402
-from beamtrack.electrical import AsspParams  # noqa: E402
+from beamtrack.electrical import AsspParams, fit_doa  # noqa: E402
 from beamtrack.experiments import run_trial  # noqa: E402
 
 EPOCHS = "[electrical]\nfirst_epoch = 2\nepoch_period = 5\n"
@@ -115,6 +121,20 @@ def two_ray_trial_digest() -> str:
     return f"run_trial nlos x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
 
 
+def fit_digest() -> str:
+    rng = np.random.default_rng(20)
+    reprs = []
+    for geom in (ArrayGeometry(128, 64), ArrayGeometry(5, 3)):
+        phase_sets = [rng.normal(0.0, 3.0, geom.size) for _ in range(3)]
+        phase_sets += [np.pi * rng.integers(0, 2, geom.size) for _ in range(3)]
+        phase_sets += [
+            matched_weights(geom, az, el)
+            for az, el in zip(rng.uniform(0.0, 0.1, 3), rng.uniform(-np.pi, np.pi, 3))
+        ]
+        reprs += [repr(fit_doa(phases, geom)) for phases in phase_sets]
+    return f"fit_doa x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -140,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                 lines.append(line)
         finally:
             os.chdir(previous)
-    for digest in (trial_digest, two_ray_trial_digest):
+    for digest in (trial_digest, two_ray_trial_digest, fit_digest):
         lines.append(digest())
         print(lines[-1], flush=True)
     if expected is None:
