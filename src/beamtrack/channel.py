@@ -246,25 +246,14 @@ class PowerOracle:
     variance MN*noise_power for every phase setting, so it is drawn
     directly (one complex draw per query instead of MN).
 
-    Every query is counted and draws its noise through ``noise_terms`` in
-    query order, real part then imaginary part, whichever path it takes:
-
-    * ``__call__(phases)`` measures one phase setting from scratch;
-    * ``hold(phases)`` / ``probe_pair(delta)`` / ``move(step)`` serve the
-      simultaneous methods.  The oracle carries u = conj(exp(j*phases)) * h
-      for the held phases, so a probe pair at phases +/- delta costs one
-      MN-element rotation exp(-j*delta) (one cos and one sin) and a move
-      one more, and the pair draws the noise of its two queries in one
-      call; the optimizer passes phase offsets and never reads h.  An
-      offset that is one magnitude on +/-1 ``signs`` (the isotropic SPSA
-      probe and its step) costs one scalar exponential instead, bit for
-      bit the same rotation;
-    * ``noise_terms(n)`` hands the sequential walk the noise of its next n
-      queries in one draw, for combiner sums it keeps itself
-      (``sample_pair`` is the one-query form of the same measurement).
-
-    ``true_nrsp`` and ``held_nrsp`` are the noiseless diagnostics used for
-    traces and never consumed by the optimizers.
+    Every query is counted and draws its noise through ``noise_terms``, in
+    query order, whichever path it takes: from scratch (``__call__``), as
+    a probe pair at offsets from the held phases (``hold``, ``probe_pair``,
+    ``move``), or from combiner sums the sequential walk keeps itself
+    (``noise_terms``; ``sample_pair`` is its one-query form).
+    ``true_nrsp`` and ``held_nrsp`` are the noiseless diagnostics of the
+    traces; no optimizer reads them, except the sequential walk, which
+    stops on ``true_nrsp``.
     """
 
     h_vec: np.ndarray
@@ -293,9 +282,9 @@ class PowerOracle:
 
     def noise_terms(self, n: int) -> list[complex]:
         """Additive noise of the next ``n`` queries, as Python complex
-        numbers, counted as ``n`` queries: 2n normals in one draw, which
-        are the 2n scalar draws of n queries.  A query reads
-        ``abs(combined + noise) ** 2 / scale``."""
+        numbers, counted as ``n`` queries: 2n normals in one draw, real
+        then imaginary part of each query, which are the 2n scalar draws of
+        n queries.  A query reads ``abs(combined + noise) ** 2 / scale``."""
         self.queries += n
         if self.noise_power > 0.0:
             return (self._noise_sigma * self.rng.standard_normal(2 * n)).view(complex).tolist()
@@ -320,9 +309,10 @@ class PowerOracle:
 
     def _rotation(self, offset: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
         """exp(-1j * offset), written into the oracle's one rotation
-        buffer; with ``signs``, from one scalar exponential: cos is even and
-        sin odd, so element i is cos(x) - j*signs[i]*sin(x) for
-        x = offset[0] * signs[0], bit for bit."""
+        buffer: one full-array cos and sin, or with ``signs`` (the
+        isotropic SPSA probe and step) one scalar exponential, bit for bit:
+        cos is even and sin odd, so element i is cos(x) - j*signs[i]*sin(x)
+        for x = offset[0] * signs[0]."""
         if signs is None:
             return _unit_phasor(offset, -1, self._spin)
         p = np.exp(-1j * (offset[:1] * signs[:1]))

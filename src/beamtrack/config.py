@@ -235,9 +235,14 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     # the channel vector and the weights hold rows * cols elements each
     if cfg.array.size > LIMIT:
         raise ConfigError(f"array: rows * cols = {cfg.array.size} elements, beyond {LIMIT:g}")
-    # run_simulation runs round(duration / sample_period) ticks
-    if round(cfg.run.duration / cfg.sensors.sample_period) < 1:
+    # run_simulation runs round(duration / sample_period) ticks, and holds
+    # every tick's trace row until the run ends; the cap keeps an overflowed
+    # ratio (a subnormal sample_period) from reaching round
+    ticks = round(min(cfg.run.duration / cfg.sensors.sample_period, 2 * LIMIT))
+    if ticks < 1:
         raise ConfigError("run.duration: shorter than half a sensors.sample_period, no tick runs")
+    if ticks > LIMIT:
+        raise ConfigError(f"run.duration: more than {LIMIT:g} ticks of sensors.sample_period")
     return cfg
 
 

@@ -21,28 +21,7 @@ iteration i + 1 (sweep i + 1 for the sequential walk) and whose
 
 The simultaneous methods pass the oracle phase offsets and never read the
 channel: ``hold`` the start, then per iteration ``probe_pair(delta)`` and
-``move(step)``, with ``held_nrsp`` for the trace.  For ASSP the probe and
-the move each cost one MN-element rotation (a cos and a sin).  Isotropic
-SPSA also hands over its Bernoulli signs: its probe and step are one
-magnitude on those signs, so each costs one scalar exponential and the
-whole trial makes one MN-element rotation (the ``hold``).  ``run_assp``
-works that magnitude, mean(delta^2) and the step's scale as scalars and
-puts them on the signs once each, bit for bit what
-``perturbation_vector`` and ``aligned_gradient`` give with the structure
-weight at zero.  The signs come from ``draw_perturbation``, which reads
-the generator's raw 64-bit words, bit for bit and state for state the
-``rng.integers`` draws that fix the traces.  The sequential walk keeps
-the combiner sum itself and takes its noise a block at a time
-(``noise_terms``).
-
-Gradient estimate: ``aligned_gradient`` projects the measured central
-difference back onto the probe direction.  For pure +/-c Bernoulli probes
-this equals dividing the difference by the perturbation element by
-element (1/x = x/x^2 for x = +/-c); unlike that elementwise form it stays
-consistent when probe magnitudes differ per element.  Dividing
-elementwise amplifies the shared structured measurement into unbounded
-kicks on small-probe elements and diverges even without noise (pinned by
-``test_reciprocal_update_diverges_noiselessly``).
+``move(step)``, with ``held_nrsp`` for the trace.
 """
 
 from __future__ import annotations
@@ -102,14 +81,14 @@ def draw_perturbation(rng: np.random.Generator, size: int) -> tuple[int, np.ndar
     """One Bernoulli draw: scalar xi and the +/-1 vector, each fair.
 
     Bit for bit ``rng.integers(0, 2)`` then ``rng.integers(0, 2, size)``
-    mapped to +/-1, generator state included: each fair bit is the top bit
-    of one 32-bit word (Lemire's bounded draw with a range of 2 never
-    rejects), and numpy's 64-bit generators (PCG64, the default) hand out
-    the low half of an output first, keeping the high half in their state
-    (``has_uint32``, ``uinteger``).  The words are read here from
-    ``random_raw`` (the half-word view assumes a little-endian machine),
-    the buffered half first, and the buffer is written back as the two
-    calls leave it.
+    mapped to +/-1, generator state included, the draws that fix the
+    traces' stream: each fair bit is the top bit of one 32-bit word
+    (Lemire's bounded draw with a range of 2 never rejects), and numpy's
+    64-bit generators (PCG64, the default) hand out the low half of an
+    output first, keeping the high half in their state (``has_uint32``,
+    ``uinteger``).  The words are read here from ``random_raw`` (the
+    half-word view assumes a little-endian machine), the buffered half
+    first, and the buffer is written back as the two calls leave it.
     """
     bits = rng.bit_generator
     state = bits.state
@@ -139,10 +118,15 @@ def perturbation_vector(
 
 
 def aligned_gradient(p_plus: float, p_minus: float, delta: np.ndarray) -> np.ndarray:
-    """Projection of the measured difference onto the probe direction.
+    """Projection of the measured difference onto the probe direction:
+    (p_plus - p_minus) * delta / (2 * mean(delta^2)).
 
-    (p_plus - p_minus) * delta / (2 * mean(delta^2)).  Coincides with the
-    elementwise division when all probe magnitudes are equal.
+    For pure +/-c Bernoulli probes this equals dividing the difference by
+    the perturbation element by element (1/x = x/x^2 for x = +/-c); unlike
+    that elementwise form it stays consistent when probe magnitudes differ
+    per element.  Dividing elementwise amplifies the shared structured
+    measurement into unbounded kicks on small-probe elements and diverges
+    even without noise (``test_reciprocal_update_diverges_noiselessly``).
     """
     delta = np.asarray(delta, dtype=float)
     return (p_plus - p_minus) * delta / (2.0 * float(np.mean(delta * delta)))

@@ -227,8 +227,7 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
 # writer of records (its replace(...) rows included), puts floats in the
 # float columns and ints in the int columns, so no cell needs its runtime
 # type; an int in a float column is written as the float it equals.
-_TYPES = get_type_hints(TraceRecord)
-_COLUMN_TYPES = tuple(_TYPES[c] for c in TRACE_COLUMNS)
+_COLUMN_TYPES = operator.itemgetter(*TRACE_COLUMNS)(get_type_hints(TraceRecord))
 _ROW_FORMAT = ",".join("%.9g" if kind is float else "%s" for kind in _COLUMN_TYPES)
 _row_values = operator.attrgetter(*TRACE_COLUMNS)
 
@@ -274,14 +273,3 @@ def export_json(records: list[TraceRecord], path: str | Path) -> None:
         f' "columns": [\n  {columns}\n ],\n "rows": {body}\n}}\n'
     )
 
-
-def parse_csv(path: str | Path) -> tuple[list[str], list[list]]:
-    """Read back an exported CSV; returns (columns, rows) with typed cells."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or not lines[0].startswith(f"# {TRACE_SCHEMA}"):
-        raise ValueError("not a beamtrack trace file")
-    columns = lines[1].split(",")
-    # cell types from the record's annotations; a column it lacks reads as float
-    kinds = [_TYPES.get(name, float) for name in columns]
-    rows = [[kind(cell) for kind, cell in zip(kinds, line.split(","))] for line in lines[2:]]
-    return columns, rows

@@ -143,6 +143,9 @@ class TestParsing:
         # no tick: run_simulation rounds duration / sample_period to 0
         ("[run]\nduration = 0.004", r"^run\.duration: .*no tick runs"),
         ("[run]\nduration = 1\n[sensors]\nsample_period = 2.5", r"^run\.duration: "),
+        # more ticks than the bound, also where the tick count overflows
+        ("[run]\nduration = 20000", r"^run\.duration: more than 1e\+06 ticks"),
+        ("[run]\nduration = 1e6\n[sensors]\nsample_period = 1e-320", r"^run\.duration: "),
         ("[signal]\nsnr_db = -5000", "signal: snr_db"),
         ("[sensors]\ngyro_white_sigma = 1e300", r"^sensors\.gyro_white_sigma: .* beyond"),
         ("[DEFAULT]\nrows = 4\n[array]\ncols = 4", r"unknown section \[DEFAULT\]"),

@@ -140,9 +140,6 @@ def sequential_reference(initial_phases, oracle, params):
     return phases, trace
 
 
-TRACE_FIELDS = ("nrsp", "queries")
-
-
 class TestStructureMatrix:
     def test_values_and_order(self):
         d = structure_matrix(ArrayGeometry(2, 2))
@@ -559,17 +556,6 @@ class TestSequential:
         )
         assert trace.nrsp[-1] > 0.99
 
-    def test_incremental_probe_matches_direct_power(self):
-        # the O(1) incremental probe equals a from-scratch noiseless power
-        geom = ArrayGeometry(4, 4)
-        oracle = make_oracle(geom, 1.0 * D2R, 20 * D2R)
-        params = AsspParams(seq_max_sweeps=1, seq_step=0.3)
-        phases, trace = run_sequential_perturbation(
-            np.zeros(geom.size), oracle, params, np.random.default_rng(0), geom
-        )
-        assert trace.nrsp[-1] == pytest.approx(oracle.true_nrsp(phases), abs=1e-12)
-
-
     @pytest.mark.parametrize("rows, cols, snr_db", [
         (8, 4, 20.0),
         (8, 4, None),
@@ -586,8 +572,7 @@ class TestSequential:
         )
         p2, t2 = sequential_reference(np.zeros(geom.size), slow, params)
         assert p1.tobytes() == p2.tobytes()
-        for name in TRACE_FIELDS:
-            assert getattr(t1, name) == getattr(t2, name), name
+        assert t1 == t2  # budget, nrsp and queries
         assert fast.queries == slow.queries == 2 * geom.size * len(t1)
         assert fast.rng.standard_normal() == slow.rng.standard_normal()
 
@@ -714,9 +699,7 @@ class TestDoaFit:
     def test_exact_plane_wave(self):
         geom = ArrayGeometry(64, 32)
         az, el = 0.35 * D2R, 40 * D2R
-        from beamtrack.channel import matched_weights
-
-        fit_az, fit_el = fit_doa(matched_weights(geom, az, el), geom)
+        fit_az, fit_el = fit_doa(channel.matched_weights(geom, az, el), geom)
         assert fit_az == pytest.approx(az, abs=1e-9)
         assert fit_el == pytest.approx(el, abs=1e-7)
 
@@ -797,10 +780,8 @@ class TestDoaFit:
     def test_noisy_phases_still_close(self):
         geom = ArrayGeometry(64, 32)
         az, el = 0.3 * D2R, 45 * D2R
-        from beamtrack.channel import matched_weights
-
         rng = np.random.default_rng(6)
-        phases = matched_weights(geom, az, el) + 0.2 * rng.standard_normal(geom.size)
+        phases = channel.matched_weights(geom, az, el) + 0.2 * rng.standard_normal(geom.size)
         fit_az, fit_el = fit_doa(phases, geom)
         assert abs(fit_az - az) < 0.01 * D2R
         assert abs(fit_el - el) < 2.0 * D2R

@@ -14,7 +14,6 @@ from beamtrack.harness import (
     beam_frame_arrival,
     export_csv,
     export_json,
-    parse_csv,
     run_simulation,
 )
 
@@ -37,6 +36,16 @@ def reference_csv(records) -> str:
     for rec in records:
         lines.append(",".join(format_value(getattr(rec, c)) for c in TRACE_COLUMNS))
     return "\n".join(lines) + "\n"
+
+
+def parse_csv(path):
+    """Read back an exported CSV: (columns, rows), each cell typed by its
+    column's annotation on ``TraceRecord``."""
+    schema, header, *lines = path.read_text().splitlines()
+    assert schema == f"# {TRACE_SCHEMA}"
+    columns = header.split(",")
+    kinds = [COLUMN_TYPES[name] for name in columns]
+    return columns, [[kind(cell) for kind, cell in zip(kinds, line.split(","))] for line in lines]
 
 
 def reference_json(records) -> str:
