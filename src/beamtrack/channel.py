@@ -249,8 +249,10 @@ class PowerOracle:
     Every query is counted and draws its noise through ``noise_terms``, in
     query order, whichever path it takes: from scratch (``__call__``), as
     a probe pair at offsets from the held phases (``hold``, ``probe_pair``,
-    ``move``), or from combiner sums the sequential walk keeps itself
-    (``noise_terms``; ``sample_pair`` is its one-query form).
+    ``move``), or from combiner sums the sequential walk keeps itself (a
+    block's noise array from ``noise_terms``; ``sample_pair`` is the
+    one-query form).  The one- and two-query paths add their noise as
+    Python complex numbers.
     ``true_nrsp`` and ``held_nrsp`` are the noiseless diagnostics of the
     traces; no optimizer reads them, except the sequential walk, which
     stops on ``true_nrsp``.
@@ -273,22 +275,23 @@ class PowerOracle:
         self._noise_sigma = math.sqrt(h.size * self.noise_power / 2.0)
 
     def __call__(self, phases: np.ndarray) -> float:
-        return self._measure(np.vdot(weights_from_phases(phases), self.h_vec), *self.noise_terms(1))
+        combined = np.vdot(weights_from_phases(phases), self.h_vec)
+        return self._measure(combined, *self.noise_terms(1).tolist())
 
     def sample_pair(self, base: complex, delta: complex) -> float:
         """Power of an incrementally adjusted combiner sum (base + delta),
         same scaling and noise law."""
-        return self._measure(base + delta, *self.noise_terms(1))
+        return self._measure(base + delta, *self.noise_terms(1).tolist())
 
-    def noise_terms(self, n: int) -> list[complex]:
-        """Additive noise of the next ``n`` queries, as Python complex
-        numbers, counted as ``n`` queries: 2n normals in one draw, real
-        then imaginary part of each query, which are the 2n scalar draws of
-        n queries.  A query reads ``abs(combined + noise) ** 2 / scale``."""
+    def noise_terms(self, n: int) -> np.ndarray:
+        """Additive noise of the next ``n`` queries, as a complex array,
+        counted as ``n`` queries: 2n normals in one draw, real then
+        imaginary part of each query, which are the 2n scalar draws of n
+        queries.  A query reads ``abs(combined + noise) ** 2 / scale``."""
         self.queries += n
         if self.noise_power > 0.0:
-            return (self._noise_sigma * self.rng.standard_normal(2 * n)).view(complex).tolist()
-        return [0j] * n
+            return (self._noise_sigma * self.rng.standard_normal(2 * n)).view(complex)
+        return np.zeros(n, dtype=complex)
 
     def hold(self, phases: np.ndarray) -> None:
         """Carry the per-element combiner terms of ``phases``."""
@@ -300,7 +303,7 @@ class PowerOracle:
         ``signs``, if given, are the +/-1 signs of an offset of one
         magnitude: delta == signs * delta[0] * signs[0]."""
         e = self._rotation(delta, signs)
-        n_plus, n_minus = self.noise_terms(2)
+        n_plus, n_minus = self.noise_terms(2).tolist()
         return self._measure(self._held @ e, n_plus), self._measure(np.vdot(e, self._held), n_minus)
 
     def move(self, step: np.ndarray, signs: np.ndarray | None = None) -> None:

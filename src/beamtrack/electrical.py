@@ -221,9 +221,68 @@ def run_isotropic_spsa(
     return run_assp(initial_phases, oracle, replace(params, structure_weight=0.0), rng, geom)
 
 
-# elements per noise block of the sequential walk: the block's memory stays
-# fixed whatever the array size
-_SEQ_CHUNK = 256
+# elements per block of the sequential walk: the block bounds its
+# temporaries and the work redone after a wrong guess
+_SEQ_CHUNK = 2048
+# relative gap of two probe powers below which the walk's scalar
+# arithmetic decides; the additive floor keeps subnormal powers out
+_NEAR_TIE, _TINY = 1e-13, 1e-290
+_NO_MOVE = complex(-0.0, -0.0)  # x + (-0.0) == x for every x, -0.0 included
+
+
+def _turned(c: np.ndarray, rot: complex) -> np.ndarray:
+    """c * rot in Python's complex product order (real a*c - b*d,
+    imaginary a*d + b*c): four real multiplies, never a fused one."""
+    out = np.empty_like(c)
+    out.real = c.real * rot.real - c.imag * rot.imag
+    out.imag = c.real * rot.imag + c.imag * rot.real
+    return out
+
+
+def _walk_block(
+    total: complex, c: np.ndarray, noise: np.ndarray,
+    rot_plus: complex, rot_minus: complex, scale: float,
+) -> tuple[np.ndarray, complex]:
+    """Moves (+1, -1 or 0) of the walk over the block's combiner terms
+    ``c`` from the running sum ``total``, and the running sum after the
+    block; ``noise`` holds each element's plus and minus noise in turn."""
+    size = c.size
+    neg = -c
+    turned_plus, turned_minus = _turned(c, rot_plus), _turned(c, rot_minus)
+    noise_plus, noise_minus = noise[0::2], noise[1::2]
+    moves = np.zeros(size)
+    seq = np.empty(2 * size + 1, dtype=complex)
+    lo = 0
+    while lo < size:
+        # running sums under the guessed moves of lo.. ; exact up to the
+        # first wrong guess, since every earlier sum matches the walk's
+        guess = moves[lo:]
+        n = size - lo
+        seq[0] = total
+        seq[1 : 2 * n : 2] = np.where(guess == 0, _NO_MOVE, neg[lo:])
+        seq[2 : 2 * n + 1 : 2] = np.where(
+            guess > 0, turned_plus[lo:], np.where(guess < 0, turned_minus[lo:], _NO_MOVE)
+        )
+        sums = np.cumsum(seq[: 2 * n + 1])[::2]
+        base = sums[:-1] - c[lo:]
+        plus = base + turned_plus[lo:]
+        minus = base + turned_minus[lo:]
+        p_plus = np.abs(plus + noise_plus[lo:]) ** 2 / scale
+        p_minus = np.abs(minus + noise_minus[lo:]) ** 2 / scale
+        gap = p_plus - p_minus
+        decided = np.sign(gap)
+        for k in np.flatnonzero(~(np.abs(gap) > _NEAR_TIE * np.maximum(p_plus, p_minus) + _TINY)):
+            exact_plus = abs(complex(plus[k] + noise_plus[lo + k])) ** 2 / scale
+            exact_minus = abs(complex(minus[k] + noise_minus[lo + k])) ** 2 / scale
+            decided[k] = (exact_plus > exact_minus) - (exact_minus > exact_plus)
+        wrong = decided != moves[lo:]
+        moves[lo:] = decided
+        j = int(np.argmax(wrong))
+        if not wrong[j]:
+            return moves, complex(sums[-1])
+        total = complex((plus if decided[j] > 0 else minus if decided[j] < 0 else sums)[j])
+        lo += j + 1
+    return moves, total
 
 
 def run_sequential_perturbation(
@@ -236,11 +295,24 @@ def run_sequential_perturbation(
     """Coordinate-wise baseline: probe each shifter +/-seq_step in turn and
     keep the sign that increased measured power.
 
-    One trace row per full sweep (2*MN oracle queries).  The combiner sum is
-    maintained incrementally and each probe reads its noise from a block
-    drawn for _SEQ_CHUNK elements, so a probe costs O(1) Python
-    arithmetic: |sum + noise|^2 / scale, exactly that of
-    ``PowerOracle.sample_pair``.
+    One trace row per full sweep (2*MN oracle queries).  Element i's probes
+    read |base + c_i*rot + noise|^2 / scale, with c_i its term of the
+    combiner sum and base the running sum less c_i, as
+    ``PowerOracle.sample_pair`` reads them; a block of _SEQ_CHUNK elements
+    draws its noise in one ``noise_terms`` call.
+
+    One probe moves the running sum by about 1/MN of its size, so a block
+    is decided by checked speculation (``_walk_block``): guess its moves,
+    form every running sum under the guess with one ``np.cumsum`` over
+    (total, -c_0, c_0*rot_0, -c_1, ...), decide every element from those
+    sums, and keep the decisions up to and including the first that
+    differs from its guess, whose sums were all the walk's own; the later
+    decisions are the next guess.  The walk's bits are kept: cumsum adds
+    in order, as the walk does; c*rot takes Python's complex product
+    order; an element that stays put adds -0.0 twice, which leaves a sum
+    unchanged; and where two probe powers lie within a relative 1e-13,
+    the walk's scalar ``abs(...) ** 2 / scale`` decides, so that numpy's
+    rounding of abs, power and division cannot flip a decision.
     """
     phases = np.asarray(initial_phases, dtype=float).copy()
     size = phases.size
@@ -255,22 +327,10 @@ def run_sequential_perturbation(
         total = complex(contrib.sum())
         for start in range(0, size, _SEQ_CHUNK):
             stop = min(start + _SEQ_CHUNK, size)
-            walked = phases[start:stop].tolist()
             noise = oracle.noise_terms(2 * (stop - start))
-            probes = zip(contrib[start:stop].tolist(), noise[0::2], noise[1::2])
-            for i, (ci, noise_plus, noise_minus) in enumerate(probes):
-                base = total - ci
-                plus = base + ci * rot_plus
-                minus = base + ci * rot_minus
-                p_plus = abs(plus + noise_plus) ** 2 / scale
-                p_minus = abs(minus + noise_minus) ** 2 / scale
-                if p_plus > p_minus:
-                    walked[i] += step
-                    total = plus
-                elif p_minus > p_plus:
-                    walked[i] -= step
-                    total = minus
-            phases[start:stop] = walked
+            moves, total = _walk_block(total, contrib[start:stop], noise, rot_plus, rot_minus, scale)
+            walked = phases[start:stop]
+            phases[start:stop] = np.where(moves == 0, walked, walked + moves * step)
         trace.append(oracle.true_nrsp(phases), oracle.queries)
         if trace.nrsp[-1] >= 1.0 - 1e-9:
             break

@@ -63,7 +63,7 @@ def oracle_readings(oracle, phases, n):
     oracle's; numpy's array forms round differently)."""
     combined = complex(np.vdot(weights_from_phases(phases), oracle.h_vec))
     scale = float(oracle.scale)
-    return np.array([abs(combined + t) ** 2 / scale for t in oracle.noise_terms(n)])
+    return np.array([abs(combined + t) ** 2 / scale for t in oracle.noise_terms(n).tolist()])
 
 
 PREFIX = 1000  # queries on which a block form is checked against its loop
@@ -368,9 +368,9 @@ class TestPowerOracle:
         block = PowerOracle(h, 0.1, np.random.default_rng(5))
         single = PowerOracle(h, 0.1, np.random.default_rng(5))
         terms = block.noise_terms(7)
-        assert all(type(t) is complex for t in terms)
+        assert terms.dtype == complex and terms.shape == (7,)
         # sample_pair(0, 0) reads |noise|^2 / scale from the scalar draws
-        assert [abs(t) ** 2 / block.scale for t in terms] == [
+        assert [abs(t) ** 2 / block.scale for t in terms.tolist()] == [
             single.sample_pair(0j, 0j) for _ in range(7)
         ]
         assert block.queries == single.queries == 7
@@ -383,18 +383,16 @@ class TestPowerOracle:
         block = PowerOracle(h, 0.1, np.random.default_rng(17))
         rng = np.random.default_rng(17)
         for n in (1, 1, 3, 1, 2, 1, 1):
-            terms = [t for _ in range(n) for t in scalar.noise_terms(1)]
-            assert terms == block.noise_terms(n)
+            terms = np.concatenate([scalar.noise_terms(1) for _ in range(n)])
             want = (scalar._noise_sigma * rng.standard_normal(2 * n)).view(complex)
-            assert np.array(terms).tobytes() == want.tobytes()
-            assert all(type(t) is complex for t in terms)
+            assert terms.tobytes() == block.noise_terms(n).tobytes() == want.tobytes()
         assert scalar.queries == block.queries == 10
 
     def test_noiseless_noise_terms_draw_nothing(self):
         geom = ArrayGeometry(4, 2)
         rng = np.random.default_rng(9)
         oracle = PowerOracle(los_channel(geom), 0.0, rng)
-        assert oracle.noise_terms(5) == [0j] * 5
+        assert oracle.noise_terms(5).tobytes() == np.zeros(5, dtype=complex).tobytes()
         assert oracle.queries == 5
         assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
 

@@ -520,6 +520,9 @@ class TestSignedRotation:
         assert t1.queries == t2.queries
 
 
+SEQ_PARAMS = AsspParams(seq_step=0.2, seq_max_sweeps=5)
+
+
 class TestSequential:
     def test_single_probed_element_converges_within_quantum(self):
         # a lone element sees nrsp == 1 at any phase (power is blind to a
@@ -556,17 +559,33 @@ class TestSequential:
         )
         assert trace.nrsp[-1] > 0.99
 
-    @pytest.mark.parametrize("rows, cols, snr_db", [
-        (8, 4, 20.0),
-        (8, 4, None),
-        (24, 16, 10.0),  # one and a half noise blocks
+    @pytest.mark.parametrize("rows, cols, snr_db, link, zero_every, params", [
+        pytest.param(8, 4, 20.0, SignalModel(), 0, SEQ_PARAMS, id="8-4-20.0"),
+        pytest.param(8, 4, None, SignalModel(), 0, SEQ_PARAMS, id="8-4-None"),
+        pytest.param(
+            3 * electrical._SEQ_CHUNK // 32, 16, 10.0, SignalModel(), 0, SEQ_PARAMS,
+            id="one-and-a-half-blocks-10.0",
+        ),
+        pytest.param(16, 8, 200.0, SignalModel(), 0, SEQ_PARAMS, id="16-8-200.0"),
+        pytest.param(1, 1, 20.0, SignalModel(), 0, SEQ_PARAMS, id="1-1-20.0"),
+        pytest.param(16, 8, 20.0, SignalModel(nlos_gain=0.3), 0, SEQ_PARAMS, id="two-ray-20.0"),
+        # every third element of h is zero: its probes tie and it stays put
+        pytest.param(16, 8, None, SignalModel(), 3, SEQ_PARAMS, id="ties-None"),
+        # noiseless to convergence: the late sweeps dither about the optimum
+        pytest.param(
+            8, 4, None, SignalModel(), 0, AsspParams(seq_step=0.1, seq_max_sweeps=20),
+            id="converging-None",
+        ),
     ])
-    def test_matches_per_query_reference_bit_for_bit(self, rows, cols, snr_db):
+    def test_matches_per_query_reference_bit_for_bit(
+        self, rows, cols, snr_db, link, zero_every, params
+    ):
         geom = ArrayGeometry(rows, cols)
-        h = Channel.from_paths(geom, [PathComponent(0.9 * D2R, 40 * D2R)]).vec()
+        h = Channel.from_paths(geom, link.paths(0.9 * D2R, 40 * D2R)).vec()
+        if zero_every:
+            h[::zero_every] = 0.0
         noise = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
         fast, slow = (PowerOracle(h, noise, np.random.default_rng(21)) for _ in range(2))
-        params = AsspParams(seq_step=0.2, seq_max_sweeps=5)
         p1, t1 = run_sequential_perturbation(
             np.zeros(geom.size), fast, params, np.random.default_rng(0), geom
         )
@@ -575,6 +594,31 @@ class TestSequential:
         assert t1 == t2  # budget, nrsp and queries
         assert fast.queries == slow.queries == 2 * geom.size * len(t1)
         assert fast.rng.standard_normal() == slow.rng.standard_normal()
+
+    def test_block_keeps_the_walks_running_sum(self):
+        # the last bits of the running sum seldom decide a probe, so the
+        # block's sum is compared with the scalar walk's directly
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        c[::5] = 0.0
+        noise = 0.1 * rng.standard_normal(256).view(complex)
+        noise[1::10] = noise[0::10]  # so both probes of a zero term tie
+        rot_plus, rot_minus = complex(np.exp(-0.2j)), complex(np.exp(0.2j))
+        total = complex(c.sum())
+        moves, block_total = electrical._walk_block(total, c, noise, rot_plus, rot_minus, 2.0)
+        want = []
+        for ci, n_plus, n_minus in zip(c.tolist(), noise[0::2].tolist(), noise[1::2].tolist()):
+            plus, minus = total - ci + ci * rot_plus, total - ci + ci * rot_minus
+            p_plus, p_minus = abs(plus + n_plus) ** 2 / 2.0, abs(minus + n_minus) ** 2 / 2.0
+            want.append((p_plus > p_minus) - (p_minus > p_plus))
+            total = plus if want[-1] > 0 else minus if want[-1] < 0 else total
+        assert moves.tolist() == want and 0 in want
+        assert np.array(block_total).tobytes() == np.array(total).tobytes()
+        # an element that stays put leaves even a -0.0 part of the sum
+        _, kept = electrical._walk_block(
+            complex(1.0, -0.0), np.zeros(2, complex), np.zeros(4, complex), rot_plus, rot_minus, 2.0
+        )
+        assert math.copysign(1.0, kept.imag) == -1.0
 
     def test_no_oracle_call_per_query(self, monkeypatch):
         def per_query(*args):

@@ -6,11 +6,14 @@ summary.  Then runs 156 ``experiments.run_trial`` calls (3 methods x 20/10
 dB x default/acceptance parameters, seeds 0-9 at 16x8 and 0-2 at 128x64)
 and prints one sha256 over the reprs of their results, then one over 60
 trials on a two-ray link (``SignalModel(nlos_gain=0.3)``: 16x8, 3
-methods x 20/10 dB, seeds 0-9, default parameters).  The last line is one
+methods x 20/10 dB, seeds 0-9, default parameters).  The next line is one
 sha256 over the reprs of ``electrical.fit_doa`` at 128x64 and 5x3 on
 phases from a fixed generator: noise-like phases (at 128x64 every FFT
 column can hold the peak), phases in {0, pi} (whose peak magnitude can
-occur twice) and matched weights at three arrivals.
+occur twice) and matched weights at three arrivals.  The last line is one
+over 26 sequential trials at 60 and 200 dB (16x8 seeds 0-9 with default
+parameters, 128x64 seeds 0-2 with acceptance parameters), where the
+walk's speculative block decisions are most often wrong and redone.
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -121,6 +124,16 @@ def two_ray_trial_digest() -> str:
     return f"run_trial nlos x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
 
 
+def high_snr_sequential_digest() -> str:
+    reprs = [
+        repr(run_trial("sequential", ArrayGeometry(rows, cols), snr, seed, PARAMS[params]))
+        for rows, cols, seeds, params in ((16, 8, 10, "default"), (128, 64, 3, "acceptance"))
+        for snr in (60.0, 200.0)
+        for seed in range(seeds)
+    ]
+    return f"run_trial sequential 60/200 dB x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
+
+
 def fit_digest() -> str:
     rng = np.random.default_rng(20)
     reprs = []
@@ -160,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
                 lines.append(line)
         finally:
             os.chdir(previous)
-    for digest in (trial_digest, two_ray_trial_digest, fit_digest):
+    for digest in (trial_digest, two_ray_trial_digest, fit_digest, high_snr_sequential_digest):
         lines.append(digest())
         print(lines[-1], flush=True)
     if expected is None:
