@@ -13,7 +13,7 @@ import numpy as np
 from beamtrack.channel import (
     ArrayGeometry,
     Channel,
-    PathComponent,
+    SignalModel,
     matched_weights,
     nrsp,
     spatial_spectrum,
@@ -24,7 +24,7 @@ geom = ArrayGeometry(128, 64)
 
 
 def los(az_deg: float, el_deg: float) -> Channel:
-    return Channel.from_paths(geom, [PathComponent(az_deg * D2R, el_deg * D2R)])
+    return SignalModel().channel(geom, az_deg * D2R, el_deg * D2R)
 
 
 print("Spatial spectrum peak bin vs arrival direction:")

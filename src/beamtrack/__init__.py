@@ -10,7 +10,7 @@ isolation, servo), ``channel`` (factored planar-array channel and power),
 """
 
 from . import channel, config, electrical, experiments, frames, fusion, harness, mechanical, sensors
-from .channel import ArrayGeometry, PathComponent, PowerOracle
+from .channel import ArrayGeometry, PowerOracle
 from .config import ScenarioConfig, load_scenario
 from .electrical import AsspParams, run_assp, run_isotropic_spsa, run_sequential_perturbation
 from .frames import Attitude
@@ -23,7 +23,6 @@ __all__ = [
     "Attitude",
     "GeoConfig",
     "GimbalAngles",
-    "PathComponent",
     "PointingEuler",
     "PowerOracle",
     "ScenarioConfig",

@@ -1,5 +1,5 @@
 """Ka-band multipath channel of the uniform planar array, kept factored;
-the link that sets its paths and noise (``SignalModel``), matched analog
+the link that builds it and sets its noise (``SignalModel``), matched analog
 weights, spatial spectrum, the normalized received power, and the noisy
 power oracle of the electrical stage.
 
@@ -51,21 +51,6 @@ class ArrayGeometry:
 
 
 @dataclass
-class PathComponent:
-    azimuth: float  # rad, polar angle off the array normal
-    elevation: float  # rad, orientation around the normal
-    gain: complex = 1.0 + 0.0j  # carries the carrier phase of the path length
-
-    def __post_init__(self):
-        if not (
-            math.isfinite(self.azimuth)
-            and math.isfinite(self.elevation)
-            and math.isfinite(abs(self.gain))
-        ):
-            raise ValueError("path parameters must be finite")
-
-
-@dataclass
 class SignalModel:
     """The link of the blind power reading: its SNR, relative to a
     unit-gain LOS ray and a unit-power symbol, and the optional weak second
@@ -82,24 +67,28 @@ class SignalModel:
             raise ValueError("snr_db must be at least -300")
         if not self.nlos_gain >= 0:
             raise ValueError("nlos_gain must be non-negative")
+        if not all(map(math.isfinite, (
+            self.nlos_azimuth_offset, self.nlos_elevation_offset, self.nlos_path_length,
+        ))):
+            raise ValueError("nlos offsets and path length must be finite")
 
     @property
     def noise_power(self) -> float:
         """Per-element noise variance from the configured SNR."""
         return 10.0 ** (-self.snr_db / 10.0)
 
-    def paths(self, azimuth: float, elevation: float) -> list[PathComponent]:
-        """The LOS ray arriving from (azimuth, elevation), plus the second
-        ray when ``nlos_gain`` > 0, its gain turned by the carrier phase of
-        ``nlos_path_length``."""
-        paths = [PathComponent(azimuth, elevation)]
+    def channel(self, geom: ArrayGeometry, azimuth: float, elevation: float) -> Channel:
+        """The channel of the LOS ray arriving from (azimuth, elevation),
+        plus the second ray when ``nlos_gain`` > 0, its gain turned by the
+        carrier phase of ``nlos_path_length``."""
+        scale = 1.0 / math.sqrt(geom.size)
+        terms = [((1.0 + 0.0j) * scale, *plane_wave(geom, *direction_sines(azimuth, elevation)))]
         if self.nlos_gain > 0.0:
-            paths.append(PathComponent(
-                azimuth + self.nlos_azimuth_offset,
-                elevation + self.nlos_elevation_offset,
-                (self.nlos_gain + 0j) * np.exp(-2j * math.pi * self.nlos_path_length / WAVELENGTH),
-            ))
-        return paths
+            turn = np.exp(-2j * math.pi * self.nlos_path_length / WAVELENGTH)
+            terms.append(((self.nlos_gain + 0j) * turn * scale, *plane_wave(geom, *direction_sines(
+                azimuth + self.nlos_azimuth_offset, elevation + self.nlos_elevation_offset,
+            ))))
+        return Channel(tuple(terms))
 
 
 def direction_sines(azimuth: float, elevation: float) -> tuple[float, float]:
@@ -131,17 +120,6 @@ class Channel:
     the 1/sqrt(MN) array normalization."""
 
     terms: tuple[tuple[complex, np.ndarray, np.ndarray], ...]
-
-    @classmethod
-    def from_paths(cls, geom: ArrayGeometry, paths: list[PathComponent]) -> Channel:
-        """One plane-wave term per path, arriving from (azimuth, elevation)."""
-        if not paths:
-            raise ValueError("at least one path is required")
-        scale = 1.0 / math.sqrt(geom.size)
-        return cls(tuple(
-            (p.gain * scale, *plane_wave(geom, *direction_sines(p.azimuth, p.elevation)))
-            for p in paths
-        ))
 
     def vec(self) -> np.ndarray:
         """The MN channel vector, column-major."""
@@ -249,10 +227,10 @@ class PowerOracle:
     Every query is counted and draws its noise through ``noise_terms``, in
     query order, whichever path it takes: from scratch (``__call__``), as
     a probe pair at offsets from the held phases (``hold``, ``probe_pair``,
-    ``move``), or from combiner sums the sequential walk keeps itself (a
-    block's noise array from ``noise_terms``; ``sample_pair`` is the
-    one-query form).  The one- and two-query paths add their noise as
-    Python complex numbers.
+    ``move``), or from sums of ``combiner_terms`` that the sequential walk
+    keeps itself (a block's noise array from ``noise_terms``;
+    ``sample_pair`` is the one-query form).  The one- and two-query paths
+    add their noise as Python complex numbers.
     ``true_nrsp`` and ``held_nrsp`` are the noiseless diagnostics of the
     traces; no optimizer reads them, except the sequential walk, which
     stops on ``true_nrsp``.
@@ -293,9 +271,13 @@ class PowerOracle:
             return (self._noise_sigma * self.rng.standard_normal(2 * n)).view(complex)
         return np.zeros(n, dtype=complex)
 
+    def combiner_terms(self, phases: np.ndarray) -> np.ndarray:
+        """The per-element terms conj(w) * h of the combiner sum w^H h."""
+        return np.conj(weights_from_phases(phases)) * self.h_vec
+
     def hold(self, phases: np.ndarray) -> None:
-        """Carry the per-element combiner terms of ``phases``."""
-        self._held = np.conj(weights_from_phases(phases)) * self.h_vec
+        """Carry the combiner terms of ``phases``."""
+        self._held = self.combiner_terms(phases)
         self._spin = np.empty_like(self._held)
 
     def probe_pair(self, delta: np.ndarray, signs: np.ndarray | None = None) -> tuple[float, float]:

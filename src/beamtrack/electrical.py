@@ -19,9 +19,11 @@ iteration i + 1 (sweep i + 1 for the sequential walk) and whose
 ``budget`` is the runner's own limit: ``max_iters`` for ASSP and SPSA,
 ``seq_max_sweeps`` for the sequential walk.
 
-The simultaneous methods pass the oracle phase offsets and never read the
-channel: ``hold`` the start, then per iteration ``probe_pair(delta)`` and
-``move(step)``, with ``held_nrsp`` for the trace.
+No runner reads the channel.  The simultaneous methods pass the oracle
+phase offsets: ``hold`` the start, then per iteration
+``probe_pair(delta)`` and ``move(step)``, with ``held_nrsp`` for the
+trace.  The sequential walk takes the oracle's ``combiner_terms`` once
+per sweep and draws their noise from ``noise_terms``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .channel import (
     PowerOracle,
     conj_weight_matrix,
     plane_wave,
-    weights_from_phases,
 )
 
 
@@ -297,7 +298,8 @@ def run_sequential_perturbation(
 
     One trace row per full sweep (2*MN oracle queries).  Element i's probes
     read |base + c_i*rot + noise|^2 / scale, with c_i its term of the
-    combiner sum and base the running sum less c_i, as
+    combiner sum (``PowerOracle.combiner_terms`` at the start of each
+    sweep) and base the running sum less c_i, as
     ``PowerOracle.sample_pair`` reads them; a block of _SEQ_CHUNK elements
     draws its noise in one ``noise_terms`` call.
 
@@ -316,14 +318,13 @@ def run_sequential_perturbation(
     """
     phases = np.asarray(initial_phases, dtype=float).copy()
     size = phases.size
-    h = np.asarray(oracle.h_vec)
     trace = OptimizerTrace(params.seq_max_sweeps)
     step = params.seq_step
     rot_plus = complex(np.exp(-1j * step))
     rot_minus = complex(np.exp(1j * step))
     scale = float(oracle.scale)
     for _ in range(params.seq_max_sweeps):
-        contrib = np.conj(weights_from_phases(phases)) * h  # per-element terms of w^H h
+        contrib = oracle.combiner_terms(phases)
         total = complex(contrib.sum())
         for start in range(0, size, _SEQ_CHUNK):
             stop = min(start + _SEQ_CHUNK, size)

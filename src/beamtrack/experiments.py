@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import electrical as el
-from .channel import ArrayGeometry, Channel, PowerOracle, SignalModel
+from .channel import ArrayGeometry, PowerOracle, SignalModel
 from .electrical import AsspParams
 from .frames import wrap_angle
 
@@ -77,7 +77,7 @@ def run_trial(
     """One trial on the link ``signal``, with ``snr_db`` as its SNR."""
     link = replace(signal, snr_db=snr_db)
     true_az, true_el = offset_arrival(offset_deg)
-    chan = Channel.from_paths(geom, link.paths(true_az, true_el))
+    chan = link.channel(geom, true_az, true_el)
     # str hash is process-randomized; derive the stream tag from the bytes
     method_tag = sum(method.encode())
     master = np.random.SeedSequence((seed, method_tag))

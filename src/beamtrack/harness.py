@@ -7,10 +7,11 @@ once: ``start`` sets the loop up at t = 0, ``step`` advances it one tick,
 and ``sense_and_fuse`` is its gimbal-free first half.  Per tick
 ``run_simulation`` also records the normalized received power of the
 current analog weights against the instantaneous satellite direction in
-the beam frame, read from the factored channel (``channel.Channel``) and
-the conjugated weight matrix, which changes only at the epochs.  At
-configured epochs the electrical stage refines the weights against the
-MN channel vector frozen at the epoch's geometry.
+the beam frame, read from the factored channel that
+``SignalModel.channel`` builds and the conjugated weight matrix, which
+changes only at the epochs.  At configured epochs the electrical stage
+refines the weights against the MN channel vector frozen at the epoch's
+geometry.
 
 Randomness is split into independent per-subsystem streams (sensor
 noise, channel noise, perturbations) from the master seed, so changing
@@ -191,7 +192,7 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
         truth, gimbal = tick.truth.attitude, tick.gimbal
         c_n_b = frames.c_n_b(truth)
         arrival = beam_frame_arrival(gimbal.angles, c_n_b, sat_dir_ned)
-        chan = ch.Channel.from_paths(cfg.array, cfg.signal.paths(*arrival))
+        chan = cfg.signal.channel(cfg.array, *arrival)
         # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
         # angles, pointing error (azimuth, elevation)
         angles = (

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from beamtrack import frames, harness, mechanical, sensors
-from beamtrack.channel import ArrayGeometry, Channel, nrsp
+from beamtrack.channel import ArrayGeometry, nrsp
 from beamtrack.cli import cli_main
 from beamtrack.config import default_scenario
 from beamtrack.electrical import AsspParams
@@ -63,7 +63,7 @@ def closed_loop_runs():
             pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, c_n_b, euler)
             if nrsp_pre is None and k * t_s >= 5.0:
                 arrival = harness.beam_frame_arrival(tick.gimbal.angles, c_n_b, sat_dir)
-                h = Channel.from_paths(cfg.array, cfg.signal.paths(*arrival)).vec()
+                h = cfg.signal.channel(cfg.array, *arrival).vec()
                 nrsp_pre = nrsp(np.zeros(cfg.array.size), h)
         results.append((att_err, gyro_err, pt_err, nrsp_pre))
     return results, time.perf_counter() - started

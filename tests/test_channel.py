@@ -6,7 +6,6 @@ import pytest
 from beamtrack.channel import (
     ArrayGeometry,
     Channel,
-    PathComponent,
     PowerOracle,
     SignalModel,
     WAVELENGTH,
@@ -22,8 +21,15 @@ from beamtrack.channel import (
 D2R = math.pi / 180.0
 
 
+def path_term(geom, azimuth, elevation, gain=1.0 + 0j):
+    """The (g, r, c) term of one plane wave of gain ``gain``, g carrying
+    the 1/sqrt(MN) array normalization."""
+    u_r, u_c = direction_sines(azimuth, elevation)
+    return (gain * (1.0 / math.sqrt(geom.size)), *plane_wave(geom, u_r, u_c))
+
+
 def los_channel(geom, azimuth=0.0, elevation=0.0, gain=1.0 + 0j):
-    return Channel.from_paths(geom, [PathComponent(azimuth, elevation, gain)]).vec()
+    return Channel((path_term(geom, azimuth, elevation, gain),)).vec()
 
 
 def response_matrix(geom, azimuth, elevation):
@@ -112,32 +118,34 @@ class TestArrayResponse:
 class TestChannelMatrix:
     def test_single_path_whole_wavelength(self):
         geom = ArrayGeometry(8, 4)
-        _, ray = SignalModel(nlos_gain=1.0, nlos_path_length=3 * WAVELENGTH).paths(0.0, 0.0)
-        assert ray.gain == pytest.approx(1.0, abs=1e-12)  # three wavelengths turn no phase
-        chan = Channel.from_paths(geom, [PathComponent(0.2, 0.1, ray.gain)])
+        link = SignalModel(nlos_gain=1.0, nlos_path_length=3 * WAVELENGTH)
+        _, ray = link.channel(geom, 0.0, 0.0).terms
+        gain = ray[0] * math.sqrt(geom.size)
+        assert gain == pytest.approx(1.0, abs=1e-12)  # three wavelengths turn no phase
+        chan = Channel((path_term(geom, 0.2, 0.1, gain),))
         expected = response_matrix(geom, 0.2, 0.1).flatten(order="F") / math.sqrt(geom.size)
         np.testing.assert_allclose(chan.vec(), expected, atol=1e-12)
         assert chan.power() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_path_frobenius_norm_brute_force(self):
         geom = ArrayGeometry(16, 8)
-        paths = [
-            PathComponent(0.1, 0.3, 1.0),
-            PathComponent(-0.25, 1.2, 0.5 * np.exp(0.7j) * np.exp(-2j * math.pi * 1.234 / WAVELENGTH)),
+        paths = [  # (azimuth, elevation, gain)
+            (0.1, 0.3, 1.0),
+            (-0.25, 1.2, 0.5 * np.exp(0.7j) * np.exp(-2j * math.pi * 1.234 / WAVELENGTH)),
         ]
         rng = np.random.default_rng(8)
         for chosen in (paths[:1], paths):  # LOS alone, LOS plus the second ray
-            chan = Channel.from_paths(geom, chosen)
+            chan = Channel(tuple(path_term(geom, *p) for p in chosen))
             # brute-force oracle: accumulate each entry directly from the model
             h = np.zeros((geom.rows, geom.cols), dtype=complex)
             for m in range(geom.rows):
                 for n in range(geom.cols):
-                    for p in chosen:
+                    for az, el, gain in chosen:
                         phase = (
-                            2 * math.pi * geom.spacing_over_wavelength * math.sin(p.azimuth)
-                            * (m * math.cos(p.elevation) + n * math.sin(p.elevation))
+                            2 * math.pi * geom.spacing_over_wavelength * math.sin(az)
+                            * (m * math.cos(el) + n * math.sin(el))
                         )
-                        h[m, n] += p.gain * np.exp(1j * phase) / math.sqrt(geom.size)
+                        h[m, n] += gain * np.exp(1j * phase) / math.sqrt(geom.size)
             total = float(np.sum(np.abs(h) ** 2))
             np.testing.assert_allclose(chan.vec(), h.flatten(order="F"), atol=1e-12)
             assert chan.power() == pytest.approx(total, abs=1e-12)
@@ -148,15 +156,11 @@ class TestChannelMatrix:
                     nrsp(phases, chan.vec()), abs=1e-12
                 )
 
-    def test_empty_paths_rejected(self):
-        with pytest.raises(ValueError):
-            Channel.from_paths(ArrayGeometry(2, 2), [])
-
 
 class TestSpatialSpectrum:
     def test_broadside_concentrates_at_origin(self):
         geom = ArrayGeometry(16, 8)
-        s = spatial_spectrum(Channel.from_paths(geom, [PathComponent(0.0, 0.0)]))
+        s = spatial_spectrum(Channel((path_term(geom, 0.0, 0.0),)))
         assert s[0, 0] == pytest.approx(1.0, abs=1e-12)
         mask = np.ones_like(s, dtype=bool)
         mask[0, 0] = False
@@ -165,7 +169,7 @@ class TestSpatialSpectrum:
     def test_peak_bin_at_generic_doa(self):
         geom = ArrayGeometry(32, 16)
         az, el = 14 * D2R, 33 * D2R
-        s = spatial_spectrum(Channel.from_paths(geom, [PathComponent(az, el)]))
+        s = spatial_spectrum(Channel((path_term(geom, az, el),)))
         got = np.unravel_index(np.argmax(s), s.shape)
         # stationary-phase prediction, verified by exhaustive search over bins
         u_r = geom.spacing_over_wavelength * math.sin(az) * math.cos(el)
@@ -437,28 +441,46 @@ class TestPowerOracle:
         assert SignalModel(snr_db=-10.0).noise_power == pytest.approx(10.0)
 
     def test_signal_model_paths(self):
-        assert SignalModel().paths(0.1, 0.3) == [PathComponent(0.1, 0.3)]
+        # each term has the bits of a plane-wave term built here: the LOS
+        # ray at the arrival, the second ray at the offset arrival
+        geom = ArrayGeometry(16, 8)
         model = SignalModel(nlos_gain=0.3, nlos_path_length=0.0123)
-        los, ray = model.paths(0.1, 0.3)
-        assert los == PathComponent(0.1, 0.3)
-        assert ray.azimuth == 0.1 + model.nlos_azimuth_offset
-        assert ray.elevation == 0.3 + model.nlos_elevation_offset
+        gain = (0.3 + 0j) * np.exp(-2j * math.pi * 0.0123 / WAVELENGTH)
         x = 2 * math.pi * 0.0123 / WAVELENGTH  # the carrier phase, in radians
-        assert ray.gain == pytest.approx(0.3 * complex(math.cos(x), -math.sin(x)), abs=1e-12)
+        assert gain == pytest.approx(0.3 * complex(math.cos(x), -math.sin(x)), abs=1e-12)
+        los = path_term(geom, 0.1, 0.3)
+        az, el = 0.1 + model.nlos_azimuth_offset, 0.3 + model.nlos_elevation_offset
+        ray = path_term(geom, az, el, gain)
+        for link, want in ((SignalModel(), [los]), (model, [los, ray])):
+            got = link.channel(geom, 0.1, 0.3).terms
+            assert [[np.asarray(v).tobytes() for v in t] for t in got] == [
+                [np.asarray(v).tobytes() for v in t] for t in want
+            ]
+
+    def test_signal_model_rejects_non_finite_second_ray(self):
+        for key in ("nlos_azimuth_offset", "nlos_elevation_offset", "nlos_path_length"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    SignalModel(**{key: value})
 
     @pytest.mark.parametrize("path_length", [0.5, 0.0123, 0.0, -0.0, 7.5e-3])
     def test_signal_model_second_ray_gain_bits(self, path_length):
         # the second ray's gain has the bits of the direct expression, also
         # after a field is rebound (as config.set_key does), -0.0 included
+        geom = ArrayGeometry(4, 2)
+
         def direct(gain, length):
-            return (gain + 0j) * np.exp(-2j * math.pi * length / WAVELENGTH)
+            turn = np.exp(-2j * math.pi * length / WAVELENGTH)
+            return (gain + 0j) * turn * (1 / math.sqrt(geom.size))
+
+        def ray_gain(model):
+            return model.channel(geom, 0.1, 0.2).terms[1][0]
 
         model = SignalModel(nlos_gain=0.3)
         model.nlos_path_length = -path_length
-        model.paths(0.1, 0.2)
+        ray_gain(model)
         model.nlos_path_length = path_length
         for _ in range(2):
-            gain = model.paths(0.1, 0.2)[1].gain
-            assert gain.tobytes() == direct(0.3, path_length).tobytes()
+            assert ray_gain(model).tobytes() == direct(0.3, path_length).tobytes()
         model.nlos_gain = 0.7
-        assert model.paths(0.1, 0.2)[1].gain.tobytes() == direct(0.7, path_length).tobytes()
+        assert ray_gain(model).tobytes() == direct(0.7, path_length).tobytes()

@@ -153,7 +153,7 @@ class TestSweep:
         )
         assert code == 2
         assert err.startswith("usage: ")
-        assert "error: argument --methods: unknown method 'foo'" in err
+        assert "error: argument --methods: electrical.method: 'foo' not one of" in err
         assert out == ""
 
     def test_param_option_rejected_by_argparse(self, capsys):

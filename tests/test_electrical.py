@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beamtrack import channel, electrical, experiments
-from beamtrack.channel import ArrayGeometry, Channel, PathComponent, PowerOracle, SignalModel
+from beamtrack.channel import ArrayGeometry, PowerOracle, SignalModel
 from beamtrack.electrical import (
     AsspParams,
     OptimizerTrace,
@@ -23,8 +23,13 @@ from beamtrack.experiments import offset_arrival, run_trial
 D2R = math.pi / 180.0
 
 
+def los_vec(geom, az, el):
+    """The MN channel vector of the unit-gain LOS ray from (az, el)."""
+    return SignalModel().channel(geom, az, el).vec()
+
+
 def make_oracle(geom, az, el, snr_db=None, seed=0):
-    h = Channel.from_paths(geom, [PathComponent(az, el)]).vec()
+    h = los_vec(geom, az, el)
     noise = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
     return PowerOracle(h, noise, np.random.default_rng(seed))
 
@@ -70,13 +75,12 @@ class PhaseOracle:
 
 class ElementwiseOracle(PowerOracle):
     """``PowerOracle`` with its rotations written as complex exponentials:
-    the held terms from ``np.exp(1j * phases)`` and every offset rotated
-    by ``np.exp(-1j * offset)`` element by element, ignoring the sign hint
-    of an isotropic probe."""
+    the combiner terms from ``np.exp(1j * phases)`` and every offset
+    rotated by ``np.exp(-1j * offset)`` element by element, ignoring the
+    sign hint of an isotropic probe."""
 
-    def hold(self, phases):
-        super().hold(phases)
-        self._held = np.conj(np.exp(1j * np.asarray(phases, dtype=float))) * self.h_vec
+    def combiner_terms(self, phases):
+        return np.conj(np.exp(1j * np.asarray(phases, dtype=float))) * self.h_vec
 
     def _rotation(self, offset, signs):
         return np.exp(-1j * offset)
@@ -260,7 +264,7 @@ class TestGradients:
         # structured probes differ in magnitude per element: dividing
         # elementwise (assp_gradient) kicks small-probe elements hard
         geom, params = ArrayGeometry(16, 8), AsspParams()
-        h = Channel.from_paths(geom, [PathComponent(*offset_arrival(0.3))]).vec()
+        h = los_vec(geom, *offset_arrival(0.3))
         structure = structure_matrix(geom)
         final = {}
         for form in ("aligned", "reciprocal"):
@@ -503,7 +507,7 @@ class TestSignedRotation:
         geom = ArrayGeometry(rows, cols)
         params = AsspParams(max_iters=100, stop_window=10**9)
         az = math.asin(math.sqrt(2.0) * math.sin(0.3 * D2R))
-        h = Channel.from_paths(geom, [PathComponent(az, 45 * D2R)]).vec()
+        h = los_vec(geom, az, 45 * D2R)
         p1, t1 = runner(
             np.zeros(geom.size), PowerOracle(h, 0.1, np.random.default_rng(4)), params,
             np.random.default_rng(8), geom,
@@ -529,7 +533,7 @@ class TestSequential:
         # global phase), so the smallest meaningful case is one probed
         # element against one reference element
         geom = ArrayGeometry(2, 1)
-        h = Channel.from_paths(geom, [PathComponent(0.0, 0.0)]).vec()
+        h = los_vec(geom, 0.0, 0.0)
         h[1] *= np.exp(0.9j)  # relative phase the walk must match
         oracle = PowerOracle(h, 0.0, np.random.default_rng(0))
         params = AsspParams(seq_step=0.25, seq_max_sweeps=10)
@@ -581,7 +585,7 @@ class TestSequential:
         self, rows, cols, snr_db, link, zero_every, params
     ):
         geom = ArrayGeometry(rows, cols)
-        h = Channel.from_paths(geom, link.paths(0.9 * D2R, 40 * D2R)).vec()
+        h = link.channel(geom, 0.9 * D2R, 40 * D2R).vec()
         if zero_every:
             h[::zero_every] = 0.0
         noise = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
@@ -672,7 +676,7 @@ class TestTrialLink:
         monkeypatch.setitem(experiments.METHOD_RUNNERS, "assp", recorder)
         two_ray = run_trial("assp", geom, 20.0, 3, params, signal=signal)
         (oracle,) = seen
-        want = Channel.from_paths(geom, signal.paths(*offset_arrival(0.3))).vec()
+        want = signal.channel(geom, *offset_arrival(0.3)).vec()
         assert oracle.h_vec.tobytes() == want.tobytes()
         assert two_ray != run_trial("assp", geom, 20.0, 3, params)
 
@@ -719,7 +723,7 @@ def fit_phase_sets(geom):
     noise-like phases, phases in {0, pi} and matched weights."""
     rng = np.random.default_rng(geom.size)
     az = math.asin(math.sqrt(2.0) * math.sin(0.3 * D2R))
-    h = Channel.from_paths(geom, [PathComponent(az, 45 * D2R)]).vec()
+    h = los_vec(geom, az, 45 * D2R)
     params = AsspParams(max_iters=60, seq_max_sweeps=2)
     sets = {
         f"{method}-seed{seed}": runner(
