@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +114,7 @@ def plane_wave(geom: ArrayGeometry, u_r: float, u_c: float) -> tuple[np.ndarray,
     return e[:geom.rows], e[geom.rows:]
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(NamedTuple):
     """Multipath channel h = sum over paths of g * r c^T, kept as its
     (g, r, c) terms; g carries the path gain (with its carrier phase) and
     the 1/sqrt(MN) array normalization."""
@@ -232,8 +232,7 @@ class PowerOracle:
     ``sample_pair`` is the one-query form).  The one- and two-query paths
     add their noise as Python complex numbers.
     ``true_nrsp`` and ``held_nrsp`` are the noiseless diagnostics of the
-    traces; no optimizer reads them, except the sequential walk, which
-    stops on ``true_nrsp``.
+    traces; no optimizer reads them.
     """
 
     h_vec: np.ndarray

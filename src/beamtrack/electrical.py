@@ -333,8 +333,6 @@ def run_sequential_perturbation(
             walked = phases[start:stop]
             phases[start:stop] = np.where(moves == 0, walked, walked + moves * step)
         trace.append(oracle.true_nrsp(phases), oracle.queries)
-        if trace.nrsp[-1] >= 1.0 - 1e-9:
-            break
     return phases, trace
 
 

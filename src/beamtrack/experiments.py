@@ -12,7 +12,8 @@ the fitted arrival-angle error against the LOS arrival.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ D2R = math.pi / 180.0
 METHOD_RUNNERS = el.RUNNERS
 
 
-@dataclass
-class TrialResult:
+class TrialResult(NamedTuple):
     iterations_to_threshold: int
     iterations_run: int  # trace rows: iterations (sweeps) before the run stopped
     reached: bool
@@ -40,8 +40,7 @@ class TrialResult:
     fit_elevation_err_deg: float
 
 
-@dataclass
-class ConvergenceStats:
+class ConvergenceStats(NamedTuple):
     method: str
     median_iterations: float
     median_iterations_run: float

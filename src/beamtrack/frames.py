@@ -13,6 +13,10 @@ Conventions used throughout the package:
   that takes one accepts any 3-sequence, an array too.
 * The yaw/pitch/roll sequence is z-y-x: ``c_n_b = rot_x(roll) @
   rot_y(pitch) @ rot_z(yaw)``.
+* A value that nothing changes after construction is a NamedTuple (the
+  loop's states and trace rows, the channel, trial results); ``@dataclass``
+  marks the holders that change: the config sections that
+  ``config.set_key`` writes, ``OptimizerTrace`` and ``PowerOracle``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,7 @@ class NumericalError(RuntimeError):
     """Raised when the innovation variance or the updated quaternion is zero."""
 
 
-@dataclass
-class FilterState:
+class FilterState(NamedTuple):
     q: np.ndarray  # unit quaternion estimate, scalar first
     kappa: float  # estimate covariance kappa * I
     q_chi: float  # process noise covariance q_chi * I

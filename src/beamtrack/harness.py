@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -41,8 +39,7 @@ R2D = 180.0 / math.pi
 TRACE_SCHEMA = "beamtrack-trace v1"
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One trace row.  The writers format a cell by its declared type, so a
     float column must hold a float: an int there is written as %.9g writes
     it (1000000000 as 1e+09)."""
@@ -69,7 +66,7 @@ class TraceRecord:
     rate_clamped: int
 
 
-TRACE_COLUMNS = [f.name for f in fields(TraceRecord)]
+TRACE_COLUMNS = list(TraceRecord._fields)
 
 
 def beam_frame_arrival(
@@ -213,8 +210,8 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
             )
             wbar = ch.conj_weight_matrix(phases, cfg.array)
             records.extend(
-                replace(
-                    base, phase="elec", nrsp=trace.nrsp[i], elec_iteration=i + 1,
+                base._replace(
+                    phase="elec", nrsp=trace.nrsp[i], elec_iteration=i + 1,
                     oracle_queries=total_queries + trace.queries[i], rate_clamped=0,
                 )
                 for i in range(len(trace))
@@ -225,17 +222,16 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
 
 # One %-format per row, from the declared column types: 9 significant
 # digits for a float column, str() otherwise.  run_simulation, the one
-# writer of records (its replace(...) rows included), puts floats in the
+# writer of records (its _replace(...) rows included), puts floats in the
 # float columns and ints in the int columns, so no cell needs its runtime
 # type; an int in a float column is written as the float it equals.
-_COLUMN_TYPES = operator.itemgetter(*TRACE_COLUMNS)(get_type_hints(TraceRecord))
+_COLUMN_TYPES = tuple(get_type_hints(TraceRecord).values())  # in field order
 _ROW_FORMAT = ",".join("%.9g" if kind is float else "%s" for kind in _COLUMN_TYPES)
-_row_values = operator.attrgetter(*TRACE_COLUMNS)
 
 
 def _data_lines(records: list[TraceRecord]) -> list[str]:
     """One CSV line per record, each formatted by one C-level call."""
-    return [_ROW_FORMAT % _row_values(rec) for rec in records]
+    return [_ROW_FORMAT % rec for rec in records]
 
 
 def _json_token(kind: type, cell: str) -> str:

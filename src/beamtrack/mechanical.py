@@ -87,8 +87,7 @@ class ServoConfig:
             raise ValueError("elevation stops must stay short of the +/-90 deg keyhole")
 
 
-@dataclass
-class GimbalState:
+class GimbalState(NamedTuple):
     angles: GimbalAngles
     rate_clamped: bool = False
 

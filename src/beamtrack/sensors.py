@@ -61,11 +61,9 @@ class SensorNoiseConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass
-class FlightState:
+class FlightState(NamedTuple):
     """Truth attitude, its Euler rates (roll, pitch, yaw order) and body rates."""
 
-    time: float
     attitude: Attitude
     euler_rates: tuple[float, float, float]  # (roll_rate, pitch_rate, yaw_rate), rad/s
     body_rates: tuple[float, float, float]  # rad/s in the body frame
@@ -90,7 +88,7 @@ def flight_profile(t: float, profile: ProfileConfig) -> FlightState:
     roll, roll_rate = _axis_value_rate(profile.roll, t)
     attitude = Attitude(yaw, pitch, roll)
     euler_rates = (roll_rate, pitch_rate, yaw_rate)
-    return FlightState(t, attitude, euler_rates, euler_rates_to_body_rates(attitude, euler_rates))
+    return FlightState(attitude, euler_rates, euler_rates_to_body_rates(attitude, euler_rates))
 
 
 def euler_rates_to_body_rates(attitude: Attitude, euler_rates) -> tuple[float, float, float]:

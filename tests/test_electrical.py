@@ -139,8 +139,6 @@ def sequential_reference(initial_phases, oracle, params):
                 phases[i] -= step
                 total = base + ci * rot_minus
         trace.append(oracle.true_nrsp(phases), oracle.queries)
-        if trace.nrsp[-1] >= 1.0 - 1e-9:
-            break
     return phases, trace
 
 
@@ -596,6 +594,7 @@ class TestSequential:
         p2, t2 = sequential_reference(np.zeros(geom.size), slow, params)
         assert p1.tobytes() == p2.tobytes()
         assert t1 == t2  # budget, nrsp and queries
+        assert len(t1) == params.seq_max_sweeps  # only the budget stops a walk
         assert fast.queries == slow.queries == 2 * geom.size * len(t1)
         assert fast.rng.standard_normal() == slow.rng.standard_normal()
 

@@ -302,7 +302,7 @@ class TestExport:
     @pytest.mark.parametrize("method", ["assp", "spsa", "sequential"])
     def test_cells_hold_their_declared_types(self, method):
         # the writer formats by declared column type, so run_simulation
-        # (mechanical rows and the replace(...) electrical rows of each
+        # (mechanical rows and the _replace(...) electrical rows of each
         # runner) must put a float in every float column and an int in
         # every int column
         # (the extra text opens inside small_scenario's [electrical])

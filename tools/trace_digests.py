@@ -14,6 +14,8 @@ occur twice) and matched weights at three arrivals.  The last line is one
 over 26 sequential trials at 60 and 200 dB (16x8 seeds 0-9 with default
 parameters, 128x64 seeds 0-2 with acceptance parameters), where the
 walk's speculative block decisions are most often wrong and redone.
+The last is the sha256 of the table that ``beamtrack sweep --values 20,10
+--seeds 5`` prints for a 16x8 two-ray link (``[signal] nlos_gain = 0.3``).
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -68,6 +70,9 @@ CONFIGS = {
     "G": "[run]\nduration = 60\nseed = 1\n",
 }
 
+# the link of the sweep table's line
+SWEEP_CONFIG = "[array]\nrows = 16\ncols = 8\n[signal]\nnlos_gain = 0.3\n"
+
 METHODS = ("assp", "spsa", "sequential")
 SNRS_DB = (20.0, 10.0)
 # the parameters of the acceptance experiments: a fixed 100-iteration
@@ -99,6 +104,17 @@ def simulate_digests(work: Path):
         yield f"{name} trace.csv   {sha256((out / 'trace.csv').read_bytes())}"
         yield f"{name} trace.json  {sha256((out / 'trace.json').read_bytes())}"
         yield f"{name} summary     {sha256(summary.getvalue().encode())}"
+
+
+def sweep_digest() -> str:
+    table = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(table):
+        cfg = Path(tmp) / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG)
+        code = cli_main(["sweep", "--config", str(cfg), "--values", "20,10", "--seeds", "5"])
+    if code != 0:
+        sys.exit(f"trace_digests: sweep exited {code}")
+    return f"sweep table  {sha256(table.getvalue().encode())}"
 
 
 def trial_digest() -> str:
@@ -173,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
                 lines.append(line)
         finally:
             os.chdir(previous)
-    for digest in (trial_digest, two_ray_trial_digest, fit_digest, high_snr_sequential_digest):
+    for digest in (trial_digest, two_ray_trial_digest, fit_digest, high_snr_sequential_digest,
+                   sweep_digest):
         lines.append(digest())
         print(lines[-1], flush=True)
     if expected is None:
