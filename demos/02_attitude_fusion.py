@@ -20,15 +20,16 @@ rng = np.random.default_rng(2)
 t_s = cfg.sensors.sample_period
 steps = int(60.0 / t_s)
 
-tick = harness.start(cfg, mechanical.pointing_euler(cfg.geo), rng)
+euler = mechanical.pointing_euler(cfg.geo)
+tick = harness.start(cfg, euler, rng)
 gyro_only = tick.est
 
 errors = {"gyro-only": [], "instantaneous": [], "fused": []}
-for k in range(1, steps + 1):
-    tick = harness.sense_and_fuse(cfg, tick.filter_state, k * t_s, rng)
-    truth = tick.truth.attitude
-    gyro_only = sensors.gyro_integrate(gyro_only, tick.omega_m, t_s)
-    instantaneous = (tick.psi_m, tick.pitch_roll.pitch, tick.pitch_roll.roll)
+for sensed in harness.sensed_ticks(cfg, euler, rng, steps):
+    tick = harness.fuse(cfg, tick.filter_state, sensed)
+    truth = sensed.truth
+    gyro_only = sensors.gyro_integrate(gyro_only, sensed.omega_m, t_s)
+    instantaneous = (sensed.psi_m, sensed.pitch_roll.pitch, sensed.pitch_roll.roll)
     errors["gyro-only"].append(harness.attitude_error(gyro_only, truth))
     errors["instantaneous"].append(harness.attitude_error(instantaneous, truth))
     errors["fused"].append(harness.attitude_error(tick.est, truth))

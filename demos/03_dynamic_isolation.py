@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from beamtrack import frames, harness, mechanical
+from beamtrack import harness, mechanical
 from beamtrack.config import default_scenario
 from beamtrack.mechanical import GimbalAngles, GimbalRates
 
@@ -40,17 +40,15 @@ for use_isolation in (True, False):
     rng = np.random.default_rng(7)
     tick = harness.start(cfg, euler, rng)
     errs = []
-    for k in range(1, int(30.0 / t_s) + 1):
+    for sensed in harness.sensed_ticks(cfg, euler, rng, int(30.0 / t_s)):
         if use_isolation:
-            tick = harness.step(cfg, euler, tick, k * t_s, rng)
+            tick = harness.step(cfg, euler, tick, sensed)
         else:
-            sensed = harness.sense_and_fuse(cfg, tick.filter_state, k * t_s, rng)
-            target = mechanical.stabilization_command(sensed.c_n_b, euler)
+            fused = harness.fuse(cfg, tick.filter_state, sensed)
+            target = mechanical.stabilization_command(fused.c_n_b, euler)
             gimbal = mechanical.gimbal_step(tick.gimbal, target, still, cfg.servo, t_s)
-            tick = sensed._replace(gimbal=gimbal)
-        errs.append(
-            mechanical.pointing_error(tick.gimbal, frames.c_n_b(tick.truth.attitude), euler)
-        )
+            tick = fused._replace(gimbal=gimbal)
+        errs.append(mechanical.pointing_error(tick.gimbal, sensed.ideal))
     e = np.abs(np.array(errs)) / D2R
     label = "isolation + servo" if use_isolation else "servo only       "
     print(

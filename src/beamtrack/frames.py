@@ -11,6 +11,10 @@ Conventions used throughout the package:
 * Quaternions are scalar-first arrays ``[q0, q1, q2, q3]`` with unit norm.
 * The loop's 3-vectors (rates, sensor readings) are float tuples; a function
   that takes one accepts any 3-sequence, an array too.
+* ``c_n_b``, ``euler_to_quat`` and ``euler_rates_in_frame`` also take arrays
+  of angles, one per tick of a block, and give the stack of their results,
+  each with the bits of its own call: numpy's sin and cos give math's bits,
+  and ``@`` runs each product through the BLAS call of ``ndarray.dot``.
 * The yaw/pitch/roll sequence is z-y-x: ``c_n_b = rot_x(roll) @
   rot_y(pitch) @ rot_z(yaw)``.
 * A value that nothing changes after construction is a NamedTuple (the
@@ -65,9 +69,21 @@ def _matrix3(entries: list[float]) -> np.ndarray:
     return np.array(entries).reshape(3, 3)
 
 
-def _rot_z(angle: float) -> list[float]:
-    a = _check_finite(angle)
-    c, s = math.cos(a), math.sin(a)
+def _cos_sin(angle):
+    """cos and sin of a finite angle: a float by ``math``, or an array of
+    angles by numpy, whose sin and cos give math's bits."""
+    if isinstance(angle, np.ndarray):
+        bad = angle[~np.isfinite(angle)]
+        if bad.size:
+            _check_finite(float(bad[0]))
+        return np.cos(angle), np.sin(angle)
+    if not math.isfinite(angle):
+        _check_finite(angle)  # raises
+    return math.cos(angle), math.sin(angle)
+
+
+def _rot_z(angle: float) -> list:
+    c, s = _cos_sin(angle)
     return [c, s, 0.0, -s, c, 0.0, 0.0, 0.0, 1.0]
 
 
@@ -90,13 +106,12 @@ def rot_x(angle: float) -> np.ndarray:
     return _matrix3([1.0, 0.0, 0.0, 0.0, c, s, 0.0, -s, c])
 
 
-def _rot_xy(x: float, y: float) -> list[float]:
+def _rot_xy(x: float, y: float) -> list:
     """Row-major entries of ``rot_x(x) @ rot_y(y)``, written out.  Every entry
-    is a single product, so it equals the matrix product exactly."""
-    _check_finite(x)
-    _check_finite(y)
-    cx, sx = math.cos(x), math.sin(x)
-    cy, sy = math.cos(y), math.sin(y)
+    is a single product, so it equals the matrix product exactly.  For arrays
+    of angles, each entry but the two constants is an array over them."""
+    cx, sx = _cos_sin(x)
+    cy, sy = _cos_sin(y)
     return [cy, 0.0, -sy, sx * sy, cx, sx * cy, cx * sy, -sx, cx * cy]
 
 
@@ -105,9 +120,14 @@ def _zyx(z: float, y: float, x: float) -> np.ndarray:
 
     Both factors are built in one array.  ``ndarray.dot`` runs the BLAS call of
     ``np.dot`` and ``@`` on 2-D float arrays, so the bits match, at a third
-    of the call overhead.
+    of the call overhead.  For arrays of n angles the result is the
+    (n, 3, 3) stack of the matrices; ``@`` runs that BLAS call on each pair.
     """
-    factors = np.array(_rot_xy(x, y) + _rot_z(z)).reshape(2, 3, 3)
+    entries = _rot_xy(x, y) + _rot_z(z)
+    if isinstance(z, np.ndarray) and z.ndim:
+        factors = np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(-1, 2, 3, 3)
+        return factors[:, 0] @ factors[:, 1]
+    factors = np.array(entries).reshape(2, 3, 3)
     return factors[0].dot(factors[1])
 
 
@@ -117,7 +137,8 @@ def c_b_t(azimuth: float, elevation: float, polarization: float) -> np.ndarray:
 
 
 def c_n_b(attitude: Attitude) -> np.ndarray:
-    """NED-to-body DCM from yaw/pitch/roll."""
+    """NED-to-body DCM from yaw/pitch/roll; from an Attitude of angle arrays,
+    the (n, 3, 3) stack of the DCMs, each with the bits of its own call."""
     return _zyx(attitude.yaw, attitude.pitch, attitude.roll)
 
 
@@ -133,7 +154,8 @@ def euler_rates_in_frame(
 
     ``[x_rate, 0, 0] + rot_x(x) @ [0, y_rate, 0] + rot_x(x) @ rot_y(y) @
     [0, 0, z_rate]``, written out; every matrix entry involved is a single
-    product, so the result equals the matrix form exactly.
+    product, so the result equals the matrix form exactly.  The angles and
+    rates may be arrays of one per tick, and then so are the components.
     """
     _, _, r02, _, r11, r12, _, r21, r22 = _rot_xy(x, y)
     return (x_rate + r02 * z_rate, r11 * y_rate + r12 * z_rate, r21 * y_rate + r22 * z_rate)
@@ -211,10 +233,12 @@ def _zyx_of_rows(rows: list[list[float]]) -> tuple[float, float, float]:
 
 
 def euler_to_quat(attitude: Attitude) -> np.ndarray:
-    """Unit quaternion (scalar first) for the z-y-x attitude sequence."""
-    cy, sy = math.cos(attitude.yaw / 2), math.sin(attitude.yaw / 2)
-    cp, sp = math.cos(attitude.pitch / 2), math.sin(attitude.pitch / 2)
-    cr, sr = math.cos(attitude.roll / 2), math.sin(attitude.roll / 2)
+    """Unit quaternion (scalar first) for the z-y-x attitude sequence; from an
+    Attitude of angle arrays, the (n, 4) stack of the quaternions, each with
+    the bits of its own call."""
+    cy, sy = _cos_sin(attitude.yaw / 2)
+    cp, sp = _cos_sin(attitude.pitch / 2)
+    cr, sr = _cos_sin(attitude.roll / 2)
     q = np.array(
         [
             cy * cp * cr + sy * sp * sr,
@@ -224,7 +248,10 @@ def euler_to_quat(attitude: Attitude) -> np.ndarray:
         ]
     )
     # sqrt(q . q) is np.linalg.norm's own formula, without its overhead
-    return q / math.sqrt(q.dot(q))
+    if q.ndim == 1:
+        return q / math.sqrt(q.dot(q))
+    q = q.T.copy()  # (n, 4); @ takes each row's dot product with q.dot(q)'s BLAS call
+    return q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
 
 
 def quat_to_dcm(q: np.ndarray) -> np.ndarray:

@@ -83,20 +83,24 @@ def predict(state: FilterState, body_rates, sample_period: float) -> FilterState
 _PITCH_LIMIT = math.asin(1.0 - 2.0 * frames.GIMBAL_LOCK_EPS)
 
 
-def measurement_quat(
-    yaw_m: float, pitch_m: float, roll_m: float, q_ref: np.ndarray | None = None
-) -> np.ndarray:
-    """Measurement quaternion from sensor angles, hemisphere-aligned to ``q_ref``.
+def measurement_quat(yaw_m, pitch_m, roll_m) -> np.ndarray:
+    """Measurement quaternion from sensor angles, before its hemisphere sign
+    (see ``align``); from arrays of angles, the (n, 4) stack of them.
+
+    The pitch is clamped just short of +/-90 deg (which a saturated
+    accelerometer reads), where yaw and roll cannot be told apart.
+    """
+    pitch_m = np.clip(pitch_m, -_PITCH_LIMIT, _PITCH_LIMIT)
+    return frames.euler_to_quat(Attitude(yaw_m, pitch_m, roll_m))
+
+
+def align(z: np.ndarray, q_ref: np.ndarray) -> np.ndarray:
+    """``z`` or ``-z``, whichever lies in the hemisphere of ``q_ref``.
 
     q and -q encode the same attitude; aligning the sign keeps the linear
-    innovation small.  The pitch is clamped just short of +/-90 deg (which a
-    saturated accelerometer reads), where yaw and roll cannot be told apart.
+    innovation small.
     """
-    pitch_m = min(_PITCH_LIMIT, max(-_PITCH_LIMIT, pitch_m))
-    z = frames.euler_to_quat(Attitude(yaw_m, pitch_m, roll_m))
-    if q_ref is not None and z.dot(q_ref) < 0.0:
-        z = -z
-    return z
+    return -z if z.dot(q_ref) < 0.0 else z
 
 
 def update(state: FilterState, z: np.ndarray) -> FilterState:

@@ -3,8 +3,15 @@ stabilization with dynamic isolation, channel evaluation, and scheduled
 electrical refinement; plus CSV/JSON trace export.
 
 The tick (measure -> fuse -> command -> isolate -> servo) is written
-once: ``start`` sets the loop up at t = 0, ``step`` advances it one tick,
-and ``sense_and_fuse`` is its gimbal-free first half.  Per tick
+once, in two halves.  The open-loop half depends only on ``t`` and the
+sensor stream: the truth, the sensor draws, the measurement quaternion
+before its hemisphere sign, the truth DCM and the ideal stabilization
+command.  ``sense`` computes it for a block of ticks in numpy, bit for bit
+the ticks sensed one at a time.  The closed-loop half runs per tick:
+``fuse`` (predict, hemisphere sign, update, estimate) and ``step``
+(``fuse``, then the stabilization command, isolation and servo).
+``start`` sets the loop up at t = 0, and the generator ``ticks`` yields
+its ticks, sensing ``_SENSE_CHUNK`` at a time.  Per tick
 ``run_simulation`` also records the normalized received power of the
 current analog weights against the instantaneous satellite direction in
 the beam frame, read from the factored channel that
@@ -24,7 +31,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -90,65 +97,116 @@ def beam_frame_arrival(
     return azimuth, elevation
 
 
-class Tick(NamedTuple):
-    """One tick of the closed loop, and the loop state for the next."""
+# ticks sensed per block: bounds what a block holds
+_SENSE_CHUNK = 1024
 
-    truth: sensors.FlightState
+
+class Sensed(NamedTuple):
+    """The open-loop half of a tick: what depends only on ``t`` and the
+    sensor stream."""
+
+    t: float
+    truth: frames.Attitude
     omega_m: tuple[float, float, float] | None  # None from start, which draws no gyro sample
     pitch_roll: sensors.PitchRoll
     psi_m: float
+    z: np.ndarray  # measurement quaternion, before its hemisphere sign
+    c_n_b_truth: np.ndarray  # truth NED-to-body DCM
+    ideal: mechanical.GimbalAngles  # stabilization command under the truth
+
+
+class Tick(NamedTuple):
+    """One tick of the closed loop, and the loop state for the next."""
+
+    sensed: Sensed
     filter_state: fusion.FilterState
     c_n_b: np.ndarray  # NED-to-body DCM of the estimate
     est: frames.Attitude  # its yaw/pitch/roll, for the trace
-    gimbal: GimbalState | None  # None from sense_and_fuse
+    gimbal: GimbalState | None  # None from fuse
+
+
+def sense(
+    cfg: ScenarioConfig,
+    euler: PointingEuler,
+    times: np.ndarray,
+    rng: np.random.Generator,
+    gyro: bool = True,
+) -> list[Sensed]:
+    """The open-loop half of the ticks at ``times``, computed for them all at
+    once: the truth, the gyro, accelerometer and GPS draws (in that order per
+    tick, from ``rng``), the measurement quaternions, the truth DCMs and the
+    ideal stabilization commands.  Each entry holds the bits of its tick
+    sensed on its own."""
+    readings = sensors.sense(times, cfg.profile, cfg.sensors, rng, gyro)
+    attitude, pr = readings.truth.attitude, readings.pitch_roll
+    c_n_b = frames.c_n_b(attitude)
+    omega = map(tuple, readings.omega_m.tolist()) if gyro else [None] * len(times)
+    return list(map(
+        Sensed,
+        times.tolist(),
+        map(frames.Attitude, *(a.tolist() for a in attitude)),
+        omega,
+        map(sensors.PitchRoll, *(a.tolist() for a in pr)),
+        readings.gps_yaw.tolist(),
+        fusion.measurement_quat(readings.gps_yaw, pr.pitch, pr.roll),
+        c_n_b,
+        mechanical.stabilization_command(c_n_b, euler),
+    ))
 
 
 def start(cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator) -> Tick:
     """The loop at t = 0: the filter starts on the first accelerometer and
     GPS draws, and the gimbal on the first stabilization solution (instant
     acquisition)."""
-    first = sensors.flight_profile(0.0, cfg.profile)
-    pr0 = sensors.accel_to_pitch_roll(
-        sensors.accel_measure(first.attitude, cfg.sensors, rng), cfg.sensors.gravity
-    )
-    psi0 = sensors.gps_yaw_measure(first.attitude, cfg.sensors, rng)
-    state = fusion.make_filter_state(
-        fusion.measurement_quat(psi0, pr0.pitch, pr0.roll), cfg.fusion
-    )
+    first = sense(cfg, euler, np.zeros(1), rng, gyro=False)[0]
+    state = fusion.make_filter_state(first.z, cfg.fusion)
     c_n_b, est = fusion.estimate(state.q)
     gimbal = GimbalState(mechanical.stabilization_command(c_n_b, euler))
-    return Tick(first, None, pr0, psi0, state, c_n_b, est, gimbal)
+    return Tick(first, state, c_n_b, est, gimbal)
 
 
-def sense_and_fuse(
-    cfg: ScenarioConfig, state: fusion.FilterState, t: float, rng: np.random.Generator
-) -> Tick:
-    """Truth at ``t``, the gyro, accelerometer and GPS draws (in that order
-    from ``rng``), and one fusion step from ``state``; no gimbal."""
-    truth = sensors.flight_profile(t, cfg.profile)
-    omega_m = sensors.gyro_measure(truth.body_rates, cfg.sensors, rng)
-    pr = sensors.accel_to_pitch_roll(
-        sensors.accel_measure(truth.attitude, cfg.sensors, rng), cfg.sensors.gravity
-    )
-    psi_m = sensors.gps_yaw_measure(truth.attitude, cfg.sensors, rng)
-    prior = fusion.predict(state, omega_m, cfg.sensors.sample_period)
-    state = fusion.update(prior, fusion.measurement_quat(psi_m, pr.pitch, pr.roll, prior.q))
-    return Tick(truth, omega_m, pr, psi_m, state, *fusion.estimate(state.q), None)
+def fuse(cfg: ScenarioConfig, state: fusion.FilterState, sensed: Sensed) -> Tick:
+    """One fusion step from ``state`` on the readings of ``sensed``; no gimbal."""
+    prior = fusion.predict(state, sensed.omega_m, cfg.sensors.sample_period)
+    state = fusion.update(prior, fusion.align(sensed.z, prior.q))
+    return Tick(sensed, state, *fusion.estimate(state.q), None)
 
 
-def step(
-    cfg: ScenarioConfig, euler: PointingEuler, prev: Tick, t: float, rng: np.random.Generator
-) -> Tick:
-    """One closed-loop tick after ``prev``: measure and fuse, command the
-    gimbal to the stabilization solution, isolate the measured body rates,
-    and servo."""
-    tick = sense_and_fuse(cfg, prev.filter_state, t, rng)
+def step(cfg: ScenarioConfig, euler: PointingEuler, prev: Tick, sensed: Sensed) -> Tick:
+    """One closed-loop tick after ``prev``: fuse the readings of ``sensed``,
+    command the gimbal to the stabilization solution, isolate the measured
+    body rates, and servo."""
+    tick = fuse(cfg, prev.filter_state, sensed)
     target = mechanical.stabilization_command(tick.c_n_b, euler)
-    isolation = mechanical.isolation_rates(prev.gimbal.angles, tick.omega_m)
+    isolation = mechanical.isolation_rates(prev.gimbal.angles, sensed.omega_m)
     gimbal = mechanical.gimbal_step(
         prev.gimbal, target, isolation, cfg.servo, cfg.sensors.sample_period
     )
     return tick._replace(gimbal=gimbal)
+
+
+def sensed_ticks(
+    cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator, steps: int
+) -> Iterator[Sensed]:
+    """The open-loop half of ticks 1 to ``steps`` (t = k * sample_period),
+    sensed ``_SENSE_CHUNK`` ticks at a time: a tick that ``sense`` rejects
+    raises before the earlier ticks of its block are yielded."""
+    t_s = cfg.sensors.sample_period
+    for first in range(1, steps + 1, _SENSE_CHUNK):
+        ks = np.arange(first, min(first + _SENSE_CHUNK, steps + 1))
+        yield from sense(cfg, euler, ks * t_s, rng)
+
+
+def ticks(
+    cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator, steps: int
+) -> Iterator[Tick]:
+    """The closed loop: ``start``'s tick at t = 0, then ``steps`` ticks of
+    ``step``, the sensor stream drawn from ``rng``."""
+    tick = start(cfg, euler, rng)
+    yield tick
+    for sensed in sensed_ticks(cfg, euler, rng, steps):
+        tick = step(cfg, euler, tick, sensed)
+        yield tick
 
 
 def attitude_error(est, truth) -> tuple[float, float, float]:
@@ -176,25 +234,24 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     euler = mechanical.pointing_euler(cfg.geo)
     sat_dir_ned = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
 
-    tick = start(cfg, euler, sensor_rng)
+    loop = ticks(cfg, euler, sensor_rng, steps)
+    next(loop)  # the start at t = 0, which the trace does not record
     phases = np.zeros(cfg.array.size)
     wbar = ch.conj_weight_matrix(phases, cfg.array)  # changes only at the epochs
     next_epoch = cfg.electrical.first_epoch
     total_queries = 0
     records: list[TraceRecord] = []
 
-    for k in range(1, steps + 1):
-        t = k * t_s
-        tick = step(cfg, euler, tick, t, sensor_rng)
-        truth, gimbal = tick.truth.attitude, tick.gimbal
-        c_n_b = frames.c_n_b(truth)
-        arrival = beam_frame_arrival(gimbal.angles, c_n_b, sat_dir_ned)
+    for tick in loop:
+        sensed, gimbal = tick.sensed, tick.gimbal
+        t, truth = sensed.t, sensed.truth
+        arrival = beam_frame_arrival(gimbal.angles, sensed.c_n_b_truth, sat_dir_ned)
         chan = cfg.signal.channel(cfg.array, *arrival)
         # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
         # angles, pointing error (azimuth, elevation)
         angles = (
             *truth, *tick.est, *attitude_error(tick.est, truth), *gimbal.angles,
-            *mechanical.pointing_error(gimbal, c_n_b, euler),
+            *mechanical.pointing_error(gimbal, sensed.ideal),
         )
         base = TraceRecord(
             t, "mech", *(a * R2D for a in angles),

@@ -134,8 +134,14 @@ def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> GimbalAngl
     keyhole (elevation +/-90 deg) the angles take the pole convention of
     ``frames.zyx_angles``: polarization 0, the azimuth carrying the rest.
     ``c_n_b`` must be a rotation (the loop's own DCMs): it is not checked.
+    An (n, 3, 3) stack of DCMs gives the list of their n commands, each with
+    the bits of its own call.
     """
-    c_bt = _ned_to_beam(tuple(euler)).dot(c_n_b.T)  # np.dot's routine, as in frames._zyx
+    c_nt = _ned_to_beam(tuple(euler))
+    if c_n_b.ndim == 3:
+        # @ runs the BLAS call of ndarray.dot on each product
+        return [GimbalAngles(*frames._zyx_of_rows(rows)) for rows in (c_nt @ c_n_b.mT).tolist()]
+    c_bt = c_nt.dot(c_n_b.T)  # np.dot's routine, as in frames._zyx
     return GimbalAngles(*frames._zyx_of_rows(c_bt.tolist()))
 
 
@@ -200,12 +206,10 @@ def gimbal_step(
     return GimbalState(GimbalAngles(azimuth, elevation, polarization), clamped)
 
 
-def pointing_error(
-    state: GimbalState, c_n_b_truth: np.ndarray, euler: PointingEuler
-) -> tuple[float, float]:
+def pointing_error(state: GimbalState, ideal: GimbalAngles) -> tuple[float, float]:
     """Azimuth/elevation error of the actual gimbal against the ideal
-    stabilization solution under the truth NED-to-body DCM."""
-    ideal = stabilization_command(c_n_b_truth, euler)
+    stabilization solution ``ideal``, the ``stabilization_command`` of the
+    truth NED-to-body DCM."""
     return (
         frames.wrap_angle(ideal.azimuth - state.angles.azimuth),
         frames.wrap_angle(ideal.elevation - state.angles.elevation),

@@ -4,15 +4,16 @@ The truth generator produces an attitude trajectory as sums of sinusoids
 per axis together with its exact analytic rates.  Three sensors observe
 it: a MEMS gyro triad (white noise plus a constant per-run bias), an
 accelerometer triad measuring the gravity direction, and a dual-antenna
-GPS heading.  All randomness comes from caller-supplied generators, so
-every simulation is reproducible from its seed.
+GPS heading.  ``sense`` evaluates the truth and draws the three readings
+for a block of ticks at once.  All randomness comes from caller-supplied
+generators, so every simulation is reproducible from its seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,43 +63,43 @@ class SensorNoiseConfig:
 
 
 class FlightState(NamedTuple):
-    """Truth attitude, its Euler rates (roll, pitch, yaw order) and body rates."""
+    """Truth attitude, its Euler rates (roll, pitch, yaw order) and body rates;
+    each angle and rate an array over the ticks of a block (a numpy scalar
+    for one time)."""
 
     attitude: Attitude
-    euler_rates: tuple[float, float, float]  # (roll_rate, pitch_rate, yaw_rate), rad/s
-    body_rates: tuple[float, float, float]  # rad/s in the body frame
+    euler_rates: tuple  # (roll_rate, pitch_rate, yaw_rate), rad/s
+    body_rates: tuple  # rad/s in the body frame
 
 
-def _axis_value_rate(terms: Sequence[Sinusoid], t: float) -> tuple[float, float]:
-    value = 0.0
-    rate = 0.0
-    for amp, freq, phase in terms:
-        w = 2.0 * math.pi * freq
-        value += amp * math.sin(w * t + phase)
-        rate += amp * w * math.cos(w * t + phase)
-    return value, rate
-
-
-def flight_profile(t: float, profile: ProfileConfig) -> FlightState:
-    """Evaluate the truth trajectory at time ``t`` (analytic, no integration)."""
-    if t < 0:
+def flight_profile(t, profile: ProfileConfig) -> FlightState:
+    """Evaluate the truth trajectory at the times ``t`` (an array, or one
+    time), analytically, without integration."""
+    if np.any(np.asarray(t) < 0):
         raise ValueError("time must be non-negative")
-    yaw, yaw_rate = _axis_value_rate(profile.yaw, t)
-    pitch, pitch_rate = _axis_value_rate(profile.pitch, t)
-    roll, roll_rate = _axis_value_rate(profile.roll, t)
+    axes = []
+    for terms in (profile.yaw, profile.pitch, profile.roll):
+        value = rate = np.zeros(np.shape(t))
+        for amp, freq, phase in terms:
+            w = 2.0 * math.pi * freq
+            value = value + amp * np.sin(w * t + phase)
+            rate = rate + amp * w * np.cos(w * t + phase)
+        axes.append((value, rate))
+    (yaw, yaw_rate), (pitch, pitch_rate), (roll, roll_rate) = axes
     attitude = Attitude(yaw, pitch, roll)
     euler_rates = (roll_rate, pitch_rate, yaw_rate)
     return FlightState(attitude, euler_rates, euler_rates_to_body_rates(attitude, euler_rates))
 
 
 def euler_rates_to_body_rates(attitude: Attitude, euler_rates) -> tuple[float, float, float]:
-    """Map (roll, pitch, yaw) rates to body angular rates.
+    """Map (roll, pitch, yaw) rates to body angular rates; the angles and
+    rates may be arrays over ticks.
 
     Composition of the per-axis rotation rates expressed in the body frame:
     omega = [roll_rate,0,0] + R_x(roll)[0,pitch_rate,0]
     + R_x(roll)R_y(pitch)[0,0,yaw_rate].
     """
-    if abs(attitude.pitch) >= math.pi / 2:
+    if np.any(np.abs(attitude.pitch) >= math.pi / 2):
         raise SingularityError("pitch at +/-90 deg")
     roll_rate, pitch_rate, yaw_rate = euler_rates
     return frames.euler_rates_in_frame(
@@ -122,16 +123,6 @@ def body_rates_to_euler_rates(attitude: Attitude, body_rates: np.ndarray) -> np.
     return np.dot(k, np.asarray(body_rates, dtype=float))
 
 
-def gyro_measure(
-    truth, noise: SensorNoiseConfig, rng: np.random.Generator
-) -> tuple[float, float, float]:
-    """Gyro triad output: truth + constant bias + white noise per axis."""
-    wx, wy, wz = truth
-    nx, ny, nz = rng.standard_normal(3).tolist()
-    bias, sigma = noise.gyro_bias, noise.gyro_white_sigma
-    return (wx + bias + sigma * nx, wy + bias + sigma * ny, wz + bias + sigma * nz)
-
-
 def gyro_integrate(prev: Attitude, body_rates: np.ndarray, sample_period: float) -> Attitude:
     """One dead-reckoning step: integrate measured body rates into attitude."""
     roll_rate, pitch_rate, yaw_rate = body_rates_to_euler_rates(prev, body_rates).tolist()
@@ -142,20 +133,6 @@ def gyro_integrate(prev: Attitude, body_rates: np.ndarray, sample_period: float)
     )
 
 
-def accel_measure(
-    attitude: Attitude, noise: SensorNoiseConfig, rng: np.random.Generator
-) -> tuple[float, float, float]:
-    """Accelerometer triad under quasi-static flight: gravity projection + noise.
-
-    Level attitude gives (0, 0, -g).
-    """
-    sp, cp = math.sin(attitude.pitch), math.cos(attitude.pitch)
-    sr, cr = math.sin(attitude.roll), math.cos(attitude.roll)
-    nx, ny, nz = rng.standard_normal(3).tolist()
-    g, sigma = -noise.gravity, noise.accel_white_sigma
-    return (g * -sp + sigma * nx, g * (sr * cp) + sigma * ny, g * (cr * cp) + sigma * nz)
-
-
 class PitchRoll(NamedTuple):
     pitch: float
     roll: float
@@ -163,34 +140,73 @@ class PitchRoll(NamedTuple):
 
 
 def accel_to_pitch_roll(f, gravity: float) -> PitchRoll:
-    """Invert the accelerometer model.
+    """Invert the accelerometer model, for one reading ``f`` or an (n, 3)
+    array of them; for the array each field is an array over the readings.
 
     Pitch comes from asin(f_x/g); noise can push |f_x| past g, in which case
     the ratio is clamped and the result flagged.  Roll uses the two-argument
     arctangent with signs chosen so a level (0, 0, -g) reading maps to zero.
     """
-    fx, fy, fz = f
+    fx, fy, fz = np.asarray(f, dtype=float).T
     ratio = fx / gravity
-    saturated = abs(ratio) > 1.0
-    pitch = math.asin(min(1.0, max(-1.0, ratio)))
-    roll = math.atan2(-fy, -fz)
-    return PitchRoll(pitch, roll, saturated)
+    pitch = _by_math(math.asin, np.clip(ratio, -1.0, 1.0))
+    return PitchRoll(pitch, _by_math(math.atan2, -fy, -fz), np.abs(ratio) > 1.0)
 
 
-def gps_yaw_measure(
-    attitude: Attitude, noise: SensorNoiseConfig, rng: np.random.Generator
-) -> float:
-    """Dual-antenna GPS heading.
+def _by_math(fn, *args):
+    """``math`` function ``fn`` of numpy scalars, or of 1-D arrays element by
+    element: numpy's asin and atan2 differ from libm in the last bit."""
+    if np.ndim(args[0]) == 0:
+        return fn(*args)
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
 
-    The body-fixed unit baseline [1, 0, 0] is expressed in NED coordinates
-    and its horizontal direction gives yaw; a baseline of any length gives
-    the same direction.
+
+class Readings(NamedTuple):
+    """The truth and the sensor readings of a block of ticks, one entry per tick."""
+
+    truth: FlightState
+    omega_m: np.ndarray | None  # (n, 3) gyro body rates, rad/s; None when not drawn
+    pitch_roll: PitchRoll  # of the accelerometer, each field an (n,) array
+    gps_yaw: np.ndarray  # (n,) rad
+
+
+def sense(
+    times: np.ndarray,
+    profile: ProfileConfig,
+    noise: SensorNoiseConfig,
+    rng: np.random.Generator,
+    gyro: bool = True,
+) -> Readings:
+    """The truth at each of ``times`` and what the three sensors read of it.
+
+    * gyro triad: truth body rates + the constant bias + white noise per axis;
+    * accelerometer triad under quasi-static flight: the gravity projection
+      (level attitude gives (0, 0, -g)) + noise, inverted by
+      ``accel_to_pitch_roll``;
+    * dual-antenna GPS heading: the yaw of the body-fixed baseline [1, 0, 0]
+      expressed in NED (a baseline of any length gives the same direction)
+      + noise.
+
+    One call of ``rng`` draws the block's noise, per tick in the order gyro
+    (3), accelerometer (3), GPS (1), so a block holds the bits of its ticks
+    sensed one at a time.  ``gyro=False`` draws and returns no gyro reading.
     """
-    yaw, pitch, roll = attitude
-    if not (math.isfinite(yaw) and math.isfinite(pitch) and math.isfinite(roll)):
-        raise ValueError(f"attitude must be finite, got {attitude!r}")
-    # c_n_b(attitude).T @ [1, 0, 0] is the first row of c_n_b, whose entries
+    truth = flight_profile(times, profile)
+    yaw, pitch, roll = truth.attitude
+    if not np.isfinite(yaw).all():  # roll and pitch are checked on the way to the body rates
+        raise ValueError("attitude must be finite, got a non-finite yaw")
+    draws = rng.standard_normal((len(times), 7 if gyro else 4))
+    omega = None
+    if gyro:
+        omega = np.column_stack(truth.body_rates) + noise.gyro_bias
+        omega += noise.gyro_white_sigma * draws[:, :3]
+    sp, cp = np.sin(pitch), np.cos(pitch)
+    sr, cr = np.sin(roll), np.cos(roll)
+    g = -noise.gravity
+    f = np.column_stack((g * -sp, g * (sr * cp), g * (cr * cp)))
+    f += noise.accel_white_sigma * draws[:, -4:-1]
+    # the baseline in NED is the first row of c_n_b, whose entries
     # cos(pitch) cos(yaw) and cos(pitch) sin(yaw) are single products
-    cp = math.cos(pitch)
-    north, east = cp * math.cos(yaw), cp * math.sin(yaw)
-    return math.atan2(east, north) + noise.gps_yaw_sigma * rng.standard_normal()
+    heading = _by_math(math.atan2, cp * np.sin(yaw), cp * np.cos(yaw))
+    gps_yaw = heading + noise.gps_yaw_sigma * draws[:, -1]
+    return Readings(truth, omega, accel_to_pitch_roll(f, noise.gravity), gps_yaw)

@@ -47,22 +47,23 @@ def closed_loop_runs():
     for seed in range(20):
         # the sensor stream of run_simulation for the same seed
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        tick = harness.start(cfg, euler, rng)
-        gyro_only = tick.est
+        loop = harness.ticks(cfg, euler, rng, steps)
+        gyro_only = next(loop).est
         att_err = np.empty(steps)
         gyro_err = np.empty(steps)
         pt_err = np.empty((steps, 2))
         nrsp_pre = None
-        for k in range(1, steps + 1):
-            tick = harness.step(cfg, euler, tick, k * t_s, rng)
-            truth = tick.truth.attitude
-            c_n_b = frames.c_n_b(truth)
-            gyro_only = sensors.gyro_integrate(gyro_only, tick.omega_m, t_s)
+        for k, tick in enumerate(loop, 1):
+            sensed = tick.sensed
+            truth = sensed.truth
+            gyro_only = sensors.gyro_integrate(gyro_only, sensed.omega_m, t_s)
             att_err[k - 1] = max(map(abs, harness.attitude_error(tick.est, truth)))
             gyro_err[k - 1] = max(map(abs, harness.attitude_error(gyro_only, truth)))
-            pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, c_n_b, euler)
-            if nrsp_pre is None and k * t_s >= 5.0:
-                arrival = harness.beam_frame_arrival(tick.gimbal.angles, c_n_b, sat_dir)
+            pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, sensed.ideal)
+            if nrsp_pre is None and sensed.t >= 5.0:
+                arrival = harness.beam_frame_arrival(
+                    tick.gimbal.angles, sensed.c_n_b_truth, sat_dir
+                )
                 h = cfg.signal.channel(cfg.array, *arrival).vec()
                 nrsp_pre = nrsp(np.zeros(cfg.array.size), h)
         results.append((att_err, gyro_err, pt_err, nrsp_pre))

@@ -159,6 +159,29 @@ class TestComposedTransforms:
             with pytest.raises(ValueError, match="finite"):
                 euler_rates_in_frame(bad, 0.1, 1.0, 1.0, 1.0)
 
+    def test_angle_arrays_give_the_bits_of_each_call(self):
+        # c_n_b, euler_to_quat and euler_rates_in_frame over arrays of angles
+        rng = np.random.default_rng(23)
+        yaw, pitch, roll = rng.uniform(-4, 4, (3, 500))
+        rates = rng.standard_normal((3, 500))
+        dcms = c_n_b(Attitude(yaw, pitch, roll))
+        quats = euler_to_quat(Attitude(yaw, pitch, roll))
+        body = np.column_stack(euler_rates_in_frame(roll, pitch, *rates))
+        assert dcms.shape == (500, 3, 3) and quats.shape == (500, 4)
+        for i, (z, y, x) in enumerate(zip(yaw.tolist(), pitch.tolist(), roll.tolist())):
+            assert dcms[i].tobytes() == c_n_b(Attitude(z, y, x)).tobytes()
+            assert quats[i].tobytes() == euler_to_quat(Attitude(z, y, x)).tobytes()
+            one = euler_rates_in_frame(x, y, *rates[:, i].tolist())
+            assert body[i].tobytes() == np.array(one).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_angle_in_an_array_rejected(self, bad):
+        for axis in range(3):
+            angles = np.zeros((3, 4))
+            angles[axis, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                c_n_b(Attitude(*angles))
+
 
 def reference_is_rotation(matrix, tol=1e-8):
     """The numpy form of the rotation test: ``m @ m.T`` against I, det against 1."""

@@ -8,7 +8,7 @@ from beamtrack import frames, fusion, harness, mechanical, sensors
 from beamtrack.config import ScenarioConfig, default_scenario
 from beamtrack.frames import Attitude
 from beamtrack.fusion import (
-    FilterState, FusionConfig, make_filter_state, measurement_quat, predict, update,
+    FilterState, FusionConfig, align, make_filter_state, measurement_quat, predict, update,
 )
 from beamtrack.sensors import ProfileConfig, SensorNoiseConfig, Sinusoid
 
@@ -147,8 +147,8 @@ class TestPredict:
             w = rng.uniform(-0.5, 0.5, 3)
             state, ref = predict(state, w, 0.01), matrix_predict(ref, w, 0.01)
             angles = rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(-1, 1)
-            state = update(state, measurement_quat(*angles, state.q))
-            ref = matrix_update(ref, measurement_quat(*angles, ref.q))
+            state = update(state, align(measurement_quat(*angles), state.q))
+            ref = matrix_update(ref, align(measurement_quat(*angles), ref.q))
             assert state.kappa > 0
             assert_scalar_covariance(state.kappa, ref.kappa)
             np.testing.assert_allclose(state.q, ref.q, rtol=0, atol=1e-12)
@@ -157,14 +157,16 @@ class TestPredict:
         # the same comparison over 60 s of the reference scenario's sensor stream
         cfg = default_scenario()
         rng = np.random.default_rng(1)
-        tick = harness.start(cfg, mechanical.pointing_euler(cfg.geo), rng)
+        euler = mechanical.pointing_euler(cfg.geo)
+        tick = harness.start(cfg, euler, rng)
         ref = matrix_state(tick.filter_state)
         t_s = cfg.sensors.sample_period
-        for k in range(1, 6001):
-            tick = harness.sense_and_fuse(cfg, tick.filter_state, k * t_s, rng)
-            ref = matrix_predict(ref, tick.omega_m, t_s)
-            pr = tick.pitch_roll
-            ref = matrix_update(ref, measurement_quat(tick.psi_m, pr.pitch, pr.roll, ref.q))
+        for sensed in harness.sensed_ticks(cfg, euler, rng, 6000):
+            tick = harness.fuse(cfg, tick.filter_state, sensed)
+            ref = matrix_predict(ref, sensed.omega_m, t_s)
+            pr = sensed.pitch_roll
+            z = measurement_quat(sensed.psi_m, pr.pitch, pr.roll)
+            ref = matrix_update(ref, align(z, ref.q))
             assert_scalar_covariance(tick.filter_state.kappa, ref.kappa)
             np.testing.assert_allclose(tick.filter_state.q, ref.q, rtol=0, atol=1e-12)
 
@@ -182,7 +184,7 @@ class TestMeasurementQuat:
 
     def test_hemisphere_alignment(self):
         q_ref = -frames.euler_to_quat(Attitude(0.4, 0.1, -0.2))
-        z = measurement_quat(0.4, 0.1, -0.2, q_ref)
+        z = align(measurement_quat(0.4, 0.1, -0.2), q_ref)
         assert float(np.dot(z, q_ref)) >= 0.0
 
     def test_saturated_pitch_keeps_euler_angles(self):
@@ -220,7 +222,7 @@ class TestUpdate:
         state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
         for _ in range(200):
             state = predict(state, rng.uniform(-0.3, 0.3, 3), 0.01)
-            z = measurement_quat(*rng.uniform(-0.5, 0.5, 3), q_ref=state.q)
+            z = align(measurement_quat(*rng.uniform(-0.5, 0.5, 3)), state.q)
             state = update(state, z)
             assert abs(np.linalg.norm(state.q) - 1.0) <= 1e-9
 
@@ -238,13 +240,14 @@ class TestUpdate:
 
 
 def fusion_ticks(profile, noise_cfg, seed, duration, **covariances):
-    """The sense-and-fuse ticks of a filter started on the noiseless truth."""
+    """The fused ticks of a filter started on the noiseless truth."""
     cfg = ScenarioConfig(profile=profile, sensors=noise_cfg, fusion=FusionConfig(**covariances))
     rng = np.random.default_rng(seed)
     first = sensors.flight_profile(0.0, profile).attitude
     state = make_filter_state(measurement_quat(*first), cfg.fusion)
-    for k in range(1, int(round(duration / noise_cfg.sample_period)) + 1):
-        tick = harness.sense_and_fuse(cfg, state, k * noise_cfg.sample_period, rng)
+    steps = int(round(duration / noise_cfg.sample_period))
+    for sensed in harness.sensed_ticks(cfg, mechanical.pointing_euler(cfg.geo), rng, steps):
+        tick = harness.fuse(cfg, state, sensed)
         state = tick.filter_state
         yield tick
 
@@ -252,7 +255,7 @@ def fusion_ticks(profile, noise_cfg, seed, duration, **covariances):
 def run_fusion(profile, noise_cfg, seed, duration, **covariances):
     """Per-step attitude errors (rad, 3 columns) of the fused estimate."""
     ticks = fusion_ticks(profile, noise_cfg, seed, duration, **covariances)
-    return np.array([harness.attitude_error(t.est, t.truth.attitude) for t in ticks])
+    return np.array([harness.attitude_error(t.est, t.sensed.truth) for t in ticks])
 
 
 class TestFuseStep:
@@ -285,9 +288,10 @@ class TestFuseStep:
         est = sensors.flight_profile(0.0, MOVING).attitude
         errs = []
         for tick in fusion_ticks(MOVING, cfg, 7, 60.0):
-            est = sensors.gyro_integrate(est, tick.omega_m, cfg.sample_period)
-            arms = (tick.est, est, (tick.psi_m, tick.pitch_roll.pitch, tick.pitch_roll.roll))
-            errs.append([harness.attitude_error(a, tick.truth.attitude) for a in arms])
+            sensed = tick.sensed
+            est = sensors.gyro_integrate(est, sensed.omega_m, cfg.sample_period)
+            arms = (tick.est, est, (sensed.psi_m, sensed.pitch_roll.pitch, sensed.pitch_roll.roll))
+            errs.append([harness.attitude_error(a, sensed.truth) for a in arms])
         fused_rmse, gyro_rmse, meas_rmse = np.sqrt((np.array(errs) ** 2).mean(axis=(0, 2)))
         assert fused_rmse < gyro_rmse
         assert fused_rmse < meas_rmse

@@ -5,7 +5,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from beamtrack import frames, mechanical
+from beamtrack import frames, harness, mechanical
 from beamtrack.config import load_scenario_text
 from beamtrack.harness import (
     TRACE_COLUMNS,
@@ -176,16 +176,18 @@ class TestRunSimulation:
     def test_two_dcms_per_tick(self, monkeypatch):
         # a tick and its trace row build the gimbal's c_b_t and the truth's
         # c_n_b through frames._zyx; the estimate's DCM comes from its
-        # quaternion, and the truth's serves both the arrival and the error
+        # quaternion, and the truth's serves both the arrival and the error.
+        # The truth's are built a block of ticks per call.
         built = []
         zyx = frames._zyx
 
         def counted(*angles):
-            built.append(angles)
-            return zyx(*angles)
+            dcm = zyx(*angles)
+            built.append(len(dcm) if dcm.ndim == 3 else 1)
+            return dcm
 
         monkeypatch.setattr(frames, "_zyx", counted)
-        counts = []
+        calls, dcms = [], []
         for duration in (1, 2):
             built.clear()
             mechanical._ned_to_beam.cache_clear()  # the same setup in both runs
@@ -193,8 +195,10 @@ class TestRunSimulation:
                 f"[array]\nrows = 4\ncols = 4\n[run]\nduration = {duration}\n"
                 "[electrical]\nfirst_epoch = 100\n"
             ))
-            counts.append(len(built))
-        assert counts[1] - counts[0] == 2 * 100  # 100 ticks of 0.01 s
+            calls.append(len(built))
+            dcms.append(sum(built))
+        assert dcms[1] - dcms[0] == 2 * 100  # 100 ticks of 0.01 s
+        assert calls[1] - calls[0] == 100  # both runs sense in one block
 
     @pytest.mark.parametrize("gravity", ["0.0383203125", "0.01"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 4])
@@ -210,6 +214,34 @@ class TestRunSimulation:
         assert len(records) == 50
         cells = [getattr(r, c) for r in records for c in TRACE_COLUMNS if c != "phase"]
         assert all(math.isfinite(v) for v in cells)
+
+
+def tick_bits(tick) -> bytes:
+    """Every float of a tick, its flags included, as bytes."""
+    s, state, gimbal = tick.sensed, tick.filter_state, tick.gimbal
+    values = [
+        s.t, *s.truth, *(s.omega_m or ()), *s.pitch_roll, s.psi_m, *s.ideal,
+        *state[1:], *tick.est, *gimbal.angles, gimbal.rate_clamped,
+    ]
+    arrays = (values, s.z, s.c_n_b_truth, state.q, tick.c_n_b)
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+class TestTicks:
+    def test_ticks_equal_step_by_step(self):
+        # the loop senses _SENSE_CHUNK ticks at a time; step on ticks sensed
+        # one at a time reads the same bits
+        cfg = small_scenario()
+        euler = mechanical.pointing_euler(cfg.geo)
+        t_s = cfg.sensors.sample_period
+        steps = harness._SENSE_CHUNK + 2
+        loop = list(harness.ticks(cfg, euler, np.random.default_rng(4), steps))
+        rng = np.random.default_rng(4)
+        want = [harness.start(cfg, euler, rng)]
+        for k in range(1, steps + 1):
+            sensed = harness.sense(cfg, euler, np.array([k * t_s]), rng)[0]
+            want.append(harness.step(cfg, euler, want[-1], sensed))
+        assert [tick_bits(t) for t in loop] == [tick_bits(t) for t in want]
 
 
 class TestExport:

@@ -207,7 +207,7 @@ class TestPointingError:
         euler = pointing_euler(GeoConfig())
         att = Attitude(0.1, -0.05, 0.2)
         ideal = stabilization_command(frames.c_n_b(att), euler)
-        err = pointing_error(GimbalState(ideal), frames.c_n_b(att), euler)
+        err = pointing_error(GimbalState(ideal), stabilization_command(frames.c_n_b(att), euler))
         assert err == (0.0, 0.0)
 
     def test_yaw_error_passthrough(self):
@@ -217,6 +217,6 @@ class TestPointingError:
         delta_yaw = 0.7 * D2R
         believed = Attitude(delta_yaw, 0.0, 0.0)
         cmd = stabilization_command(frames.c_n_b(believed), euler)
-        err = pointing_error(GimbalState(cmd), frames.c_n_b(truth), euler)
+        err = pointing_error(GimbalState(cmd), stabilization_command(frames.c_n_b(truth), euler))
         assert abs(err[0]) == pytest.approx(delta_yaw, abs=1e-12)
         assert abs(err[1]) <= 1e-12

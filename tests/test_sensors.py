@@ -3,23 +3,112 @@ import math
 import numpy as np
 import pytest
 
-from beamtrack import frames, fusion, mechanical, sensors
+from beamtrack import frames, fusion, harness, mechanical, sensors
+from beamtrack.config import ScenarioConfig, default_scenario
 from beamtrack.frames import Attitude, SingularityError
 from beamtrack.sensors import (
     ProfileConfig,
     SensorNoiseConfig,
     Sinusoid,
-    accel_measure,
     accel_to_pitch_roll,
     body_rates_to_euler_rates,
     euler_rates_to_body_rates,
     flight_profile,
-    gps_yaw_measure,
     gyro_integrate,
-    gyro_measure,
 )
 
 D2R = math.pi / 180.0
+
+
+# ---------------------------------------------------------------- references
+# The loop's open-loop half, one tick at a time in Python floats: the code
+# that sensors.sense and harness.sense compute for a block of ticks in numpy.
+# TestSenseBlock holds the block to these bit for bit, and the sensor-model
+# tests below test them.
+
+
+def reference_flight_profile(t: float, profile: ProfileConfig) -> sensors.FlightState:
+    """The truth at one time ``t``."""
+    if t < 0:
+        raise ValueError("time must be non-negative")
+    axes = []
+    for terms in (profile.yaw, profile.pitch, profile.roll):
+        value = rate = 0.0
+        for amp, freq, phase in terms:
+            w = 2.0 * math.pi * freq
+            value += amp * math.sin(w * t + phase)
+            rate += amp * w * math.cos(w * t + phase)
+        axes.append((value, rate))
+    (yaw, yaw_rate), (pitch, pitch_rate), (roll, roll_rate) = axes
+    attitude = Attitude(yaw, pitch, roll)
+    euler_rates = (roll_rate, pitch_rate, yaw_rate)
+    return sensors.FlightState(
+        attitude, euler_rates, euler_rates_to_body_rates(attitude, euler_rates)
+    )
+
+
+def gyro_measure(truth, noise: SensorNoiseConfig, rng) -> tuple[float, float, float]:
+    """Gyro triad output: truth + constant bias + white noise per axis."""
+    wx, wy, wz = truth
+    nx, ny, nz = rng.standard_normal(3).tolist()
+    bias, sigma = noise.gyro_bias, noise.gyro_white_sigma
+    return (wx + bias + sigma * nx, wy + bias + sigma * ny, wz + bias + sigma * nz)
+
+
+def accel_measure(attitude: Attitude, noise: SensorNoiseConfig, rng) -> tuple[float, float, float]:
+    """Accelerometer triad: gravity projection + noise; level gives (0, 0, -g)."""
+    sp, cp = math.sin(attitude.pitch), math.cos(attitude.pitch)
+    sr, cr = math.sin(attitude.roll), math.cos(attitude.roll)
+    nx, ny, nz = rng.standard_normal(3).tolist()
+    g, sigma = -noise.gravity, noise.accel_white_sigma
+    return (g * -sp + sigma * nx, g * (sr * cp) + sigma * ny, g * (cr * cp) + sigma * nz)
+
+
+def gps_yaw_measure(attitude: Attitude, noise: SensorNoiseConfig, rng) -> float:
+    """Dual-antenna GPS heading: the yaw of the first row of c_n_b + noise."""
+    yaw, pitch, roll = attitude
+    if not (math.isfinite(yaw) and math.isfinite(pitch) and math.isfinite(roll)):
+        raise ValueError(f"attitude must be finite, got {attitude!r}")
+    cp = math.cos(pitch)
+    north, east = cp * math.cos(yaw), cp * math.sin(yaw)
+    return math.atan2(east, north) + noise.gps_yaw_sigma * rng.standard_normal()
+
+
+def reference_pitch_roll(f, gravity: float) -> sensors.PitchRoll:
+    """The accelerometer inversion of one reading."""
+    fx, fy, fz = f
+    ratio = fx / gravity
+    pitch = math.asin(min(1.0, max(-1.0, ratio)))
+    return sensors.PitchRoll(pitch, math.atan2(-fy, -fz), abs(ratio) > 1.0)
+
+
+def reference_measurement_quat(yaw: float, pitch: float, roll: float) -> np.ndarray:
+    """The measurement quaternion before its sign, pitch clamped."""
+    pitch = min(fusion._PITCH_LIMIT, max(-fusion._PITCH_LIMIT, pitch))
+    cy, sy = math.cos(yaw / 2), math.sin(yaw / 2)
+    cp, sp = math.cos(pitch / 2), math.sin(pitch / 2)
+    cr, sr = math.cos(roll / 2), math.sin(roll / 2)
+    q = np.array([
+        cy * cp * cr + sy * sp * sr,
+        cy * cp * sr - sy * sp * cr,
+        cy * sp * cr + sy * cp * sr,
+        sy * cp * cr - cy * sp * sr,
+    ])
+    return q / math.sqrt(q.dot(q))
+
+
+def reference_sensed(cfg: ScenarioConfig, euler, t: float, rng, gyro=True) -> harness.Sensed:
+    """The open-loop half of one tick, its draws taken from ``rng``."""
+    truth = reference_flight_profile(t, cfg.profile)
+    omega = gyro_measure(truth.body_rates, cfg.sensors, rng) if gyro else None
+    f = accel_measure(truth.attitude, cfg.sensors, rng)
+    pr = reference_pitch_roll(f, cfg.sensors.gravity)
+    psi = gps_yaw_measure(truth.attitude, cfg.sensors, rng)
+    c_n_b = frames.c_n_b(truth.attitude)
+    return harness.Sensed(
+        t, truth.attitude, omega, pr, psi, reference_measurement_quat(psi, pr.pitch, pr.roll),
+        c_n_b, mechanical.stabilization_command(c_n_b, euler),
+    )
 
 
 def quiet_noise(**overrides) -> SensorNoiseConfig:
@@ -313,7 +402,7 @@ class TestFloatTupleVectors:
     def test_flight_profile_rates(self):
         prof = default_profile()
         for t in np.linspace(0.0, 20.0, 57).tolist():
-            state = flight_profile(t, prof)
+            state = reference_flight_profile(t, prof)
             for vec in (state.euler_rates, state.body_rates):
                 assert type(vec) is tuple and all(type(v) is float for v in vec)
             roll_rate, pitch_rate, yaw_rate = state.euler_rates
@@ -359,3 +448,78 @@ class TestFloatTupleVectors:
             lambda v: euler_rates_to_body_rates(Attitude(0.1, 0.2, 0.3), v),
         ):
             assert bits(reader(array)) == bits(reader(rates))
+
+
+def sensed_bits(s: harness.Sensed) -> bytes:
+    """Every float of a tick's open-loop half, and the saturated flag, as bytes."""
+    values = [s.t, *s.truth, *(s.omega_m or ()), *s.pitch_roll, s.psi_m, *s.z, *s.ideal]
+    return np.array(values, dtype=float).tobytes() + s.c_n_b_truth.tobytes()
+
+
+def block_configs() -> dict[str, ScenarioConfig]:
+    several = default_scenario()
+    several.profile = ProfileConfig(
+        yaw=[Sinusoid(10 * D2R, 0.1, 0.3), Sinusoid(40 * D2R, 0.013), Sinusoid(2 * D2R, 1.7, 2.0)],
+        pitch=[Sinusoid(30 * D2R, 0.05, 1.0), Sinusoid(25 * D2R, 0.31, -0.4)],
+        roll=[Sinusoid(20 * D2R, 0.21), Sinusoid(170 * D2R, 0.02, 3.0), Sinusoid(1 * D2R, 2.3)],
+    )
+    quiet = default_scenario()
+    quiet.sensors = quiet_noise()
+    # |f_x| > g on some ticks: the accelerometer pitch saturates at +/-90 deg
+    # and the measurement quaternion clamps it to fusion._PITCH_LIMIT
+    saturating = default_scenario()
+    saturating.profile = several.profile
+    saturating.sensors = SensorNoiseConfig(accel_white_sigma=6.0)
+    return {"default": default_scenario(), "several": several, "quiet": quiet,
+            "saturating": saturating}
+
+
+class TestSenseBlock:
+    """The open-loop half of a block of ticks equals that of its ticks
+    computed one at a time, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(block_configs()))
+    @pytest.mark.parametrize("n", [1, harness._SENSE_CHUNK, harness._SENSE_CHUNK + 1])
+    def test_block_matches_per_tick_reference(self, name, n):
+        cfg = block_configs()[name]
+        euler = mechanical.pointing_euler(cfg.geo)
+        t_s = cfg.sensors.sample_period
+        ref_rng = np.random.default_rng(17)
+        want = [reference_sensed(cfg, euler, 0.0, ref_rng, gyro=False)]
+        want += [reference_sensed(cfg, euler, k * t_s, ref_rng) for k in range(1, n + 1)]
+        # one block, and the chunks of the loop
+        block_rng, chunk_rng = np.random.default_rng(17), np.random.default_rng(17)
+        start = harness.sense(cfg, euler, np.zeros(1), block_rng, gyro=False)
+        block = harness.sense(cfg, euler, np.arange(1, n + 1) * t_s, block_rng)
+        chunked = harness.sense(cfg, euler, np.zeros(1), chunk_rng, gyro=False)
+        chunked += harness.sensed_ticks(cfg, euler, chunk_rng, n)
+        assert len(block) == len(chunked) - 1 == n
+        for got in (start + block, chunked):
+            assert [sensed_bits(s) for s in got] == [sensed_bits(s) for s in want]
+            assert all(
+                type(s.omega_m) is tuple and all(type(v) is float for v in s.omega_m)
+                for s in got[1:]
+            )
+        if name == "saturating" and n > 1:
+            assert any(s.pitch_roll.saturated for s in block)
+            assert any(abs(s.pitch_roll.pitch) > fusion._PITCH_LIMIT for s in block)
+
+    def test_negative_time_rejected(self):
+        cfg = default_scenario()
+        times = np.array([0.01, -0.01, 0.02])
+        with pytest.raises(ValueError, match="non-negative"):
+            sensors.sense(times, cfg.profile, cfg.sensors, np.random.default_rng(0))
+
+    def test_pitch_singularity_rejected(self):
+        # the pitch term reaches 90 deg at t = 0.25 s
+        prof = ProfileConfig(pitch=[Sinusoid(math.pi / 2, 1.0)])
+        times = np.array([0.0, 0.25, 0.5])
+        with pytest.raises(SingularityError):
+            sensors.sense(times, prof, SensorNoiseConfig(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("axis", ["yaw", "pitch", "roll"])
+    def test_nonfinite_attitude_rejected(self, axis):
+        prof = ProfileConfig(**{axis: [Sinusoid(0.1, 0.1, math.nan)]})
+        with pytest.raises(ValueError, match="finite"):
+            sensors.sense(np.array([0.01, 0.0]), prof, SensorNoiseConfig(),
+                          np.random.default_rng(0))

@@ -10,12 +10,16 @@ methods x 20/10 dB, seeds 0-9, default parameters).  The next line is one
 sha256 over the reprs of ``electrical.fit_doa`` at 128x64 and 5x3 on
 phases from a fixed generator: noise-like phases (at 128x64 every FFT
 column can hold the peak), phases in {0, pi} (whose peak magnitude can
-occur twice) and matched weights at three arrivals.  The last line is one
+occur twice) and matched weights at three arrivals.  The next line is one
 over 26 sequential trials at 60 and 200 dB (16x8 seeds 0-9 with default
 parameters, 128x64 seeds 0-2 with acceptance parameters), where the
 walk's speculative block decisions are most often wrong and redone.
-The last is the sha256 of the table that ``beamtrack sweep --values 20,10
+The next is the sha256 of the table that ``beamtrack sweep --values 20,10
 --seeds 5`` prints for a 16x8 two-ray link (``[signal] nlos_gain = 0.3``).
+The last is one sha256 over ``trace.csv``, ``trace.json`` and the summary
+of ``beamtrack simulate`` on a 16x8 config of 2537 ticks, not a multiple of
+the 1024 ticks that the loop senses per block, whose accelerometer noise
+saturates |f_x| > g on some ticks.
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -73,6 +77,12 @@ CONFIGS = {
 # the link of the sweep table's line
 SWEEP_CONFIG = "[array]\nrows = 16\ncols = 8\n[signal]\nnlos_gain = 0.3\n"
 
+# the config of the last line: 2537 ticks, a saturating accelerometer
+SATURATING_CONFIG = (
+    "[array]\nrows = 16\ncols = 8\n[profile]\npitch = 40 @ 0.05, 20 @ 0.31 @ -23\n"
+    "[sensors]\naccel_white_sigma = 6\n[run]\nduration = 25.37\nseed = 9\n"
+)
+
 METHODS = ("assp", "spsa", "sequential")
 SNRS_DB = (20.0, 10.0)
 # the parameters of the acceptance experiments: a fixed 100-iteration
@@ -89,21 +99,33 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def simulate(work: Path, name: str, text: str) -> tuple[bytes, bytes, bytes]:
+    """``trace.csv``, ``trace.json`` and the printed summary of ``beamtrack
+    simulate`` on the scenario ``text``, run in the current directory ``work``."""
+    cfg = work / f"{name}.ini"
+    cfg.write_text(text)
+    summary = io.StringIO()
+    # a relative --out keeps the summary's "trace written to" line the
+    # same in every checkout
+    with contextlib.redirect_stdout(summary):
+        code = cli_main(["simulate", "--config", cfg.name, "--out", name])
+    if code != 0:
+        sys.exit(f"trace_digests: simulate exited {code} on config {name}")
+    out = work / name
+    csv, json = ((out / f"trace.{kind}").read_bytes() for kind in ("csv", "json"))
+    return csv, json, summary.getvalue().encode()
+
+
 def simulate_digests(work: Path):
     for name, text in CONFIGS.items():
-        cfg = work / f"{name}.ini"
-        cfg.write_text(text)
-        summary = io.StringIO()
-        # a relative --out keeps the summary's "trace written to" line the
-        # same in every checkout
-        with contextlib.redirect_stdout(summary):
-            code = cli_main(["simulate", "--config", cfg.name, "--out", name])
-        if code != 0:
-            sys.exit(f"trace_digests: simulate exited {code} on config {name}")
-        out = work / name
-        yield f"{name} trace.csv   {sha256((out / 'trace.csv').read_bytes())}"
-        yield f"{name} trace.json  {sha256((out / 'trace.json').read_bytes())}"
-        yield f"{name} summary     {sha256(summary.getvalue().encode())}"
+        csv, json, summary = simulate(work, name, text)
+        yield f"{name} trace.csv   {sha256(csv)}"
+        yield f"{name} trace.json  {sha256(json)}"
+        yield f"{name} summary     {sha256(summary)}"
+
+
+def saturating_digest(work: Path) -> str:
+    return f"saturating simulate  {sha256(b''.join(simulate(work, 'S', SATURATING_CONFIG)))}"
 
 
 def sweep_digest() -> str:
@@ -187,12 +209,13 @@ def main(argv: list[str] | None = None) -> int:
             for line in simulate_digests(work):
                 print(line, flush=True)
                 lines.append(line)
+            for digest in (trial_digest, two_ray_trial_digest, fit_digest,
+                           high_snr_sequential_digest, sweep_digest,
+                           lambda: saturating_digest(work)):
+                lines.append(digest())
+                print(lines[-1], flush=True)
         finally:
             os.chdir(previous)
-    for digest in (trial_digest, two_ray_trial_digest, fit_digest, high_snr_sequential_digest,
-                   sweep_digest):
-        lines.append(digest())
-        print(lines[-1], flush=True)
     if expected is None:
         return 0
     diff = list(difflib.unified_diff(expected, lines, str(args.expect), "this run", lineterm="", n=0))
