@@ -21,12 +21,12 @@ t_s = cfg.sensors.sample_period
 steps = int(60.0 / t_s)
 
 euler = mechanical.pointing_euler(cfg.geo)
-tick = harness.start(cfg, euler, rng)
-gyro_only = tick.est
+loop = harness.ticks(cfg, euler, rng, steps)
+gyro_only = next(loop).est
 
 errors = {"gyro-only": [], "instantaneous": [], "fused": []}
-for sensed in harness.sensed_ticks(cfg, euler, rng, steps):
-    tick = harness.fuse(cfg, tick.filter_state, sensed)
+for tick in loop:
+    sensed = tick.sensed
     truth = sensed.truth
     gyro_only = sensors.gyro_integrate(gyro_only, sensed.omega_m, t_s)
     instantaneous = (sensed.psi_m, sensed.pitch_roll.pitch, sensed.pitch_roll.roll)

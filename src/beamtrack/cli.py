@@ -167,7 +167,7 @@ def _cmd_geometry(args) -> int:
     # a geometry that loads but has no solution (e.g. below the horizon) exits 1
     euler = mechanical.pointing_euler(validate(cfg).geo)
     yaw, pitch, roll = (x * D2R for x in args.attitude)
-    gimbal = mechanical.stabilization_command(c_n_b(Attitude(yaw, pitch, roll)), euler)
+    [gimbal] = mechanical.stabilization_command(c_n_b(Attitude(yaw, pitch, roll))[None], euler)
     print(f"heading_deg = {euler.heading / D2R:.4f}")
     print(f"heading_offset_deg = {euler.heading / D2R - 180.0:.4f}")
     print(f"elevation_deg = {euler.elevation / D2R:.4f}")

@@ -11,10 +11,13 @@ Conventions used throughout the package:
 * Quaternions are scalar-first arrays ``[q0, q1, q2, q3]`` with unit norm.
 * The loop's 3-vectors (rates, sensor readings) are float tuples; a function
   that takes one accepts any 3-sequence, an array too.
-* ``c_n_b``, ``euler_to_quat`` and ``euler_rates_in_frame`` also take arrays
-  of angles, one per tick of a block, and give the stack of their results,
-  each with the bits of its own call: numpy's sin and cos give math's bits,
-  and ``@`` runs each product through the BLAS call of ``ndarray.dot``.
+* ``c_n_b``, ``c_b_t``, ``euler_to_quat`` and ``euler_rates_in_frame`` take
+  arrays of angles, one per tick of a block, and give the stack of their
+  results, each with the bits of its own call: numpy's sin and cos give
+  math's bits, and ``@`` runs each product through the BLAS call of
+  ``ndarray.dot``.  ``_cos_sin`` and ``_zyx`` keep a float path for the
+  callers of one value (``c_n_t``, ``coupled_beam_rate``, ``beamtrack
+  geometry``), where numpy's per-call overhead would dominate.
 * The yaw/pitch/roll sequence is z-y-x: ``c_n_b = rot_x(roll) @
   rot_y(pitch) @ rot_z(yaw)``.
 * A value that nothing changes after construction is a NamedTuple (the
@@ -246,12 +249,10 @@ def euler_to_quat(attitude: Attitude) -> np.ndarray:
             cy * sp * cr + sy * cp * sr,
             sy * cp * cr - cy * sp * sr,
         ]
-    )
-    # sqrt(q . q) is np.linalg.norm's own formula, without its overhead
-    if q.ndim == 1:
-        return q / math.sqrt(q.dot(q))
-    q = q.T.copy()  # (n, 4); @ takes each row's dot product with q.dot(q)'s BLAS call
-    return q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    ).T.copy()  # (4,) or (n, 4)
+    # sqrt(q . q) is np.linalg.norm's own formula; @ takes each row's dot
+    # product with the BLAS call of q.dot(q)
+    return q / np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
 
 
 def quat_to_dcm(q: np.ndarray) -> np.ndarray:

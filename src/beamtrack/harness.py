@@ -2,23 +2,23 @@
 stabilization with dynamic isolation, channel evaluation, and scheduled
 electrical refinement; plus CSV/JSON trace export.
 
-The tick (measure -> fuse -> command -> isolate -> servo) is written
-once, in two halves.  The open-loop half depends only on ``t`` and the
-sensor stream: the truth, the sensor draws, the measurement quaternion
-before its hemisphere sign, the truth DCM and the ideal stabilization
-command.  ``sense`` computes it for a block of ticks in numpy, bit for bit
-the ticks sensed one at a time.  The closed-loop half runs per tick:
-``fuse`` (predict, hemisphere sign, update, estimate) and ``step``
-(``fuse``, then the stabilization command, isolation and servo).
-``start`` sets the loop up at t = 0, and the generator ``ticks`` yields
-its ticks, sensing ``_SENSE_CHUNK`` at a time.  Per tick
-``run_simulation`` also records the normalized received power of the
-current analog weights against the instantaneous satellite direction in
-the beam frame, read from the factored channel that
-``SignalModel.channel`` builds and the conjugated weight matrix, which
-changes only at the epochs.  At configured epochs the electrical stage
-refines the weights against the MN channel vector frozen at the epoch's
-geometry.
+``ticks`` runs the loop a block of up to ``_SENSE_CHUNK`` ticks at a time,
+each block through five stages in the order of what they read: ``sense``
+(the truth, the sensor draws, the measurement quaternions, the truth DCMs
+and the ideal commands, in numpy), ``fuse_block`` (predict, hemisphere
+sign, update, estimate), the stabilization commands of the estimates,
+the servo loop (isolation at the previous angles, then the servo step)
+and ``beam_frame_arrival``.  Only fusion and the servo are recursive, so
+only they loop per tick, and fusion never reads the gimbal; the other
+stages are one stacked call per block, each tick with the bits it would
+have alone.  A block that raises in any stage yields none of its ticks.
+
+Per tick ``run_simulation`` reads the channel at the tick's arrival and
+records the normalized received power of the current analog weights,
+through the conjugated weight matrix, which changes only at the epochs.
+At configured epochs the electrical stage refines the weights against the
+MN channel vector frozen at the epoch's geometry.  No stage reads the
+weights, so an epoch never splits a block.
 
 Randomness is split into independent per-subsystem streams (sensor
 noise, channel noise, perturbations) from the master seed, so changing
@@ -76,28 +76,28 @@ class TraceRecord(NamedTuple):
 TRACE_COLUMNS = list(TraceRecord._fields)
 
 
-def beam_frame_arrival(
-    gimbal: mechanical.GimbalAngles,
-    c_n_b_truth: np.ndarray,
-    sat_dir_ned: np.ndarray,
-) -> tuple[float, float]:
-    """Arrival direction of the satellite in the actual beam frame, for the
-    truth NED-to-body DCM ``c_n_b_truth``.
+def beam_frame_arrival(angles, c_n_b_truth: np.ndarray, euler: PointingEuler) -> list:
+    """Arrival directions of the satellite, on the boresight of the pointing
+    solution ``euler``, in the beam frames of the (n, 3) gimbal ``angles``
+    on the (n, 3, 3) truth NED-to-body DCMs ``c_n_b_truth``.
 
-    Returns the (azimuth, elevation) pair of the channel model: azimuth is
-    the polar angle off the array normal, elevation the orientation of the
-    offset around it.  Perfect pointing gives azimuth 0.
+    Returns the n (azimuth, elevation) pairs of the channel model: azimuth
+    is the polar angle off the array normal (0 for perfect pointing),
+    elevation the orientation of the offset around it (0.0 on the normal).
     """
-    # ndarray.dot: the BLAS products of np.dot and @, at a third of the overhead
-    to_beam = frames.c_b_t(*gimbal).dot(c_n_b_truth)
-    u0, u1, u2 = to_beam.dot(sat_dir_ned).tolist()
-    transverse = math.hypot(u1, u2)
-    azimuth = math.atan2(transverse, u0)
-    elevation = math.atan2(u2, u1) if transverse > 0 else 0.0
-    return azimuth, elevation
+    sat_dir_ned = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
+    # @ runs ndarray.dot's BLAS calls per row; the angles stay math's
+    u = frames.c_b_t(*np.array(angles, dtype=float).T.copy()) @ c_n_b_truth @ sat_dir_ned
+    arrivals = []
+    for u0, u1, u2 in u.tolist():
+        transverse = math.hypot(u1, u2)
+        arrivals.append(
+            (math.atan2(transverse, u0), math.atan2(u2, u1) if transverse > 0 else 0.0)
+        )
+    return arrivals
 
 
-# ticks sensed per block: bounds what a block holds
+# ticks per block: bounds what a block holds
 _SENSE_CHUNK = 1024
 
 
@@ -122,7 +122,8 @@ class Tick(NamedTuple):
     filter_state: fusion.FilterState
     c_n_b: np.ndarray  # NED-to-body DCM of the estimate
     est: frames.Attitude  # its yaw/pitch/roll, for the trace
-    gimbal: GimbalState | None  # None from fuse
+    gimbal: GimbalState
+    arrival: tuple[float, float]  # (azimuth, elevation) of beam_frame_arrival
 
 
 def sense(
@@ -154,59 +155,58 @@ def sense(
     ))
 
 
+def fuse_block(cfg: ScenarioConfig, state: fusion.FilterState, block: list[Sensed]) -> list:
+    """The fusion stage: from ``state``, one predict, hemisphere sign, update
+    and estimate per tick of ``block``, each giving the filter state, the
+    estimate's DCM and its yaw/pitch/roll (the fields of ``Tick``)."""
+    t_s = cfg.sensors.sample_period
+    fused = []
+    for sensed in block:
+        prior = fusion.predict(state, sensed.omega_m, t_s)
+        state = fusion.update(prior, fusion.align(sensed.z, prior.q))
+        fused.append((state, *fusion.estimate(state.q)))
+    return fused
+
+
 def start(cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator) -> Tick:
     """The loop at t = 0: the filter starts on the first accelerometer and
     GPS draws, and the gimbal on the first stabilization solution (instant
     acquisition)."""
-    first = sense(cfg, euler, np.zeros(1), rng, gyro=False)[0]
+    [first] = sense(cfg, euler, np.zeros(1), rng, gyro=False)
     state = fusion.make_filter_state(first.z, cfg.fusion)
     c_n_b, est = fusion.estimate(state.q)
-    gimbal = GimbalState(mechanical.stabilization_command(c_n_b, euler))
-    return Tick(first, state, c_n_b, est, gimbal)
-
-
-def fuse(cfg: ScenarioConfig, state: fusion.FilterState, sensed: Sensed) -> Tick:
-    """One fusion step from ``state`` on the readings of ``sensed``; no gimbal."""
-    prior = fusion.predict(state, sensed.omega_m, cfg.sensors.sample_period)
-    state = fusion.update(prior, fusion.align(sensed.z, prior.q))
-    return Tick(sensed, state, *fusion.estimate(state.q), None)
-
-
-def step(cfg: ScenarioConfig, euler: PointingEuler, prev: Tick, sensed: Sensed) -> Tick:
-    """One closed-loop tick after ``prev``: fuse the readings of ``sensed``,
-    command the gimbal to the stabilization solution, isolate the measured
-    body rates, and servo."""
-    tick = fuse(cfg, prev.filter_state, sensed)
-    target = mechanical.stabilization_command(tick.c_n_b, euler)
-    isolation = mechanical.isolation_rates(prev.gimbal.angles, sensed.omega_m)
-    gimbal = mechanical.gimbal_step(
-        prev.gimbal, target, isolation, cfg.servo, cfg.sensors.sample_period
-    )
-    return tick._replace(gimbal=gimbal)
-
-
-def sensed_ticks(
-    cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator, steps: int
-) -> Iterator[Sensed]:
-    """The open-loop half of ticks 1 to ``steps`` (t = k * sample_period),
-    sensed ``_SENSE_CHUNK`` ticks at a time: a tick that ``sense`` rejects
-    raises before the earlier ticks of its block are yielded."""
-    t_s = cfg.sensors.sample_period
-    for first in range(1, steps + 1, _SENSE_CHUNK):
-        ks = np.arange(first, min(first + _SENSE_CHUNK, steps + 1))
-        yield from sense(cfg, euler, ks * t_s, rng)
+    [target] = mechanical.stabilization_command(c_n_b[None], euler)
+    [arrival] = beam_frame_arrival([target], first.c_n_b_truth[None], euler)
+    return Tick(first, state, c_n_b, est, GimbalState(target), arrival)
 
 
 def ticks(
     cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator, steps: int
 ) -> Iterator[Tick]:
-    """The closed loop: ``start``'s tick at t = 0, then ``steps`` ticks of
-    ``step``, the sensor stream drawn from ``rng``."""
+    """The closed loop: ``start``'s tick at t = 0, then ticks 1 to ``steps``
+    (t = k * sample_period), the sensor stream drawn from ``rng``; each
+    block of ``_SENSE_CHUNK`` ticks runs through the stages before any of
+    its ticks is yielded."""
     tick = start(cfg, euler, rng)
     yield tick
-    for sensed in sensed_ticks(cfg, euler, rng, steps):
-        tick = step(cfg, euler, tick, sensed)
-        yield tick
+    t_s = cfg.sensors.sample_period
+    for first in range(1, steps + 1, _SENSE_CHUNK):
+        times = np.arange(first, min(first + _SENSE_CHUNK, steps + 1)) * t_s
+        block = sense(cfg, euler, times, rng)
+        fused = fuse_block(cfg, tick.filter_state, block)
+        estimates = np.array([c_n_b for _, c_n_b, _ in fused])
+        targets = mechanical.stabilization_command(estimates, euler)
+        gimbal, gimbals = tick.gimbal, []
+        for target, sensed in zip(targets, block):  # the servo loop
+            isolation = mechanical.isolation_rates(gimbal.angles, sensed.omega_m)
+            gimbal = mechanical.gimbal_step(gimbal, target, isolation, cfg.servo, t_s)
+            gimbals.append(gimbal)
+        arrivals = beam_frame_arrival(
+            [g.angles for g in gimbals], np.array([s.c_n_b_truth for s in block]), euler
+        )
+        done = [Tick(s, *f, g, a) for s, f, g, a in zip(block, fused, gimbals, arrivals)]
+        yield from done
+        tick = done[-1]
 
 
 def attitude_error(est, truth) -> tuple[float, float, float]:
@@ -231,10 +231,7 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     )
     t_s = cfg.sensors.sample_period
     steps = int(round(cfg.run.duration / t_s))
-    euler = mechanical.pointing_euler(cfg.geo)
-    sat_dir_ned = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
-
-    loop = ticks(cfg, euler, sensor_rng, steps)
+    loop = ticks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, steps)
     next(loop)  # the start at t = 0, which the trace does not record
     phases = np.zeros(cfg.array.size)
     wbar = ch.conj_weight_matrix(phases, cfg.array)  # changes only at the epochs
@@ -245,8 +242,7 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     for tick in loop:
         sensed, gimbal = tick.sensed, tick.gimbal
         t, truth = sensed.t, sensed.truth
-        arrival = beam_frame_arrival(gimbal.angles, sensed.c_n_b_truth, sat_dir_ned)
-        chan = cfg.signal.channel(cfg.array, *arrival)
+        chan = cfg.signal.channel(cfg.array, *tick.arrival)
         # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
         # angles, pointing error (azimuth, elevation)
         angles = (

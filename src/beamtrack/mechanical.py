@@ -124,25 +124,21 @@ def _ned_to_beam(euler: tuple[float, float, float]) -> np.ndarray:
     return c_nt
 
 
-def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> GimbalAngles:
-    """Gimbal angles pointing the beam at the satellite for a vehicle whose
-    NED-to-body DCM is ``c_n_b``.
+def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> list[GimbalAngles]:
+    """Gimbal angles pointing the beam at the satellite, for each vehicle
+    NED-to-body DCM of the (n, 3, 3) stack ``c_n_b``: the list of the n
+    commands.
 
-    Factors the NED-to-beam map through the body frame: c_b_t(result) @
+    Factors the NED-to-beam map through the body frame: c_b_t(command) @
     c_n_b = c_n_t(euler), so coordinates flow n -> b -> t.  A pure yaw of
     the vehicle shifts the azimuth command by the opposite amount.  At the
     keyhole (elevation +/-90 deg) the angles take the pole convention of
     ``frames.zyx_angles``: polarization 0, the azimuth carrying the rest.
-    ``c_n_b`` must be a rotation (the loop's own DCMs): it is not checked.
-    An (n, 3, 3) stack of DCMs gives the list of their n commands, each with
-    the bits of its own call.
+    Each DCM must be a rotation (the loop's own DCMs): it is not checked.
     """
     c_nt = _ned_to_beam(tuple(euler))
-    if c_n_b.ndim == 3:
-        # @ runs the BLAS call of ndarray.dot on each product
-        return [GimbalAngles(*frames._zyx_of_rows(rows)) for rows in (c_nt @ c_n_b.mT).tolist()]
-    c_bt = c_nt.dot(c_n_b.T)  # np.dot's routine, as in frames._zyx
-    return GimbalAngles(*frames._zyx_of_rows(c_bt.tolist()))
+    # @ runs ndarray.dot's BLAS call per product: each command has its own bits
+    return [GimbalAngles(*frames._zyx_of_rows(rows)) for rows in (c_nt @ c_n_b.mT).tolist()]
 
 
 def coupled_beam_rate(angles: GimbalAngles, body_rates: np.ndarray) -> np.ndarray:

@@ -140,24 +140,22 @@ class PitchRoll(NamedTuple):
 
 
 def accel_to_pitch_roll(f, gravity: float) -> PitchRoll:
-    """Invert the accelerometer model, for one reading ``f`` or an (n, 3)
-    array of them; for the array each field is an array over the readings.
+    """Invert the accelerometer model for an (n, 3) array of readings (one
+    reading reads as n = 1); each field is an (n,) array over the readings.
 
     Pitch comes from asin(f_x/g); noise can push |f_x| past g, in which case
     the ratio is clamped and the result flagged.  Roll uses the two-argument
     arctangent with signs chosen so a level (0, 0, -g) reading maps to zero.
     """
-    fx, fy, fz = np.asarray(f, dtype=float).T
+    fx, fy, fz = np.asarray(f, dtype=float).reshape(-1, 3).T
     ratio = fx / gravity
     pitch = _by_math(math.asin, np.clip(ratio, -1.0, 1.0))
     return PitchRoll(pitch, _by_math(math.atan2, -fy, -fz), np.abs(ratio) > 1.0)
 
 
 def _by_math(fn, *args):
-    """``math`` function ``fn`` of numpy scalars, or of 1-D arrays element by
-    element: numpy's asin and atan2 differ from libm in the last bit."""
-    if np.ndim(args[0]) == 0:
-        return fn(*args)
+    """``math`` function ``fn`` of 1-D arrays, element by element: numpy's
+    asin and atan2 differ from libm in the last bit."""
     return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
 
 

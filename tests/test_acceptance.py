@@ -41,7 +41,6 @@ def closed_loop_runs():
     t_s = cfg.sensors.sample_period
     steps = int(60.0 / t_s)
     euler = mechanical.pointing_euler(cfg.geo)
-    sat_dir = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
     results = []
     started = time.perf_counter()
     for seed in range(20):
@@ -61,10 +60,7 @@ def closed_loop_runs():
             gyro_err[k - 1] = max(map(abs, harness.attitude_error(gyro_only, truth)))
             pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, sensed.ideal)
             if nrsp_pre is None and sensed.t >= 5.0:
-                arrival = harness.beam_frame_arrival(
-                    tick.gimbal.angles, sensed.c_n_b_truth, sat_dir
-                )
-                h = cfg.signal.channel(cfg.array, *arrival).vec()
+                h = cfg.signal.channel(cfg.array, *tick.arrival).vec()
                 nrsp_pre = nrsp(np.zeros(cfg.array.size), h)
         results.append((att_err, gyro_err, pt_err, nrsp_pre))
     return results, time.perf_counter() - started

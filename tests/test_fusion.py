@@ -158,11 +158,11 @@ class TestPredict:
         cfg = default_scenario()
         rng = np.random.default_rng(1)
         euler = mechanical.pointing_euler(cfg.geo)
-        tick = harness.start(cfg, euler, rng)
-        ref = matrix_state(tick.filter_state)
+        loop = harness.ticks(cfg, euler, rng, 6000)
+        ref = matrix_state(next(loop).filter_state)
         t_s = cfg.sensors.sample_period
-        for sensed in harness.sensed_ticks(cfg, euler, rng, 6000):
-            tick = harness.fuse(cfg, tick.filter_state, sensed)
+        for tick in loop:
+            sensed = tick.sensed
             ref = matrix_predict(ref, sensed.omega_m, t_s)
             pr = sensed.pitch_roll
             z = measurement_quat(sensed.psi_m, pr.pitch, pr.roll)
@@ -240,22 +240,23 @@ class TestUpdate:
 
 
 def fusion_ticks(profile, noise_cfg, seed, duration, **covariances):
-    """The fused ticks of a filter started on the noiseless truth."""
+    """(sensed tick, fused estimate) pairs of a filter started on the
+    noiseless truth."""
     cfg = ScenarioConfig(profile=profile, sensors=noise_cfg, fusion=FusionConfig(**covariances))
     rng = np.random.default_rng(seed)
     first = sensors.flight_profile(0.0, profile).attitude
     state = make_filter_state(measurement_quat(*first), cfg.fusion)
     steps = int(round(duration / noise_cfg.sample_period))
-    for sensed in harness.sensed_ticks(cfg, mechanical.pointing_euler(cfg.geo), rng, steps):
-        tick = harness.fuse(cfg, state, sensed)
-        state = tick.filter_state
-        yield tick
+    times = np.arange(1, steps + 1) * noise_cfg.sample_period
+    block = harness.sense(cfg, mechanical.pointing_euler(cfg.geo), times, rng)
+    fused = harness.fuse_block(cfg, state, block)
+    return [(sensed, est) for sensed, (_, _, est) in zip(block, fused)]
 
 
 def run_fusion(profile, noise_cfg, seed, duration, **covariances):
     """Per-step attitude errors (rad, 3 columns) of the fused estimate."""
     ticks = fusion_ticks(profile, noise_cfg, seed, duration, **covariances)
-    return np.array([harness.attitude_error(t.est, t.sensed.truth) for t in ticks])
+    return np.array([harness.attitude_error(est, sensed.truth) for sensed, est in ticks])
 
 
 class TestFuseStep:
@@ -287,10 +288,9 @@ class TestFuseStep:
         cfg = SensorNoiseConfig()
         est = sensors.flight_profile(0.0, MOVING).attitude
         errs = []
-        for tick in fusion_ticks(MOVING, cfg, 7, 60.0):
-            sensed = tick.sensed
+        for sensed, fused in fusion_ticks(MOVING, cfg, 7, 60.0):
             est = sensors.gyro_integrate(est, sensed.omega_m, cfg.sample_period)
-            arms = (tick.est, est, (sensed.psi_m, sensed.pitch_roll.pitch, sensed.pitch_roll.roll))
+            arms = (fused, est, (sensed.psi_m, sensed.pitch_roll.pitch, sensed.pitch_roll.roll))
             errs.append([harness.attitude_error(a, sensed.truth) for a in arms])
         fused_rmse, gyro_rmse, meas_rmse = np.sqrt((np.array(errs) ** 2).mean(axis=(0, 2)))
         assert fused_rmse < gyro_rmse

@@ -5,8 +5,10 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from beamtrack import frames, harness, mechanical
+from beamtrack import frames, fusion, harness, mechanical
 from beamtrack.config import load_scenario_text
+from beamtrack.frames import SingularityError
+from beamtrack.sensors import ProfileConfig, Sinusoid
 from beamtrack.harness import (
     TRACE_COLUMNS,
     TRACE_SCHEMA,
@@ -95,24 +97,35 @@ def small_scenario(extra=""):
 class TestBeamFrameArrival:
     def test_perfect_pointing_is_broadside(self):
         euler = mechanical.pointing_euler(mechanical.GeoConfig())
-        sat = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
-        att = frames.Attitude(0.2, -0.1, 0.3)
-        gimbal = mechanical.stabilization_command(frames.c_n_b(att), euler)
-        az, el = beam_frame_arrival(gimbal, frames.c_n_b(att), sat)
+        c_n_b = frames.c_n_b(frames.Attitude(0.2, -0.1, 0.3))[None]
+        commands = mechanical.stabilization_command(c_n_b, euler)
+        [(az, el)] = beam_frame_arrival(commands, c_n_b, euler)
         assert az == pytest.approx(0.0, abs=1e-10)
 
     def test_known_offset_magnitude(self):
         euler = mechanical.pointing_euler(mechanical.GeoConfig())
-        sat = frames.c_n_t(*euler).T @ np.array([1.0, 0.0, 0.0])
-        att = frames.Attitude(0.0, 0.0, 0.0)
-        ideal = mechanical.stabilization_command(frames.c_n_b(att), euler)
+        c_n_b = frames.c_n_b(frames.Attitude(0.0, 0.0, 0.0))[None]
+        [ideal] = mechanical.stabilization_command(c_n_b, euler)
         # pure polarization-axis rotation tilts the arrival off-normal by
         # exactly the elevation perturbation
-        off = mechanical.GimbalAngles(
-            ideal.azimuth, ideal.elevation + 0.3 * D2R, ideal.polarization
-        )
-        az, el = beam_frame_arrival(off, frames.c_n_b(att), sat)
+        off = ideal._replace(elevation=ideal.elevation + 0.3 * D2R)
+        [(az, el)] = beam_frame_arrival([off], c_n_b, euler)
         assert az == pytest.approx(0.3 * D2R, abs=1e-9)
+
+    def test_stack_equals_one_row_stacks(self):
+        # the satellite of a zero pointing solution lies on the NED x axis,
+        # so zero gimbal angles on a level vehicle put it on the array
+        # normal: transverse 0, elevation 0.0
+        euler = mechanical.PointingEuler(0.0, 0.0, 0.0)
+        rng = np.random.default_rng(5)
+        angles = rng.uniform(-1.5, 1.5, (40, 3))
+        attitudes = rng.uniform(-1.5, 1.5, (40, 3))
+        angles[7] = attitudes[7] = 0.0
+        c_n_b = frames.c_n_b(frames.Attitude(*attitudes.T.copy()))
+        stack = beam_frame_arrival(angles, c_n_b, euler)
+        rows = [beam_frame_arrival(a[None], m[None], euler)[0] for a, m in zip(angles, c_n_b)]
+        assert np.array(stack).tobytes() == np.array(rows).tobytes()
+        assert stack[7] == (0.0, 0.0)
 
 
 class TestRunSimulation:
@@ -175,30 +188,30 @@ class TestRunSimulation:
 
     def test_two_dcms_per_tick(self, monkeypatch):
         # a tick and its trace row build the gimbal's c_b_t and the truth's
-        # c_n_b through frames._zyx; the estimate's DCM comes from its
-        # quaternion, and the truth's serves both the arrival and the error.
-        # The truth's are built a block of ticks per call.
-        built = []
+        # c_n_b through frames._zyx, each stage in one stacked call per
+        # block; the estimate's DCM comes from its quaternion, and the
+        # truth's serves both the arrival and the error
+        stacks = []
         zyx = frames._zyx
 
         def counted(*angles):
             dcm = zyx(*angles)
-            built.append(len(dcm) if dcm.ndim == 3 else 1)
+            if dcm.ndim == 3:
+                stacks.append(len(dcm))
             return dcm
 
         monkeypatch.setattr(frames, "_zyx", counted)
         calls, dcms = [], []
-        for duration in (1, 2):
-            built.clear()
-            mechanical._ned_to_beam.cache_clear()  # the same setup in both runs
+        for duration in (1, 12):
+            stacks.clear()
             run_simulation(load_scenario_text(
                 f"[array]\nrows = 4\ncols = 4\n[run]\nduration = {duration}\n"
                 "[electrical]\nfirst_epoch = 100\n"
             ))
-            calls.append(len(built))
-            dcms.append(sum(built))
-        assert dcms[1] - dcms[0] == 2 * 100  # 100 ticks of 0.01 s
-        assert calls[1] - calls[0] == 100  # both runs sense in one block
+            calls.append(len(stacks))
+            dcms.append(sum(stacks))
+        assert dcms[1] - dcms[0] == 2 * 1100  # 1100 ticks of 0.01 s
+        assert calls[1] - calls[0] == 2  # one block more: its truth and its gimbal
 
     @pytest.mark.parametrize("gravity", ["0.0383203125", "0.01"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 4])
@@ -216,32 +229,62 @@ class TestRunSimulation:
         assert all(math.isfinite(v) for v in cells)
 
 
+def reference_step(cfg, euler, prev: harness.Tick, sensed: harness.Sensed) -> harness.Tick:
+    """The closed-loop tick after ``prev``, on its own: fuse the readings of
+    ``sensed``, command the gimbal to the stabilization solution, isolate the
+    measured body rates, servo, and take the arrival."""
+    t_s = cfg.sensors.sample_period
+    prior = fusion.predict(prev.filter_state, sensed.omega_m, t_s)
+    state = fusion.update(prior, fusion.align(sensed.z, prior.q))
+    c_n_b, est = fusion.estimate(state.q)
+    [target] = mechanical.stabilization_command(c_n_b[None], euler)
+    isolation = mechanical.isolation_rates(prev.gimbal.angles, sensed.omega_m)
+    gimbal = mechanical.gimbal_step(prev.gimbal, target, isolation, cfg.servo, t_s)
+    [arrival] = beam_frame_arrival([gimbal.angles], sensed.c_n_b_truth[None], euler)
+    return harness.Tick(sensed, state, c_n_b, est, gimbal, arrival)
+
+
+CHUNK = harness._SENSE_CHUNK
+
+
 def tick_bits(tick) -> bytes:
     """Every float of a tick, its flags included, as bytes."""
     s, state, gimbal = tick.sensed, tick.filter_state, tick.gimbal
     values = [
         s.t, *s.truth, *(s.omega_m or ()), *s.pitch_roll, s.psi_m, *s.ideal,
-        *state[1:], *tick.est, *gimbal.angles, gimbal.rate_clamped,
+        *state[1:], *tick.est, *gimbal.angles, gimbal.rate_clamped, *tick.arrival,
     ]
     arrays = (values, s.z, s.c_n_b_truth, state.q, tick.c_n_b)
     return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
 
 
 class TestTicks:
-    def test_ticks_equal_step_by_step(self):
-        # the loop senses _SENSE_CHUNK ticks at a time; step on ticks sensed
-        # one at a time reads the same bits
+    # whole blocks, and a trailing block of one tick
+    @pytest.mark.parametrize("steps", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_ticks_equal_step_by_step(self, steps):
+        # the loop runs _SENSE_CHUNK ticks at a time through its stages; the
+        # step on ticks sensed one at a time reads the same bits
         cfg = small_scenario()
         euler = mechanical.pointing_euler(cfg.geo)
         t_s = cfg.sensors.sample_period
-        steps = harness._SENSE_CHUNK + 2
         loop = list(harness.ticks(cfg, euler, np.random.default_rng(4), steps))
         rng = np.random.default_rng(4)
         want = [harness.start(cfg, euler, rng)]
         for k in range(1, steps + 1):
-            sensed = harness.sense(cfg, euler, np.array([k * t_s]), rng)[0]
-            want.append(harness.step(cfg, euler, want[-1], sensed))
+            [sensed] = harness.sense(cfg, euler, np.array([k * t_s]), rng)
+            want.append(reference_step(cfg, euler, want[-1], sensed))
         assert [tick_bits(t) for t in loop] == [tick_bits(t) for t in want]
+
+    def test_a_block_that_raises_yields_none_of_its_ticks(self):
+        # the pitch passes 90 deg at t = 14.85 s, on tick 1485 of the second block
+        cfg = small_scenario()
+        cfg.profile = ProfileConfig(pitch=[Sinusoid(100 * D2R, 0.012)])
+        done = []
+        with pytest.raises(SingularityError):
+            for tick in harness.ticks(cfg, mechanical.pointing_euler(cfg.geo),
+                                      np.random.default_rng(0), 2 * CHUNK):
+                done.append(tick)
+        assert len(done) == 1 + CHUNK
 
 
 class TestExport:

@@ -25,6 +25,12 @@ from beamtrack.mechanical import (
 D2R = math.pi / 180.0
 
 
+def command(att: Attitude, euler: PointingEuler) -> GimbalAngles:
+    """The stabilization command of one attitude, a stack of one DCM."""
+    [cmd] = stabilization_command(frames.c_n_b(att)[None], euler)
+    return cmd
+
+
 class TestPointingEuler:
     def test_xian_to_asiasat(self):
         # latitude 34.27N, longitude 108.95E, satellite at 105.5E
@@ -67,7 +73,7 @@ class TestPointingEuler:
 class TestStabilization:
     def test_zero_attitude_passes_euler_through(self):
         euler = PointingEuler(186.11 * D2R, 50.1 * D2R, -5.05 * D2R)
-        out = stabilization_command(frames.c_n_b(Attitude(0, 0, 0)), euler)
+        out = command(Attitude(0, 0, 0), euler)
         assert out.azimuth == pytest.approx(frames.wrap_angle(euler.heading), abs=1e-12)
         assert out.elevation == pytest.approx(euler.elevation, abs=1e-12)
         assert out.polarization == pytest.approx(euler.polarization, abs=1e-12)
@@ -83,7 +89,7 @@ class TestStabilization:
                 rng.uniform(-1.2, 1.2),
                 rng.uniform(-math.pi, math.pi),
             )
-            cmd = stabilization_command(frames.c_n_b(att), euler)
+            cmd = command(att, euler)
             np.testing.assert_allclose(
                 frames.c_b_t(*cmd) @ frames.c_n_b(att), frames.c_n_t(*euler), atol=1e-10
             )
@@ -100,14 +106,14 @@ class TestStabilization:
                 rng.uniform(-0.5, 0.5),
                 rng.uniform(-math.pi, math.pi),
             )
-            cmd = stabilization_command(frames.c_n_b(att), euler)
+            cmd = command(att, euler)
             beam_axis_n = (frames.c_b_t(*cmd) @ frames.c_n_b(att)).T @ np.array([1.0, 0.0, 0.0])
             np.testing.assert_allclose(beam_axis_n, sat_dir, atol=1e-10)
 
     def test_pure_yaw_shifts_azimuth(self):
         euler = PointingEuler(30 * D2R, 50 * D2R, 5 * D2R)
-        base = stabilization_command(frames.c_n_b(Attitude(0, 0, 0)), euler)
-        yawed = stabilization_command(frames.c_n_b(Attitude(10 * D2R, 0, 0)), euler)
+        base = command(Attitude(0, 0, 0), euler)
+        yawed = command(Attitude(10 * D2R, 0, 0), euler)
         assert yawed.azimuth == pytest.approx(base.azimuth - 10 * D2R, abs=1e-12)
         assert yawed.elevation == pytest.approx(base.elevation, abs=1e-12)
         assert yawed.polarization == pytest.approx(base.polarization, abs=1e-12)
@@ -206,8 +212,8 @@ class TestPointingError:
     def test_perfect_tracking(self):
         euler = pointing_euler(GeoConfig())
         att = Attitude(0.1, -0.05, 0.2)
-        ideal = stabilization_command(frames.c_n_b(att), euler)
-        err = pointing_error(GimbalState(ideal), stabilization_command(frames.c_n_b(att), euler))
+        ideal = command(att, euler)
+        err = pointing_error(GimbalState(ideal), command(att, euler))
         assert err == (0.0, 0.0)
 
     def test_yaw_error_passthrough(self):
@@ -216,7 +222,7 @@ class TestPointingError:
         truth = Attitude(0.0, 0.0, 0.0)
         delta_yaw = 0.7 * D2R
         believed = Attitude(delta_yaw, 0.0, 0.0)
-        cmd = stabilization_command(frames.c_n_b(believed), euler)
-        err = pointing_error(GimbalState(cmd), stabilization_command(frames.c_n_b(truth), euler))
+        cmd = command(believed, euler)
+        err = pointing_error(GimbalState(cmd), command(truth, euler))
         assert abs(err[0]) == pytest.approx(delta_yaw, abs=1e-12)
         assert abs(err[1]) <= 1e-12

@@ -105,9 +105,10 @@ def reference_sensed(cfg: ScenarioConfig, euler, t: float, rng, gyro=True) -> ha
     pr = reference_pitch_roll(f, cfg.sensors.gravity)
     psi = gps_yaw_measure(truth.attitude, cfg.sensors, rng)
     c_n_b = frames.c_n_b(truth.attitude)
+    [ideal] = mechanical.stabilization_command(c_n_b[None], euler)
     return harness.Sensed(
         t, truth.attitude, omega, pr, psi, reference_measurement_quat(psi, pr.pitch, pr.roll),
-        c_n_b, mechanical.stabilization_command(c_n_b, euler),
+        c_n_b, ideal,
     )
 
 
@@ -491,8 +492,7 @@ class TestSenseBlock:
         block_rng, chunk_rng = np.random.default_rng(17), np.random.default_rng(17)
         start = harness.sense(cfg, euler, np.zeros(1), block_rng, gyro=False)
         block = harness.sense(cfg, euler, np.arange(1, n + 1) * t_s, block_rng)
-        chunked = harness.sense(cfg, euler, np.zeros(1), chunk_rng, gyro=False)
-        chunked += harness.sensed_ticks(cfg, euler, chunk_rng, n)
+        chunked = [tick.sensed for tick in harness.ticks(cfg, euler, chunk_rng, n)]
         assert len(block) == len(chunked) - 1 == n
         for got in (start + block, chunked):
             assert [sensed_bits(s) for s in got] == [sensed_bits(s) for s in want]

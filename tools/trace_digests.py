@@ -16,10 +16,12 @@ parameters, 128x64 seeds 0-2 with acceptance parameters), where the
 walk's speculative block decisions are most often wrong and redone.
 The next is the sha256 of the table that ``beamtrack sweep --values 20,10
 --seeds 5`` prints for a 16x8 two-ray link (``[signal] nlos_gain = 0.3``).
-The last is one sha256 over ``trace.csv``, ``trace.json`` and the summary
+The next is one sha256 over ``trace.csv``, ``trace.json`` and the summary
 of ``beamtrack simulate`` on a 16x8 config of 2537 ticks, not a multiple of
-the 1024 ticks that the loop senses per block, whose accelerometer noise
-saturates |f_x| > g on some ticks.
+the 1024 ticks that the loop runs per block, whose accelerometer noise
+saturates |f_x| > g on some ticks.  The last is the same sha256 for a
+16x8 config of 3073 ticks with electrical epochs on tick 1024 (the last
+tick of the first block) and tick 2049 (the first tick of the third).
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -77,10 +79,15 @@ CONFIGS = {
 # the link of the sweep table's line
 SWEEP_CONFIG = "[array]\nrows = 16\ncols = 8\n[signal]\nnlos_gain = 0.3\n"
 
-# the config of the last line: 2537 ticks, a saturating accelerometer
+# the configs of the last two lines: 2537 ticks with a saturating
+# accelerometer, and 3073 ticks with epochs at both edges of a block
 SATURATING_CONFIG = (
     "[array]\nrows = 16\ncols = 8\n[profile]\npitch = 40 @ 0.05, 20 @ 0.31 @ -23\n"
     "[sensors]\naccel_white_sigma = 6\n[run]\nduration = 25.37\nseed = 9\n"
+)
+BLOCK_EDGE_CONFIG = (
+    "[array]\nrows = 16\ncols = 8\n[electrical]\nfirst_epoch = 10.24\nepoch_period = 10.25\n"
+    "[run]\nduration = 30.73\nseed = 4\n"
 )
 
 METHODS = ("assp", "spsa", "sequential")
@@ -124,8 +131,9 @@ def simulate_digests(work: Path):
         yield f"{name} summary     {sha256(summary)}"
 
 
-def saturating_digest(work: Path) -> str:
-    return f"saturating simulate  {sha256(b''.join(simulate(work, 'S', SATURATING_CONFIG)))}"
+def simulate_digest(work: Path, label: str, name: str, text: str) -> str:
+    """One sha256 over the three outputs of ``simulate`` (``name`` is in the summary)."""
+    return f"{label} simulate  {sha256(b''.join(simulate(work, name, text)))}"
 
 
 def sweep_digest() -> str:
@@ -211,7 +219,8 @@ def main(argv: list[str] | None = None) -> int:
                 lines.append(line)
             for digest in (trial_digest, two_ray_trial_digest, fit_digest,
                            high_snr_sequential_digest, sweep_digest,
-                           lambda: saturating_digest(work)):
+                           lambda: simulate_digest(work, "saturating", "S", SATURATING_CONFIG),
+                           lambda: simulate_digest(work, "block-edge", "T", BLOCK_EDGE_CONFIG)):
                 lines.append(digest())
                 print(lines[-1], flush=True)
         finally:
