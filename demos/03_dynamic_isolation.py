@@ -39,11 +39,10 @@ still = GimbalRates(0.0, 0.0, 0.0)  # the isolation-off arm
 rng = np.random.default_rng(7)
 start, *run = harness.ticks(cfg, euler, rng, int(30.0 / t_s))
 # fusion never reads the gimbal, so the isolation-off arm servos on the
-# same estimates
-targets = mechanical.stabilization_command(np.array([tick.c_n_b for tick in run]), euler)
+# same commands
 gimbal, servo_only = start.gimbal, []
-for target in targets:
-    gimbal = mechanical.gimbal_step(gimbal, target, still, cfg.servo, t_s)
+for tick in run:
+    gimbal = mechanical.gimbal_step(gimbal, tick.command, still, cfg.servo, t_s)
     servo_only.append(gimbal)
 
 arms = {"isolation + servo": [tick.gimbal for tick in run], "servo only       ": servo_only}

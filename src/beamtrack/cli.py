@@ -20,11 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import experiments, harness, mechanical
-from .config import ConfigError, default_scenario, load_scenario, set_key, validate
+from .config import (
+    D2R, ConfigError, default_scenario, load_scenario, scenario_file, set_key, validate,
+)
 from .electrical import RUNNERS
 from .frames import Attitude, c_n_b
-
-D2R = math.pi / 180.0
 
 # the geometry flags and the [geo] keys of the scenario table they set
 GEO_FLAGS = {
@@ -37,8 +37,10 @@ GEO_FLAGS = {
 
 
 def _scenario_file(text: str) -> str:
-    if not Path(text).exists():
-        raise argparse.ArgumentTypeError(f"scenario file not found: {text}")
+    try:
+        scenario_file(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 

@@ -74,6 +74,13 @@ class ScenarioConfig:
     electrical: ElectricalConfig = field(default_factory=ElectricalConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
+    @property
+    def ticks(self) -> int:
+        """The run's tick count, duration / sample_period rounded; the cap
+        keeps an overflowed ratio (a subnormal sample_period) from reaching
+        round."""
+        return round(min(self.run.duration / self.sensors.sample_period, 2 * LIMIT))
+
 
 def default_profile() -> ProfileConfig:
     return ProfileConfig(
@@ -97,6 +104,9 @@ def default_scenario() -> ScenarioConfig:
 # magnitude bound on every non-integer number, far beyond any physical
 # value of a key, so that no product or square of them overflows
 LIMIT = 1e6
+# bound on an electrical epoch's iteration budget times the array's
+# elements: about a minute of 128x64 ASSP on a 2-vCPU x86-64 machine
+WORK_LIMIT = 1e9
 
 
 def _number(kind, noun: str, raw: str):
@@ -219,7 +229,7 @@ def set_key(cfg: ScenarioConfig, section: str, key: str, raw: str) -> None:
         value = parse(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from exc
-    setattr(_holder(cfg, holder), attribute, value * scale if scale != 1 else value)
+    setattr(_holder(cfg, holder), attribute, value * scale)
 
 
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -235,13 +245,18 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     # the channel vector and the weights hold rows * cols elements each
     if cfg.array.size > LIMIT:
         raise ConfigError(f"array: rows * cols = {cfg.array.size} elements, beyond {LIMIT:g}")
-    # run_simulation runs round(duration / sample_period) ticks, and holds
-    # every tick's trace row until the run ends; the cap keeps an overflowed
-    # ratio (a subnormal sample_period) from reaching round
-    ticks = round(min(cfg.run.duration / cfg.sensors.sample_period, 2 * LIMIT))
-    if ticks < 1:
+    for key in ("max_iters", "seq_max_sweeps"):
+        work = getattr(cfg.electrical.params, key) * cfg.array.size
+        if work > WORK_LIMIT:
+            raise ConfigError(
+                f"electrical.{key}: {work} element-iterations per epoch "
+                f"({cfg.array.size} elements), beyond {WORK_LIMIT:g}"
+            )
+    # run_simulation runs cfg.ticks ticks, and holds every tick's trace row
+    # until the run ends
+    if cfg.ticks < 1:
         raise ConfigError("run.duration: shorter than half a sensors.sample_period, no tick runs")
-    if ticks > LIMIT:
+    if cfg.ticks > LIMIT:
         raise ConfigError(f"run.duration: more than {LIMIT:g} ticks of sensors.sample_period")
     return cfg
 
@@ -265,11 +280,24 @@ def load_scenario_text(text: str) -> ScenarioConfig:
     return validate(cfg)
 
 
-def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
-    """Load a scenario file; ``None`` gives the default scenario."""
-    if path is None:
-        return validate(default_scenario())
+def scenario_file(path: str | Path) -> Path:
+    """``path`` when it names a regular file (a symlink to one too), else a
+    ConfigError naming it."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"scenario file not found: {p}")
-    return load_scenario_text(p.read_text())
+    if not p.is_file():
+        raise ConfigError(f"scenario file is not a regular file: {p}")
+    return p
+
+
+def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
+    """Load a UTF-8 scenario file; ``None`` gives the default scenario."""
+    if path is None:
+        return validate(default_scenario())
+    p = scenario_file(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario file {p}: {exc}") from exc
+    return load_scenario_text(text)

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import electrical as el
 from .channel import ArrayGeometry, PowerOracle, SignalModel
+from .config import D2R
 from .electrical import AsspParams
 from .frames import wrap_angle
-
-D2R = math.pi / 180.0
 
 # the registry itself, not a copy: an entry swapped in it is what
 # ``run_trial`` calls

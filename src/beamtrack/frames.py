@@ -3,9 +3,9 @@
 Conventions used throughout the package:
 
 * All angles are radians; degrees appear only at config/CSV boundaries.
-* Rotation matrices are passive (frame rotations).  ``rot_z(a)`` maps the
+* Rotation matrices are passive (frame rotations).  R_z(a) maps the
   coordinates of a fixed vector from the original frame to a frame rotated
-  by ``a`` about z.
+  by ``a`` about z; R_y(a) and R_x(a) likewise about y and x.
 * ``c_n_b`` etc. are direction cosine matrices named source-to-target:
   ``c_n_b(att) @ v_n`` gives the vector in body coordinates.
 * Quaternions are scalar-first arrays ``[q0, q1, q2, q3]`` with unit norm.
@@ -16,10 +16,11 @@ Conventions used throughout the package:
   results, each with the bits of its own call: numpy's sin and cos give
   math's bits, and ``@`` runs each product through the BLAS call of
   ``ndarray.dot``.  ``_cos_sin`` and ``_zyx`` keep a float path for the
-  callers of one value (``c_n_t``, ``coupled_beam_rate``, ``beamtrack
-  geometry``), where numpy's per-call overhead would dominate.
-* The yaw/pitch/roll sequence is z-y-x: ``c_n_b = rot_x(roll) @
-  rot_y(pitch) @ rot_z(yaw)``.
+  callers of one value, where numpy's per-call overhead would dominate:
+  ``c_n_t`` once per ``stabilization_command`` and ``beam_frame_arrival``
+  call, ``coupled_beam_rate`` and ``beamtrack geometry``.
+* The yaw/pitch/roll sequence is z-y-x: ``c_n_b`` = R_x(roll) R_y(pitch)
+  R_z(yaw).
 * A value that nothing changes after construction is a NamedTuple (the
   loop's states and trace rows, the channel, trial results); ``@dataclass``
   marks the holders that change: the config sections that
@@ -37,6 +38,9 @@ TWO_PI = 2.0 * math.pi
 
 # |C13| within this of 1 takes the pole convention of zyx_angles
 GIMBAL_LOCK_EPS = 1e-9
+# |middle angle| from which the inverse z-y-x rate map (the Euler rates of
+# body rates, the isolation rates of the gimbal) is refused as singular
+RATE_MAP_LIMIT = math.pi / 2 - 1e-6
 
 
 class SingularityError(ValueError):
@@ -85,48 +89,26 @@ def _cos_sin(angle):
     return math.cos(angle), math.sin(angle)
 
 
-def _rot_z(angle: float) -> list:
-    c, s = _cos_sin(angle)
-    return [c, s, 0.0, -s, c, 0.0, 0.0, 0.0, 1.0]
-
-
-def rot_z(angle: float) -> np.ndarray:
-    """Frame rotation by ``angle`` about the z axis."""
-    return _matrix3(_rot_z(angle))
-
-
-def rot_y(angle: float) -> np.ndarray:
-    """Frame rotation by ``angle`` about the y axis."""
-    a = _check_finite(angle)
-    c, s = math.cos(a), math.sin(a)
-    return _matrix3([c, 0.0, -s, 0.0, 1.0, 0.0, s, 0.0, c])
-
-
-def rot_x(angle: float) -> np.ndarray:
-    """Frame rotation by ``angle`` about the x axis."""
-    a = _check_finite(angle)
-    c, s = math.cos(a), math.sin(a)
-    return _matrix3([1.0, 0.0, 0.0, 0.0, c, s, 0.0, -s, c])
-
-
 def _rot_xy(x: float, y: float) -> list:
-    """Row-major entries of ``rot_x(x) @ rot_y(y)``, written out.  Every entry
-    is a single product, so it equals the matrix product exactly.  For arrays
-    of angles, each entry but the two constants is an array over them."""
+    """Row-major entries of R_x(x) R_y(y), written out.  Every entry is a
+    single product, so it equals the matrix product exactly.  For arrays of
+    angles, each entry but the two constants is an array over them."""
     cx, sx = _cos_sin(x)
     cy, sy = _cos_sin(y)
     return [cy, 0.0, -sy, sx * sy, cx, sx * cy, cx * sy, -sx, cx * cy]
 
 
 def _zyx(z: float, y: float, x: float) -> np.ndarray:
-    """``rot_x(x) @ rot_y(y) @ rot_z(z)``, with one matrix product instead of two.
+    """R_x(x) R_y(y) R_z(z), with one matrix product instead of two.
 
     Both factors are built in one array.  ``ndarray.dot`` runs the BLAS call of
     ``np.dot`` and ``@`` on 2-D float arrays, so the bits match, at a third
     of the call overhead.  For arrays of n angles the result is the
     (n, 3, 3) stack of the matrices; ``@`` runs that BLAS call on each pair.
     """
-    entries = _rot_xy(x, y) + _rot_z(z)
+    entries = _rot_xy(x, y)
+    cz, sz = _cos_sin(z)
+    entries += [cz, sz, 0.0, -sz, cz, 0.0, 0.0, 0.0, 1.0]  # R_z(z)
     if isinstance(z, np.ndarray) and z.ndim:
         factors = np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(-1, 2, 3, 3)
         return factors[:, 0] @ factors[:, 1]
@@ -155,10 +137,10 @@ def euler_rates_in_frame(
 ) -> tuple[float, float, float]:
     """Angular velocity, in the last frame of the z-y-x sequence, of the angle rates.
 
-    ``[x_rate, 0, 0] + rot_x(x) @ [0, y_rate, 0] + rot_x(x) @ rot_y(y) @
-    [0, 0, z_rate]``, written out; every matrix entry involved is a single
-    product, so the result equals the matrix form exactly.  The angles and
-    rates may be arrays of one per tick, and then so are the components.
+    [x_rate, 0, 0] + R_x(x) [0, y_rate, 0] + R_x(x) R_y(y) [0, 0, z_rate],
+    written out; every matrix entry involved is a single product, so the
+    result equals the matrix form exactly.  The angles and rates may be
+    arrays of one per tick, and then so are the components.
     """
     _, _, r02, _, r11, r12, _, r21, r22 = _rot_xy(x, y)
     return (x_rate + r02 * z_rate, r11 * y_rate + r12 * z_rate, r21 * y_rate + r22 * z_rate)
@@ -171,7 +153,7 @@ ROTATION_TOL = 1e-8
 def _rotation_rows(matrix: np.ndarray) -> list[list[float]] | None:
     """Rows of ``matrix`` as floats when it is a rotation within ``ROTATION_TOL``, else None.
 
-    The test of :func:`is_rotation`: a finite 3x3 matrix whose ``m @ m.T``
+    A rotation is a finite 3x3 matrix whose ``m @ m.T``
     departs from the identity by at most ``ROTATION_TOL`` in every entry and
     whose determinant departs from +1 by at most that.  Worked in Python floats,
     since numpy's per-call overhead dwarfs nine-entry arithmetic.
@@ -199,13 +181,8 @@ def _rotation_rows(matrix: np.ndarray) -> list[list[float]] | None:
     return None
 
 
-def is_rotation(matrix: np.ndarray) -> bool:
-    """True when ``matrix`` is orthonormal with determinant +1 within ``ROTATION_TOL``."""
-    return _rotation_rows(matrix) is not None
-
-
 def zyx_angles(matrix: np.ndarray) -> tuple[float, float, float]:
-    """(z, y, x) of a rotation ``c = rot_x(x) @ rot_y(y) @ rot_z(z)``.
+    """(z, y, x) of a rotation c = R_x(x) R_y(y) R_z(z).
 
     The inverse of :func:`c_n_b` (yaw, pitch, roll), :func:`c_b_t`
     (azimuth, elevation, polarization) and :func:`c_n_t` alike.

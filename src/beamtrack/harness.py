@@ -21,8 +21,8 @@ MN channel vector frozen at the epoch's geometry.  No stage reads the
 weights, so an epoch never splits a block.
 
 Randomness is split into independent per-subsystem streams (sensor
-noise, channel noise, perturbations) from the master seed, so changing
-one noise source leaves the other draws untouched.
+noise, channel noise, perturbations) from the master seed by ``streams``,
+so changing one noise source leaves the other draws untouched.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class Tick(NamedTuple):
 
     sensed: Sensed
     filter_state: fusion.FilterState
-    c_n_b: np.ndarray  # NED-to-body DCM of the estimate
-    est: frames.Attitude  # its yaw/pitch/roll, for the trace
+    command: mechanical.GimbalAngles  # stabilization command of the estimate
+    est: frames.Attitude  # the estimate's yaw/pitch/roll, for the trace
     gimbal: GimbalState
     arrival: tuple[float, float]  # (azimuth, elevation) of beam_frame_arrival
 
@@ -158,7 +158,7 @@ def sense(
 def fuse_block(cfg: ScenarioConfig, state: fusion.FilterState, block: list[Sensed]) -> list:
     """The fusion stage: from ``state``, one predict, hemisphere sign, update
     and estimate per tick of ``block``, each giving the filter state, the
-    estimate's DCM and its yaw/pitch/roll (the fields of ``Tick``)."""
+    estimate's DCM and its yaw/pitch/roll."""
     t_s = cfg.sensors.sample_period
     fused = []
     for sensed in block:
@@ -177,7 +177,7 @@ def start(cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator) -
     c_n_b, est = fusion.estimate(state.q)
     [target] = mechanical.stabilization_command(c_n_b[None], euler)
     [arrival] = beam_frame_arrival([target], first.c_n_b_truth[None], euler)
-    return Tick(first, state, c_n_b, est, GimbalState(target), arrival)
+    return Tick(first, state, target, est, GimbalState(target), arrival)
 
 
 def ticks(
@@ -204,9 +204,18 @@ def ticks(
         arrivals = beam_frame_arrival(
             [g.angles for g in gimbals], np.array([s.c_n_b_truth for s in block]), euler
         )
-        done = [Tick(s, *f, g, a) for s, f, g, a in zip(block, fused, gimbals, arrivals)]
+        done = [
+            Tick(s, state, target, est, g, a)
+            for s, (state, _, est), target, g, a in zip(block, fused, targets, gimbals, arrivals)
+        ]
         yield from done
         tick = done[-1]
+
+
+def streams(seed: int) -> tuple[np.random.Generator, ...]:
+    """The run's sensor, channel and perturbation generators: the three
+    children of ``seed``'s SeedSequence, in that order."""
+    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
 
 
 def attitude_error(est, truth) -> tuple[float, float, float]:
@@ -225,13 +234,8 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     One record per sensor tick plus one per electrical iteration at each
     refinement epoch (the ``phase`` column tells them apart).
     """
-    master = np.random.SeedSequence(cfg.run.seed)
-    sensor_rng, channel_rng, perturb_rng = (
-        np.random.default_rng(s) for s in master.spawn(3)
-    )
-    t_s = cfg.sensors.sample_period
-    steps = int(round(cfg.run.duration / t_s))
-    loop = ticks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, steps)
+    sensor_rng, channel_rng, perturb_rng = streams(cfg.run.seed)
+    loop = ticks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, cfg.ticks)
     next(loop)  # the start at t = 0, which the trace does not record
     phases = np.zeros(cfg.array.size)
     wbar = ch.conj_weight_matrix(phases, cfg.array)  # changes only at the epochs

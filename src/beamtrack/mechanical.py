@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import frames
-from .frames import SingularityError
-
-
-# |gimbal elevation| at which isolation_rates is singular
-KEYHOLE = math.pi / 2 - 1e-6
+from .frames import RATE_MAP_LIMIT, SingularityError
 
 
 class NoVisibilityError(ValueError):
@@ -83,7 +78,7 @@ class ServoConfig:
             raise ValueError("azimuth_stop must not be negative")
         if self.elevation_min >= self.elevation_max:
             raise ValueError("elevation stops are inverted")
-        if max(-self.elevation_min, self.elevation_max) >= KEYHOLE:
+        if max(-self.elevation_min, self.elevation_max) >= RATE_MAP_LIMIT:
             raise ValueError("elevation stops must stay short of the +/-90 deg keyhole")
 
 
@@ -116,14 +111,6 @@ def pointing_euler(geo: GeoConfig) -> PointingEuler:
     return PointingEuler(heading, elevation, polarization)
 
 
-@lru_cache(maxsize=16)
-def _ned_to_beam(euler: tuple[float, float, float]) -> np.ndarray:
-    """``c_n_t(*euler)``, built once per pointing solution and read-only."""
-    c_nt = frames.c_n_t(*euler)
-    c_nt.flags.writeable = False
-    return c_nt
-
-
 def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> list[GimbalAngles]:
     """Gimbal angles pointing the beam at the satellite, for each vehicle
     NED-to-body DCM of the (n, 3, 3) stack ``c_n_b``: the list of the n
@@ -136,7 +123,7 @@ def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> list[Gimba
     ``frames.zyx_angles``: polarization 0, the azimuth carrying the rest.
     Each DCM must be a rotation (the loop's own DCMs): it is not checked.
     """
-    c_nt = _ned_to_beam(tuple(euler))
+    c_nt = frames.c_n_t(*euler)
     # @ runs ndarray.dot's BLAS call per product: each command has its own bits
     return [GimbalAngles(*frames._zyx_of_rows(rows)) for rows in (c_nt @ c_n_b.mT).tolist()]
 
@@ -160,7 +147,7 @@ def isolation_rates(angles: GimbalAngles, body_rates) -> GimbalRates:
     Singular as the elevation approaches +/-90 deg (keyhole), where the
     azimuth axis loses authority over the beam.
     """
-    if abs(angles.elevation) >= KEYHOLE:
+    if abs(angles.elevation) >= RATE_MAP_LIMIT:
         raise SingularityError("elevation too close to +/-90 deg (keyhole)")
     wx, wy, wz = body_rates
     ca, sa = math.cos(angles.azimuth), math.sin(angles.azimuth)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import frames
-from .frames import Attitude, SingularityError
+from .frames import RATE_MAP_LIMIT, Attitude, SingularityError
 
 
 class Sinusoid(NamedTuple):
@@ -109,7 +109,7 @@ def euler_rates_to_body_rates(attitude: Attitude, euler_rates) -> tuple[float, f
 
 def body_rates_to_euler_rates(attitude: Attitude, body_rates: np.ndarray) -> np.ndarray:
     """Inverse kinematic map; singular as pitch approaches +/-90 deg."""
-    if abs(attitude.pitch) >= math.pi / 2 - 1e-6:
+    if abs(attitude.pitch) >= RATE_MAP_LIMIT:
         raise SingularityError("pitch too close to +/-90 deg for rate inversion")
     sr, cr = math.sin(attitude.roll), math.cos(attitude.roll)
     tp, cp = math.tan(attitude.pitch), math.cos(attitude.pitch)

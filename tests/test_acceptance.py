@@ -37,16 +37,15 @@ def closed_loop_runs():
     """20 seeds x 60 s of the default scenario without the electrical stage:
     per-tick max attitude error, pointing errors, gyro-only drift, and the
     pre-electrical nrsp at t = 5 s."""
-    cfg = default_scenario()
+    cfg = default_scenario()  # 60 s
     t_s = cfg.sensors.sample_period
-    steps = int(60.0 / t_s)
+    steps = cfg.ticks
     euler = mechanical.pointing_euler(cfg.geo)
     results = []
     started = time.perf_counter()
     for seed in range(20):
-        # the sensor stream of run_simulation for the same seed
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        loop = harness.ticks(cfg, euler, rng, steps)
+        sensor_rng, _, _ = harness.streams(seed)
+        loop = harness.ticks(cfg, euler, sensor_rng, steps)
         gyro_only = next(loop).est
         att_err = np.empty(steps)
         gyro_err = np.empty(steps)

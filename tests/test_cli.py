@@ -69,6 +69,20 @@ class TestSimulate:
         assert code == 2
         assert "usage" in err.lower()
 
+    def test_directory_config_exits_2_with_usage(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, ["simulate", "--config", str(tmp_path)])
+        assert code == 2
+        assert err.startswith("usage: ")
+        assert f"error: argument --config: scenario file is not a regular file: {tmp_path}" in err
+
+    def test_undecodable_config_exits_1_naming_it(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"\xff[run]\n")
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+        assert code == 1
+        assert err.startswith(f"error: cannot read scenario file {cfg}: ")
+        assert out == ""
+
     def test_short_run_writes_outputs(self, capsys, tmp_path):
         cfg = tmp_path / "s.ini"
         cfg.write_text(
@@ -194,6 +208,20 @@ class TestSweep:
         code, _, err = run_cli(capsys, ["sweep", "--config", "/no/such/file.ini", "--values", "20"])
         assert code == 2
         assert "usage" in err.lower()
+
+    def test_directory_config_exits_2_with_usage(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, ["sweep", "--config", str(tmp_path), "--values", "20"])
+        assert code == 2
+        assert err.startswith("usage: ")
+        assert f"error: argument --config: scenario file is not a regular file: {tmp_path}" in err
+
+    def test_undecodable_config_exits_1_naming_it(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"\xff[array]\n")
+        code, out, err = run_cli(capsys, ["sweep", "--config", str(cfg), "--values", "20"])
+        assert code == 1
+        assert err.startswith(f"error: cannot read scenario file {cfg}: ")
+        assert out == ""
 
     def test_jobs_capped_at_one_worker_per_task(self, capsys, small_sweep, monkeypatch):
         asked = []

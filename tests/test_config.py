@@ -104,6 +104,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_scenario("/nonexistent/path/scenario.ini")
 
+    def test_directory_rejected_with_its_path(self, tmp_path):
+        with pytest.raises(ConfigError, match=f"not a regular file: {tmp_path}$"):
+            load_scenario(tmp_path)
+
+    def test_undecodable_file_rejected_with_its_path(self, tmp_path):
+        p = tmp_path / "latin1.ini"
+        p.write_bytes(b"[run]\noutput = caf\xe9\n")
+        with pytest.raises(ConfigError, match=f"scenario file {p}: .*utf-8"):
+            load_scenario(p)
+
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "s.ini"
         p.write_text("[run]\nduration = 5\nseed = 7\n")
@@ -139,6 +149,13 @@ class TestParsing:
         ("[electrical]\nmax_iters = 0", "electrical: max_iters must be at least 1, got 0"),
         ("[electrical]\nstop_window = 0", "electrical: stop_window must be at least 1"),
         ("[electrical]\nseq_max_sweeps = -2", "electrical: seq_max_sweeps must be at least 1"),
+        # an epoch's budget times the elements, beyond 1e9 element-iterations
+        ("[array]\nrows = 1000\ncols = 1000\n[electrical]\nmax_iters = 1000000",
+         r"^electrical\.max_iters: 1000000000000 element-iterations per epoch"),
+        ("[electrical]\nmax_iters = 10000000000000000000000000", r"^electrical\.max_iters: "),
+        ("[electrical]\nmax_iters = 122071", r"^electrical\.max_iters: .*beyond 1e\+09"),
+        ("[array]\nrows = 1000\ncols = 1000\n[electrical]\nseq_max_sweeps = 1001",
+         r"^electrical\.seq_max_sweeps: "),
         ("[run]\nseed = -1", "run: run.duration must be positive and run.seed"),
         # no tick: run_simulation rounds duration / sample_period to 0
         ("[run]\nduration = 0.004", r"^run\.duration: .*no tick runs"),
@@ -157,6 +174,11 @@ class TestParsing:
     def test_rejected_at_load_time(self, text, message):
         with pytest.raises(ConfigError, match=message):
             load_scenario_text(text)
+
+    def test_epoch_budget_at_its_bound_loads(self):
+        # 122070 iterations of 128x64 elements: 999997440 element-iterations
+        cfg = load_scenario_text("[electrical]\nmax_iters = 122070\nstop_window = 1000000000\n")
+        assert cfg.electrical.params.max_iters * cfg.array.size <= 1e9
 
 
 # every key of the table at its default, in file units (degrees, km)

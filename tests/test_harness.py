@@ -241,7 +241,7 @@ def reference_step(cfg, euler, prev: harness.Tick, sensed: harness.Sensed) -> ha
     isolation = mechanical.isolation_rates(prev.gimbal.angles, sensed.omega_m)
     gimbal = mechanical.gimbal_step(prev.gimbal, target, isolation, cfg.servo, t_s)
     [arrival] = beam_frame_arrival([gimbal.angles], sensed.c_n_b_truth[None], euler)
-    return harness.Tick(sensed, state, c_n_b, est, gimbal, arrival)
+    return harness.Tick(sensed, state, target, est, gimbal, arrival)
 
 
 CHUNK = harness._SENSE_CHUNK
@@ -252,9 +252,10 @@ def tick_bits(tick) -> bytes:
     s, state, gimbal = tick.sensed, tick.filter_state, tick.gimbal
     values = [
         s.t, *s.truth, *(s.omega_m or ()), *s.pitch_roll, s.psi_m, *s.ideal,
-        *state[1:], *tick.est, *gimbal.angles, gimbal.rate_clamped, *tick.arrival,
+        *state[1:], *tick.command, *tick.est, *gimbal.angles, gimbal.rate_clamped,
+        *tick.arrival,
     ]
-    arrays = (values, s.z, s.c_n_b_truth, state.q, tick.c_n_b)
+    arrays = (values, s.z, s.c_n_b_truth, state.q)
     return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
 
 

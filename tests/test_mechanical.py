@@ -21,6 +21,7 @@ from beamtrack.mechanical import (
     pointing_euler,
     stabilization_command,
 )
+from test_frames import rot_x, rot_y, rot_z
 
 D2R = math.pi / 180.0
 
@@ -149,9 +150,9 @@ class TestBeamRates:
         angles = GimbalAngles(30 * D2R, 20 * D2R, 10 * D2R)
         omega = np.array([0.11, -0.22, 0.33])
         oracle = (
-            frames.rot_x(angles.polarization)
-            @ frames.rot_y(angles.elevation)
-            @ frames.rot_z(angles.azimuth)
+            rot_x(angles.polarization)
+            @ rot_y(angles.elevation)
+            @ rot_z(angles.azimuth)
             @ omega
         )
         np.testing.assert_allclose(coupled_beam_rate(angles, omega), oracle, atol=1e-15)

@@ -16,6 +16,7 @@ from beamtrack.sensors import (
     flight_profile,
     gyro_integrate,
 )
+from test_frames import rot_x, rot_y
 
 D2R = math.pi / 180.0
 
@@ -194,7 +195,7 @@ class TestRateKinematics:
         att = Attitude(0.0, 0.0, math.pi / 2)
         psi_dot = 0.42
         out = euler_rates_to_body_rates(att, np.array([0.0, 0.0, psi_dot]))
-        oracle = frames.rot_x(att.roll) @ frames.rot_y(att.pitch) @ np.array([0, 0, psi_dot])
+        oracle = rot_x(att.roll) @ rot_y(att.pitch) @ np.array([0, 0, psi_dot])
         np.testing.assert_allclose(out, oracle, atol=1e-15)
         np.testing.assert_allclose(out, [0.0, psi_dot, 0.0], atol=1e-15)
 
@@ -410,8 +411,8 @@ class TestFloatTupleVectors:
             roll, pitch = state.attitude.roll, state.attitude.pitch
             matrix_form = (
                 np.array([roll_rate, 0.0, 0.0])
-                + frames.rot_x(roll) @ np.array([0.0, pitch_rate, 0.0])
-                + frames.rot_x(roll) @ frames.rot_y(pitch) @ np.array([0.0, 0.0, yaw_rate])
+                + rot_x(roll) @ np.array([0.0, pitch_rate, 0.0])
+                + rot_x(roll) @ rot_y(pitch) @ np.array([0.0, 0.0, yaw_rate])
             )
             assert bits(state.body_rates) == bits(matrix_form)
 

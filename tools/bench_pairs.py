@@ -18,9 +18,11 @@ checks the gain rule: the change is better on at least nine pairs in
 ten, and its median is better than the parent's by more than the
 parent's quartile spread.
 
-Exit status: 0 when the gain rule holds, 1 when a run is not ``correct``
-or has a failed unit or a metric regresses beyond its bound, and 3 when
-neither: no regression, and no gain (2 is argparse's usage error).
+Exit status: 0 when the gain rule holds, 1 when a run exits nonzero (it
+names the side, the pair and the exit code, and the tool stops there), is
+not ``correct``, has a failed unit, or a metric regresses beyond its
+bound, and 3 when neither: no regression, and no gain (2 is argparse's
+usage error).
 """
 
 from __future__ import annotations
@@ -37,13 +39,17 @@ from pathlib import Path
 CLAIMED = "units_per_s"
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One untraced perfbench run in ``tree``: its last line of output."""
+def run_once(side: str, tree: Path, workload: str, seed: int) -> dict:
+    """One untraced perfbench run in ``tree``: its last line of output.  A
+    run that exits nonzero ends the tool with exit status 1."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
-        stdout=subprocess.PIPE, cwd=tree, check=True,
+        stdout=subprocess.PIPE, cwd=tree,
     )
+    if done.returncode:
+        sys.exit(f"bench_pairs: the {side} run of pair {seed} ({workload}) "
+                 f"exited {done.returncode}")
     return json.loads(done.stdout.decode().strip().splitlines()[-1])
 
 
@@ -70,7 +76,7 @@ def main(argv=None) -> int:
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args.workload, i))
+            runs[side].append(run_once(side, getattr(args, side), args.workload, i))
         cells = "  ".join(
             f"{name} {runs['parent'][-1]['metrics'][name]['value']:.6g}"
             f"/{runs['change'][-1]['metrics'][name]['value']:.6g}"

@@ -19,9 +19,13 @@ The next is the sha256 of the table that ``beamtrack sweep --values 20,10
 The next is one sha256 over ``trace.csv``, ``trace.json`` and the summary
 of ``beamtrack simulate`` on a 16x8 config of 2537 ticks, not a multiple of
 the 1024 ticks that the loop runs per block, whose accelerometer noise
-saturates |f_x| > g on some ticks.  The last is the same sha256 for a
+saturates |f_x| > g on some ticks.  The next is the same sha256 for a
 16x8 config of 3073 ticks with electrical epochs on tick 1024 (the last
 tick of the first block) and tick 2049 (the first tick of the third).
+The last is one sha256 over the outputs of ``simulate`` on eight 4x4
+configs of 0.5 s (``gyro_white_sigma = 1e6``, ``gravity`` 0.0383203125
+and 0.01, seeds 0, 1, 2 and 4), whose fused estimate reaches the pitch
+pole and reads the pole convention of ``frames.zyx_angles``.
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -79,7 +83,7 @@ CONFIGS = {
 # the link of the sweep table's line
 SWEEP_CONFIG = "[array]\nrows = 16\ncols = 8\n[signal]\nnlos_gain = 0.3\n"
 
-# the configs of the last two lines: 2537 ticks with a saturating
+# the configs of the next two lines: 2537 ticks with a saturating
 # accelerometer, and 3073 ticks with epochs at both edges of a block
 SATURATING_CONFIG = (
     "[array]\nrows = 16\ncols = 8\n[profile]\npitch = 40 @ 0.05, 20 @ 0.31 @ -23\n"
@@ -89,6 +93,14 @@ BLOCK_EDGE_CONFIG = (
     "[array]\nrows = 16\ncols = 8\n[electrical]\nfirst_epoch = 10.24\nepoch_period = 10.25\n"
     "[run]\nduration = 30.73\nseed = 4\n"
 )
+# the configs of the last line: garbage gyro rates and a weak gravity
+# carry the fused estimate to pitch +/-90 deg
+PITCH_POLE_CONFIGS = {
+    f"P{gravity}-{seed}": "[array]\nrows = 4\ncols = 4\n[sensors]\ngyro_white_sigma = 1e6\n"
+    f"gravity = {gravity}\n[run]\nduration = 0.5\nseed = {seed}\n"
+    for gravity in ("0.0383203125", "0.01")
+    for seed in (0, 1, 2, 4)
+}
 
 METHODS = ("assp", "spsa", "sequential")
 SNRS_DB = (20.0, 10.0)
@@ -134,6 +146,11 @@ def simulate_digests(work: Path):
 def simulate_digest(work: Path, label: str, name: str, text: str) -> str:
     """One sha256 over the three outputs of ``simulate`` (``name`` is in the summary)."""
     return f"{label} simulate  {sha256(b''.join(simulate(work, name, text)))}"
+
+
+def pitch_pole_digest(work: Path) -> str:
+    outputs = [b"".join(simulate(work, name, text)) for name, text in PITCH_POLE_CONFIGS.items()]
+    return f"pitch-pole simulate x{len(outputs)}  {sha256(b''.join(outputs))}"
 
 
 def sweep_digest() -> str:
@@ -220,7 +237,8 @@ def main(argv: list[str] | None = None) -> int:
             for digest in (trial_digest, two_ray_trial_digest, fit_digest,
                            high_snr_sequential_digest, sweep_digest,
                            lambda: simulate_digest(work, "saturating", "S", SATURATING_CONFIG),
-                           lambda: simulate_digest(work, "block-edge", "T", BLOCK_EDGE_CONFIG)):
+                           lambda: simulate_digest(work, "block-edge", "T", BLOCK_EDGE_CONFIG),
+                           lambda: pitch_pole_digest(work)):
                 lines.append(digest())
                 print(lines[-1], flush=True)
         finally:
