@@ -24,12 +24,12 @@ geom = ArrayGeometry(128, 64)
 
 
 def los(az_deg: float, el_deg: float) -> Channel:
-    return SignalModel().channel(geom, az_deg * D2R, el_deg * D2R)
+    return SignalModel().channel(geom, [(az_deg * D2R, el_deg * D2R)])
 
 
 print("Spatial spectrum peak bin vs arrival direction:")
 for az_deg, el_deg in [(0.0, 0.0), (5.0, 0.0), (10.0, 60.0)]:
-    spec = spatial_spectrum(los(az_deg, el_deg))
+    [spec] = spatial_spectrum(los(az_deg, el_deg))
     peak = tuple(int(i) for i in np.unravel_index(np.argmax(spec), spec.shape))
     share = float(spec[peak] ** 2 / (spec**2).sum())
     print(
@@ -42,11 +42,11 @@ print("Captured power of a broadside beam vs pointing offset (row axis):")
 w0 = np.zeros(geom.size)
 print(f"  {'offset [deg]':>12} {'nrsp':>8}")
 for off in (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.895):
-    print(f"  {off:12.3f} {nrsp(w0, los(off, 0.0).vec()):8.4f}")
+    print(f"  {off:12.3f} {nrsp(w0, los(off, 0.0).vec()[0]):8.4f}")
 print()
 print("The first null sits near 0.9 deg for 128 half-wavelength rows; at")
 print("0.3 deg the beam already loses a third of its power, which the")
 print("electrical stage is there to recover.")
 
 w = matched_weights(geom, 0.3 * D2R, 45 * D2R)
-print(f"matched weights at the true arrival restore nrsp = {nrsp(w, los(0.3, 45).vec()):.6f}")
+print(f"matched weights at the true arrival restore nrsp = {nrsp(w, los(0.3, 45).vec()[0]):.6f}")

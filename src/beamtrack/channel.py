@@ -15,18 +15,18 @@ Element (m, n) of the response to a plane wave carries phase
 cos(el) and u_c = sin(az) sin(el); ``az`` is the polar angle off the
 array normal and ``el`` the orientation around it.  The response is
 therefore the outer product r c^T of a row vector and a column vector
-(``plane_wave``), and a ``Channel`` is a sum of such terms, one per path.
-Its power and the received power of a beam come from the short factors;
-the MN vector is built only where the oracle needs it.  Matrices are
-flattened column-major everywhere a vector form is needed, and beam
-weights are stored as phases so unit modulus holds by construction.
+(``plane_wave``), and a ``Channel`` is a sum of such terms, one per path,
+for a stack of arrivals at once.  Its power and the received power of a
+beam come from the short factors; the MN vector is built only where the
+oracle needs it.  Matrices are flattened column-major everywhere a vector
+form is needed, and beam weights are stored as phases so unit modulus
+holds by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -78,11 +78,13 @@ class SignalModel:
         """Per-element noise variance from the configured SNR."""
         return 10.0 ** (-self.snr_db / 10.0)
 
-    def channel(self, geom: ArrayGeometry, azimuth: float, elevation: float) -> Channel:
-        """The channel of the LOS ray arriving from (azimuth, elevation),
-        plus the second ray when ``nlos_gain`` > 0, its gain turned by the
-        carrier phase of ``nlos_path_length``."""
+    def channel(self, geom: ArrayGeometry, arrivals) -> Channel:
+        """The channels of the LOS ray arriving from each (azimuth, elevation)
+        of ``arrivals``, stacked in their order, plus the second ray when
+        ``nlos_gain`` > 0, its gain turned once by the carrier phase of
+        ``nlos_path_length``."""
         scale = 1.0 / math.sqrt(geom.size)
+        azimuth, elevation = np.array(arrivals, dtype=float).T
         terms = [((1.0 + 0.0j) * scale, *plane_wave(geom, *direction_sines(azimuth, elevation)))]
         if self.nlos_gain > 0.0:
             turn = np.exp(-2j * math.pi * self.nlos_path_length / WAVELENGTH)
@@ -92,66 +94,92 @@ class SignalModel:
         return Channel(tuple(terms))
 
 
-def direction_sines(azimuth: float, elevation: float) -> tuple[float, float]:
-    """(u_r, u_c) = sin(az) * (cos(el), sin(el)), along the row and column axes."""
-    s = math.sin(azimuth)
-    return s * math.cos(elevation), s * math.sin(elevation)
+def direction_sines(azimuth, elevation) -> tuple:
+    """(u_r, u_c) = sin(az) * (cos(el), sin(el)), along the row and column
+    axes, of floats or of arrays of one shape."""
+    s = np.sin(azimuth)
+    return s * np.cos(elevation), s * np.sin(elevation)
 
 
-@lru_cache(maxsize=16)
-def _indices(n: int) -> np.ndarray:
-    """Read-only 1j * (0 .. n-1); times x, bit for bit 1j * (x * (0 .. n-1))."""
-    idx = 1j * np.arange(n, dtype=float)
-    idx.flags.writeable = False
-    return idx
-
-
-def plane_wave(geom: ArrayGeometry, u_r: float, u_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-modulus factors (r, c) of the response to a plane wave with
-    direction sines (u_r, u_c): element (m, n) is r[m] * c[n]; one exponential makes both."""
+def plane_wave(geom: ArrayGeometry, u_r, u_c) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-modulus factors (r, c) of the responses to plane waves with
+    direction sines (u_r, u_c), floats or arrays of one shape: element (m, n)
+    of each response is r[..., m] * c[..., n].  One cos and sin pass makes
+    both, bit for bit the complex exponential of 1j * k u_r m and 1j * k u_c n."""
     k = 2.0 * math.pi * geom.spacing_over_wavelength
-    e = np.exp(np.concatenate((k * u_r * _indices(geom.rows), k * u_c * _indices(geom.cols))))
-    return e[:geom.rows], e[geom.rows:]
+    e = np.empty((*np.shape(u_r), geom.rows + geom.cols), dtype=complex)
+    x = e.imag  # the phases, which _unit_phasor turns into the factors in place
+    np.multiply.outer(k * u_r, np.arange(geom.rows, dtype=float), out=x[..., :geom.rows])
+    np.multiply.outer(k * u_c, np.arange(geom.cols, dtype=float), out=x[..., geom.rows:])
+    _unit_phasor(x, 1, e)
+    return e[..., :geom.rows], e[..., geom.rows:]
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """conj(x[i]) @ y[i] for each row i of two stacks: one BLAS dot per
+    row, bit for bit ``np.vdot`` of the pair."""
+    return (np.conj(x)[:, None, :] @ y[:, :, None]).ravel()
+
+
+def _product(x, y) -> np.ndarray:
+    """x * y of complex arrays (or a complex number and an array), rounded
+    as the scalar product of numpy or Python rounds it: numpy's array
+    product may fuse a multiply and an add into one rounding."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 class Channel(NamedTuple):
-    """Multipath channel h = sum over paths of g * r c^T, kept as its
-    (g, r, c) terms; g carries the path gain (with its carrier phase) and
-    the 1/sqrt(MN) array normalization."""
+    """A stack of multipath channels, one per arrival, each h = sum over
+    paths of g * r c^T, kept as the (g, r, c) terms of its paths.  g carries
+    the path gain (with its carrier phase) and the 1/sqrt(MN) array
+    normalization, and is the same down the stack; r and c are the (n,
+    rows) and (n, cols) factors of the n channels.  Each channel reads the
+    bits it would read alone: the inner products are the BLAS calls that
+    ``r @ wbar @ c`` and ``np.vdot`` make for one channel, one per channel."""
 
     terms: tuple[tuple[complex, np.ndarray, np.ndarray], ...]
 
     def vec(self) -> np.ndarray:
-        """The MN channel vector, column-major."""
-        return sum(g * np.outer(c, r).ravel() for g, r, c in self.terms)
-
-    def power(self) -> float:
-        """||h||^2 from the factors: the sum over path pairs (p, q) of
-        g_p conj(g_q) (r_q^H r_p) (c_q^H c_p)."""
+        """The (n, MN) channel vectors, column-major."""
         return sum(
-            gp * np.conj(gq) * np.vdot(rq, rp) * np.vdot(cq, cp)
+            g * (c[:, :, None] * r[:, None, :]).reshape(len(r), -1) for g, r, c in self.terms
+        )
+
+    def power(self) -> np.ndarray:
+        """||h||^2 of each channel, from the factors: the sum over path pairs
+        (p, q) of g_p conj(g_q) (r_q^H r_p) (c_q^H c_p)."""
+        return sum(
+            _product(_product(gp * np.conj(gq), _dots(rq, rp)), _dots(cq, cp))
             for gp, rp, cp in self.terms
             for gq, rq, cq in self.terms
         ).real
 
-    def nrsp(self, wbar: np.ndarray) -> float:
-        """``nrsp`` of the weights whose conjugated matrix is ``wbar``
-        (``conj_weight_matrix``): |sum g r^T wbar c|^2 / (MN ||h||^2)."""
-        denom = wbar.size * self.power()
-        if denom == 0.0:
+    def nrsp(self, wbar: np.ndarray) -> list[float]:
+        """``nrsp`` of each channel under the weights whose conjugated matrix
+        is ``wbar`` (``conj_weight_matrix``): |sum g r^T wbar c|^2 / (MN ||h||^2),
+        each squared magnitude taken in Python floats, which numpy's array
+        abs and square do not round alike."""
+        denoms = wbar.size * self.power()
+        if not denoms.all():
             raise ValueError("channel vector is identically zero")
-        return float(abs(sum(g * (r @ wbar @ c) for g, r, c in self.terms)) ** 2 / denom)
+        sums = sum(
+            _product(g, ((r[:, None, :] @ wbar) @ c[:, :, None]).ravel()) for g, r, c in self.terms
+        )
+        return [abs(z) ** 2 / d for z, d in zip(sums.tolist(), denoms.tolist())]
 
 
 def spatial_spectrum(chan: Channel) -> np.ndarray:
-    """Magnitudes of the 2-D unitary DFT of the channel matrix, taken one
-    factor at a time.
+    """Magnitudes of the 2-D unitary DFT of each channel matrix of the
+    stack, (n, rows, cols), taken one factor at a time.
 
     Unitary normalization preserves total energy, so the Frobenius norm of
     the output equals ||h||.
     """
     return np.abs(sum(
-        g * np.outer(np.fft.fft(r, norm="ortho"), np.fft.fft(c, norm="ortho"))
+        g * (np.fft.fft(r, norm="ortho")[:, :, None] * np.fft.fft(c, norm="ortho")[:, None, :])
         for g, r, c in chan.terms
     ))
 
@@ -173,9 +201,9 @@ def _unit_phasor(x: np.ndarray, sign: int, out: np.ndarray) -> np.ndarray:
     The complex exponential of sign * 1j * x is cos and sin of its
     imaginary part, which is 0.0 + x for sign +1 (a -0.0 reads +0.0) and
     -x for sign -1.  That part is built in ``out.imag`` and both functions
-    take it, so the result is bit for bit ``np.exp(sign * 1j * x)`` where
-    numpy's float cos and sin are the routines its complex exp calls, as
-    the tests check."""
+    take it (``x`` may be ``out.imag`` itself), so the result is bit for
+    bit ``np.exp(sign * 1j * x)`` where numpy's float cos and sin are the
+    routines its complex exp calls, as the tests check."""
     arg = out.imag
     if sign > 0:
         np.add(x, 0.0, out=arg)

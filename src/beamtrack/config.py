@@ -245,6 +245,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     # the channel vector and the weights hold rows * cols elements each
     if cfg.array.size > LIMIT:
         raise ConfigError(f"array: rows * cols = {cfg.array.size} elements, beyond {LIMIT:g}")
+    # on the array normal the two rays coincide on a 1x1 array or with no
+    # azimuth offset, and a second ray of the LOS ray's magnitude and
+    # opposite carrier phase cancels it: no power to normalize a reading by
+    if cfg.signal.channel(cfg.array, [(0.0, 0.0)]).power()[0] == 0.0:
+        raise ConfigError("signal: the second ray cancels the LOS ray on the array normal")
     for key in ("max_iters", "seq_max_sweeps"):
         work = getattr(cfg.electrical.params, key) * cfg.array.size
         if work > WORK_LIMIT:

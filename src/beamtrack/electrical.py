@@ -368,8 +368,9 @@ def fit_doa(phases: np.ndarray, geom: ArrayGeometry) -> tuple[float, float]:
     peak can neither hold the maximum nor tie it.  Only the other columns
     get their second pass, in ascending order, so ties go to the smallest
     (row, column): the row-major-first bin of the full grid.  Each Newton
-    step makes three plane waves, at u and u +/- h on both axes, and shares
-    the row product r0 @ wbar between f0 and the column probes.
+    step makes the plane waves at u and u +/- h on both axes in one stacked
+    call, and shares the row product r0 @ wbar between f0 and the column
+    probes.
     """
     wbar = conj_weight_matrix(phases, geom)
     n_rows, n_cols = _FFT_PAD * geom.rows, _FFT_PAD * geom.cols
@@ -393,10 +394,9 @@ def fit_doa(phases: np.ndarray, geom: ArrayGeometry) -> tuple[float, float]:
     # |conj(r)^T W conj(c)|^2 = |(r^T wbar) c|^2 against the model r c^T;
     # plane_wave builds r from u_r alone and c from u_c alone
     h = 1e-6
+    probe = np.array([0.0, h, -h])
     for _ in range(60):
-        r0, c0 = plane_wave(geom, u_r, u_c)
-        rp, cp = plane_wave(geom, u_r + h, u_c + h)
-        rm, cm = plane_wave(geom, u_r - h, u_c - h)
+        (r0, rp, rm), (c0, cp, cm) = plane_wave(geom, u_r + probe, u_c + probe)
         v0 = r0 @ wbar
         f0 = abs(v0 @ c0) ** 2
         r_plus, r_minus = abs(rp @ wbar @ c0) ** 2, abs(rm @ wbar @ c0) ** 2

@@ -75,12 +75,12 @@ def run_trial(
     """One trial on the link ``signal``, with ``snr_db`` as its SNR."""
     link = replace(signal, snr_db=snr_db)
     true_az, true_el = offset_arrival(offset_deg)
-    chan = link.channel(geom, true_az, true_el)
+    [h_vec] = link.channel(geom, [(true_az, true_el)]).vec()
     # str hash is process-randomized; derive the stream tag from the bytes
     method_tag = sum(method.encode())
     master = np.random.SeedSequence((seed, method_tag))
     noise_seq, perturb_seq = master.spawn(2)
-    oracle = PowerOracle(chan.vec(), link.noise_power, np.random.default_rng(noise_seq))
+    oracle = PowerOracle(h_vec, link.noise_power, np.random.default_rng(noise_seq))
     runner = METHOD_RUNNERS[method]
     phases, trace = runner(
         np.zeros(geom.size), oracle, params, np.random.default_rng(perturb_seq), geom

@@ -13,12 +13,15 @@ only they loop per tick, and fusion never reads the gimbal; the other
 stages are one stacked call per block, each tick with the bits it would
 have alone.  A block that raises in any stage yields none of its ticks.
 
-Per tick ``run_simulation`` reads the channel at the tick's arrival and
-records the normalized received power of the current analog weights,
-through the conjugated weight matrix, which changes only at the epochs.
-At configured epochs the electrical stage refines the weights against the
-MN channel vector frozen at the epoch's geometry.  No stage reads the
-weights, so an epoch never splits a block.
+``run_simulation`` reads the channel out a block of up to
+``_READOUT_CHUNK`` ticks at a time: one stacked channel of the ticks'
+arrivals, and one stacked normalized received power of the current
+analog weights, through the conjugated weight matrix, which changes only
+at the epochs.  A readout splits at each epoch tick: the ticks up to and
+including it read the weights before the epoch, the ticks after it the
+weights the electrical stage refined against the MN channel vector
+frozen at the epoch's geometry.  No stage of ``ticks`` reads the
+weights, so an epoch never splits a block of the loop.
 
 Randomness is split into independent per-subsystem streams (sensor
 noise, channel noise, perturbations) from the master seed by ``streams``,
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, NamedTuple, get_type_hints
@@ -99,6 +103,8 @@ def beam_frame_arrival(angles, c_n_b_truth: np.ndarray, euler: PointingEuler) ->
 
 # ticks per block: bounds what a block holds
 _SENSE_CHUNK = 1024
+# ticks per readout: bounds the stacked channel factors that a readout holds
+_READOUT_CHUNK = 64
 
 
 class Sensed(NamedTuple):
@@ -228,6 +234,28 @@ def attitude_error(est, truth) -> tuple[float, float, float]:
     )
 
 
+def _readout(
+    cfg: ScenarioConfig, read: list[Tick], wbar: np.ndarray, total_queries: int
+) -> list[TraceRecord]:
+    """The trace rows of the ticks ``read``, from one stacked readout of
+    their channels under the conjugated weight matrix ``wbar``."""
+    chan = cfg.signal.channel(cfg.array, [tick.arrival for tick in read])
+    rows = []
+    for tick, power in zip(read, chan.nrsp(wbar)):
+        sensed, gimbal = tick.sensed, tick.gimbal
+        # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
+        # angles, pointing error (azimuth, elevation)
+        angles = (
+            *sensed.truth, *tick.est, *attitude_error(tick.est, sensed.truth),
+            *gimbal.angles, *mechanical.pointing_error(gimbal, sensed.ideal),
+        )
+        rows.append(TraceRecord(
+            sensed.t, "mech", *(a * R2D for a in angles),
+            power, 0, total_queries, int(gimbal.rate_clamped),
+        ))
+    return rows
+
+
 def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     """Run the full closed loop and return the trace.
 
@@ -243,29 +271,24 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     total_queries = 0
     records: list[TraceRecord] = []
 
-    for tick in loop:
-        sensed, gimbal = tick.sensed, tick.gimbal
-        t, truth = sensed.t, sensed.truth
-        chan = cfg.signal.channel(cfg.array, *tick.arrival)
-        # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
-        # angles, pointing error (azimuth, elevation)
-        angles = (
-            *truth, *tick.est, *attitude_error(tick.est, truth), *gimbal.angles,
-            *mechanical.pointing_error(gimbal, sensed.ideal),
-        )
-        base = TraceRecord(
-            t, "mech", *(a * R2D for a in angles),
-            chan.nrsp(wbar), 0, total_queries, int(gimbal.rate_clamped),
-        )
-        records.append(base)
-
-        if t >= next_epoch - 1e-12:
+    for block in iter(lambda: list(islice(loop, _READOUT_CHUNK)), []):
+        first = 0
+        for end, last in enumerate(block, 1):
+            epoch = last.sensed.t >= next_epoch - 1e-12
+            if epoch or end == len(block):
+                # the ticks up to an epoch read the weights before it
+                records += _readout(cfg, block[first:end], wbar, total_queries)
+                first = end
+            if not epoch:
+                continue
             next_epoch += cfg.electrical.epoch_period
-            oracle = ch.PowerOracle(chan.vec(), cfg.signal.noise_power, channel_rng)
+            [h_vec] = cfg.signal.channel(cfg.array, [last.arrival]).vec()
+            oracle = ch.PowerOracle(h_vec, cfg.signal.noise_power, channel_rng)
             phases, trace = el.RUNNERS[cfg.electrical.method](
                 phases, oracle, cfg.electrical.params, perturb_rng, cfg.array
             )
             wbar = ch.conj_weight_matrix(phases, cfg.array)
+            base = records[-1]
             records.extend(
                 base._replace(
                     phase="elec", nrsp=trace.nrsp[i], elec_iteration=i + 1,

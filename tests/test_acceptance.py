@@ -59,7 +59,7 @@ def closed_loop_runs():
             gyro_err[k - 1] = max(map(abs, harness.attitude_error(gyro_only, truth)))
             pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, sensed.ideal)
             if nrsp_pre is None and sensed.t >= 5.0:
-                h = cfg.signal.channel(cfg.array, *tick.arrival).vec()
+                [h] = cfg.signal.channel(cfg.array, [tick.arrival]).vec()
                 nrsp_pre = nrsp(np.zeros(cfg.array.size), h)
         results.append((att_err, gyro_err, pt_err, nrsp_pre))
     return results, time.perf_counter() - started

@@ -28,8 +28,60 @@ def path_term(geom, azimuth, elevation, gain=1.0 + 0j):
     return (gain * (1.0 / math.sqrt(geom.size)), *plane_wave(geom, u_r, u_c))
 
 
+def stack(terms):
+    """The one-channel ``Channel`` stack of the one-channel ``terms``."""
+    return Channel(tuple((g, r[None], c[None]) for g, r, c in terms))
+
+
+# The per-arrival channel: each arrival's terms built, summed and read on
+# their own.  The stacked Channel reads the bits of these, arrival by arrival.
+
+def reference_plane_wave(geom, u_r, u_c):
+    """The factors (r, c) of one plane wave, from one complex exponential."""
+    k = 2.0 * math.pi * geom.spacing_over_wavelength
+    idx = lambda n: 1j * np.arange(n, dtype=float)
+    e = np.exp(np.concatenate((k * u_r * idx(geom.rows), k * u_c * idx(geom.cols))))
+    return e[:geom.rows], e[geom.rows:]
+
+
+def reference_terms(link, geom, azimuth, elevation):
+    """The (g, r, c) terms of ``link``'s channel at one arrival: the LOS
+    ray, and the second ray when ``nlos_gain`` > 0."""
+    scale = 1.0 / math.sqrt(geom.size)
+
+    def ray(gain, az, el):
+        s = math.sin(az)
+        return (gain * scale, *reference_plane_wave(geom, s * math.cos(el), s * math.sin(el)))
+
+    terms = [ray(1.0 + 0.0j, azimuth, elevation)]
+    if link.nlos_gain > 0.0:
+        turn = np.exp(-2j * math.pi * link.nlos_path_length / WAVELENGTH)
+        terms.append(ray((link.nlos_gain + 0j) * turn, azimuth + link.nlos_azimuth_offset,
+                         elevation + link.nlos_elevation_offset))
+    return terms
+
+
+def reference_vec(terms):
+    """The MN channel vector of one channel's terms, column-major."""
+    return sum(g * np.outer(c, r).ravel() for g, r, c in terms)
+
+
+def reference_power(terms):
+    return sum(
+        gp * np.conj(gq) * np.vdot(rq, rp) * np.vdot(cq, cp)
+        for gp, rp, cp in terms
+        for gq, rq, cq in terms
+    ).real
+
+
+def reference_nrsp(terms, wbar):
+    """|sum g r^T wbar c|^2 / (MN ||h||^2) of one channel's terms."""
+    denom = wbar.size * reference_power(terms)
+    return float(abs(sum(g * (r @ wbar @ c) for g, r, c in terms)) ** 2 / denom)
+
+
 def los_channel(geom, azimuth=0.0, elevation=0.0, gain=1.0 + 0j):
-    return Channel((path_term(geom, azimuth, elevation, gain),)).vec()
+    return reference_vec([path_term(geom, azimuth, elevation, gain)])
 
 
 def response_matrix(geom, azimuth, elevation):
@@ -95,9 +147,8 @@ class TestArrayResponse:
         assert a[0, 0] == 1.0 + 0j
 
     def test_two_geometries_in_one_process(self):
-        # plane_wave keeps one index vector per length: interleaved sizes
-        # must give each its own factors, with the bits of one exponential
-        # per factor, and leave earlier factors as they were
+        # interleaved sizes give each its own factors, with the bits of one
+        # exponential per factor, and leave earlier factors as they were
         rng = np.random.default_rng(83)
         geoms = (ArrayGeometry(16, 8), ArrayGeometry(5, 12, 0.7))
         kept = []
@@ -119,13 +170,13 @@ class TestChannelMatrix:
     def test_single_path_whole_wavelength(self):
         geom = ArrayGeometry(8, 4)
         link = SignalModel(nlos_gain=1.0, nlos_path_length=3 * WAVELENGTH)
-        _, ray = link.channel(geom, 0.0, 0.0).terms
+        _, ray = link.channel(geom, [(0.0, 0.0)]).terms
         gain = ray[0] * math.sqrt(geom.size)
         assert gain == pytest.approx(1.0, abs=1e-12)  # three wavelengths turn no phase
-        chan = Channel((path_term(geom, 0.2, 0.1, gain),))
+        chan = stack([path_term(geom, 0.2, 0.1, gain)])
         expected = response_matrix(geom, 0.2, 0.1).flatten(order="F") / math.sqrt(geom.size)
-        np.testing.assert_allclose(chan.vec(), expected, atol=1e-12)
-        assert chan.power() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(chan.vec()[0], expected, atol=1e-12)
+        assert chan.power()[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_path_frobenius_norm_brute_force(self):
         geom = ArrayGeometry(16, 8)
@@ -135,7 +186,7 @@ class TestChannelMatrix:
         ]
         rng = np.random.default_rng(8)
         for chosen in (paths[:1], paths):  # LOS alone, LOS plus the second ray
-            chan = Channel(tuple(path_term(geom, *p) for p in chosen))
+            chan = stack([path_term(geom, *p) for p in chosen])
             # brute-force oracle: accumulate each entry directly from the model
             h = np.zeros((geom.rows, geom.cols), dtype=complex)
             for m in range(geom.rows):
@@ -147,20 +198,63 @@ class TestChannelMatrix:
                         )
                         h[m, n] += gain * np.exp(1j * phase) / math.sqrt(geom.size)
             total = float(np.sum(np.abs(h) ** 2))
-            np.testing.assert_allclose(chan.vec(), h.flatten(order="F"), atol=1e-12)
-            assert chan.power() == pytest.approx(total, abs=1e-12)
+            np.testing.assert_allclose(chan.vec()[0], h.flatten(order="F"), atol=1e-12)
+            assert chan.power()[0] == pytest.approx(total, abs=1e-12)
             # the factored NRSP against the full-vector reference
             for _ in range(20):
                 phases = rng.uniform(-math.pi, math.pi, geom.size)
-                assert chan.nrsp(conj_weight_matrix(phases, geom)) == pytest.approx(
-                    nrsp(phases, chan.vec()), abs=1e-12
+                assert chan.nrsp(conj_weight_matrix(phases, geom))[0] == pytest.approx(
+                    nrsp(phases, chan.vec()[0]), abs=1e-12
                 )
+
+
+class TestStackedChannel:
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (5, 3), (16, 8), (128, 64)])
+    @pytest.mark.parametrize("link", [
+        SignalModel(), SignalModel(nlos_gain=0.3, nlos_path_length=0.0123),
+    ], ids=["los", "two-ray"])
+    def test_each_arrival_reads_its_bits_alone(self, rows, cols, link):
+        # factors, powers and readings of a stack of arrivals (signed-zero
+        # azimuths among them) against each arrival's channel built alone
+        geom = ArrayGeometry(rows, cols)
+        rng = np.random.default_rng(100 * rows + cols)
+        arrivals = [(0.0, 0.3), (-0.0, 0.3), (0.0, -0.0), (-0.0, 0.0), *zip(
+            rng.uniform(-0.03, 0.03, 28).tolist(), rng.uniform(-math.pi, math.pi, 28).tolist()
+        )]
+        chan = link.channel(geom, arrivals)
+        want = [reference_terms(link, geom, *arrival) for arrival in arrivals]
+        for k, (g, r, c) in enumerate(chan.terms):
+            assert {np.asarray(terms[k][0]).tobytes() for terms in want} == {
+                np.asarray(g).tobytes()
+            }
+            assert r.tobytes() == np.array([terms[k][1] for terms in want]).tobytes()
+            assert c.tobytes() == np.array([terms[k][2] for terms in want]).tobytes()
+        assert chan.power().tobytes() == np.array([reference_power(t) for t in want]).tobytes()
+        for phases in (np.zeros(geom.size), rng.uniform(-math.pi, math.pi, geom.size)):
+            wbar = conj_weight_matrix(phases, geom)
+            got = chan.nrsp(wbar)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(
+                [reference_nrsp(terms, wbar) for terms in want]
+            ).tobytes()
+        # the one-arrival stack that an epoch and a trial build their oracle on
+        for arrival, terms in zip(arrivals[2:6], want[2:6]):
+            [h] = link.channel(geom, [arrival]).vec()
+            assert h.tobytes() == reference_vec(terms).tobytes()
+
+    def test_zero_channel_raises(self):
+        # two rays that coincide on a 1x1 array and cancel
+        link = SignalModel(nlos_gain=1.0, nlos_path_length=WAVELENGTH / 2)
+        chan = link.channel(ArrayGeometry(1, 1), [(0.1, 0.2), (0.0, 0.0)])
+        assert chan.power().tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="identically zero"):
+            chan.nrsp(conj_weight_matrix(np.zeros(1), ArrayGeometry(1, 1)))
 
 
 class TestSpatialSpectrum:
     def test_broadside_concentrates_at_origin(self):
         geom = ArrayGeometry(16, 8)
-        s = spatial_spectrum(Channel((path_term(geom, 0.0, 0.0),)))
+        [s] = spatial_spectrum(stack([path_term(geom, 0.0, 0.0)]))
         assert s[0, 0] == pytest.approx(1.0, abs=1e-12)
         mask = np.ones_like(s, dtype=bool)
         mask[0, 0] = False
@@ -169,7 +263,7 @@ class TestSpatialSpectrum:
     def test_peak_bin_at_generic_doa(self):
         geom = ArrayGeometry(32, 16)
         az, el = 14 * D2R, 33 * D2R
-        s = spatial_spectrum(Channel((path_term(geom, az, el),)))
+        [s] = spatial_spectrum(stack([path_term(geom, az, el)]))
         got = np.unravel_index(np.argmax(s), s.shape)
         # stationary-phase prediction, verified by exhaustive search over bins
         u_r = geom.spacing_over_wavelength * math.sin(az) * math.cos(el)
@@ -180,16 +274,16 @@ class TestSpatialSpectrum:
         assert got in (want, want_conj)
 
     def test_parseval(self):
-        # three terms with arbitrary complex factors, not only plane waves
+        # a stack of four channels of three terms each, with arbitrary
+        # complex factors, not only plane waves
         rng = np.random.default_rng(5)
-        draw = lambda n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        chan = Channel(tuple((complex(draw(1)[0]), draw(12), draw(7)) for _ in range(3)))
-        assert np.linalg.norm(spatial_spectrum(chan)) == pytest.approx(
-            np.linalg.norm(chan.vec()), abs=1e-10
-        )
-        assert np.linalg.norm(spatial_spectrum(chan)) ** 2 == pytest.approx(
-            chan.power(), rel=1e-12
-        )
+        draw = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        chan = Channel(tuple((complex(draw(1)[0]), draw(4, 12), draw(4, 7)) for _ in range(3)))
+        spectra = spatial_spectrum(chan)
+        assert spectra.shape == (4, 12, 7)
+        for spec, h, power in zip(spectra, chan.vec(), chan.power()):
+            assert np.linalg.norm(spec) == pytest.approx(np.linalg.norm(h), abs=1e-10)
+            assert np.linalg.norm(spec) ** 2 == pytest.approx(power, rel=1e-12)
 
 
 class TestMatchedWeights:
@@ -452,7 +546,7 @@ class TestPowerOracle:
         az, el = 0.1 + model.nlos_azimuth_offset, 0.3 + model.nlos_elevation_offset
         ray = path_term(geom, az, el, gain)
         for link, want in ((SignalModel(), [los]), (model, [los, ray])):
-            got = link.channel(geom, 0.1, 0.3).terms
+            got = link.channel(geom, [(0.1, 0.3)]).terms
             assert [[np.asarray(v).tobytes() for v in t] for t in got] == [
                 [np.asarray(v).tobytes() for v in t] for t in want
             ]
@@ -474,7 +568,7 @@ class TestPowerOracle:
             return (gain + 0j) * turn * (1 / math.sqrt(geom.size))
 
         def ray_gain(model):
-            return model.channel(geom, 0.1, 0.2).terms[1][0]
+            return model.channel(geom, [(0.1, 0.2)]).terms[1][0]
 
         model = SignalModel(nlos_gain=0.3)
         model.nlos_path_length = -path_length

@@ -164,6 +164,14 @@ class TestParsing:
         ("[run]\nduration = 20000", r"^run\.duration: more than 1e\+06 ticks"),
         ("[run]\nduration = 1e6\n[sensors]\nsample_period = 1e-320", r"^run\.duration: "),
         ("[signal]\nsnr_db = -5000", "signal: snr_db"),
+        # two rays that coincide and cancel: no power at the array normal,
+        # which used to stop simulate in the middle of the run
+        ("[array]\nrows = 4\ncols = 4\n[signal]\nnlos_gain = 1\nnlos_azimuth_offset_deg = 0\n"
+         "nlos_elevation_offset_deg = 0\nnlos_path_length = 0.0075", "^signal: the second ray cancels"),
+        ("[array]\nrows = 4\ncols = 4\n[signal]\nnlos_gain = 1\nnlos_azimuth_offset_deg = 0\n"
+         "nlos_elevation_offset_deg = 360\nnlos_path_length = 0.0225", "^signal: the second ray"),
+        ("[array]\nrows = 1\ncols = 1\n[signal]\nnlos_gain = 1\nnlos_path_length = 0.0075",
+         "^signal: the second ray"),
         ("[sensors]\ngyro_white_sigma = 1e300", r"^sensors\.gyro_white_sigma: .* beyond"),
         ("[DEFAULT]\nrows = 4\n[array]\ncols = 4", r"unknown section \[DEFAULT\]"),
         # keys that cancel from the normalized power reading
@@ -174,6 +182,15 @@ class TestParsing:
     def test_rejected_at_load_time(self, text, message):
         with pytest.raises(ConfigError, match=message):
             load_scenario_text(text)
+
+    def test_cancelling_rays_that_never_coincide_load(self):
+        # an azimuth offset keeps the rays apart on the array normal
+        cfg = load_scenario_text(
+            "[array]\nrows = 4\ncols = 4\n[signal]\nnlos_gain = 1\nnlos_elevation_offset_deg = 0\n"
+            "nlos_path_length = 0.0075\n[run]\nduration = 0.5\n"
+        )
+        records = run_simulation(cfg)
+        assert all(0.0 <= r.nrsp <= 1.0 for r in records)
 
     def test_epoch_budget_at_its_bound_loads(self):
         # 122070 iterations of 128x64 elements: 999997440 element-iterations

@@ -25,7 +25,8 @@ D2R = math.pi / 180.0
 
 def los_vec(geom, az, el):
     """The MN channel vector of the unit-gain LOS ray from (az, el)."""
-    return SignalModel().channel(geom, az, el).vec()
+    [h] = SignalModel().channel(geom, [(az, el)]).vec()
+    return h
 
 
 def make_oracle(geom, az, el, snr_db=None, seed=0):
@@ -583,7 +584,7 @@ class TestSequential:
         self, rows, cols, snr_db, link, zero_every, params
     ):
         geom = ArrayGeometry(rows, cols)
-        h = link.channel(geom, 0.9 * D2R, 40 * D2R).vec()
+        [h] = link.channel(geom, [(0.9 * D2R, 40 * D2R)]).vec()
         if zero_every:
             h[::zero_every] = 0.0
         noise = 0.0 if snr_db is None else 10.0 ** (-snr_db / 10.0)
@@ -675,7 +676,7 @@ class TestTrialLink:
         monkeypatch.setitem(experiments.METHOD_RUNNERS, "assp", recorder)
         two_ray = run_trial("assp", geom, 20.0, 3, params, signal=signal)
         (oracle,) = seen
-        want = signal.channel(geom, *offset_arrival(0.3)).vec()
+        [want] = signal.channel(geom, [offset_arrival(0.3)]).vec()
         assert oracle.h_vec.tobytes() == want.tobytes()
         assert two_ray != run_trial("assp", geom, 20.0, 3, params)
 
@@ -751,22 +752,23 @@ class TestDoaFit:
         assert fit_el == pytest.approx(el, abs=1e-7)
 
     def test_each_correlation_point_evaluated_once(self, monkeypatch):
-        points = []
+        steps = []
 
         def counted(geom, u_r, u_c):
-            points.append((u_r, u_c))
+            steps.append((u_r.tolist(), u_c.tolist()))
             return channel.plane_wave(geom, u_r, u_c)
 
         monkeypatch.setattr(electrical, "plane_wave", counted)
         geom = ArrayGeometry(16, 8)
         fit_doa(channel.matched_weights(geom, 0.35 * D2R, 40 * D2R), geom)
-        # u and u +/- h on both axes: three plane waves per Newton step
-        assert len(points) % 3 == 0 and len(points) > 3
+        # one stacked call per Newton step: u and u +/- h on both axes
+        points = [point for u_r, u_c in steps for point in zip(u_r, u_c)]
+        assert len(steps) > 1
         assert len(set(points)) == len(points)
         h = 1e-6
-        for (u_r, u_c), plus, minus in zip(points[::3], points[1::3], points[2::3]):
-            assert plus == (u_r + h, u_c + h)
-            assert minus == (u_r - h, u_c - h)
+        for u_r, u_c in steps:
+            assert u_r[1:] == [u_r[0] + h, u_r[0] - h]
+            assert u_c[1:] == [u_c[0] + h, u_c[0] - h]
 
     @pytest.mark.parametrize("rows, cols", [(16, 8), (64, 32), (5, 3), (1, 1)])
     def test_fit_equals_full_grid_reference(self, rows, cols):

@@ -5,7 +5,8 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from beamtrack import frames, fusion, harness, mechanical
+from beamtrack import electrical, frames, fusion, harness, mechanical
+from beamtrack.channel import PowerOracle, conj_weight_matrix
 from beamtrack.config import load_scenario_text
 from beamtrack.frames import SingularityError
 from beamtrack.sensors import ProfileConfig, Sinusoid
@@ -18,6 +19,7 @@ from beamtrack.harness import (
     export_json,
     run_simulation,
 )
+from test_channel import reference_nrsp, reference_terms, reference_vec
 
 D2R = math.pi / 180.0
 COLUMN_TYPES = get_type_hints(TraceRecord)
@@ -286,6 +288,83 @@ class TestTicks:
                                       np.random.default_rng(0), 2 * CHUNK):
                 done.append(tick)
         assert len(done) == 1 + CHUNK
+
+
+def reference_run(cfg) -> list[TraceRecord]:
+    """``run_simulation`` with a readout per tick: each tick's channel built
+    and read on its own (``test_channel``'s per-arrival reference), and
+    each epoch's oracle on the vector of its tick's channel."""
+    sensor_rng, channel_rng, perturb_rng = harness.streams(cfg.run.seed)
+    loop = harness.ticks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, cfg.ticks)
+    next(loop)
+    phases = np.zeros(cfg.array.size)
+    wbar = conj_weight_matrix(phases, cfg.array)
+    next_epoch = cfg.electrical.first_epoch
+    total_queries = 0
+    records = []
+    for tick in loop:
+        sensed, gimbal = tick.sensed, tick.gimbal
+        terms = reference_terms(cfg.signal, cfg.array, *tick.arrival)
+        angles = (
+            *sensed.truth, *tick.est, *harness.attitude_error(tick.est, sensed.truth),
+            *gimbal.angles, *mechanical.pointing_error(gimbal, sensed.ideal),
+        )
+        base = TraceRecord(
+            sensed.t, "mech", *(a * harness.R2D for a in angles),
+            reference_nrsp(terms, wbar), 0, total_queries, int(gimbal.rate_clamped),
+        )
+        records.append(base)
+        if sensed.t >= next_epoch - 1e-12:
+            next_epoch += cfg.electrical.epoch_period
+            oracle = PowerOracle(reference_vec(terms), cfg.signal.noise_power, channel_rng)
+            phases, trace = electrical.RUNNERS[cfg.electrical.method](
+                phases, oracle, cfg.electrical.params, perturb_rng, cfg.array
+            )
+            wbar = conj_weight_matrix(phases, cfg.array)
+            records.extend(
+                base._replace(
+                    phase="elec", nrsp=trace.nrsp[i], elec_iteration=i + 1,
+                    oracle_queries=total_queries + trace.queries[i], rate_clamped=0,
+                )
+                for i in range(len(trace))
+            )
+            total_queries += oracle.queries
+    return records
+
+
+READOUT = harness._READOUT_CHUNK
+
+
+FOUR = "[array]\nrows = 4\ncols = 4\n"
+
+
+class TestReadout:
+    # (array and signal sections, [electrical] keys, duration, the ticks of
+    # the epochs); 0.01 s ticks
+    @pytest.mark.parametrize("head, epoch_keys, duration, epochs", [
+        (FOUR, "first_epoch = 0.01\nepoch_period = 1\n", 2.5, [1, 101, 201]),
+        # several epochs in one readout
+        (FOUR, "first_epoch = 0.05\nepoch_period = 0.17\n", 0.6, [5, 22, 39, 56]),
+        # the last tick of a readout, the first of the next but one, then a
+        # tick inside one
+        (FOUR, f"first_epoch = {READOUT / 100}\nepoch_period = {(READOUT + 1) / 100}\n",
+         (3 * READOUT + 10) / 100, [READOUT, 2 * READOUT + 1, 3 * READOUT + 2]),
+        # both edges of the loop's first block of ticks, on consecutive ticks
+        (FOUR, f"first_epoch = {harness._SENSE_CHUNK / 100}\nepoch_period = 0.01\n",
+         (harness._SENSE_CHUNK + 1) / 100, [harness._SENSE_CHUNK, harness._SENSE_CHUNK + 1]),
+        (FOUR + "[signal]\nnlos_gain = 0.3\n",
+         "method = spsa\nfirst_epoch = 0.3\nepoch_period = 0.5\n", 1.2, [30, 80]),
+        ("[array]\nrows = 1\ncols = 1\n", "method = sequential\nfirst_epoch = 0.2\n", 1, [20]),
+    ], ids=["tick-1", "several-per-readout", "readout-edges", "block-edges", "two-ray", "1x1"])
+    def test_block_readout_equals_per_tick_readout(self, head, epoch_keys, duration, epochs):
+        cfg = load_scenario_text(
+            f"{head}[electrical]\nmax_iters = 5\nseq_max_sweeps = 2\n{epoch_keys}"
+            f"[run]\nseed = 6\nduration = {duration}\n"
+        )
+        records = run_simulation(cfg)
+        assert sorted({round(r.t * 100) for r in records if r.phase == "elec"}) == epochs
+        # repr shows every bit of a float, and its type
+        assert list(map(repr, records)) == list(map(repr, reference_run(cfg)))
 
 
 class TestExport:

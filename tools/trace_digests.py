@@ -22,10 +22,14 @@ the 1024 ticks that the loop runs per block, whose accelerometer noise
 saturates |f_x| > g on some ticks.  The next is the same sha256 for a
 16x8 config of 3073 ticks with electrical epochs on tick 1024 (the last
 tick of the first block) and tick 2049 (the first tick of the third).
-The last is one sha256 over the outputs of ``simulate`` on eight 4x4
+The next is one sha256 over the outputs of ``simulate`` on eight 4x4
 configs of 0.5 s (``gyro_white_sigma = 1e6``, ``gravity`` 0.0383203125
 and 0.01, seeds 0, 1, 2 and 4), whose fused estimate reaches the pitch
-pole and reads the pole convention of ``frames.zyx_angles``.
+pole and reads the pole convention of ``frames.zyx_angles``.  The last
+is one sha256 over the ``repr`` of every ``harness.run_simulation``
+record of configs A, D, E, F and the block-edge config: the CSV's 9
+significant digits can hide a change in the last bit of a float, which
+the repr shows.
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -61,8 +65,10 @@ sys.path.insert(0, str(SRC))
 
 from beamtrack.channel import ArrayGeometry, SignalModel, matched_weights  # noqa: E402
 from beamtrack.cli import cli_main  # noqa: E402
+from beamtrack.config import load_scenario_text  # noqa: E402
 from beamtrack.electrical import AsspParams, fit_doa  # noqa: E402
 from beamtrack.experiments import run_trial  # noqa: E402
+from beamtrack.harness import run_simulation  # noqa: E402
 
 EPOCHS = "[electrical]\nfirst_epoch = 2\nepoch_period = 5\n"
 # each config's scenario text (its [run] section holds duration and seed)
@@ -153,6 +159,12 @@ def pitch_pole_digest(work: Path) -> str:
     return f"pitch-pole simulate x{len(outputs)}  {sha256(b''.join(outputs))}"
 
 
+def records_digest() -> str:
+    texts = [CONFIGS[name] for name in "ADEF"] + [BLOCK_EDGE_CONFIG]
+    reprs = [repr(rec) for text in texts for rec in run_simulation(load_scenario_text(text))]
+    return f"run_simulation records x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
+
+
 def sweep_digest() -> str:
     table = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(table):
@@ -238,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
                            high_snr_sequential_digest, sweep_digest,
                            lambda: simulate_digest(work, "saturating", "S", SATURATING_CONFIG),
                            lambda: simulate_digest(work, "block-edge", "T", BLOCK_EDGE_CONFIG),
-                           lambda: pitch_pole_digest(work)):
+                           lambda: pitch_pole_digest(work), records_digest):
                 lines.append(digest())
                 print(lines[-1], flush=True)
         finally:
