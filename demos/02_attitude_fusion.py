@@ -12,6 +12,7 @@ import numpy as np
 
 from beamtrack import harness, mechanical, sensors
 from beamtrack.config import default_scenario
+from beamtrack.frames import Attitude
 
 D2R = math.pi / 180.0
 
@@ -21,18 +22,20 @@ t_s = cfg.sensors.sample_period
 steps = int(60.0 / t_s)
 
 euler = mechanical.pointing_euler(cfg.geo)
-loop = harness.ticks(cfg, euler, rng, steps)
-gyro_only = next(loop).est
+start, *run = harness.blocks(cfg, euler, rng, steps)
+gyro_only = Attitude(*start.est[0])
 
 errors = {"gyro-only": [], "instantaneous": [], "fused": []}
-for tick in loop:
-    sensed = tick.sensed
-    truth = sensed.truth
-    gyro_only = sensors.gyro_integrate(gyro_only, sensed.omega_m, t_s)
-    instantaneous = (sensed.psi_m, sensed.pitch_roll.pitch, sensed.pitch_roll.roll)
-    errors["gyro-only"].append(harness.attitude_error(gyro_only, truth))
-    errors["instantaneous"].append(harness.attitude_error(instantaneous, truth))
-    errors["fused"].append(harness.attitude_error(tick.est, truth))
+for block in run:
+    pr = block.pitch_roll
+    instantaneous = zip(block.psi_m.tolist(), pr.pitch.tolist(), pr.roll.tolist())
+    for truth, omega, measured, est in zip(
+        block.truth.tolist(), block.omega_m, instantaneous, block.est
+    ):
+        gyro_only = sensors.gyro_integrate(gyro_only, omega, t_s)
+        errors["gyro-only"].append(harness.attitude_error(gyro_only, truth))
+        errors["instantaneous"].append(harness.attitude_error(measured, truth))
+        errors["fused"].append(harness.attitude_error(est, truth))
 
 print(f"{'pipeline':>14} {'rmse [deg]':>11} {'max [deg]':>10} {'<=0.5 deg':>10}")
 for name, errs in errors.items():

@@ -37,17 +37,22 @@ t_s = cfg.sensors.sample_period
 still = GimbalRates(0.0, 0.0, 0.0)  # the isolation-off arm
 
 rng = np.random.default_rng(7)
-start, *run = harness.ticks(cfg, euler, rng, int(30.0 / t_s))
+start, *run = harness.blocks(cfg, euler, rng, int(30.0 / t_s))
+commands = [command for block in run for command in block.command]
+ideal = [angles for block in run for angles in block.ideal]
 # fusion never reads the gimbal, so the isolation-off arm servos on the
 # same commands
-gimbal, servo_only = start.gimbal, []
-for tick in run:
-    gimbal = mechanical.gimbal_step(gimbal, tick.command, still, cfg.servo, t_s)
+gimbal, servo_only = start.gimbal[0], []
+for command in commands:
+    gimbal = mechanical.gimbal_step(gimbal, command, still, cfg.servo, t_s)
     servo_only.append(gimbal)
 
-arms = {"isolation + servo": [tick.gimbal for tick in run], "servo only       ": servo_only}
+arms = {
+    "isolation + servo": [gimbal for block in run for gimbal in block.gimbal],
+    "servo only       ": servo_only,
+}
 for label, gimbals in arms.items():
-    errs = [mechanical.pointing_error(g, tick.sensed.ideal) for g, tick in zip(gimbals, run)]
+    errs = [mechanical.pointing_error(g, i) for g, i in zip(gimbals, ideal)]
     e = np.abs(np.array(errs)) / D2R
     print(
         f"{label}: max pointing error {e.max():.3f} deg, "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -94,8 +95,18 @@ _attitude = _checked(
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with a minus and a digit or a point as
+    a value (``--values -10,-20``, ``-1e1``), where argparse reads only -N
+    and -N.N so; no option starts so.  The subparsers are of this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beamtrack",
         description="Blind beam tracking simulator for UAV satellite links.",
     )

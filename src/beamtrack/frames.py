@@ -9,16 +9,17 @@ Conventions used throughout the package:
 * ``c_n_b`` etc. are direction cosine matrices named source-to-target:
   ``c_n_b(att) @ v_n`` gives the vector in body coordinates.
 * Quaternions are scalar-first arrays ``[q0, q1, q2, q3]`` with unit norm.
-* The loop's 3-vectors (rates, sensor readings) are float tuples; a function
-  that takes one accepts any 3-sequence, an array too.
+* The loop's 3-vectors (rates, sensor readings) are float tuples or lists;
+  a function that takes one accepts any 3-sequence, an array too.
 * ``c_n_b``, ``c_b_t``, ``euler_to_quat`` and ``euler_rates_in_frame`` take
-  arrays of angles, one per tick of a block, and give the stack of their
-  results, each with the bits of its own call: numpy's sin and cos give
-  math's bits, and ``@`` runs each product through the BLAS call of
-  ``ndarray.dot``.  ``_cos_sin`` and ``_zyx`` keep a float path for the
-  callers of one value, where numpy's per-call overhead would dominate:
-  ``c_n_t`` once per ``stabilization_command`` and ``beam_frame_arrival``
-  call, ``coupled_beam_rate`` and ``beamtrack geometry``.
+  arrays of angles, one per tick of a block, and ``quat_to_dcm`` an
+  (n, 4) stack of quaternions; each gives the stack of its results, each
+  with the bits of its own call: numpy's sin and cos give math's bits,
+  and ``@`` runs each product through the BLAS call of ``ndarray.dot``.
+  ``_cos_sin`` and ``_zyx`` keep a float path for the callers of one
+  value, where numpy's per-call overhead would dominate: ``c_n_t`` once
+  per ``stabilization_command`` and ``beam_frame_arrival`` call,
+  ``coupled_beam_rate`` and ``beamtrack geometry``.
 * The yaw/pitch/roll sequence is z-y-x: ``c_n_b`` = R_x(roll) R_y(pitch)
   R_z(yaw).
 * A value that nothing changes after construction is a NamedTuple (the
@@ -68,12 +69,6 @@ def _check_finite(angle: float) -> float:
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
     return angle
-
-
-def _matrix3(entries: list[float]) -> np.ndarray:
-    """3x3 array from nine row-major entries (a flat list converts faster than
-    a nested one)."""
-    return np.array(entries).reshape(3, 3)
 
 
 def _cos_sin(angle):
@@ -233,28 +228,30 @@ def euler_to_quat(attitude: Attitude) -> np.ndarray:
 
 
 def quat_to_dcm(q: np.ndarray) -> np.ndarray:
-    """Body-to-NED DCM from a unit quaternion.
+    """Body-to-NED DCM from a unit quaternion; from an (n, 4) stack of them,
+    the (n, 3, 3) stack of the DCMs, each with the bits of its own call.
 
     For ``q = euler_to_quat(a)`` this equals ``c_n_b(a).T``.  ``q`` and
     ``-q`` map to the same matrix.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
+    if q.shape[-1:] != (4,):
         raise ValueError("quaternion must have four components")
-    n = math.sqrt(q.dot(q))
-    if abs(n - 1.0) > 1e-6:
-        raise ValueError(f"quaternion norm {n} departs from 1 beyond 1e-6")
-    q0, q1, q2, q3 = [v / n for v in q.tolist()]
-    return _matrix3(
-        [
-            q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
-            2.0 * (q1 * q2 - q0 * q3),
-            2.0 * (q1 * q3 + q0 * q2),
-            2.0 * (q1 * q2 + q0 * q3),
-            q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3,
-            2.0 * (q2 * q3 - q0 * q1),
-            2.0 * (q1 * q3 - q0 * q2),
-            2.0 * (q2 * q3 + q0 * q1),
-            q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3,
-        ]
-    )
+    # each row's norm by the BLAS dot of euler_to_quat
+    n = np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    bad = n[np.abs(n - 1.0) > 1e-6]
+    if bad.size:
+        raise ValueError(f"quaternion norm {float(bad[0])} departs from 1 beyond 1e-6")
+    q0, q1, q2, q3 = (q / n).T
+    entries = [
+        q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
+        2.0 * (q1 * q2 - q0 * q3),
+        2.0 * (q1 * q3 + q0 * q2),
+        2.0 * (q1 * q2 + q0 * q3),
+        q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3,
+        2.0 * (q2 * q3 - q0 * q1),
+        2.0 * (q1 * q3 - q0 * q2),
+        2.0 * (q2 * q3 + q0 * q1),
+        q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3,
+    ]
+    return np.array(entries).T.reshape(q.shape[:-1] + (3, 3))

@@ -122,8 +122,9 @@ def update(state: FilterState, z: np.ndarray) -> FilterState:
     return FilterState(q_new / norm, (1.0 - gain) * state.kappa, state.q_chi, state.q_u)
 
 
-def estimate(q: np.ndarray) -> tuple[np.ndarray, Attitude]:
-    """The NED-to-body DCM of the estimate ``q`` and its yaw/pitch/roll,
-    both read from the one DCM ``quat_to_dcm`` builds, a rotation: unchecked."""
-    c_n_b = frames.quat_to_dcm(q).T
-    return c_n_b, Attitude(*frames._zyx_of_rows(c_n_b.tolist()))
+def estimate(q: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float, float]]]:
+    """The (n, 3, 3) NED-to-body DCMs of the (n, 4) estimates ``q`` and
+    their yaw/pitch/roll, both read from the DCMs ``quat_to_dcm`` builds,
+    rotations: unchecked."""
+    c_n_b = frames.quat_to_dcm(q).mT
+    return c_n_b, list(map(frames._zyx_of_rows, c_n_b.tolist()))

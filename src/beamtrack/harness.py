@@ -2,25 +2,28 @@
 stabilization with dynamic isolation, channel evaluation, and scheduled
 electrical refinement; plus CSV/JSON trace export.
 
-``ticks`` runs the loop a block of up to ``_SENSE_CHUNK`` ticks at a time,
-each block through five stages in the order of what they read: ``sense``
-(the truth, the sensor draws, the measurement quaternions, the truth DCMs
-and the ideal commands, in numpy), ``fuse_block`` (predict, hemisphere
-sign, update, estimate), the stabilization commands of the estimates,
-the servo loop (isolation at the previous angles, then the servo step)
-and ``beam_frame_arrival``.  Only fusion and the servo are recursive, so
-only they loop per tick, and fusion never reads the gimbal; the other
+``blocks`` runs the loop a block of up to ``_SENSE_CHUNK`` ticks at a
+time and yields each as a ``Block`` of columns, one entry per tick,
+after five stages in the order of what they read: ``sense`` (the truth,
+the sensor draws, the measurement quaternions, the truth DCMs and the
+ideal commands, in numpy), ``fuse_block`` (predict, hemisphere sign,
+update), the estimates' DCMs and angles (``fusion.estimate``) with their
+stabilization commands, the servo loop (isolation at the previous
+angles, then the servo step) and ``beam_frame_arrival``.  Only fusion
+and the servo are recursive, so only they walk the ticks, over the gyro
+rates as float lists, and fusion never reads the gimbal; the other
 stages are one stacked call per block, each tick with the bits it would
-have alone.  A block that raises in any stage yields none of its ticks.
+have alone.  A block that raises in any stage is not yielded.
 
-``run_simulation`` reads the channel out a block of up to
+``run_simulation`` reads its trace rows from the columns: a block's
+angle cells in one numpy pass, and its channels a readout of up to
 ``_READOUT_CHUNK`` ticks at a time: one stacked channel of the ticks'
 arrivals, and one stacked normalized received power of the current
 analog weights, through the conjugated weight matrix, which changes only
 at the epochs.  A readout splits at each epoch tick: the ticks up to and
 including it read the weights before the epoch, the ticks after it the
 weights the electrical stage refined against the MN channel vector
-frozen at the epoch's geometry.  No stage of ``ticks`` reads the
+frozen at the epoch's geometry.  No stage of ``blocks`` reads the
 weights, so an epoch never splits a block of the loop.
 
 Randomness is split into independent per-subsystem streams (sensor
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import islice
+from bisect import bisect_left
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, NamedTuple, get_type_hints
@@ -107,115 +110,91 @@ _SENSE_CHUNK = 1024
 _READOUT_CHUNK = 64
 
 
-class Sensed(NamedTuple):
-    """The open-loop half of a tick: what depends only on ``t`` and the
-    sensor stream."""
+class Block(NamedTuple):
+    """A block of ticks of the closed loop, as columns: one entry per tick.
+    ``sense`` fills the open-loop columns, the loop's stages the others."""
 
-    t: float
-    truth: frames.Attitude
-    omega_m: tuple[float, float, float] | None  # None from start, which draws no gyro sample
-    pitch_roll: sensors.PitchRoll
-    psi_m: float
-    z: np.ndarray  # measurement quaternion, before its hemisphere sign
-    c_n_b_truth: np.ndarray  # truth NED-to-body DCM
-    ideal: mechanical.GimbalAngles  # stabilization command under the truth
-
-
-class Tick(NamedTuple):
-    """One tick of the closed loop, and the loop state for the next."""
-
-    sensed: Sensed
-    filter_state: fusion.FilterState
-    command: mechanical.GimbalAngles  # stabilization command of the estimate
-    est: frames.Attitude  # the estimate's yaw/pitch/roll, for the trace
-    gimbal: GimbalState
-    arrival: tuple[float, float]  # (azimuth, elevation) of beam_frame_arrival
+    t: list[float]
+    truth: np.ndarray  # (n, 3) truth yaw, pitch, roll
+    omega_m: list | None  # gyro body rates, three floats per tick; None at the start
+    pitch_roll: sensors.PitchRoll  # of the accelerometer, each field an (n,) array
+    psi_m: np.ndarray  # (n,) GPS yaw
+    z: np.ndarray  # (n, 4) measurement quaternions, before their hemisphere sign
+    c_n_b_truth: np.ndarray  # (n, 3, 3) truth NED-to-body DCMs
+    ideal: list[mechanical.GimbalAngles]  # stabilization commands under the truth
+    filter_state: list[fusion.FilterState] | None = None
+    est: list[tuple[float, float, float]] | None = None  # the estimates' yaw, pitch, roll
+    command: list[mechanical.GimbalAngles] | None = None  # stabilization commands of the estimates
+    gimbal: list[GimbalState] | None = None
+    arrival: list[tuple[float, float]] | None = None  # (azimuth, elevation) of beam_frame_arrival
 
 
 def sense(
-    cfg: ScenarioConfig,
-    euler: PointingEuler,
-    times: np.ndarray,
-    rng: np.random.Generator,
+    cfg: ScenarioConfig, euler: PointingEuler, times: np.ndarray, rng: np.random.Generator,
     gyro: bool = True,
-) -> list[Sensed]:
-    """The open-loop half of the ticks at ``times``, computed for them all at
-    once: the truth, the gyro, accelerometer and GPS draws (in that order per
-    tick, from ``rng``), the measurement quaternions, the truth DCMs and the
-    ideal stabilization commands.  Each entry holds the bits of its tick
+) -> Block:
+    """The open-loop columns of the ticks at ``times``, computed for them all
+    at once: the truth, the gyro, accelerometer and GPS draws (in that order
+    per tick, from ``rng``), the measurement quaternions, the truth DCMs and
+    the ideal stabilization commands.  Each entry holds the bits of its tick
     sensed on its own."""
     readings = sensors.sense(times, cfg.profile, cfg.sensors, rng, gyro)
     attitude, pr = readings.truth.attitude, readings.pitch_roll
     c_n_b = frames.c_n_b(attitude)
-    omega = map(tuple, readings.omega_m.tolist()) if gyro else [None] * len(times)
-    return list(map(
-        Sensed,
-        times.tolist(),
-        map(frames.Attitude, *(a.tolist() for a in attitude)),
-        omega,
-        map(sensors.PitchRoll, *(a.tolist() for a in pr)),
-        readings.gps_yaw.tolist(),
-        fusion.measurement_quat(readings.gps_yaw, pr.pitch, pr.roll),
-        c_n_b,
-        mechanical.stabilization_command(c_n_b, euler),
-    ))
+    omega = readings.omega_m.tolist() if gyro else None
+    z = fusion.measurement_quat(readings.gps_yaw, pr.pitch, pr.roll)
+    ideal = mechanical.stabilization_command(c_n_b, euler)
+    truth = np.column_stack(attitude)
+    return Block(times.tolist(), truth, omega, pr, readings.gps_yaw, z, c_n_b, ideal)
 
 
-def fuse_block(cfg: ScenarioConfig, state: fusion.FilterState, block: list[Sensed]) -> list:
-    """The fusion stage: from ``state``, one predict, hemisphere sign, update
-    and estimate per tick of ``block``, each giving the filter state, the
-    estimate's DCM and its yaw/pitch/roll."""
+def fuse_block(cfg: ScenarioConfig, state: fusion.FilterState, block: Block) -> list:
+    """The fusion recursion: from ``state``, one predict, hemisphere sign and
+    update per tick of ``block``, each giving the filter state."""
     t_s = cfg.sensors.sample_period
-    fused = []
-    for sensed in block:
-        prior = fusion.predict(state, sensed.omega_m, t_s)
-        state = fusion.update(prior, fusion.align(sensed.z, prior.q))
-        fused.append((state, *fusion.estimate(state.q)))
-    return fused
+    states = []
+    for omega, z in zip(block.omega_m, block.z):
+        prior = fusion.predict(state, omega, t_s)
+        state = fusion.update(prior, fusion.align(z, prior.q))
+        states.append(state)
+    return states
 
 
-def start(cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator) -> Tick:
-    """The loop at t = 0: the filter starts on the first accelerometer and
-    GPS draws, and the gimbal on the first stabilization solution (instant
-    acquisition)."""
-    [first] = sense(cfg, euler, np.zeros(1), rng, gyro=False)
-    state = fusion.make_filter_state(first.z, cfg.fusion)
-    c_n_b, est = fusion.estimate(state.q)
-    [target] = mechanical.stabilization_command(c_n_b[None], euler)
-    [arrival] = beam_frame_arrival([target], first.c_n_b_truth[None], euler)
-    return Tick(first, state, target, est, GimbalState(target), arrival)
-
-
-def ticks(
+def blocks(
     cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator, steps: int
-) -> Iterator[Tick]:
-    """The closed loop: ``start``'s tick at t = 0, then ticks 1 to ``steps``
-    (t = k * sample_period), the sensor stream drawn from ``rng``; each
-    block of ``_SENSE_CHUNK`` ticks runs through the stages before any of
-    its ticks is yielded."""
-    tick = start(cfg, euler, rng)
-    yield tick
+) -> Iterator[Block]:
+    """The closed loop: a block of one tick at t = 0, where the filter starts
+    on the first accelerometer and GPS draws and the gimbal on the first
+    stabilization solution (instant acquisition), then ticks 1 to ``steps``
+    (t = k * sample_period) in blocks of up to ``_SENSE_CHUNK``, the sensor
+    stream drawn from ``rng``.  Each block runs through the stages before it
+    is yielded."""
+    block = sense(cfg, euler, np.zeros(1), rng, gyro=False)
+    state = fusion.make_filter_state(block.z[0], cfg.fusion)
+    c_n_b, est = fusion.estimate(state.q[None])
+    targets = mechanical.stabilization_command(c_n_b, euler)
+    block = block._replace(
+        filter_state=[state], est=est, command=targets, gimbal=[GimbalState(targets[0])],
+        arrival=beam_frame_arrival(targets, block.c_n_b_truth, euler),
+    )
+    yield block
     t_s = cfg.sensors.sample_period
     for first in range(1, steps + 1, _SENSE_CHUNK):
         times = np.arange(first, min(first + _SENSE_CHUNK, steps + 1)) * t_s
-        block = sense(cfg, euler, times, rng)
-        fused = fuse_block(cfg, tick.filter_state, block)
-        estimates = np.array([c_n_b for _, c_n_b, _ in fused])
-        targets = mechanical.stabilization_command(estimates, euler)
-        gimbal, gimbals = tick.gimbal, []
-        for target, sensed in zip(targets, block):  # the servo loop
-            isolation = mechanical.isolation_rates(gimbal.angles, sensed.omega_m)
+        sensed = sense(cfg, euler, times, rng)
+        states = fuse_block(cfg, block.filter_state[-1], sensed)
+        c_n_b, est = fusion.estimate(np.array([state.q for state in states]))
+        targets = mechanical.stabilization_command(c_n_b, euler)
+        gimbal, gimbals = block.gimbal[-1], []
+        for target, omega in zip(targets, sensed.omega_m):  # the servo recursion
+            isolation = mechanical.isolation_rates(gimbal.angles, omega)
             gimbal = mechanical.gimbal_step(gimbal, target, isolation, cfg.servo, t_s)
             gimbals.append(gimbal)
-        arrivals = beam_frame_arrival(
-            [g.angles for g in gimbals], np.array([s.c_n_b_truth for s in block]), euler
+        block = sensed._replace(
+            filter_state=states, est=est, command=targets, gimbal=gimbals,
+            arrival=beam_frame_arrival([g.angles for g in gimbals], sensed.c_n_b_truth, euler),
         )
-        done = [
-            Tick(s, state, target, est, g, a)
-            for s, (state, _, est), target, g, a in zip(block, fused, targets, gimbals, arrivals)
-        ]
-        yield from done
-        tick = done[-1]
+        yield block
 
 
 def streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -234,26 +213,30 @@ def attitude_error(est, truth) -> tuple[float, float, float]:
     )
 
 
-def _readout(
-    cfg: ScenarioConfig, read: list[Tick], wbar: np.ndarray, total_queries: int
-) -> list[TraceRecord]:
-    """The trace rows of the ticks ``read``, from one stacked readout of
-    their channels under the conjugated weight matrix ``wbar``."""
-    chan = cfg.signal.channel(cfg.array, [tick.arrival for tick in read])
-    rows = []
-    for tick, power in zip(read, chan.nrsp(wbar)):
-        sensed, gimbal = tick.sensed, tick.gimbal
-        # degrees: truth, estimate and error (yaw, pitch, roll), gimbal
-        # angles, pointing error (azimuth, elevation)
-        angles = (
-            *sensed.truth, *tick.est, *attitude_error(tick.est, sensed.truth),
-            *gimbal.angles, *mechanical.pointing_error(gimbal, sensed.ideal),
-        )
-        rows.append(TraceRecord(
-            sensed.t, "mech", *(a * R2D for a in angles),
-            power, 0, total_queries, int(gimbal.rate_clamped),
-        ))
-    return rows
+def _wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """``frames.wrap_angle`` of each of the finite ``angles``, with its bits:
+    ``np.fmod`` is exact, as ``math.fmod`` is.  Where ``math.fmod`` raises
+    on an infinite angle, ``np.fmod`` gives nan."""
+    r = np.fmod(angles + math.pi, frames.TWO_PI)
+    return np.where(r <= 0.0, r + frames.TWO_PI, r) - math.pi
+
+
+# the columns of _trace_angles wrapped to (-pi, pi]: yaw, roll, pointing errors
+_WRAPPED = [6, 8, 12, 13]
+
+
+def _trace_angles(block: Block) -> list[list[float]]:
+    """The angle cells of each tick's trace row, in degrees: truth, estimate
+    and error (yaw, pitch, roll), gimbal angles, pointing error (azimuth,
+    elevation).  The angles are finite (``sense`` checks the truth, the
+    others come out of atan2, asin and ``frames.wrap_angle``), so the
+    errors wrap as ``attitude_error`` and ``mechanical.pointing_error`` do."""
+    est = np.array(block.est)
+    gimbal = np.array([g.angles for g in block.gimbal])
+    ideal = np.array(block.ideal)
+    rad = np.hstack((block.truth, est, est - block.truth, gimbal, ideal[:, :2] - gimbal[:, :2]))
+    rad[:, _WRAPPED] = _wrap_angles(rad[:, _WRAPPED])
+    return (rad * R2D).tolist()
 
 
 def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
@@ -263,7 +246,7 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     refinement epoch (the ``phase`` column tells them apart).
     """
     sensor_rng, channel_rng, perturb_rng = streams(cfg.run.seed)
-    loop = ticks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, cfg.ticks)
+    loop = blocks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, cfg.ticks)
     next(loop)  # the start at t = 0, which the trace does not record
     phases = np.zeros(cfg.array.size)
     wbar = ch.conj_weight_matrix(phases, cfg.array)  # changes only at the epochs
@@ -271,18 +254,26 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     total_queries = 0
     records: list[TraceRecord] = []
 
-    for block in iter(lambda: list(islice(loop, _READOUT_CHUNK)), []):
-        first = 0
-        for end, last in enumerate(block, 1):
-            epoch = last.sensed.t >= next_epoch - 1e-12
-            if epoch or end == len(block):
-                # the ticks up to an epoch read the weights before it
-                records += _readout(cfg, block[first:end], wbar, total_queries)
-                first = end
-            if not epoch:
+    for block in loop:
+        angles = _trace_angles(block)
+        lo = 0
+        while lo < len(block.t):
+            # the first tick at or past the next epoch, as the times increase
+            epoch = bisect_left(block.t, next_epoch - 1e-12, lo)
+            hi = min(lo + _READOUT_CHUNK, epoch + 1, len(block.t))
+            # the ticks up to an epoch read the weights before it, in one
+            # stacked readout of their channels
+            powers = cfg.signal.channel(cfg.array, block.arrival[lo:hi]).nrsp(wbar)
+            rows = zip(block.t[lo:hi], angles[lo:hi], powers, block.gimbal[lo:hi])
+            records += [
+                TraceRecord(t, "mech", *cells, power, 0, total_queries, int(g.rate_clamped))
+                for t, cells, power, g in rows
+            ]
+            lo = hi
+            if hi <= epoch:
                 continue
             next_epoch += cfg.electrical.epoch_period
-            [h_vec] = cfg.signal.channel(cfg.array, [last.arrival]).vec()
+            [h_vec] = cfg.signal.channel(cfg.array, [block.arrival[epoch]]).vec()
             oracle = ch.PowerOracle(h_vec, cfg.signal.noise_power, channel_rng)
             phases, trace = el.RUNNERS[cfg.electrical.method](
                 phases, oracle, cfg.electrical.params, perturb_rng, cfg.array

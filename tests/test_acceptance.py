@@ -45,22 +45,26 @@ def closed_loop_runs():
     started = time.perf_counter()
     for seed in range(20):
         sensor_rng, _, _ = harness.streams(seed)
-        loop = harness.ticks(cfg, euler, sensor_rng, steps)
-        gyro_only = next(loop).est
+        start, *run = harness.blocks(cfg, euler, sensor_rng, steps)
+        gyro_only = Attitude(*start.est[0])
         att_err = np.empty(steps)
         gyro_err = np.empty(steps)
         pt_err = np.empty((steps, 2))
         nrsp_pre = None
-        for k, tick in enumerate(loop, 1):
-            sensed = tick.sensed
-            truth = sensed.truth
-            gyro_only = sensors.gyro_integrate(gyro_only, sensed.omega_m, t_s)
-            att_err[k - 1] = max(map(abs, harness.attitude_error(tick.est, truth)))
-            gyro_err[k - 1] = max(map(abs, harness.attitude_error(gyro_only, truth)))
-            pt_err[k - 1] = mechanical.pointing_error(tick.gimbal, sensed.ideal)
-            if nrsp_pre is None and sensed.t >= 5.0:
-                [h] = cfg.signal.channel(cfg.array, [tick.arrival]).vec()
-                nrsp_pre = nrsp(np.zeros(cfg.array.size), h)
+        k = 0
+        for block in run:
+            for t, truth, omega, est, gimbal, ideal, arrival in zip(
+                block.t, block.truth.tolist(), block.omega_m, block.est, block.gimbal,
+                block.ideal, block.arrival,
+            ):
+                gyro_only = sensors.gyro_integrate(gyro_only, omega, t_s)
+                att_err[k] = max(map(abs, harness.attitude_error(est, truth)))
+                gyro_err[k] = max(map(abs, harness.attitude_error(gyro_only, truth)))
+                pt_err[k] = mechanical.pointing_error(gimbal, ideal)
+                if nrsp_pre is None and t >= 5.0:
+                    [h] = cfg.signal.channel(cfg.array, [arrival]).vec()
+                    nrsp_pre = nrsp(np.zeros(cfg.array.size), h)
+                k += 1
         results.append((att_err, gyro_err, pt_err, nrsp_pre))
     return results, time.perf_counter() - started
 

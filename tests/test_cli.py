@@ -54,6 +54,13 @@ class TestGeometry:
         assert code == 2
         assert err.startswith(f"error: {flag}: {key}: ")
 
+    @pytest.mark.parametrize("attitude", ["-5,2,1", "-.5,-2,1", "-1e1,0,0"])
+    def test_negative_attitude_reads_as_with_equals(self, capsys, attitude):
+        # argparse on its own reads -5,2,1 as an unknown option
+        spaced = run_cli(capsys, ["geometry", "--attitude", attitude])
+        assert spaced[0] == 0
+        assert spaced == run_cli(capsys, ["geometry", f"--attitude={attitude}"])
+
     @pytest.mark.parametrize("attitude", ["1,2", "nan,0,0", "0,inf,0"])
     def test_bad_attitude_usage(self, capsys, attitude):
         code, out, err = run_cli(capsys, ["geometry", "--attitude", attitude])
@@ -203,6 +210,12 @@ class TestSweep:
         assert f"error: argument {flag}: " in err
         assert err.startswith("usage: ")
         assert out == ""
+
+    @pytest.mark.parametrize("values", ["-10,-20", "-1e1"])
+    def test_negative_values_read_as_with_equals(self, capsys, small_sweep, values):
+        spaced = run_cli(capsys, small_sweep + ["--values", values])
+        assert spaced[0] == 0
+        assert spaced == run_cli(capsys, small_sweep + [f"--values={values}"])
 
     def test_missing_config_exits_2_with_usage(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--config", "/no/such/file.ini", "--values", "20"])

@@ -1,5 +1,5 @@
 """Smoke test: demos 01 (the stabilization solve), 02 and 03 (on the
-harness stepper), 04 (on the factored channel) and 06 (the whole loop,
+closed loop's blocks), 04 (on the factored channel) and 06 (the whole loop,
 writing its trace into the working directory) run as scripts.  Demo 05
 is left out: it takes seconds, and the acceptance fixtures run its
 optimizers."""

@@ -342,6 +342,46 @@ class TestQuaternions:
         with pytest.raises(ValueError):
             quat_to_dcm(np.array([1.0, 0.1, 0, 0]))
 
+    def test_stack_rows_keep_the_bits_of_one_quaternion(self):
+        rng = np.random.default_rng(31)
+        q = rng.standard_normal((3000, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        q[:1000] *= 1.0 + rng.uniform(-9e-7, 9e-7, (1000, 1))  # off norm within 1e-6
+        q[1000:1004] = [[1.0, 0, 0, 0], [0, 0, 0, -1.0], [0.5, -0.5, 0.5, -0.5], [-0.0, 1.0, 0, 0]]
+        stack = quat_to_dcm(q)
+        assert stack.shape == (len(q), 3, 3)
+        for row, dcm in zip(q, stack):
+            assert dcm.tobytes() == quat_to_dcm(row).tobytes() == reference_dcm(row).tobytes()
+
+    def test_off_norm_row_of_a_stack_named(self):
+        q = np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))
+        q[3] = [1.0, 0.1, 0.0, 0.0]
+        with pytest.raises(ValueError, match=f"quaternion norm {math.sqrt(1.01)!r} departs"):
+            quat_to_dcm(q)
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (), (4, 5)])
+    def test_not_four_components_rejected(self, shape):
+        with pytest.raises(ValueError, match="four components"):
+            quat_to_dcm(np.ones(shape))
+
+
+def reference_dcm(q: np.ndarray) -> np.ndarray:
+    """The DCM of one quaternion in Python floats, after its norm by the
+    BLAS dot of ``q.dot(q)``: the reference of each row of ``quat_to_dcm``."""
+    n = math.sqrt(q.dot(q))
+    q0, q1, q2, q3 = [v / n for v in q.tolist()]
+    return np.array([
+        q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
+        2.0 * (q1 * q2 - q0 * q3),
+        2.0 * (q1 * q3 + q0 * q2),
+        2.0 * (q1 * q2 + q0 * q3),
+        q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3,
+        2.0 * (q2 * q3 - q0 * q1),
+        2.0 * (q1 * q3 - q0 * q2),
+        2.0 * (q2 * q3 + q0 * q1),
+        q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3,
+    ]).reshape(3, 3)
+
 
 class TestDcmToEuler:
     """zyx_angles as the inverse of c_n_b (yaw/pitch/roll, also of the

@@ -158,17 +158,19 @@ class TestPredict:
         cfg = default_scenario()
         rng = np.random.default_rng(1)
         euler = mechanical.pointing_euler(cfg.geo)
-        loop = harness.ticks(cfg, euler, rng, 6000)
-        ref = matrix_state(next(loop).filter_state)
+        start, *run = harness.blocks(cfg, euler, rng, 6000)
+        ref = matrix_state(start.filter_state[0])
         t_s = cfg.sensors.sample_period
-        for tick in loop:
-            sensed = tick.sensed
-            ref = matrix_predict(ref, sensed.omega_m, t_s)
-            pr = sensed.pitch_roll
-            z = measurement_quat(sensed.psi_m, pr.pitch, pr.roll)
-            ref = matrix_update(ref, align(z, ref.q))
-            assert_scalar_covariance(tick.filter_state.kappa, ref.kappa)
-            np.testing.assert_allclose(tick.filter_state.q, ref.q, rtol=0, atol=1e-12)
+        for block in run:
+            pr = block.pitch_roll
+            for omega, psi, pitch, roll, state in zip(
+                block.omega_m, block.psi_m.tolist(), pr.pitch.tolist(), pr.roll.tolist(),
+                block.filter_state,
+            ):
+                ref = matrix_predict(ref, omega, t_s)
+                ref = matrix_update(ref, align(measurement_quat(psi, pitch, roll), ref.q))
+                assert_scalar_covariance(state.kappa, ref.kappa)
+                np.testing.assert_allclose(state.q, ref.q, rtol=0, atol=1e-12)
 
 
 class TestMeasurementQuat:
@@ -240,8 +242,8 @@ class TestUpdate:
 
 
 def fusion_ticks(profile, noise_cfg, seed, duration, **covariances):
-    """(sensed tick, fused estimate) pairs of a filter started on the
-    noiseless truth."""
+    """(truth, gyro rates, measured yaw/pitch/roll, fused estimate) of each
+    tick of a filter started on the noiseless truth."""
     cfg = ScenarioConfig(profile=profile, sensors=noise_cfg, fusion=FusionConfig(**covariances))
     rng = np.random.default_rng(seed)
     first = sensors.flight_profile(0.0, profile).attitude
@@ -249,14 +251,17 @@ def fusion_ticks(profile, noise_cfg, seed, duration, **covariances):
     steps = int(round(duration / noise_cfg.sample_period))
     times = np.arange(1, steps + 1) * noise_cfg.sample_period
     block = harness.sense(cfg, mechanical.pointing_euler(cfg.geo), times, rng)
-    fused = harness.fuse_block(cfg, state, block)
-    return [(sensed, est) for sensed, (_, _, est) in zip(block, fused)]
+    states = harness.fuse_block(cfg, state, block)
+    _, est = fusion.estimate(np.array([s.q for s in states]))
+    pr = block.pitch_roll
+    measured = zip(block.psi_m.tolist(), pr.pitch.tolist(), pr.roll.tolist())
+    return list(zip(block.truth.tolist(), block.omega_m, measured, est))
 
 
 def run_fusion(profile, noise_cfg, seed, duration, **covariances):
     """Per-step attitude errors (rad, 3 columns) of the fused estimate."""
     ticks = fusion_ticks(profile, noise_cfg, seed, duration, **covariances)
-    return np.array([harness.attitude_error(est, sensed.truth) for sensed, est in ticks])
+    return np.array([harness.attitude_error(est, truth) for truth, _, _, est in ticks])
 
 
 class TestFuseStep:
@@ -288,10 +293,9 @@ class TestFuseStep:
         cfg = SensorNoiseConfig()
         est = sensors.flight_profile(0.0, MOVING).attitude
         errs = []
-        for sensed, fused in fusion_ticks(MOVING, cfg, 7, 60.0):
-            est = sensors.gyro_integrate(est, sensed.omega_m, cfg.sample_period)
-            arms = (fused, est, (sensed.psi_m, sensed.pitch_roll.pitch, sensed.pitch_roll.roll))
-            errs.append([harness.attitude_error(a, sensed.truth) for a in arms])
+        for truth, omega, measured, fused in fusion_ticks(MOVING, cfg, 7, 60.0):
+            est = sensors.gyro_integrate(est, omega, cfg.sample_period)
+            errs.append([harness.attitude_error(a, truth) for a in (fused, est, measured)])
         fused_rmse, gyro_rmse, meas_rmse = np.sqrt((np.array(errs) ** 2).mean(axis=(0, 2)))
         assert fused_rmse < gyro_rmse
         assert fused_rmse < meas_rmse

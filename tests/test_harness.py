@@ -1,6 +1,6 @@
 import json
 import math
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from beamtrack.harness import (
     run_simulation,
 )
 from test_channel import reference_nrsp, reference_terms, reference_vec
+from test_sensors import Sensed, sensed_ticks
 
 D2R = math.pi / 180.0
 COLUMN_TYPES = get_type_hints(TraceRecord)
@@ -231,19 +232,43 @@ class TestRunSimulation:
         assert all(math.isfinite(v) for v in cells)
 
 
-def reference_step(cfg, euler, prev: harness.Tick, sensed: harness.Sensed) -> harness.Tick:
+class Tick(NamedTuple):
+    """One tick of the closed loop, and the loop state for the next."""
+
+    sensed: Sensed
+    filter_state: fusion.FilterState
+    command: mechanical.GimbalAngles  # stabilization command of the estimate
+    est: tuple  # the estimate's yaw/pitch/roll
+    gimbal: mechanical.GimbalState
+    arrival: tuple[float, float]  # (azimuth, elevation) of beam_frame_arrival
+
+
+def ticks_of(block: harness.Block) -> list[Tick]:
+    """The columns of ``block``, one record per tick."""
+    return list(map(
+        Tick, sensed_ticks(block), block.filter_state, block.command, block.est, block.gimbal,
+        block.arrival,
+    ))
+
+
+def loop_ticks(cfg, euler, rng, steps) -> list[Tick]:
+    """Every tick of ``harness.blocks``, the start's included."""
+    return [tick for block in harness.blocks(cfg, euler, rng, steps) for tick in ticks_of(block)]
+
+
+def reference_step(cfg, euler, prev: Tick, sensed: Sensed) -> Tick:
     """The closed-loop tick after ``prev``, on its own: fuse the readings of
     ``sensed``, command the gimbal to the stabilization solution, isolate the
     measured body rates, servo, and take the arrival."""
     t_s = cfg.sensors.sample_period
     prior = fusion.predict(prev.filter_state, sensed.omega_m, t_s)
     state = fusion.update(prior, fusion.align(sensed.z, prior.q))
-    c_n_b, est = fusion.estimate(state.q)
-    [target] = mechanical.stabilization_command(c_n_b[None], euler)
+    c_n_b, [est] = fusion.estimate(state.q[None])
+    [target] = mechanical.stabilization_command(c_n_b, euler)
     isolation = mechanical.isolation_rates(prev.gimbal.angles, sensed.omega_m)
     gimbal = mechanical.gimbal_step(prev.gimbal, target, isolation, cfg.servo, t_s)
     [arrival] = beam_frame_arrival([gimbal.angles], sensed.c_n_b_truth[None], euler)
-    return harness.Tick(sensed, state, target, est, gimbal, arrival)
+    return Tick(sensed, state, target, est, gimbal, arrival)
 
 
 CHUNK = harness._SENSE_CHUNK
@@ -262,19 +287,21 @@ def tick_bits(tick) -> bytes:
 
 
 class TestTicks:
-    # whole blocks, and a trailing block of one tick
-    @pytest.mark.parametrize("steps", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    # whole blocks, a trailing block of one tick, and a partial last block
+    @pytest.mark.parametrize("steps", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * CHUNK + 300])
     def test_ticks_equal_step_by_step(self, steps):
         # the loop runs _SENSE_CHUNK ticks at a time through its stages; the
         # step on ticks sensed one at a time reads the same bits
         cfg = small_scenario()
         euler = mechanical.pointing_euler(cfg.geo)
         t_s = cfg.sensors.sample_period
-        loop = list(harness.ticks(cfg, euler, np.random.default_rng(4), steps))
+        sizes = [len(b.t) for b in harness.blocks(cfg, euler, np.random.default_rng(4), steps)]
+        assert sizes == [1] + [CHUNK] * (steps // CHUNK) + [steps % CHUNK] * (steps % CHUNK > 0)
+        loop = loop_ticks(cfg, euler, np.random.default_rng(4), steps)
         rng = np.random.default_rng(4)
-        want = [harness.start(cfg, euler, rng)]
+        want = ticks_of(next(harness.blocks(cfg, euler, rng, 0)))
         for k in range(1, steps + 1):
-            [sensed] = harness.sense(cfg, euler, np.array([k * t_s]), rng)
+            [sensed] = sensed_ticks(harness.sense(cfg, euler, np.array([k * t_s]), rng))
             want.append(reference_step(cfg, euler, want[-1], sensed))
         assert [tick_bits(t) for t in loop] == [tick_bits(t) for t in want]
 
@@ -284,25 +311,25 @@ class TestTicks:
         cfg.profile = ProfileConfig(pitch=[Sinusoid(100 * D2R, 0.012)])
         done = []
         with pytest.raises(SingularityError):
-            for tick in harness.ticks(cfg, mechanical.pointing_euler(cfg.geo),
-                                      np.random.default_rng(0), 2 * CHUNK):
-                done.append(tick)
+            for block in harness.blocks(cfg, mechanical.pointing_euler(cfg.geo),
+                                        np.random.default_rng(0), 2 * CHUNK):
+                done += block.t
         assert len(done) == 1 + CHUNK
 
 
 def reference_run(cfg) -> list[TraceRecord]:
     """``run_simulation`` with a readout per tick: each tick's channel built
-    and read on its own (``test_channel``'s per-arrival reference), and
-    each epoch's oracle on the vector of its tick's channel."""
+    and read on its own (``test_channel``'s per-arrival reference), its
+    errors wrapped by ``frames.wrap_angle``, and each epoch's oracle on the
+    vector of its tick's channel."""
     sensor_rng, channel_rng, perturb_rng = harness.streams(cfg.run.seed)
-    loop = harness.ticks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, cfg.ticks)
-    next(loop)
+    loop = loop_ticks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, cfg.ticks)
     phases = np.zeros(cfg.array.size)
     wbar = conj_weight_matrix(phases, cfg.array)
     next_epoch = cfg.electrical.first_epoch
     total_queries = 0
     records = []
-    for tick in loop:
+    for tick in loop[1:]:  # the start at t = 0 is not recorded
         sensed, gimbal = tick.sensed, tick.gimbal
         terms = reference_terms(cfg.signal, cfg.array, *tick.arrival)
         angles = (
@@ -350,12 +377,20 @@ class TestReadout:
         (FOUR, f"first_epoch = {READOUT / 100}\nepoch_period = {(READOUT + 1) / 100}\n",
          (3 * READOUT + 10) / 100, [READOUT, 2 * READOUT + 1, 3 * READOUT + 2]),
         # both edges of the loop's first block of ticks, on consecutive ticks
-        (FOUR, f"first_epoch = {harness._SENSE_CHUNK / 100}\nepoch_period = 0.01\n",
-         (harness._SENSE_CHUNK + 1) / 100, [harness._SENSE_CHUNK, harness._SENSE_CHUNK + 1]),
+        (FOUR, f"first_epoch = {CHUNK / 100}\nepoch_period = 0.01\n",
+         (CHUNK + 1) / 100, [CHUNK, CHUNK + 1]),
+        # one whole block
+        (FOUR, "first_epoch = 2\nepoch_period = 5\n", CHUNK / 100, [200, 700]),
+        # the last tick of the first block and the one tick of the third
+        (FOUR, f"first_epoch = {CHUNK / 100}\nepoch_period = {(CHUNK + 1) / 100}\n",
+         (2 * CHUNK + 1) / 100, [CHUNK, 2 * CHUNK + 1]),
+        # a partial last block
+        (FOUR, "first_epoch = 3\nepoch_period = 12\n", (CHUNK + 300) / 100, [300]),
         (FOUR + "[signal]\nnlos_gain = 0.3\n",
          "method = spsa\nfirst_epoch = 0.3\nepoch_period = 0.5\n", 1.2, [30, 80]),
         ("[array]\nrows = 1\ncols = 1\n", "method = sequential\nfirst_epoch = 0.2\n", 1, [20]),
-    ], ids=["tick-1", "several-per-readout", "readout-edges", "block-edges", "two-ray", "1x1"])
+    ], ids=["tick-1", "several-per-readout", "readout-edges", "block-edges", "one-block",
+            "third-block", "partial-block", "two-ray", "1x1"])
     def test_block_readout_equals_per_tick_readout(self, head, epoch_keys, duration, epochs):
         cfg = load_scenario_text(
             f"{head}[electrical]\nmax_iters = 5\nseq_max_sweeps = 2\n{epoch_keys}"
@@ -365,6 +400,41 @@ class TestReadout:
         assert sorted({round(r.t * 100) for r in records if r.phase == "elec"}) == epochs
         # repr shows every bit of a float, and its type
         assert list(map(repr, records)) == list(map(repr, reference_run(cfg)))
+
+    def test_errors_of_a_huge_yaw(self):
+        # the errors that the readout wraps are differences of finite angles:
+        # sense refuses a non-finite truth, and the estimate and the gimbal
+        # come out of atan2, asin and frames.wrap_angle.  A truth yaw of
+        # 1e300 rad (a cosine of a tiny frequency) makes the largest of them
+        cfg = load_scenario_text(f"{FOUR}[run]\nseed = 2\nduration = 0.7\n")
+        cfg.profile = ProfileConfig(yaw=[Sinusoid(1e300, 1e-310, math.pi / 2)])
+        records = run_simulation(cfg)
+        assert {r.yaw_true_deg for r in records} == {1e300 * harness.R2D}
+        assert all(abs(r.yaw_err_deg) <= 180.0 for r in records)
+        assert list(map(repr, records)) == list(map(repr, reference_run(cfg)))
+
+
+class TestWrapAngles:
+    def test_bits_of_wrap_angle(self):
+        pi = math.pi
+        edges = [
+            pi, -pi, 0.0, -0.0, 3 * pi, -3 * pi, 5 * pi, -5 * pi, 1001 * pi, -1001 * pi,
+            2 * pi, -2 * pi, math.nextafter(pi, 4), math.nextafter(-pi, -4),
+            math.nextafter(pi, 0), math.nextafter(-pi, 0), 5e-324, -5e-324, 1e300, -1e300,
+            1.7976931348623157e308, -1.7976931348623157e308,
+        ]
+        rng = np.random.default_rng(8)
+        angles = np.concatenate([edges, rng.uniform(-50, 50, 2000), rng.normal(0, 1e9, 200)])
+        want = np.array([frames.wrap_angle(a) for a in angles.tolist()])
+        assert harness._wrap_angles(angles.reshape(-1, 2)).tobytes() == want.tobytes()
+
+    def test_infinite_angle(self):
+        # math.fmod raises on an infinite angle, np.fmod gives nan; the
+        # readout wraps differences of finite angles only (TestReadout)
+        with pytest.raises(ValueError):
+            frames.wrap_angle(math.inf)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(harness._wrap_angles(np.array([math.inf, -math.inf]))).all()
 
 
 class TestExport:

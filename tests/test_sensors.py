@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -98,7 +99,31 @@ def reference_measurement_quat(yaw: float, pitch: float, roll: float) -> np.ndar
     return q / math.sqrt(q.dot(q))
 
 
-def reference_sensed(cfg: ScenarioConfig, euler, t: float, rng, gyro=True) -> harness.Sensed:
+class Sensed(NamedTuple):
+    """The open-loop half of one tick: what depends only on ``t`` and the
+    sensor stream."""
+
+    t: float
+    truth: Attitude
+    omega_m: list | None  # None at the start, which draws no gyro sample
+    pitch_roll: sensors.PitchRoll
+    psi_m: float
+    z: np.ndarray  # measurement quaternion, before its hemisphere sign
+    c_n_b_truth: np.ndarray  # truth NED-to-body DCM
+    ideal: mechanical.GimbalAngles  # stabilization command under the truth
+
+
+def sensed_ticks(block: harness.Block) -> list[Sensed]:
+    """The open-loop columns of ``block``, one record per tick."""
+    pitch_roll = map(sensors.PitchRoll, *(a.tolist() for a in block.pitch_roll))
+    return list(map(
+        Sensed, block.t, map(Attitude._make, block.truth.tolist()),
+        block.omega_m or [None] * len(block.t), pitch_roll, block.psi_m.tolist(), block.z,
+        block.c_n_b_truth, block.ideal,
+    ))
+
+
+def reference_sensed(cfg: ScenarioConfig, euler, t: float, rng, gyro=True) -> Sensed:
     """The open-loop half of one tick, its draws taken from ``rng``."""
     truth = reference_flight_profile(t, cfg.profile)
     omega = gyro_measure(truth.body_rates, cfg.sensors, rng) if gyro else None
@@ -107,7 +132,7 @@ def reference_sensed(cfg: ScenarioConfig, euler, t: float, rng, gyro=True) -> ha
     psi = gps_yaw_measure(truth.attitude, cfg.sensors, rng)
     c_n_b = frames.c_n_b(truth.attitude)
     [ideal] = mechanical.stabilization_command(c_n_b[None], euler)
-    return harness.Sensed(
+    return Sensed(
         t, truth.attitude, omega, pr, psi, reference_measurement_quat(psi, pr.pitch, pr.roll),
         c_n_b, ideal,
     )
@@ -452,7 +477,7 @@ class TestFloatTupleVectors:
             assert bits(reader(array)) == bits(reader(rates))
 
 
-def sensed_bits(s: harness.Sensed) -> bytes:
+def sensed_bits(s: Sensed) -> bytes:
     """Every float of a tick's open-loop half, and the saturated flag, as bytes."""
     values = [s.t, *s.truth, *(s.omega_m or ()), *s.pitch_roll, s.psi_m, *s.z, *s.ideal]
     return np.array(values, dtype=float).tobytes() + s.c_n_b_truth.tobytes()
@@ -491,14 +516,14 @@ class TestSenseBlock:
         want += [reference_sensed(cfg, euler, k * t_s, ref_rng) for k in range(1, n + 1)]
         # one block, and the chunks of the loop
         block_rng, chunk_rng = np.random.default_rng(17), np.random.default_rng(17)
-        start = harness.sense(cfg, euler, np.zeros(1), block_rng, gyro=False)
-        block = harness.sense(cfg, euler, np.arange(1, n + 1) * t_s, block_rng)
-        chunked = [tick.sensed for tick in harness.ticks(cfg, euler, chunk_rng, n)]
+        start = sensed_ticks(harness.sense(cfg, euler, np.zeros(1), block_rng, gyro=False))
+        block = sensed_ticks(harness.sense(cfg, euler, np.arange(1, n + 1) * t_s, block_rng))
+        chunked = [s for b in harness.blocks(cfg, euler, chunk_rng, n) for s in sensed_ticks(b)]
         assert len(block) == len(chunked) - 1 == n
         for got in (start + block, chunked):
             assert [sensed_bits(s) for s in got] == [sensed_bits(s) for s in want]
             assert all(
-                type(s.omega_m) is tuple and all(type(v) is float for v in s.omega_m)
+                type(s.omega_m) is list and all(type(v) is float for v in s.omega_m)
                 for s in got[1:]
             )
         if name == "saturating" and n > 1:

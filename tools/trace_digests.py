@@ -25,11 +25,13 @@ tick of the first block) and tick 2049 (the first tick of the third).
 The next is one sha256 over the outputs of ``simulate`` on eight 4x4
 configs of 0.5 s (``gyro_white_sigma = 1e6``, ``gravity`` 0.0383203125
 and 0.01, seeds 0, 1, 2 and 4), whose fused estimate reaches the pitch
-pole and reads the pole convention of ``frames.zyx_angles``.  The last
+pole and reads the pole convention of ``frames.zyx_angles``.  The next
 is one sha256 over the ``repr`` of every ``harness.run_simulation``
 record of configs A, D, E, F and the block-edge config: the CSV's 9
 significant digits can hide a change in the last bit of a float, which
-the repr shows.
+the repr shows.  The last is one sha256 over the standard output of
+demos 01-04 and 06, each run as a script (demo 05 takes seconds and
+runs no closed loop).
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -41,9 +43,9 @@ With ``--expect FILE`` it compares its lines with a saved run: it exits 1
 and prints the lines that differ (``-`` saved, ``+`` this run) on standard
 error, or exits 0 when every line matches.
 
-It imports ``beamtrack`` from the ``src/`` next to it, writes its traces
-into a temporary directory, and takes about 10 s on a 2-vCPU x86-64
-machine.
+It imports ``beamtrack`` from the ``src/`` next to it (the demos too),
+writes its traces into a temporary directory, and takes about 15 s on a
+2-vCPU x86-64 machine.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import difflib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -61,6 +64,10 @@ from pathlib import Path
 import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEMOS = SRC.parent / "demos"
+# the demos of the last line
+DEMO_SCRIPTS = ("01_pointing_geometry.py", "02_attitude_fusion.py", "03_dynamic_isolation.py",
+                "04_array_and_spectrum.py", "06_full_scenario.py")
 sys.path.insert(0, str(SRC))
 
 from beamtrack.channel import ArrayGeometry, SignalModel, matched_weights  # noqa: E402
@@ -165,6 +172,22 @@ def records_digest() -> str:
     return f"run_simulation records x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
 
 
+def demos_digest(work: Path) -> str:
+    """One sha256 over the standard output of each demo of ``DEMO_SCRIPTS``,
+    run in ``work`` (demo 06 writes its trace there)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )}
+    outputs = []
+    for script in DEMO_SCRIPTS:
+        done = subprocess.run([sys.executable, str(DEMOS / script)], cwd=work, env=env,
+                              capture_output=True)
+        if done.returncode != 0:
+            sys.exit(f"trace_digests: demo {script} exited {done.returncode}")
+        outputs.append(done.stdout)
+    return f"demos x{len(outputs)}  {sha256(b''.join(outputs))}"
+
+
 def sweep_digest() -> str:
     table = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(table):
@@ -250,7 +273,8 @@ def main(argv: list[str] | None = None) -> int:
                            high_snr_sequential_digest, sweep_digest,
                            lambda: simulate_digest(work, "saturating", "S", SATURATING_CONFIG),
                            lambda: simulate_digest(work, "block-edge", "T", BLOCK_EDGE_CONFIG),
-                           lambda: pitch_pole_digest(work), records_digest):
+                           lambda: pitch_pole_digest(work), records_digest,
+                           lambda: demos_digest(work)):
                 lines.append(digest())
                 print(lines[-1], flush=True)
         finally:
