@@ -252,15 +252,16 @@ class PowerOracle:
     variance MN*noise_power for every phase setting, so it is drawn
     directly (one complex draw per query instead of MN).
 
-    Every query is counted and draws its noise through ``noise_terms``, in
-    query order, whichever path it takes: from scratch (``__call__``), as
-    a probe pair at offsets from the held phases (``hold``, ``probe_pair``,
-    ``move``), or from sums of ``combiner_terms`` that the sequential walk
-    keeps itself (a block's noise array from ``noise_terms``;
-    ``sample_pair`` is the one-query form).  The one- and two-query paths
-    add their noise as Python complex numbers.
-    ``true_nrsp`` and ``held_nrsp`` are the noiseless diagnostics of the
-    traces; no optimizer reads them.
+    The oracle only measures; it keeps no state of a run but its query
+    count.  Every runner reads it the same way: it takes the per-element
+    terms conj(w) * h of the combiner sum (``combiner_terms``), carries
+    and turns them itself, and reads each query as
+    ``abs(combined + noise) ** 2 / scale`` with the noise drawn, and the
+    query counted, by ``noise_terms`` in query order.  ``__call__`` (from
+    scratch) and ``sample_pair`` (a combiner sum plus an increment) are
+    the one-query forms of that reading, and ``true_nrsp`` the noiseless
+    diagnostic; the tests and the benchmark's tracer use them, no runner
+    does.
     """
 
     h_vec: np.ndarray
@@ -269,8 +270,6 @@ class PowerOracle:
     queries: int = 0
     scale: float = field(init=False)
     _noise_sigma: float = field(init=False)
-    _held: np.ndarray | None = field(init=False, default=None)
-    _spin: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         h = np.asarray(self.h_vec)
@@ -301,40 +300,6 @@ class PowerOracle:
     def combiner_terms(self, phases: np.ndarray) -> np.ndarray:
         """The per-element terms conj(w) * h of the combiner sum w^H h."""
         return np.conj(weights_from_phases(phases)) * self.h_vec
-
-    def hold(self, phases: np.ndarray) -> None:
-        """Carry the combiner terms of ``phases``."""
-        self._held = self.combiner_terms(phases)
-        self._spin = np.empty_like(self._held)
-
-    def probe_pair(self, delta: np.ndarray, signs: np.ndarray | None = None) -> tuple[float, float]:
-        """Powers at the held phases + delta and - delta, in that order.
-        ``signs``, if given, are the +/-1 signs of an offset of one
-        magnitude: delta == signs * delta[0] * signs[0]."""
-        e = self._rotation(delta, signs)
-        n_plus, n_minus = self.noise_terms(2).tolist()
-        return self._measure(self._held @ e, n_plus), self._measure(np.vdot(e, self._held), n_minus)
-
-    def move(self, step: np.ndarray, signs: np.ndarray | None = None) -> None:
-        """Advance the held phases by ``step`` (``signs`` as for probe_pair)."""
-        self._held *= self._rotation(step, signs)
-
-    def _rotation(self, offset: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
-        """exp(-1j * offset), written into the oracle's one rotation
-        buffer: one full-array cos and sin, or with ``signs`` (the
-        isotropic SPSA probe and step) one scalar exponential, bit for bit:
-        cos is even and sin odd, so element i is cos(x) - j*signs[i]*sin(x)
-        for x = offset[0] * signs[0]."""
-        if signs is None:
-            return _unit_phasor(offset, -1, self._spin)
-        p = np.exp(-1j * (offset[:1] * signs[:1]))
-        self._spin.real = p.real
-        np.multiply(signs, p.imag, out=self._spin.imag)
-        return self._spin
-
-    def held_nrsp(self) -> float:
-        """``true_nrsp`` of the held phases, from the carried terms."""
-        return float(abs(self._held.sum()) ** 2 / self.scale)
 
     def _measure(self, combined: complex, noise: complex) -> float:
         return abs(combined + noise) ** 2 / self.scale

@@ -19,11 +19,13 @@ iteration i + 1 (sweep i + 1 for the sequential walk) and whose
 ``budget`` is the runner's own limit: ``max_iters`` for ASSP and SPSA,
 ``seq_max_sweeps`` for the sequential walk.
 
-No runner reads the channel.  The simultaneous methods pass the oracle
-phase offsets: ``hold`` the start, then per iteration
-``probe_pair(delta)`` and ``move(step)``, with ``held_nrsp`` for the
-trace.  The sequential walk takes the oracle's ``combiner_terms`` once
-per sweep and draws their noise from ``noise_terms``.
+No runner reads the channel, and every runner reads the oracle the same
+way: it takes the oracle's ``combiner_terms`` conj(w) * h, carries and
+turns them itself, and reads each query as ``abs(sum + noise) ** 2 /
+scale``, its noise drawn from ``noise_terms``.  ASSP and SPSA take the
+terms once and turn them by each probe and step (``_rotation``, whose
+one-scalar form for the isotropic probe is known only here); the
+sequential walk takes them once per sweep.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ import numpy as np
 from .channel import (
     ArrayGeometry,
     PowerOracle,
+    _product,
+    _unit_phasor,
     conj_weight_matrix,
     plane_wave,
 )
@@ -172,12 +176,13 @@ def run_assp(
     """
     structure = structure_matrix(geom)
     phases = np.asarray(initial_phases, dtype=float).copy()
-    oracle.hold(phases)
+    terms = oracle.combiner_terms(phases)
+    spin = np.empty_like(terms)
     trace = OptimizerTrace(params.max_iters)
     best, stalled = -math.inf, 0
     # without the structured term every probe and step component is one
     # magnitude on the Bernoulli signs: the probe, mean(delta^2) and the
-    # step are worked as scalars, and the oracle rotates by one scalar
+    # step are worked as scalars, and the terms turn by one scalar
     # exponential.  Bit for bit the general formulas: b*D*xi is +/-0.0, so
     # adding it to +/-c is exact, multiplying by +/-1 is exact, and
     # (-x)*(-x) == x*x; a zero step keeps the sign of its Bernoulli entry.
@@ -188,16 +193,20 @@ def run_assp(
             mag = params.isotropic_weight / (k + 1) ** params.probe_exponent
             # np.mean's pairwise sum of n equal squares is not always the square
             msq = float(np.mean(np.full(bern.size, mag * mag)))
-            p_plus, p_minus = oracle.probe_pair(bern * mag, bern)
-            step = bern * (params.step_size(k) * ((p_plus - p_minus) * mag / (2.0 * msq)))
-            oracle.move(step, bern)
+            delta, signs = bern * mag, bern
         else:
-            delta = perturbation_vector(structure, xi, bern, params, k)
-            p_plus, p_minus = oracle.probe_pair(delta)
+            delta, signs = perturbation_vector(structure, xi, bern, params, k), None
+        e = _rotation(delta, signs, spin)
+        n_plus, n_minus = oracle.noise_terms(2).tolist()
+        p_plus = abs(terms @ e + n_plus) ** 2 / oracle.scale
+        p_minus = abs(np.vdot(e, terms) + n_minus) ** 2 / oracle.scale
+        if isotropic:
+            step = bern * (params.step_size(k) * ((p_plus - p_minus) * mag / (2.0 * msq)))
+        else:
             step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
-            oracle.move(step)
+        terms *= _rotation(step, signs, spin)
         phases += step
-        trace.append(oracle.held_nrsp(), oracle.queries)
+        trace.append(float(abs(terms.sum()) ** 2 / oracle.scale), oracle.queries)
         observed = max(p_plus, p_minus)
         improved = observed > best * (1.0 + params.stop_epsilon) or best == -math.inf
         stalled = 0 if improved else stalled + 1
@@ -205,6 +214,20 @@ def run_assp(
         if stalled >= params.stop_window:
             break
     return phases, trace
+
+
+def _rotation(offset: np.ndarray, signs: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """exp(-1j * offset), written into the complex buffer ``out``: one
+    full-array cos and sin, or with ``signs`` (the isotropic SPSA probe
+    and step, whose offset is signs * offset[0] * signs[0]) one scalar
+    exponential, bit for bit: cos is even and sin odd, so element i is
+    cos(x) - j*signs[i]*sin(x) for x = offset[0] * signs[0]."""
+    if signs is None:
+        return _unit_phasor(offset, -1, out)
+    p = np.exp(-1j * (offset[:1] * signs[:1]))
+    out.real = p.real
+    np.multiply(signs, p.imag, out=out.imag)
+    return out
 
 
 def run_isotropic_spsa(
@@ -231,15 +254,6 @@ _NEAR_TIE, _TINY = 1e-13, 1e-290
 _NO_MOVE = complex(-0.0, -0.0)  # x + (-0.0) == x for every x, -0.0 included
 
 
-def _turned(c: np.ndarray, rot: complex) -> np.ndarray:
-    """c * rot in Python's complex product order (real a*c - b*d,
-    imaginary a*d + b*c): four real multiplies, never a fused one."""
-    out = np.empty_like(c)
-    out.real = c.real * rot.real - c.imag * rot.imag
-    out.imag = c.real * rot.imag + c.imag * rot.real
-    return out
-
-
 def _walk_block(
     total: complex, c: np.ndarray, noise: np.ndarray,
     rot_plus: complex, rot_minus: complex, scale: float,
@@ -249,7 +263,7 @@ def _walk_block(
     block; ``noise`` holds each element's plus and minus noise in turn."""
     size = c.size
     neg = -c
-    turned_plus, turned_minus = _turned(c, rot_plus), _turned(c, rot_minus)
+    turned_plus, turned_minus = _product(c, rot_plus), _product(c, rot_minus)
     noise_plus, noise_minus = noise[0::2], noise[1::2]
     moves = np.zeros(size)
     seq = np.empty(2 * size + 1, dtype=complex)

@@ -421,16 +421,6 @@ class TestUnitPhasor:
         assert weights_from_phases(x).tobytes() == np.exp(1j * x).tobytes()
         assert weights_from_phases(list(x[:7])).tobytes() == np.exp(1j * x[:7]).tobytes()
 
-    def test_held_terms_and_rotation_are_the_exponential(self):
-        x = phasor_arguments()
-        rng = np.random.default_rng(13)
-        h = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-        oracle = PowerOracle(h, 0.0, np.random.default_rng(0))
-        oracle.hold(x)
-        assert oracle._held.tobytes() == (np.conj(np.exp(1j * x)) * h).tobytes()
-        for offset in (x, x[::-1].copy(), 1e-2 * x):
-            assert oracle._rotation(offset, None).tobytes() == np.exp(-1j * offset).tobytes()
-
 
 class TestPowerOracle:
     @pytest.mark.parametrize("rows, cols, az, el", [(16, 8, 0.1, 0.3), (128, 64, 0.1, 0.2)],
@@ -493,42 +483,6 @@ class TestPowerOracle:
         assert oracle.noise_terms(5).tobytes() == np.zeros(5, dtype=complex).tobytes()
         assert oracle.queries == 5
         assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
-
-    def test_probe_pair_and_move_match_from_scratch_queries(self):
-        geom = ArrayGeometry(16, 8)
-        h = los_channel(geom, 0.01, 0.7, gain=0.8 * np.exp(0.4j))
-        rng = np.random.default_rng(3)
-        phases = rng.uniform(-3.0, 3.0, geom.size)
-        delta = 0.05 * rng.standard_normal(geom.size)
-        step = 0.3 * rng.standard_normal(geom.size)
-        held = PowerOracle(h, 0.01, np.random.default_rng(4))
-        fresh = PowerOracle(h, 0.01, np.random.default_rng(4))
-        held.hold(phases)
-        assert held.held_nrsp() == pytest.approx(fresh.true_nrsp(phases), abs=1e-14)
-        p_plus, p_minus = held.probe_pair(delta)
-        assert p_plus == pytest.approx(fresh(phases + delta), rel=1e-12)
-        assert p_minus == pytest.approx(fresh(phases - delta), rel=1e-12)
-        held.move(step)
-        assert held.held_nrsp() == pytest.approx(fresh.true_nrsp(phases + step), abs=1e-14)
-        assert held.queries == fresh.queries == 2
-
-    def test_probe_pair_draws_both_noises_in_one_call(self):
-        geom = ArrayGeometry(16, 8)
-        h = los_channel(geom, 0.01, 0.7, gain=0.8 * np.exp(0.4j))
-        rng = np.random.default_rng(6)
-        phases = rng.uniform(-3.0, 3.0, geom.size)
-        delta = 0.05 * rng.standard_normal(geom.size)
-        oracle, twin = (PowerOracle(h, 0.01, np.random.default_rng(8)) for _ in range(2))
-        oracle.hold(phases)
-        held, e = oracle._held.copy(), np.exp(-1j * delta)
-        n0, n1 = twin.noise_terms(2)
-        before = oracle.queries
-        assert oracle.probe_pair(delta) == (
-            abs(held @ e + n0) ** 2 / oracle.scale,
-            abs(np.vdot(e, held) + n1) ** 2 / oracle.scale,
-        )
-        assert oracle.queries == before + 2
-        assert oracle.rng.standard_normal() == twin.rng.standard_normal()
 
     def test_signal_model_noise_power(self):
         assert SignalModel(snr_db=20.0).noise_power == pytest.approx(0.01)

@@ -9,6 +9,7 @@ from beamtrack.channel import ArrayGeometry, PowerOracle, SignalModel
 from beamtrack.electrical import (
     AsspParams,
     OptimizerTrace,
+    _rotation,
     aligned_gradient,
     draw_perturbation,
     fit_doa,
@@ -50,43 +51,6 @@ def assp_gradient(phases, delta, oracle):
     return (p_plus - p_minus) / (2.0 * delta), p_plus, p_minus
 
 
-class PhaseOracle:
-    """The offset contract of ``PowerOracle`` served from scratch: it keeps
-    the phases and evaluates ``power`` at phases +/- delta, and the
-    diagnostic at the phases.  The offsets say everything, so the sign
-    hint of an isotropic probe is ignored."""
-
-    def __init__(self, power, diagnostic):
-        self.power, self.diagnostic = power, diagnostic
-        self.queries = 0
-
-    def hold(self, phases):
-        self.phases = np.array(phases, dtype=float)
-
-    def probe_pair(self, delta, signs=None):
-        self.queries += 2
-        return self.power(self.phases + delta), self.power(self.phases - delta)
-
-    def move(self, step, signs=None):
-        self.phases = self.phases + step
-
-    def held_nrsp(self):
-        return self.diagnostic(self.phases)
-
-
-class ElementwiseOracle(PowerOracle):
-    """``PowerOracle`` with its rotations written as complex exponentials:
-    the combiner terms from ``np.exp(1j * phases)`` and every offset
-    rotated by ``np.exp(-1j * offset)`` element by element, ignoring the
-    sign hint of an isotropic probe."""
-
-    def combiner_terms(self, phases):
-        return np.conj(np.exp(1j * np.asarray(phases, dtype=float))) * self.h_vec
-
-    def _rotation(self, offset, signs):
-        return np.exp(-1j * offset)
-
-
 def bits(values):
     return np.asarray(values, dtype=complex).view(np.uint64)
 
@@ -101,19 +65,38 @@ def reference_draw(rng, size):
 def simultaneous_reference(initial_phases, oracle, params, rng, geom):
     """``run_assp`` without its stop rule, from the general formulas: the
     reference draw, ``perturbation_vector`` and ``aligned_gradient`` on
-    every element, and no sign hint to the oracle."""
+    every element, and the combiner terms made and turned by complex
+    exponentials."""
     structure = structure_matrix(geom)
     phases = np.asarray(initial_phases, dtype=float).copy()
-    oracle.hold(phases)
+    terms = np.conj(np.exp(1j * phases)) * oracle.h_vec
     trace = OptimizerTrace(params.max_iters)
     for k in range(params.max_iters):
         xi, bern = reference_draw(rng, phases.size)
         delta = perturbation_vector(structure, xi, bern, params, k)
-        p_plus, p_minus = oracle.probe_pair(delta)
+        e = np.exp(-1j * delta)
+        n_plus, n_minus = oracle.noise_terms(2).tolist()
+        p_plus = abs(terms @ e + n_plus) ** 2 / oracle.scale
+        p_minus = abs(np.vdot(e, terms) + n_minus) ** 2 / oracle.scale
         step = params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
-        oracle.move(step)
+        terms *= np.exp(-1j * step)
         phases += step
-        trace.append(oracle.held_nrsp(), oracle.queries)
+        trace.append(float(abs(terms.sum()) ** 2 / oracle.scale), oracle.queries)
+    return phases, trace
+
+
+def from_scratch_reference(initial_phases, power, diagnostic, params, rng, geom):
+    """``run_assp`` without its stop rule, each probe read from scratch as
+    ``power(phases +/- delta)`` and each row as ``diagnostic(phases)``."""
+    structure = structure_matrix(geom)
+    phases = np.asarray(initial_phases, dtype=float).copy()
+    trace = OptimizerTrace(params.max_iters)
+    for k in range(params.max_iters):
+        xi, bern = reference_draw(rng, phases.size)
+        delta = perturbation_vector(structure, xi, bern, params, k)
+        p_plus, p_minus = power(phases + delta), power(phases - delta)
+        phases += params.step_size(k) * aligned_gradient(p_plus, p_minus, delta)
+        trace.append(diagnostic(phases), 2 * (k + 1))
     return phases, trace
 
 
@@ -380,34 +363,42 @@ class TestAsspRun:
             return -float(np.sum((p - target) ** 2))
 
         geom = ArrayGeometry(8, 1)
-        params = AsspParams(max_iters=500, stop_window=10**9)
+        params = AsspParams(max_iters=500, stop_window=10**9, structure_weight=0.0)
         ok = 0
         seeds = 40
         for seed in range(seeds):
-            phases, _ = run_isotropic_spsa(
-                np.zeros(8), PhaseOracle(quadratic, quadratic), params,
-                np.random.default_rng(seed), geom,
+            phases, _ = from_scratch_reference(
+                np.zeros(8), quadratic, quadratic, params, np.random.default_rng(seed), geom
             )
             if float(np.sum((phases - target) ** 2)) <= 1e-3:
                 ok += 1
         assert ok >= math.ceil(0.95 * seeds)
 
     def test_carried_phasor_matches_per_query_reference(self):
-        # the held terms against from-scratch probes and diagnostic on the
-        # same noise stream: equal control flow, floats to rounding
+        # the carried terms against from-scratch probes and diagnostic on
+        # the same noise stream: equal control flow, floats to rounding.
+        # A LOS ray from zero phases, and a channel of random terms from
+        # random phases under large ASSP and SPSA steps
         geom = ArrayGeometry(16, 8)
-        params = AsspParams(max_iters=100, stop_window=10**9)
         az = math.asin(math.sqrt(2.0) * math.sin(0.3 * D2R))
-        fast = make_oracle(geom, az, 45 * D2R, snr_db=10, seed=4)
-        slow = make_oracle(geom, az, 45 * D2R, snr_db=10, seed=4)
-        ref = PhaseOracle(slow, slow.true_nrsp)
-        p1, t1 = run_assp(np.zeros(geom.size), fast, params, np.random.default_rng(8), geom)
-        p2, t2 = run_assp(np.zeros(geom.size), ref, params, np.random.default_rng(8), geom)
-        assert len(t1) == params.max_iters
-        assert len(t1) == len(t2) and t1.queries == t2.queries
-        assert fast.queries == slow.queries == ref.queries
-        np.testing.assert_allclose(t1.nrsp, t2.nrsp, rtol=0, atol=1e-11)
-        np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-11)
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal(geom.size) + 1j * rng.standard_normal(geom.size)
+        start = rng.uniform(-3.0, 3.0, geom.size)
+        cases = [(los_vec(geom, az, 45 * D2R), 0.1, np.zeros(geom.size),
+                  AsspParams(max_iters=100, stop_window=10**9))]
+        cases += [(h, 0.01, start, AsspParams(gain=20.0, structure_weight=weight, max_iters=5,
+                                              stop_window=10**9)) for weight in (0.02, 0.0)]
+        for h, noise, start, params in cases:
+            fast, slow = (PowerOracle(h, noise, np.random.default_rng(4)) for _ in range(2))
+            p1, t1 = run_assp(start, fast, params, np.random.default_rng(8), geom)
+            p2, t2 = from_scratch_reference(
+                start, slow, slow.true_nrsp, params, np.random.default_rng(8), geom
+            )
+            assert len(t1) == params.max_iters and t1.queries == t2.queries
+            assert fast.queries == slow.queries == 2 * params.max_iters
+            assert np.max(np.abs(p1 - start)) > 0.1
+            np.testing.assert_allclose(t1.nrsp, t2.nrsp, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-11)
 
     def test_held_nrsp_tracks_true_nrsp_over_large_phases(self):
         geom = ArrayGeometry(16, 8)
@@ -417,8 +408,17 @@ class TestAsspRun:
             np.random.default_rng(2), geom,
         )
         assert len(trace) == 100
-        assert oracle.held_nrsp() == trace.nrsp[-1]
-        assert abs(oracle.held_nrsp() - oracle.true_nrsp(phases)) <= 1e-12
+        assert abs(trace.nrsp[-1] - oracle.true_nrsp(phases)) <= 1e-12
+
+    def test_oracle_keeps_no_array_of_a_run(self):
+        # the runner carries its terms and rotation buffer itself: after a
+        # run the oracle holds no array but the channel
+        geom = ArrayGeometry(16, 8)
+        oracle = make_oracle(geom, 0.3 * D2R, 45 * D2R, snr_db=20)
+        for runner in (run_assp, run_isotropic_spsa):
+            runner(np.zeros(geom.size), oracle, AsspParams(max_iters=5), np.random.default_rng(0), geom)
+            arrays = [k for k, v in vars(oracle).items() if isinstance(v, np.ndarray)]
+            assert arrays == ["h_vec"]
 
     @pytest.mark.parametrize("runner, full", [(run_assp, True), (run_isotropic_spsa, False)],
                              ids=["assp", "spsa"])
@@ -452,11 +452,42 @@ class TestAsspRun:
             np.zeros(geom.size), oracle, AsspParams(max_iters=7, stop_window=10**9),
             np.random.default_rng(0), geom,
         )
-        # one for the held start, then a probe pair and a move per
+        # one for the start's terms, then a probe pair and a step per
         # iteration: full-array for ASSP, one scalar each for isotropic SPSA
         assert len(trace) == 7
         assert sizes == [geom.size] + [geom.size if full else 1] * 2 * len(trace)
         assert sines == [n for n in sizes if n == geom.size]
+
+
+class TestRotation:
+    """The terms that ``run_assp`` carries and turns, and its noise draws."""
+
+    def test_terms_and_rotation_are_the_exponential(self):
+        # phases of both signs from 1e-3 to 1e6 in magnitude, multiples of
+        # pi, the signed zeros and the smallest subnormal
+        rng = np.random.default_rng(12)
+        x = np.concatenate((10.0 ** rng.uniform(-3, 6, 5000), math.pi * np.arange(0.5, 9.0, 0.5),
+                            [1e5 * math.pi, 0.0, 5e-324]))
+        x = np.concatenate((x, -x))
+        h = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+        oracle = PowerOracle(h, 0.0, np.random.default_rng(0))
+        assert oracle.combiner_terms(x).tobytes() == (np.conj(np.exp(1j * x)) * h).tobytes()
+        buf = np.empty(x.size, dtype=complex)
+        for offset in (x, x[::-1].copy(), 1e-2 * x):
+            assert _rotation(offset, None, buf).tobytes() == np.exp(-1j * offset).tobytes()
+
+    def test_each_iteration_draws_both_noises_in_one_call(self):
+        geom = ArrayGeometry(16, 8)
+        oracle, twin = (make_oracle(geom, 0.3 * D2R, 45 * D2R, snr_db=10, seed=8) for _ in range(2))
+        calls, draw = [], oracle.noise_terms
+        oracle.noise_terms = lambda n: calls.append(n) or draw(n)
+        params = AsspParams(max_iters=6, stop_window=10**9)
+        for runner in (run_assp, run_isotropic_spsa):
+            runner(np.zeros(geom.size), oracle, params, np.random.default_rng(0), geom)
+        assert calls == [2] * 12
+        twin.noise_terms(24)
+        assert oracle.queries == twin.queries == 24
+        assert oracle.rng.standard_normal() == twin.rng.standard_normal()
 
 
 class TestSignedRotation:
@@ -466,30 +497,27 @@ class TestSignedRotation:
     @pytest.mark.parametrize("magnitude", [1e-3, 0.01, 0.7, 2.8, 31.4159, 123.4, 999.9])
     @pytest.mark.parametrize("kind", ["mixed", "plus", "minus"])
     def test_bits_equal_the_elementwise_exponential(self, magnitude, kind):
-        geom = ArrayGeometry(16, 8)
-        oracle = make_oracle(geom, 0.3 * D2R, 45 * D2R)
-        oracle.hold(np.zeros(geom.size))
+        size = 128
         signs = {
-            "mixed": np.random.default_rng(3).integers(0, 2, geom.size) * 2.0 - 1.0,
-            "plus": np.ones(geom.size),
-            "minus": -np.ones(geom.size),
+            "mixed": np.random.default_rng(3).integers(0, 2, size) * 2.0 - 1.0,
+            "plus": np.ones(size),
+            "minus": -np.ones(size),
         }[kind]
+        buf = np.empty(size, dtype=complex)
         for x in (magnitude, -magnitude):
             offset = signs * x
-            assert np.array_equal(bits(oracle._rotation(offset, signs)), bits(np.exp(-1j * offset)))
+            assert np.array_equal(bits(_rotation(offset, signs, buf)), bits(np.exp(-1j * offset)))
 
     def test_signed_zero_step(self):
         # p_plus == p_minus makes a step of +0.0 on + signs and -0.0 on -
         # signs, whose exponentials differ in the sign of the zero
         # imaginary part
-        geom = ArrayGeometry(4, 2)
-        oracle = make_oracle(geom, 0.3 * D2R, 45 * D2R)
-        oracle.hold(np.zeros(geom.size))
         signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
+        buf = np.empty(signs.size, dtype=complex)
         for first in (1.0, -1.0):
             signs[0] = first
             step = 0.0 * signs
-            assert np.array_equal(bits(oracle._rotation(step, signs)), bits(np.exp(-1j * step)))
+            assert np.array_equal(bits(_rotation(step, signs, buf)), bits(np.exp(-1j * step)))
 
     @pytest.mark.parametrize("rows, cols, runner", [
         (16, 8, run_isotropic_spsa),
@@ -514,7 +542,7 @@ class TestSignedRotation:
         if runner is run_isotropic_spsa:
             params = replace(params, structure_weight=0.0)
         p2, t2 = simultaneous_reference(
-            np.zeros(geom.size), ElementwiseOracle(h, 0.1, np.random.default_rng(4)), params,
+            np.zeros(geom.size), PowerOracle(h, 0.1, np.random.default_rng(4)), params,
             np.random.default_rng(8), geom,
         )
         assert len(t1) == params.max_iters

@@ -1,9 +1,10 @@
-"""The names of beamtrack that the benchmark in ``perfbench/`` looks up.
+"""The benchmark in ``perfbench/`` against this tree, without its timed rounds.
 
 The tracer wraps the oracle methods it lists by name and the sweep
 workloads record trials through ``experiments.METHOD_RUNNERS``, so a
-rename or deletion there breaks the benchmark at set-up; these tests
-make that set-up, without the timed rounds.
+rename or deletion there breaks the benchmark at set-up.  Each workload
+also runs its warm-up round through its output checks, so a change that
+the benchmark would count as incorrect output fails here first.
 """
 
 from pathlib import Path
@@ -35,8 +36,13 @@ def test_tracer_installs_and_uninstalls(perfbench):
 
 
 def test_every_workload_prepares(perfbench, tmp_path):
+    # and runs its warm-up round through its checks
     _, workloads = perfbench
-    for workload in workloads.WORKLOADS.values():
+    for name, workload in workloads.WORKLOADS.items():
         wl = workload()
         wl.prepare(beamtrack, tmp_path, 0)
-        wl.close()
+        try:
+            for inp in wl.warmup_round():
+                assert wl.check(inp, wl.run(inp)) == [], name
+        finally:
+            wl.close()

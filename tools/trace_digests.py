@@ -29,9 +29,17 @@ pole and reads the pole convention of ``frames.zyx_angles``.  The next
 is one sha256 over the ``repr`` of every ``harness.run_simulation``
 record of configs A, D, E, F and the block-edge config: the CSV's 9
 significant digits can hide a change in the last bit of a float, which
-the repr shows.  The last is one sha256 over the standard output of
+the repr shows.  The next is one sha256 over the standard output of
 demos 01-04 and 06, each run as a script (demo 05 takes seconds and
-runs no closed loop).
+runs no closed loop).  The last is one sha256 over the full outputs of
+72 ASSP and isotropic SPSA runner calls, which ``run_trial``'s repr
+hides: the final phases' bytes, the ``repr`` of every row of
+``trace.nrsp``, ``trace.queries``, and the next draw of the oracle's and
+of the runner's generator.  They run at 1x1, 5x3, 16x8 and 128x64,
+noiseless and at 20 and 10 dB, with the default parameters (the stall
+stop fires) and with the acceptance parameters (it does not), from
+zero phases and, at 5x3 and 16x8, also from random phases at a second
+seed.
 
 A change that is meant to move no bit prints the same lines before and
 after.  Run it from the root of each tree:
@@ -44,7 +52,7 @@ and prints the lines that differ (``-`` saved, ``+`` this run) on standard
 error, or exits 0 when every line matches.
 
 It imports ``beamtrack`` from the ``src/`` next to it (the demos too),
-writes its traces into a temporary directory, and takes about 15 s on a
+writes its traces into a temporary directory, and takes 5-7 s on a
 2-vCPU x86-64 machine.
 """
 
@@ -70,11 +78,11 @@ DEMO_SCRIPTS = ("01_pointing_geometry.py", "02_attitude_fusion.py", "03_dynamic_
                 "04_array_and_spectrum.py", "06_full_scenario.py")
 sys.path.insert(0, str(SRC))
 
-from beamtrack.channel import ArrayGeometry, SignalModel, matched_weights  # noqa: E402
+from beamtrack.channel import ArrayGeometry, PowerOracle, SignalModel, matched_weights  # noqa: E402
 from beamtrack.cli import cli_main  # noqa: E402
 from beamtrack.config import load_scenario_text  # noqa: E402
-from beamtrack.electrical import AsspParams, fit_doa  # noqa: E402
-from beamtrack.experiments import run_trial  # noqa: E402
+from beamtrack.electrical import AsspParams, fit_doa, run_assp, run_isotropic_spsa  # noqa: E402
+from beamtrack.experiments import offset_arrival, run_trial  # noqa: E402
 from beamtrack.harness import run_simulation  # noqa: E402
 
 EPOCHS = "[electrical]\nfirst_epoch = 2\nepoch_period = 5\n"
@@ -246,6 +254,31 @@ def fit_digest() -> str:
     return f"fit_doa x{len(reprs)}  {sha256(chr(10).join(reprs).encode())}"
 
 
+def simultaneous_digest() -> str:
+    """The full outputs of ASSP and SPSA runs on a LOS ray 0.3 deg/axis
+    off the normal (the trials' arrival, and for 1x1 a constant)."""
+    parts = []
+    for rows, cols, starts in ((1, 1, 1), (5, 3, 2), (16, 8, 2), (128, 64, 1)):
+        geom = ArrayGeometry(rows, cols)
+        [h] = SignalModel().channel(geom, [offset_arrival(0.3)]).vec()
+        for runner in (run_assp, run_isotropic_spsa):
+            for snr in (None, 20.0, 10.0):
+                noise = 0.0 if snr is None else 10.0 ** (-snr / 10.0)
+                for params in PARAMS.values():
+                    for start in range(starts):
+                        # the trials' zero phases, or random phases of a few radians
+                        initial = (np.random.default_rng(100).uniform(-3.0, 3.0, geom.size)
+                                   if start else np.zeros(geom.size))
+                        oracle = PowerOracle(h, noise, np.random.default_rng(start))
+                        rng = np.random.default_rng(50 + start)
+                        phases, trace = runner(initial, oracle, params, rng, geom)
+                        parts += [phases.tobytes(), repr(trace.nrsp).encode(),
+                                  repr(trace.queries).encode(),
+                                  repr(oracle.rng.standard_normal()).encode(),
+                                  repr(rng.random()).encode()]
+    return f"simultaneous runners x{len(parts) // 5}  {sha256(chr(10).encode().join(parts))}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -274,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
                            lambda: simulate_digest(work, "saturating", "S", SATURATING_CONFIG),
                            lambda: simulate_digest(work, "block-edge", "T", BLOCK_EDGE_CONFIG),
                            lambda: pitch_pole_digest(work), records_digest,
-                           lambda: demos_digest(work)):
+                           lambda: demos_digest(work), simultaneous_digest):
                 lines.append(digest())
                 print(lines[-1], flush=True)
         finally:
