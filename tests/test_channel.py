@@ -464,6 +464,32 @@ class TestPowerOracle:
         assert block.queries == single.queries == 7
         assert block.rng.standard_normal() == single.rng.standard_normal()
 
+    def test_probe_pair_and_move_match_from_scratch_queries(self):
+        # a probe pair and a move read through combiner_terms and
+        # noise_terms, as the simultaneous runners read them, against
+        # from-scratch queries on the same noise stream
+        geom = ArrayGeometry(16, 8)
+        h = los_channel(geom, 0.01, 0.7, gain=0.8 * np.exp(0.4j))
+        rng = np.random.default_rng(3)
+        phases = rng.uniform(-3.0, 3.0, geom.size)
+        delta = 0.05 * rng.standard_normal(geom.size)
+        step = 0.3 * rng.standard_normal(geom.size)
+        held = PowerOracle(h, 0.01, np.random.default_rng(4))
+        fresh = PowerOracle(h, 0.01, np.random.default_rng(4))
+        terms = held.combiner_terms(phases)
+        assert abs(terms.sum()) ** 2 / held.scale == pytest.approx(fresh.true_nrsp(phases), abs=1e-14)
+        e = np.exp(-1j * delta)
+        n_plus, n_minus = held.noise_terms(2).tolist()
+        p_plus = abs(terms @ e + n_plus) ** 2 / held.scale
+        p_minus = abs(np.vdot(e, terms) + n_minus) ** 2 / held.scale
+        assert p_plus == pytest.approx(fresh(phases + delta), rel=1e-12)
+        assert p_minus == pytest.approx(fresh(phases - delta), rel=1e-12)
+        terms *= np.exp(-1j * step)
+        assert abs(terms.sum()) ** 2 / held.scale == pytest.approx(
+            fresh.true_nrsp(phases + step), abs=1e-14
+        )
+        assert held.queries == fresh.queries == 2
+
     def test_one_query_noise_is_the_array_draw(self):
         # one query at a time reads the stream of one array draw, in query order
         h = los_channel(ArrayGeometry(8, 4), 0.02, 0.1)
