@@ -257,8 +257,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
                 f"electrical.{key}: {work} element-iterations per epoch "
                 f"({cfg.array.size} elements), beyond {WORK_LIMIT:g}"
             )
-    # run_simulation runs cfg.ticks ticks, and holds every tick's trace row
-    # until the run ends
+    # the loop runs cfg.ticks ticks, and run_simulation holds every tick's
+    # trace row until the run ends
     if cfg.ticks < 1:
         raise ConfigError("run.duration: shorter than half a sensors.sample_period, no tick runs")
     if cfg.ticks > LIMIT:

@@ -15,8 +15,8 @@ rates as float lists, and fusion never reads the gimbal; the other
 stages are one stacked call per block, each tick with the bits it would
 have alone.  A block that raises in any stage is not yielded.
 
-``run_simulation`` reads its trace rows from the columns: a block's
-angle cells in one numpy pass, and its channels a readout of up to
+``trace_blocks`` reads a block of trace rows from each block's columns:
+its angle cells in one numpy pass, and its channels a readout of up to
 ``_READOUT_CHUNK`` ticks at a time: one stacked channel of the ticks'
 arrivals, and one stacked normalized received power of the current
 analog weights, through the conjugated weight matrix, which changes only
@@ -25,6 +25,11 @@ including it read the weights before the epoch, the ticks after it the
 weights the electrical stage refined against the MN channel vector
 frozen at the epoch's geometry.  No stage of ``blocks`` reads the
 weights, so an epoch never splits a block of the loop.
+It yields the records of each readout, with its epoch's records if it
+ends on one, as they are read.  ``run_simulation`` is the list of that
+stream, and ``write_trace`` writes the stream to CSV and JSON a record
+block at a time, so a run that writes its trace holds one block of the
+loop and one readout of records, however long it flies.
 
 Randomness is split into independent per-subsystem streams (sensor
 noise, channel noise, perturbations) from the master seed by ``streams``,
@@ -35,10 +40,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import re
 from bisect import bisect_left
+from contextlib import contextmanager
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator, NamedTuple, get_type_hints
+from typing import Iterable, Iterator, NamedTuple, TextIO, get_type_hints
 
 import numpy as np
 
@@ -239,12 +248,12 @@ def _trace_angles(block: Block) -> list[list[float]]:
     return (rad * R2D).tolist()
 
 
-def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
-    """Run the full closed loop and return the trace.
-
-    One record per sensor tick plus one per electrical iteration at each
-    refinement epoch (the ``phase`` column tells them apart).
-    """
+def trace_blocks(cfg: ScenarioConfig) -> Iterator[list[TraceRecord]]:
+    """Run the full closed loop and yield its trace a readout at a time: one
+    record per sensor tick of the readout, then, where the readout ends on
+    an epoch, one record per electrical iteration of the epoch (the
+    ``phase`` column tells them apart).  The stream holds one block of the
+    loop's columns and one readout of records."""
     sensor_rng, channel_rng, perturb_rng = streams(cfg.run.seed)
     loop = blocks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, cfg.ticks)
     next(loop)  # the start at t = 0, which the trace does not record
@@ -252,7 +261,6 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
     wbar = ch.conj_weight_matrix(phases, cfg.array)  # changes only at the epochs
     next_epoch = cfg.electrical.first_epoch
     total_queries = 0
-    records: list[TraceRecord] = []
 
     for block in loop:
         angles = _trace_angles(block)
@@ -265,44 +273,44 @@ def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
             # stacked readout of their channels
             powers = cfg.signal.channel(cfg.array, block.arrival[lo:hi]).nrsp(wbar)
             rows = zip(block.t[lo:hi], angles[lo:hi], powers, block.gimbal[lo:hi])
-            records += [
+            records = [
                 TraceRecord(t, "mech", *cells, power, 0, total_queries, int(g.rate_clamped))
                 for t, cells, power, g in rows
             ]
             lo = hi
-            if hi <= epoch:
-                continue
-            next_epoch += cfg.electrical.epoch_period
-            [h_vec] = cfg.signal.channel(cfg.array, [block.arrival[epoch]]).vec()
-            oracle = ch.PowerOracle(h_vec, cfg.signal.noise_power, channel_rng)
-            phases, trace = el.RUNNERS[cfg.electrical.method](
-                phases, oracle, cfg.electrical.params, perturb_rng, cfg.array
-            )
-            wbar = ch.conj_weight_matrix(phases, cfg.array)
-            base = records[-1]
-            records.extend(
-                base._replace(
-                    phase="elec", nrsp=trace.nrsp[i], elec_iteration=i + 1,
-                    oracle_queries=total_queries + trace.queries[i], rate_clamped=0,
+            if hi > epoch:
+                next_epoch += cfg.electrical.epoch_period
+                [h_vec] = cfg.signal.channel(cfg.array, [block.arrival[epoch]]).vec()
+                oracle = ch.PowerOracle(h_vec, cfg.signal.noise_power, channel_rng)
+                phases, trace = el.RUNNERS[cfg.electrical.method](
+                    phases, oracle, cfg.electrical.params, perturb_rng, cfg.array
                 )
-                for i in range(len(trace))
-            )
-            total_queries += oracle.queries
-    return records
+                wbar = ch.conj_weight_matrix(phases, cfg.array)
+                base = records[-1]
+                records.extend(
+                    base._replace(
+                        phase="elec", nrsp=trace.nrsp[i], elec_iteration=i + 1,
+                        oracle_queries=total_queries + trace.queries[i], rate_clamped=0,
+                    )
+                    for i in range(len(trace))
+                )
+                total_queries += oracle.queries
+            yield records
+
+
+def run_simulation(cfg: ScenarioConfig) -> list[TraceRecord]:
+    """The whole trace of ``trace_blocks`` as one list, held until the run
+    ends (about 1.9 KB per tick)."""
+    return list(chain.from_iterable(trace_blocks(cfg)))
 
 
 # One %-format per row, from the declared column types: 9 significant
-# digits for a float column, str() otherwise.  run_simulation, the one
+# digits for a float column, str() otherwise.  trace_blocks, the one
 # writer of records (its _replace(...) rows included), puts floats in the
 # float columns and ints in the int columns, so no cell needs its runtime
 # type; an int in a float column is written as the float it equals.
 _COLUMN_TYPES = tuple(get_type_hints(TraceRecord).values())  # in field order
 _ROW_FORMAT = ",".join("%.9g" if kind is float else "%s" for kind in _COLUMN_TYPES)
-
-
-def _data_lines(records: list[TraceRecord]) -> list[str]:
-    """One CSV line per record, each formatted by one C-level call."""
-    return [_ROW_FORMAT % rec for rec in records]
 
 
 def _json_token(kind: type, cell: str) -> str:
@@ -320,24 +328,97 @@ def _json_token(kind: type, cell: str) -> str:
     return cell + ".0"  # 5, -0
 
 
+# A CSV line whose cells are their own JSON tokens but for the quotes of
+# its str cell: each float cell one that _json_token passes as it is (a
+# point or a negative exponent, and no e+, e-3, nan or inf), the str cell
+# printable ASCII but for the quote, the comma and the backslash.
+_PLAIN_CELL = {
+    float: r"-?[0-9]++(?:\.[0-9]++(?:e-[0-24-9][0-9]++)?+|e-[0-24-9][0-9]++)",
+    int: r"-?[0-9]++",
+    str: r"[ !#-+\--\[\]-~]*+",
+}
+# each run of columns of one type as one repeated group: a flat pattern
+# takes 4x the time to compile, and 128 KB more peak RSS
+_PLAIN_ROW = re.compile(",".join(
+    f"{_PLAIN_CELL[kind]}(?:,{_PLAIN_CELL[kind]}){{{len(list(run)) - 1}}}"
+    for kind, run in groupby(_COLUMN_TYPES)
+))
+# the separator of a JSON row's cells, in the layout of json.dumps(..., indent=1)
+_CELL_SEP = ",\n   "
+
+
+def _json_row(line: str) -> str:
+    """The JSON row of one CSV line: each cell its token, on a line of its own."""
+    if _PLAIN_ROW.fullmatch(line):
+        # the phase, the second cell and the only str one, takes its quotes
+        t, phase, rest = line.split(",", 2)
+        return f'  [\n   {t},\n   "{phase}",\n   {rest.replace(",", _CELL_SEP)}\n  ]'
+    return "  [\n   " + _CELL_SEP.join(map(_json_token, _COLUMN_TYPES, line.split(","))) + "\n  ]"
+
+
+_CSV_HEAD = f"# {TRACE_SCHEMA}\n" + ",".join(TRACE_COLUMNS) + "\n"
+_JSON_HEAD = (
+    f'{{\n "schema": {encode_basestring_ascii(TRACE_SCHEMA)},\n "columns": [\n  '
+    + ",\n  ".join(map(encode_basestring_ascii, TRACE_COLUMNS)) + '\n ],\n "rows": ['
+)
+
+
+@contextmanager
+def _replacing(path: str | Path | None) -> Iterator[TextIO | None]:
+    """A text file written under ``path`` + ".tmp" and renamed to ``path``
+    when the ``with`` body returns, removed when it raises; None for no
+    ``path``."""
+    if path is None:
+        yield None
+        return
+    part = Path(f"{path}.tmp")
+    try:
+        with open(part, "w") as file:
+            yield file
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def write_trace(
+    stream: Iterable[list[TraceRecord]], csv_path: str | Path | None = None,
+    json_path: str | Path | None = None,
+) -> None:
+    """Write the trace ``stream``, blocks of records, as CSV to ``csv_path``
+    and as JSON to ``json_path`` (either may be None), one ``write`` per
+    block and file.
+
+    The CSV holds a schema comment, the header and one line per record,
+    floats at 9 significant digits.  The JSON mirrors its columns in the
+    layout of ``json.dumps(..., indent=1)``: each float is the float of its
+    CSV cell, and each row is built from its CSV line.  Each file is
+    written under a temporary name and takes its own name only once the
+    stream ends, so a stream that raises leaves neither."""
+    with _replacing(csv_path) as csv, _replacing(json_path) as js:
+        if csv:
+            csv.write(_CSV_HEAD)
+        if js:
+            js.write(_JSON_HEAD)
+        rows = False  # whether a JSON row is written
+        for records in stream:
+            if not records:
+                continue
+            lines = [_ROW_FORMAT % rec for rec in records]
+            if csv:
+                csv.write("\n".join(lines) + "\n")
+            if js:
+                js.write((",\n" if rows else "\n") + ",\n".join(map(_json_row, lines)))
+                rows = True
+        if js:
+            js.write("\n ]\n}\n" if rows else "]\n}\n")
+
+
 def export_csv(records: list[TraceRecord], path: str | Path) -> None:
-    """Write the trace as CSV: schema comment, header, 9-significant-digit
-    floats, one line per record."""
-    lines = [f"# {TRACE_SCHEMA}", ",".join(TRACE_COLUMNS), *_data_lines(records)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``records`` as the CSV trace of ``write_trace``."""
+    write_trace([records], csv_path=path)
 
 
 def export_json(records: list[TraceRecord], path: str | Path) -> None:
-    """JSON mirror of the CSV columns, in the layout of ``json.dumps(...,
-    indent=1)``: each float is the float of its 9-digit CSV cell."""
-    rows = ",\n".join(
-        "  [\n   " + ",\n   ".join(map(_json_token, _COLUMN_TYPES, line.split(","))) + "\n  ]"
-        for line in _data_lines(records)
-    )
-    columns = ",\n  ".join(map(encode_basestring_ascii, TRACE_COLUMNS))
-    body = f"[\n{rows}\n ]" if rows else "[]"
-    Path(path).write_text(
-        f'{{\n "schema": {encode_basestring_ascii(TRACE_SCHEMA)},\n'
-        f' "columns": [\n  {columns}\n ],\n "rows": {body}\n}}\n'
-    )
-
+    """Write ``records`` as the JSON trace of ``write_trace``."""
+    write_trace([records], json_path=path)

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from beamtrack import cli
+from beamtrack import cli, harness
 from beamtrack.cli import cli_main
 
 
@@ -121,6 +121,28 @@ class TestSimulate:
             outs.append((out_dir / "trace.csv").read_bytes())
         assert outs[0] != outs[1]
 
+    def test_run_failing_mid_flight_leaves_no_trace(self, capsys, tmp_path, monkeypatch):
+        # 1200 ticks: two blocks of the loop, the first already written when
+        # the second raises
+        cfg = tmp_path / "s.ini"
+        cfg.write_text("[array]\nrows = 4\ncols = 4\n[run]\nduration = 12\n")
+        trace_angles, calls = harness._trace_angles, []
+
+        def second_raises(block):
+            calls.append(len(block.t))
+            if len(calls) == 2:
+                raise RuntimeError("stage failed")
+            return trace_angles(block)
+
+        monkeypatch.setattr(harness, "_trace_angles", second_raises)
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 1
+        assert err == "error: stage failed\n"
+        assert out == ""
+        assert calls == [1024, 176]
+        assert list(out_dir.iterdir()) == []
+
     def test_bad_config_value_is_runtime_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[array]\nrows = 0\n")
@@ -192,6 +214,11 @@ class TestSweep:
         ("--values", "20,x"),
         ("--seeds", "0"),
         ("--offset-deg", "nan"),
+        # a grazing arrival or beyond, which the trial would clamp to grazing
+        ("--offset-deg", "45"),
+        ("--offset-deg", "-45"),
+        ("--offset-deg", "360.3"),
+        ("--offset-deg", "1e300"),
         ("--jobs", "0"),
         ("--jobs", "-3"),
         ("--threshold", "0"),

@@ -437,6 +437,21 @@ class TestWrapAngles:
             assert np.isnan(harness._wrap_angles(np.array([math.inf, -math.inf]))).all()
 
 
+def edge_records() -> list[TraceRecord]:
+    """Every float column of one record holds one edge value, shifted by
+    one column per record, so each value meets each column."""
+    records = []
+    for i in range(len(EDGE_FLOATS)):
+        cells = {
+            c: EDGE_FLOATS[(i + j) % len(EDGE_FLOATS)] for j, c in enumerate(FLOAT_COLUMNS)
+        }
+        records.append(TraceRecord(
+            phase=("mech", "elec")[i % 2], elec_iteration=i, oracle_queries=10**12 + i,
+            rate_clamped=i % 2, **cells,
+        ))
+    return records
+
+
 class TestExport:
     def test_csv_header_and_shape(self, tmp_path):
         records = run_simulation(small_scenario())
@@ -457,6 +472,12 @@ class TestExport:
         assert path.read_bytes() == reference_csv([]).encode()
         export_json([], tmp_path / "empty.json")
         assert (tmp_path / "empty.json").read_bytes() == reference_json([]).encode()
+        # a stream of no block writes the same files
+        harness.write_trace(iter([]), tmp_path / "trace.csv", tmp_path / "trace.json")
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv([]).encode()
+        json_text = (tmp_path / "trace.json").read_text()
+        assert json_text == reference_json([])
+        assert '"rows": []' in json_text
 
     def test_csv_round_trip(self, tmp_path):
         records = run_simulation(small_scenario())
@@ -491,17 +512,7 @@ class TestExport:
         assert (tmp_path / "trace.json").read_bytes() == reference_json(records).encode()
 
     def test_edge_cells(self, tmp_path):
-        # every float column of one record holds one edge value, shifted by
-        # one column per record, so each value meets each column
-        records = []
-        for i in range(len(EDGE_FLOATS)):
-            cells = {
-                c: EDGE_FLOATS[(i + j) % len(EDGE_FLOATS)] for j, c in enumerate(FLOAT_COLUMNS)
-            }
-            records.append(TraceRecord(
-                phase=("mech", "elec")[i % 2], elec_iteration=i, oracle_queries=10**12 + i,
-                rate_clamped=i % 2, **cells,
-            ))
+        records = edge_records()
         export_csv(records, tmp_path / "trace.csv")
         export_json(records, tmp_path / "trace.json")
         csv_text = (tmp_path / "trace.csv").read_text()
@@ -523,6 +534,34 @@ class TestExport:
                 assert token == json.dumps(cell)
             else:
                 assert token == cell
+
+    def test_stream_bytes_at_every_block_edge(self, tmp_path):
+        # rows of a run (t = 0.96 s to 1.05 s) around the edge records; the
+        # writer builds the JSON of a plain row from its CSV line, and of
+        # the others (t = 1.0, an integral float, and every edge record)
+        # cell by cell.  The stream splits the trace in two at each row
+        run = run_simulation(small_scenario())[95:105]
+        records = run[:5] + edge_records() + run[5:]
+        plain = [bool(harness._PLAIN_ROW.fullmatch(harness._ROW_FORMAT % r)) for r in records]
+        assert plain == [True] * 4 + [False] * (1 + len(EDGE_FLOATS)) + [True] * 5
+        csv_path, json_path = tmp_path / "trace.csv", tmp_path / "trace.json"
+        for k in range(len(records) + 1):
+            harness.write_trace(iter([records[:k], [], records[k:]]), csv_path, json_path)
+            assert csv_path.read_bytes() == reference_csv(records).encode(), k
+            assert json_path.read_bytes() == reference_json(records).encode(), k
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv", "trace.json"]
+
+    def test_run_simulation_is_the_stream(self):
+        cfg = small_scenario()
+        stream = list(harness.trace_blocks(cfg))
+        # 600 ticks, a record block per readout, which splits at the epoch
+        # on tick 300; the epoch's rows end the block of its tick
+        assert [sum(r.phase == "mech" for r in block) for block in stream] == 2 * (
+            [READOUT] * 4 + [300 - 4 * READOUT])
+        epoch_block = [r.phase for r in stream[4]]
+        assert epoch_block[43:] == ["mech"] + ["elec"] * (len(epoch_block) - 44)
+        assert round(stream[4][43].t * 100) == 300 and len(epoch_block) > 44
+        assert run_simulation(cfg) == [r for block in stream for r in block]
 
     @pytest.mark.parametrize("method", ["assp", "spsa", "sequential"])
     def test_cells_hold_their_declared_types(self, method):
