@@ -43,7 +43,7 @@ import math
 import os
 import re
 from bisect import bisect_left
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -333,9 +333,9 @@ def _json_token(kind: type, cell: str) -> str:
 # point or a negative exponent, and no e+, e-3, nan or inf), the str cell
 # printable ASCII but for the quote, the comma and the backslash.
 _PLAIN_CELL = {
-    float: r"-?[0-9]++(?:\.[0-9]++(?:e-[0-24-9][0-9]++)?+|e-[0-24-9][0-9]++)",
-    int: r"-?[0-9]++",
-    str: r"[ !#-+\--\[\]-~]*+",
+    float: r"-?[0-9]+(?:\.[0-9]+(?:e-[0-24-9][0-9]+)?|e-[0-24-9][0-9]+)",
+    int: r"-?[0-9]+",
+    str: r"[ !#-+\--\[\]-~]*",
 }
 # each run of columns of one type as one repeated group: a flat pattern
 # takes 4x the time to compile, and 128 KB more peak RSS
@@ -345,14 +345,18 @@ _PLAIN_ROW = re.compile(",".join(
 ))
 # the separator of a JSON row's cells, in the layout of json.dumps(..., indent=1)
 _CELL_SEP = ",\n   "
+# the index of the one cell that a plain line's JSON row quotes: the phase,
+# the only str column (the unpacking fails at import for none or several)
+(_STR_CELL,) = (i for i, kind in enumerate(_COLUMN_TYPES) if kind is str)
 
 
 def _json_row(line: str) -> str:
     """The JSON row of one CSV line: each cell its token, on a line of its own."""
     if _PLAIN_ROW.fullmatch(line):
-        # the phase, the second cell and the only str one, takes its quotes
-        t, phase, rest = line.split(",", 2)
-        return f'  [\n   {t},\n   "{phase}",\n   {rest.replace(",", _CELL_SEP)}\n  ]'
+        cells = line.split(",", _STR_CELL + 1)
+        cells[_STR_CELL] = f'"{cells[_STR_CELL]}"'
+        cells[-1] = cells[-1].replace(",", _CELL_SEP)
+        return "  [\n   " + _CELL_SEP.join(cells) + "\n  ]"
     return "  [\n   " + _CELL_SEP.join(map(_json_token, _COLUMN_TYPES, line.split(","))) + "\n  ]"
 
 
@@ -364,20 +368,22 @@ _JSON_HEAD = (
 
 
 @contextmanager
-def _replacing(path: str | Path | None) -> Iterator[TextIO | None]:
-    """A text file written under ``path`` + ".tmp" and renamed to ``path``
-    when the ``with`` body returns, removed when it raises; None for no
-    ``path``."""
-    if path is None:
-        yield None
-        return
-    part = Path(f"{path}.tmp")
+def _replacing(*paths: str | Path | None) -> Iterator[list[TextIO | None]]:
+    """Text files, one per path, written under the path + ".tmp" (None for
+    a None path).  When the ``with`` body returns, all are closed, then
+    each is renamed to its path; when the body or a close raises, all are
+    removed."""
+    parts = [None if path is None else Path(f"{path}.tmp") for path in paths]
     try:
-        with open(part, "w") as file:
-            yield file
-        os.replace(part, path)
+        with ExitStack() as stack:
+            yield [part and stack.enter_context(open(part, "w")) for part in parts]
+        for part, path in zip(parts, paths):
+            if part:
+                os.replace(part, path)
     except BaseException:
-        part.unlink(missing_ok=True)
+        for part in parts:
+            if part:
+                part.unlink(missing_ok=True)
         raise
 
 
@@ -395,7 +401,7 @@ def write_trace(
     CSV cell, and each row is built from its CSV line.  Each file is
     written under a temporary name and takes its own name only once the
     stream ends, so a stream that raises leaves neither."""
-    with _replacing(csv_path) as csv, _replacing(json_path) as js:
+    with _replacing(csv_path, json_path) as (csv, js):
         if csv:
             csv.write(_CSV_HEAD)
         if js:

@@ -551,6 +551,31 @@ class TestExport:
             assert json_path.read_bytes() == reference_json(records).encode(), k
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv", "trace.json"]
 
+    def test_failing_close_renames_neither(self, tmp_path, monkeypatch):
+        # the CSV file closes last; its close failing (a full disk on the
+        # final flush) must leave neither trace, the closed JSON included
+        def open_failing_csv(path, mode):
+            file = open(path, mode)
+            if str(path).endswith(".csv.tmp"):
+                close = file.close
+
+                def fail():
+                    close()
+                    raise OSError(28, "No space left on device")
+                file.close = fail
+            return file
+        monkeypatch.setattr(harness, "open", open_failing_csv, raising=False)
+        records = edge_records()
+        with pytest.raises(OSError, match="No space"):
+            harness.write_trace(iter([records]), tmp_path / "trace.csv", tmp_path / "trace.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_plain_row_pattern_compiles_on_python_3_10(self):
+        # possessive quantifiers and atomic groups came with Python 3.11;
+        # the package supports 3.10, whose re rejects them at import
+        pattern = harness._PLAIN_ROW.pattern
+        assert not any(token in pattern for token in ("++", "*+", "?+", "}+", "(?>"))
+
     def test_run_simulation_is_the_stream(self):
         cfg = small_scenario()
         stream = list(harness.trace_blocks(cfg))

@@ -1,12 +1,12 @@
 """Time and memory of ``beamtrack simulate`` as the flight gets longer.
 
-    python3 tools/flight_scaling.py [--durations 60,600,1800] [--repeat 3]
+    python3 tools/flight_scaling.py [--durations 60,600,1800]
 
 Runs ``beamtrack simulate`` on the reference scenario (the built-in
 defaults) with each ``[run] duration``, in seconds, each run in a child
 process of its own, and prints per flight: the ticks, the child's wall
 time from spawn to exit, the time per tick, and the child's own peak RSS
-(``ru_maxrss`` of ``os.wait4``).  Each flight runs ``--repeat`` times,
+(``ru_maxrss`` of ``os.wait4``).  Each flight runs ``REPEAT`` times,
 and the tool keeps the least wall time and the largest peak RSS.  The
 wall time includes the start-up (interpreter, imports, config load, the
 trace files' heads), so the tool first runs a flight of one tick and
@@ -32,6 +32,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 # the reference scenario's [sensors] sample_period, s
 SAMPLE_PERIOD = 0.01
+# runs per flight: the least wall time and the largest peak RSS are kept
+REPEAT = 3
 
 
 def run_flight(workdir: Path, duration: float) -> tuple[int, float, float]:
@@ -55,10 +57,10 @@ def run_flight(workdir: Path, duration: float) -> tuple[int, float, float]:
     return ticks, wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KB on Linux
 
 
-def best_of(workdir: Path, duration: float, repeat: int) -> tuple[int, float, float]:
-    """``run_flight`` ``repeat`` times: the ticks, the least wall time and
+def best_of(workdir: Path, duration: float) -> tuple[int, float, float]:
+    """``run_flight`` ``REPEAT`` times: the ticks, the least wall time and
     the largest peak RSS."""
-    runs = [run_flight(workdir, duration) for _ in range(repeat)]
+    runs = [run_flight(workdir, duration) for _ in range(REPEAT)]
     return runs[0][0], min(run[1] for run in runs), max(run[2] for run in runs)
 
 
@@ -73,17 +75,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--durations", type=durations, default=[60.0, 600.0, 1800.0],
                         help="comma-separated flight durations, s (default 60,600,1800)")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per flight (default 3)")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        _, base_wall, base_rss = best_of(workdir, SAMPLE_PERIOD, args.repeat)
+        _, base_wall, base_rss = best_of(workdir, SAMPLE_PERIOD)
         print(f"start-up (one tick): wall {base_wall:.3f} s, peak RSS {base_rss:.1f} MB")
         print(f"{'duration_s':>10} {'ticks':>8} {'wall_s':>8} {'us_per_tick':>12} {'peak_rss_mb':>12}")
         for duration in args.durations:
-            ticks, wall, rss = best_of(workdir, duration, args.repeat)
+            ticks, wall, rss = best_of(workdir, duration)
             per_tick = (wall - base_wall) / (ticks - 1) * 1e6 if ticks > 1 else float("nan")
             print(f"{duration:10g} {ticks:8d} {wall:8.3f} {per_tick:12.2f} {rss:12.1f}", flush=True)
     return 0
