@@ -399,8 +399,9 @@ def write_trace(
     floats at 9 significant digits.  The JSON mirrors its columns in the
     layout of ``json.dumps(..., indent=1)``: each float is the float of its
     CSV cell, and each row is built from its CSV line.  Each file is
-    written under a temporary name and takes its own name only once the
-    stream ends, so a stream that raises leaves neither."""
+    written under a temporary name; once the stream ends both are closed,
+    and only then does each take its own name, so a stream or a close that
+    raises leaves neither."""
     with _replacing(csv_path, json_path) as (csv, js):
         if csv:
             csv.write(_CSV_HEAD)
