@@ -12,7 +12,7 @@ import numpy as np
 
 from beamtrack import harness, mechanical
 from beamtrack.config import default_scenario
-from beamtrack.mechanical import GimbalAngles, GimbalRates
+from beamtrack.mechanical import GimbalAngles
 
 D2R = math.pi / 180.0
 
@@ -34,18 +34,15 @@ print()
 cfg = default_scenario()
 euler = mechanical.pointing_euler(cfg.geo)
 t_s = cfg.sensors.sample_period
-still = GimbalRates(0.0, 0.0, 0.0)  # the isolation-off arm
 
 rng = np.random.default_rng(7)
 start, *run = harness.blocks(cfg, euler, rng, int(30.0 / t_s))
 commands = [command for block in run for command in block.command]
 ideal = [angles for block in run for angles in block.ideal]
 # fusion never reads the gimbal, so the isolation-off arm servos on the
-# same commands
-gimbal, servo_only = start.gimbal[0], []
-for command in commands:
-    gimbal = mechanical.gimbal_step(gimbal, command, still, cfg.servo, t_s)
-    servo_only.append(gimbal)
+# same commands, as if the vehicle did not turn: zero body rates
+still = [(0.0, 0.0, 0.0)] * len(commands)
+servo_only = mechanical.servo(start.gimbal[0], commands, still, cfg.servo, t_s)
 
 arms = {
     "isolation + servo": [gimbal for block in run for gimbal in block.gimbal],

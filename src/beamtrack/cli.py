@@ -18,6 +18,7 @@ import math
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from pathlib import Path
 
 from . import experiments, harness, mechanical
@@ -137,9 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seeds", type=_count, default=100)
     sw.add_argument("--methods", type=_methods, default=list(RUNNERS),
                     help="comma-separated method list (default: all)")
-    # the polar arrival is asin(sqrt(2) * sin(offset)), grazing at 45 deg
     sw.add_argument("--offset-deg",
-                    type=_checked(float, lambda x: abs(x) < 45, "a number in (-45, 45)"),
+                    # offset_arrival's ValueError is the rule
+                    type=_checked(float, experiments.offset_arrival, "a number in (-45, 45)"),
                     default=0.3, help="initial offset per axis, degrees")
     sw.add_argument("--threshold", type=_checked(float, lambda x: 0 < x <= 1, "a number in (0, 1]"),
                     default=0.99, help="nrsp threshold")
@@ -174,11 +175,21 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg.run.seed = args.seed
     out_dir = Path(args.out if args.out is not None else cfg.run.output)
+    # the directories this run makes, deepest first
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "trace.csv"
     summary = _Summary()
-    # the trace streams into both files, which appear only once the run succeeds
-    harness.write_trace(summary.tally(harness.trace_blocks(cfg)), csv_path, out_dir / "trace.json")
+    stream = summary.tally(harness.trace_blocks(cfg))
+    # the trace streams into both files, which appear only once the run
+    # succeeds; a run that fails also takes back the directories it made
+    try:
+        harness.write_trace(stream, csv_path, out_dir / "trace.json")
+    except BaseException:
+        for path in made:
+            with suppress(OSError):  # not empty: something else wrote there
+                path.rmdir()
+        raise
     print(f"ticks = {summary.ticks}, electrical rows = {summary.elec_rows}")
     print(f"max attitude error = {summary.worst_att:.4f} deg")
     print(f"final nrsp = {summary.final_nrsp:.6f}")

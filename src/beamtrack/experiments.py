@@ -53,13 +53,16 @@ class ConvergenceStats(NamedTuple):
 
 def offset_arrival(offset_deg: float = 0.3) -> tuple[float, float]:
     """(azimuth, elevation) of a LOS ray arriving ``offset_deg`` off-normal
-    along each array axis.
+    along each array axis, which must lie in (-45, 45) degrees (``ValueError``
+    otherwise, nan included): at 45 the arrival grazes the array.
 
     The two direction sines are sin(offset) each, i.e. the polar arrival
     angle is asin(sqrt(2)*sin(offset)) oriented at 45 degrees.
     """
+    if not -45.0 < offset_deg < 45.0:
+        raise ValueError(f"offset_deg must lie in (-45, 45) degrees, got {offset_deg!r}")
     u = math.sin(offset_deg * D2R)
-    return math.asin(min(1.0, math.hypot(u, u))), math.atan2(u, u)
+    return math.asin(math.hypot(u, u)), math.atan2(u, u)
 
 
 def run_trial(

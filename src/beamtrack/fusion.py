@@ -29,7 +29,7 @@ class NumericalError(RuntimeError):
 
 
 class FilterState(NamedTuple):
-    q: np.ndarray  # unit quaternion estimate, scalar first
+    q: tuple[float, float, float, float]  # unit quaternion estimate, scalar first
     kappa: float  # estimate covariance kappa * I
     q_chi: float  # process noise covariance q_chi * I
     q_u: float  # measurement noise covariance q_u * I
@@ -54,28 +54,8 @@ class FusionConfig:
 def make_filter_state(q0: np.ndarray, cov: FusionConfig) -> FilterState:
     """Build a filter state with the configured covariance scales."""
     q = np.asarray(q0, dtype=float)
-    return FilterState(
-        q / np.linalg.norm(q), cov.initial_covariance, cov.process_noise, cov.measurement_noise
-    )
-
-
-def predict(state: FilterState, body_rates, sample_period: float) -> FilterState:
-    """Propagate estimate and covariance one step; returns the prior.
-
-    q- = (I + (T_s/2) Omega(omega)) q, written out in floats; ``body_rates`` is a 3-sequence.
-    """
-    h = sample_period / 2.0
-    wx, wy, wz = body_rates
-    x, y, z = h * wx, h * wy, h * wz
-    q0, q1, q2, q3 = state.q.tolist()
-    q_pred = np.array([
-        q0 - x * q1 - y * q2 - z * q3,
-        x * q0 + q1 + z * q2 - y * q3,
-        y * q0 - z * q1 + q2 + x * q3,
-        z * q0 + y * q1 - x * q2 + q3,
-    ])
-    kappa = state.kappa * (1.0 + (x * x + y * y + z * z)) + state.q_chi
-    return FilterState(q_pred, kappa, state.q_chi, state.q_u)
+    q = tuple((q / np.linalg.norm(q)).tolist())
+    return FilterState(q, cov.initial_covariance, cov.process_noise, cov.measurement_noise)
 
 
 # the largest |pitch| that frames.zyx_angles resolves without its pole
@@ -85,7 +65,7 @@ _PITCH_LIMIT = math.asin(1.0 - 2.0 * frames.GIMBAL_LOCK_EPS)
 
 def measurement_quat(yaw_m, pitch_m, roll_m) -> np.ndarray:
     """Measurement quaternion from sensor angles, before its hemisphere sign
-    (see ``align``); from arrays of angles, the (n, 4) stack of them.
+    (see ``fuse``); from arrays of angles, the (n, 4) stack of them.
 
     The pitch is clamped just short of +/-90 deg (which a saturated
     accelerometer reads), where yaw and roll cannot be told apart.
@@ -94,32 +74,46 @@ def measurement_quat(yaw_m, pitch_m, roll_m) -> np.ndarray:
     return frames.euler_to_quat(Attitude(yaw_m, pitch_m, roll_m))
 
 
-def align(z: np.ndarray, q_ref: np.ndarray) -> np.ndarray:
-    """``z`` or ``-z``, whichever lies in the hemisphere of ``q_ref``.
-
-    q and -q encode the same attitude; aligning the sign keeps the linear
-    innovation small.
-    """
-    return -z if z.dot(q_ref) < 0.0 else z
-
-
-def update(state: FilterState, z: np.ndarray) -> FilterState:
-    """Kalman update with identity observation; renormalizes the estimate."""
-    innovation = state.kappa + state.q_u
-    if innovation == 0.0:
-        raise NumericalError("zero innovation variance")
-    gain = state.kappa / innovation
-    # q + g (z - q), written out in floats: the same IEEE operations
-    q0, q1, q2, q3 = state.q.tolist()
-    z0, z1, z2, z3 = np.asarray(z, dtype=float).tolist()
-    q_new = np.array([
-        q0 + gain * (z0 - q0), q1 + gain * (z1 - q1), q2 + gain * (z2 - q2), q3 + gain * (z3 - q3)
-    ])
-    # np.linalg.norm's own formula, without its overhead
-    norm = math.sqrt(q_new.dot(q_new))
-    if norm == 0.0:
-        raise NumericalError("update produced a zero quaternion")
-    return FilterState(q_new / norm, (1.0 - gain) * state.kappa, state.q_chi, state.q_u)
+def fuse(state: FilterState, omegas, zs, sample_period: float) -> list[FilterState]:
+    """The recursion of the module docstring over a block: from ``state``,
+    the filter state after each tick of the gyro rates ``omegas`` (3-sequences)
+    and measurements ``zs``; ``NumericalError`` at the first tick whose
+    innovation variance or updated quaternion is zero.  In floats, but for
+    ``ddot``: the update's norm, and a sign whose float dot is within 1e-12
+    of zero, where it and ``ddot`` can disagree for unit quaternions."""
+    h = sample_period / 2.0
+    q0, q1, q2, q3 = map(float, state.q)
+    kappa, q_chi, q_u = state.kappa, state.q_chi, state.q_u
+    new = tuple.__new__  # builds a NamedTuple without the Python call of its __new__
+    states = []
+    for (wx, wy, wz), z in zip(omegas, np.asarray(zs, dtype=float).tolist()):
+        x, y, w = h * wx, h * wy, h * wz
+        p0 = q0 - x * q1 - y * q2 - w * q3
+        p1 = x * q0 + q1 + w * q2 - y * q3
+        p2 = y * q0 - w * q1 + q2 + x * q3
+        p3 = w * q0 + y * q1 - x * q2 + q3
+        kappa = kappa * (1.0 + (x * x + y * y + w * w)) + q_chi
+        z0, z1, z2, z3 = z
+        d = z0 * p0 + z1 * p1 + z2 * p2 + z3 * p3
+        if abs(d) <= 1e-12:
+            d = np.dot(z, (p0, p1, p2, p3))
+        if d < 0.0:
+            z0, z1, z2, z3 = -z0, -z1, -z2, -z3
+        innovation = kappa + q_u
+        if innovation == 0.0:
+            raise NumericalError("zero innovation variance")
+        gain = kappa / innovation
+        q0, q1 = p0 + gain * (z0 - p0), p1 + gain * (z1 - p1)
+        q2, q3 = p2 + gain * (z2 - p2), p3 + gain * (z3 - p3)
+        v = np.array((q0, q1, q2, q3))
+        # np.linalg.norm's own formula, without its overhead
+        norm = math.sqrt(v.dot(v))
+        if norm == 0.0:
+            raise NumericalError("update produced a zero quaternion")
+        q0, q1, q2, q3 = q0 / norm, q1 / norm, q2 / norm, q3 / norm
+        kappa = (1.0 - gain) * kappa
+        states.append(new(FilterState, ((q0, q1, q2, q3), kappa, q_chi, q_u)))
+    return states
 
 
 def estimate(q: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float, float]]]:

@@ -6,14 +6,14 @@ electrical refinement; plus CSV/JSON trace export.
 time and yields each as a ``Block`` of columns, one entry per tick,
 after five stages in the order of what they read: ``sense`` (the truth,
 the sensor draws, the measurement quaternions, the truth DCMs and the
-ideal commands, in numpy), ``fuse_block`` (predict, hemisphere sign,
+ideal commands, in numpy), ``fusion.fuse`` (predict, hemisphere sign,
 update), the estimates' DCMs and angles (``fusion.estimate``) with their
-stabilization commands, the servo loop (isolation at the previous
+stabilization commands, ``mechanical.servo`` (isolation at the previous
 angles, then the servo step) and ``beam_frame_arrival``.  Only fusion
-and the servo are recursive, so only they walk the ticks, over the gyro
-rates as float lists, and fusion never reads the gimbal; the other
-stages are one stacked call per block, each tick with the bits it would
-have alone.  A block that raises in any stage is not yielded.
+and the servo are recursive, so only they walk the ticks, each in Python
+floats, over the gyro rates as float lists, and fusion never reads the
+gimbal; the other stages are one stacked call per block, each tick with
+the bits it would have alone.  A block that raises is not yielded.
 
 ``trace_blocks`` reads a block of trace rows from each block's columns:
 its angle cells in one numpy pass, and its channels a readout of up to
@@ -157,18 +157,6 @@ def sense(
     return Block(times.tolist(), truth, omega, pr, readings.gps_yaw, z, c_n_b, ideal)
 
 
-def fuse_block(cfg: ScenarioConfig, state: fusion.FilterState, block: Block) -> list:
-    """The fusion recursion: from ``state``, one predict, hemisphere sign and
-    update per tick of ``block``, each giving the filter state."""
-    t_s = cfg.sensors.sample_period
-    states = []
-    for omega, z in zip(block.omega_m, block.z):
-        prior = fusion.predict(state, omega, t_s)
-        state = fusion.update(prior, fusion.align(z, prior.q))
-        states.append(state)
-    return states
-
-
 def blocks(
     cfg: ScenarioConfig, euler: PointingEuler, rng: np.random.Generator, steps: int
 ) -> Iterator[Block]:
@@ -180,7 +168,7 @@ def blocks(
     is yielded."""
     block = sense(cfg, euler, np.zeros(1), rng, gyro=False)
     state = fusion.make_filter_state(block.z[0], cfg.fusion)
-    c_n_b, est = fusion.estimate(state.q[None])
+    c_n_b, est = fusion.estimate(np.array([state.q]))
     targets = mechanical.stabilization_command(c_n_b, euler)
     block = block._replace(
         filter_state=[state], est=est, command=targets, gimbal=[GimbalState(targets[0])],
@@ -191,14 +179,10 @@ def blocks(
     for first in range(1, steps + 1, _SENSE_CHUNK):
         times = np.arange(first, min(first + _SENSE_CHUNK, steps + 1)) * t_s
         sensed = sense(cfg, euler, times, rng)
-        states = fuse_block(cfg, block.filter_state[-1], sensed)
+        states = fusion.fuse(block.filter_state[-1], sensed.omega_m, sensed.z, t_s)
         c_n_b, est = fusion.estimate(np.array([state.q for state in states]))
         targets = mechanical.stabilization_command(c_n_b, euler)
-        gimbal, gimbals = block.gimbal[-1], []
-        for target, omega in zip(targets, sensed.omega_m):  # the servo recursion
-            isolation = mechanical.isolation_rates(gimbal.angles, omega)
-            gimbal = mechanical.gimbal_step(gimbal, target, isolation, cfg.servo, t_s)
-            gimbals.append(gimbal)
+        gimbals = mechanical.servo(block.gimbal[-1], targets, sensed.omega_m, cfg.servo, t_s)
         block = sensed._replace(
             filter_state=states, est=est, command=targets, gimbal=gimbals,
             arrival=beam_frame_arrival([g.angles for g in gimbals], sensed.c_n_b_truth, euler),

@@ -142,14 +142,14 @@ def monitor_beam_rate(angles: GimbalAngles, rates: GimbalRates) -> tuple[float, 
 
 
 def isolation_rates(angles: GimbalAngles, body_rates) -> GimbalRates:
-    """Gimbal rates that exactly cancel the coupled beam rate of ``body_rates``.
+    """Gimbal rates (floats) that cancel the coupled beam rate of ``body_rates``.
 
     Singular as the elevation approaches +/-90 deg (keyhole), where the
     azimuth axis loses authority over the beam.
     """
     if abs(angles.elevation) >= RATE_MAP_LIMIT:
         raise SingularityError("elevation too close to +/-90 deg (keyhole)")
-    wx, wy, wz = body_rates
+    wx, wy, wz = map(float, body_rates)
     ca, sa = math.cos(angles.azimuth), math.sin(angles.azimuth)
     tb = math.tan(angles.elevation)
     sec_b = 1.0 / math.cos(angles.elevation)
@@ -160,33 +160,41 @@ def isolation_rates(angles: GimbalAngles, body_rates) -> GimbalRates:
     )
 
 
-def gimbal_step(
-    state: GimbalState,
-    target: GimbalAngles,
-    isolation: GimbalRates,
-    servo: ServoConfig,
-    sample_period: float,
-) -> GimbalState:
-    """Advance the gimbal one tick.
-
-    Commanded rate per axis is the isolation feedforward plus a
-    proportional correction toward the stabilization target (shortest
-    angular path); rates saturate at the motor limit and angles are held
-    inside the mechanical stops.
-    """
-    clamped = False
-    moved = []
-    for goal, angle, rate in zip(target, state.angles, isolation):
-        rate += servo.gain * frames.wrap_angle(goal - angle)
-        if abs(rate) > servo.rate_limit:
-            rate = math.copysign(servo.rate_limit, rate)
-            clamped = True
-        moved.append(angle + rate * sample_period)
-    azimuth = frames.wrap_angle(moved[0])
-    azimuth = min(servo.azimuth_stop, max(-servo.azimuth_stop, azimuth))
-    elevation = min(servo.elevation_max, max(servo.elevation_min, moved[1]))
-    polarization = frames.wrap_angle(moved[2])
-    return GimbalState(GimbalAngles(azimuth, elevation, polarization), clamped)
+def servo(
+    gimbal: GimbalState, targets, omegas, servo: ServoConfig, sample_period: float
+) -> list[GimbalState]:
+    """The servo recursion over a block: from ``gimbal``, the gimbal state
+    after each tick toward the ``targets`` under the gyro rates ``omegas``
+    (3-sequences).  Each axis commands the ``isolation_rates`` feedforward
+    at the previous angles plus a proportional step along the shortest
+    path, clamped at the rate limit (``rate_clamped``), and stays inside
+    its stops; ``SingularityError`` at the first tick that starts at the
+    keyhole."""
+    gain, limit, t_s = servo.gain, servo.rate_limit, sample_period
+    stop, el_min, el_max = servo.azimuth_stop, servo.elevation_min, servo.elevation_max
+    wrap, cos, sin, tan, copysign = frames.wrap_angle, math.cos, math.sin, math.tan, math.copysign
+    az, el, pol = gimbal.angles
+    new = tuple.__new__  # builds a NamedTuple without the Python call of its __new__
+    states = []
+    for (goal_az, goal_el, goal_pol), (wx, wy, wz) in zip(targets, omegas):
+        if abs(el) >= RATE_MAP_LIMIT:
+            raise SingularityError("elevation too close to +/-90 deg (keyhole)")
+        ca, sa, tb = cos(az), sin(az), tan(el)
+        clamped = False
+        rate_az = -ca * tb * wx - sa * tb * wy - wz + gain * wrap(goal_az - az)
+        if abs(rate_az) > limit:
+            rate_az, clamped = copysign(limit, rate_az), True
+        rate_el = sa * wx - ca * wy + gain * wrap(goal_el - el)
+        if abs(rate_el) > limit:
+            rate_el, clamped = copysign(limit, rate_el), True
+        rate_pol = (-ca * wx - sa * wy) * (1.0 / cos(el)) + gain * wrap(goal_pol - pol)
+        if abs(rate_pol) > limit:
+            rate_pol, clamped = copysign(limit, rate_pol), True
+        az = min(stop, max(-stop, wrap(az + rate_az * t_s)))
+        el = min(el_max, max(el_min, el + rate_el * t_s))
+        pol = wrap(pol + rate_pol * t_s)
+        states.append(new(GimbalState, (new(GimbalAngles, (az, el, pol)), clamped)))
+    return states
 
 
 def pointing_error(state: GimbalState, ideal: GimbalAngles) -> tuple[float, float]:

@@ -141,7 +141,28 @@ class TestSimulate:
         assert err == "error: stage failed\n"
         assert out == ""
         assert calls == [1024, 176]
-        assert list(out_dir.iterdir()) == []
+        # the run made the directory, so it takes it back
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_run_failing_keeps_only_the_directories_it_found(
+        self, capsys, tmp_path, monkeypatch, existing
+    ):
+        cfg = tmp_path / "s.ini"
+        cfg.write_text("[array]\nrows = 4\ncols = 4\n[run]\nduration = 1\n")
+        monkeypatch.setattr(harness, "_trace_angles", lambda block: 1 / 0)
+        top = tmp_path / "a"
+        if existing:
+            top.mkdir()
+            (top / "keep.txt").write_text("x")
+        out_dir = top / "b" / "c"
+        code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 1
+        assert err == "error: division by zero\n"
+        # every level the run made is gone; what it found stays as it was
+        assert sorted(p.name for p in tmp_path.rglob("*")) == (
+            ["a", "keep.txt", "s.ini"] if existing else ["s.ini"]
+        )
 
     def test_bad_config_value_is_runtime_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"

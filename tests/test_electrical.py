@@ -708,6 +708,27 @@ class TestTrialLink:
         assert oracle.h_vec.tobytes() == want.tobytes()
         assert two_ray != run_trial("assp", geom, 20.0, 3, params)
 
+    @pytest.mark.parametrize("offset_deg", [45.0, -45.0, 360.3, 1e300, math.nan, math.inf])
+    def test_offset_out_of_range_raises(self, offset_deg):
+        # at 45 deg per axis the arrival grazes the array; beyond it there is
+        # no arrival to clamp to
+        geom, params = ArrayGeometry(5, 3), AsspParams(max_iters=3)
+        with pytest.raises(ValueError, match=r"offset_deg must lie in \(-45, 45\) degrees"):
+            run_trial("assp", geom, 20.0, 0, params, offset_deg=offset_deg)
+        with pytest.raises(ValueError, match=r"offset_deg must lie in \(-45, 45\) degrees"):
+            experiments.convergence_stats("assp", geom, 20.0, 2, params, offset_deg=offset_deg)
+
+    def test_offset_just_inside_the_range_runs(self):
+        # 44.9 deg per axis arrives 86.6 deg off the normal, not grazing
+        geom, params = ArrayGeometry(5, 3), AsspParams(max_iters=3)
+        az, el = offset_arrival(44.9)
+        assert az == pytest.approx(math.asin(math.sqrt(2.0) * math.sin(44.9 * D2R)), abs=1e-15)
+        assert 86.5 < az / D2R < 86.7 and el == pytest.approx(45 * D2R)
+        result = run_trial("assp", geom, 20.0, 0, params, offset_deg=44.9)
+        assert result.iterations_run == 3
+        stats = experiments.convergence_stats("assp", geom, 20.0, 2, params, offset_deg=44.9)
+        assert stats.median_iterations_run == 3
+
 
 def reference_fit_doa(phases, geom):
     """The fit over the full zero-padded grid: ``fft2``, the argmax of its

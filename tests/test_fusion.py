@@ -8,7 +8,7 @@ from beamtrack import frames, fusion, harness, mechanical, sensors
 from beamtrack.config import ScenarioConfig, default_scenario
 from beamtrack.frames import Attitude
 from beamtrack.fusion import (
-    FilterState, FusionConfig, align, make_filter_state, measurement_quat, predict, update,
+    FilterState, FusionConfig, NumericalError, fuse, make_filter_state, measurement_quat,
 )
 from beamtrack.sensors import ProfileConfig, SensorNoiseConfig, Sinusoid
 
@@ -16,6 +16,63 @@ D2R = math.pi / 180.0
 MOVING = ProfileConfig(yaw=[Sinusoid(10 * D2R, 0.1)], pitch=[Sinusoid(5 * D2R, 0.2)],
                        roll=[Sinusoid(8 * D2R, 0.15)])
 QUIET = SensorNoiseConfig(gyro_white_sigma=0, gyro_bias=0, accel_white_sigma=0, gps_yaw_sigma=0)
+
+
+def predict(state: FilterState, body_rates, sample_period: float) -> FilterState:
+    """Reference: one tick's prior, q- = (I + (T_s/2) Omega(omega)) q written
+    out in floats, as an array; ``body_rates`` is a 3-sequence."""
+    h = sample_period / 2.0
+    wx, wy, wz = body_rates
+    x, y, z = h * wx, h * wy, h * wz
+    q0, q1, q2, q3 = np.asarray(state.q, dtype=float).tolist()
+    q_pred = np.array([
+        q0 - x * q1 - y * q2 - z * q3,
+        x * q0 + q1 + z * q2 - y * q3,
+        y * q0 - z * q1 + q2 + x * q3,
+        z * q0 + y * q1 - x * q2 + q3,
+    ])
+    kappa = state.kappa * (1.0 + (x * x + y * y + z * z)) + state.q_chi
+    return FilterState(q_pred, kappa, state.q_chi, state.q_u)
+
+
+def align(z: np.ndarray, q_ref: np.ndarray) -> np.ndarray:
+    """Reference: ``z`` or ``-z``, whichever lies in the hemisphere of
+    ``q_ref``, by the sign of their ``ddot``."""
+    return -z if z.dot(q_ref) < 0.0 else z
+
+
+def update(state: FilterState, z: np.ndarray) -> FilterState:
+    """Reference: the Kalman update with identity observation, q + g (z - q)
+    written out in floats, renormalized by the ``ddot`` of the result."""
+    innovation = state.kappa + state.q_u
+    if innovation == 0.0:
+        raise NumericalError("zero innovation variance")
+    gain = state.kappa / innovation
+    q0, q1, q2, q3 = np.asarray(state.q, dtype=float).tolist()
+    z0, z1, z2, z3 = np.asarray(z, dtype=float).tolist()
+    q_new = np.array([
+        q0 + gain * (z0 - q0), q1 + gain * (z1 - q1), q2 + gain * (z2 - q2), q3 + gain * (z3 - q3)
+    ])
+    norm = math.sqrt(q_new.dot(q_new))
+    if norm == 0.0:
+        raise NumericalError("update produced a zero quaternion")
+    return FilterState(q_new / norm, (1.0 - gain) * state.kappa, state.q_chi, state.q_u)
+
+
+def reference_fuse(state: FilterState, omegas, zs, sample_period) -> list[FilterState]:
+    """Reference: ``fusion.fuse`` a tick at a time, through predict, align
+    and update, each measurement a row of the array ``zs``."""
+    states = []
+    for omega, z in zip(omegas, np.asarray(zs, dtype=float)):
+        prior = predict(state, omega, sample_period)
+        state = update(prior, align(z, prior.q))
+        states.append(state)
+    return states
+
+
+def state_bits(states) -> list[bytes]:
+    """Every float of each filter state, as bytes."""
+    return [np.array([*s.q, *s[1:]], dtype=float).tobytes() for s in states]
 
 
 def transition_matrix(body_rates, sample_period):
@@ -44,7 +101,8 @@ class MatrixFilter(NamedTuple):
 
 def matrix_state(state: FilterState) -> MatrixFilter:
     eye = np.eye(4)
-    return MatrixFilter(state.q, state.kappa * eye, state.q_chi * eye, state.q_u * eye)
+    q = np.asarray(state.q, dtype=float)
+    return MatrixFilter(q, state.kappa * eye, state.q_chi * eye, state.q_u * eye)
 
 
 def matrix_predict(state: MatrixFilter, body_rates, sample_period) -> MatrixFilter:
@@ -185,9 +243,11 @@ class TestMeasurementQuat:
         )
 
     def test_hemisphere_alignment(self):
+        # the filter starts on -q and measures q: the estimate stays on -q
         q_ref = -frames.euler_to_quat(Attitude(0.4, 0.1, -0.2))
-        z = align(measurement_quat(0.4, 0.1, -0.2), q_ref)
-        assert float(np.dot(z, q_ref)) >= 0.0
+        z = measurement_quat(0.4, 0.1, -0.2)
+        [post] = fuse(FilterState(tuple(q_ref), 1.0, 0.0, 1e-4), [(0.0, 0.0, 0.0)], [z], 0.01)
+        np.testing.assert_allclose(post.q, q_ref, rtol=0, atol=1e-15)
 
     def test_saturated_pitch_keeps_euler_angles(self):
         # a saturated accelerometer reads pitch +/-90 deg, where yaw and roll
@@ -201,7 +261,7 @@ class TestMeasurementQuat:
 class TestUpdate:
     def test_zero_innovation(self):
         state = make_filter_state(frames.euler_to_quat(Attitude(0.3, 0.1, -0.5)), FusionConfig())
-        post = update(state, state.q.copy())
+        post = update(state, np.array(state.q))
         np.testing.assert_allclose(post.q, state.q, atol=1e-15)
         assert_scalar_covariance(post.kappa, matrix_update(matrix_state(state), state.q).kappa)
 
@@ -251,7 +311,7 @@ def fusion_ticks(profile, noise_cfg, seed, duration, **covariances):
     steps = int(round(duration / noise_cfg.sample_period))
     times = np.arange(1, steps + 1) * noise_cfg.sample_period
     block = harness.sense(cfg, mechanical.pointing_euler(cfg.geo), times, rng)
-    states = harness.fuse_block(cfg, state, block)
+    states = fuse(state, block.omega_m, block.z, noise_cfg.sample_period)
     _, est = fusion.estimate(np.array([s.q for s in states]))
     pr = block.pitch_roll
     measured = zip(block.psi_m.tolist(), pr.pitch.tolist(), pr.roll.tolist())
@@ -308,6 +368,95 @@ class TestFuseStep:
 
     def test_singular_innovation_raises(self):
         # a zero innovation variance k- + q_u has no Kalman gain
-        state = FilterState(q=np.array([1.0, 0, 0, 0]), kappa=0.0, q_chi=0.0, q_u=0.0)
-        with pytest.raises(fusion.NumericalError):
-            update(state, np.array([1.0, 0, 0, 0]))
+        state = FilterState(q=(1.0, 0.0, 0.0, 0.0), kappa=0.0, q_chi=0.0, q_u=0.0)
+        with pytest.raises(NumericalError, match="zero innovation variance"):
+            fuse(state, [(0.0, 0.0, 0.0)], [(1.0, 0.0, 0.0, 0.0)], 0.01)
+
+
+def orthogonal_to(q, rng) -> np.ndarray:
+    """A random unit quaternion orthogonal to ``q`` up to rounding."""
+    u = rng.standard_normal(4)
+    u -= u.dot(q) * q
+    return u / np.linalg.norm(u)
+
+
+def plain_dot(a, b) -> float:
+    """The left-to-right float dot, which ``fuse`` takes before its ``ddot``."""
+    return sum(x * y for x, y in zip(a, b))
+
+
+class TestFuse:
+    """``fusion.fuse`` against ``reference_fuse``, bit for bit."""
+
+    T_S = 0.01
+
+    def test_equals_the_reference_on_a_sensed_block(self):
+        # the yaw swings through 180 deg, where the measurement quaternions
+        # change hemisphere
+        profile = ProfileConfig(yaw=[Sinusoid(200 * D2R, 0.1)], pitch=MOVING.pitch,
+                                roll=MOVING.roll)
+        cfg = ScenarioConfig(profile=profile, sensors=SensorNoiseConfig(gyro_white_sigma=0.05))
+        times = np.arange(1, 2049) * self.T_S
+        block = harness.sense(cfg, mechanical.pointing_euler(cfg.geo), times,
+                              np.random.default_rng(5))
+        state = make_filter_state(block.z[0], cfg.fusion)
+        got = fuse(state, block.omega_m, block.z, self.T_S)
+        want = reference_fuse(state, block.omega_m, block.z, self.T_S)
+        assert state_bits(got) == state_bits(want)
+        priors = [predict(s, w, self.T_S).q for s, w in zip([state, *want], block.omega_m)]
+        flips = sum(z.dot(q) < 0.0 for z, q in zip(block.z, priors))
+        assert 0 < flips < len(priors)
+
+    def test_sign_of_nearly_orthogonal_measurements(self):
+        # at rest the prior is the estimate, so each measurement, orthogonal
+        # to the estimate, has a dot within rounding of zero: the float dot
+        # and ddot then disagree in sign on some ticks, where ddot decides
+        rng = np.random.default_rng(23)
+        start = FilterState((0.5, -0.5, 0.5, 0.5), 1e-2, 1e-6, 1e-4)
+        state, zs = start, []
+        for _ in range(64):
+            q = np.asarray(state.q, dtype=float)
+            zs.append(orthogonal_to(q, rng))
+            [state] = reference_fuse(state, [(0.0, 0.0, 0.0)], [zs[-1]], self.T_S)
+        still = [(0.0, 0.0, 0.0)] * len(zs)
+        want = reference_fuse(start, still, zs, self.T_S)
+        priors = [np.asarray(s.q) for s in [start, *want[:-1]]]
+        dots = [(plain_dot(z, q) < 0.0, z.dot(q) < 0.0) for z, q in zip(zs, priors)]
+        assert all(abs(z.dot(q)) <= 1e-15 for z, q in zip(zs, priors))
+        assert sum(a != b for a, b in dots) >= 3
+        assert state_bits(fuse(start, still, zs, self.T_S)) == state_bits(want)
+
+    def test_exact_zero_dot_keeps_the_measurement(self):
+        # the estimate stays on (1, 0, 0, 0) while it measures it, then meets a
+        # measurement at a dot of exactly 0.0, whose sign it keeps
+        start = FilterState((1.0, 0.0, 0.0, 0.0), 1e-2, 1e-6, 1e-4)
+        zs = [(1.0, 0.0, 0.0, 0.0)] * 3 + [(0.0, -0.6, 0.8, 0.0)] + [(1.0, 0.0, 0.0, 0.0)] * 3
+        still = [(0.0, 0.0, 0.0)] * len(zs)
+        got, want = fuse(start, still, zs, self.T_S), reference_fuse(start, still, zs, self.T_S)
+        assert state_bits(got) == state_bits(want)
+        assert got[2].q == (1.0, 0.0, 0.0, 0.0)
+        assert got[3].q[1] < 0.0 < got[3].q[2]
+
+    @pytest.mark.parametrize("q_chi, zero_row, message", [
+        # no noise at all: the first update takes the whole measurement and
+        # leaves k = 0, so the second tick's innovation variance is zero
+        (0.0, None, "zero innovation variance"),
+        # process noise alone: each update takes the whole measurement, and
+        # the zero row of the fifth tick has no norm
+        (1e-6, 4, "update produced a zero quaternion"),
+    ])
+    def test_numerical_error_in_mid_block(self, q_chi, zero_row, message):
+        rng = np.random.default_rng(8)
+        start = FilterState((1.0, 0.0, 0.0, 0.0), 1e-2, q_chi, 0.0)
+        omegas = rng.uniform(-0.5, 0.5, (8, 3)).tolist()
+        zs = [measurement_quat(*rng.uniform(-0.5, 0.5, 3)) for _ in omegas]
+        if zero_row is not None:
+            zs[zero_row] = np.zeros(4)
+        bad = 1 if zero_row is None else zero_row
+        # the reference raises on the same tick, and the ticks before it agree
+        with pytest.raises(NumericalError, match=message):
+            reference_fuse(start, omegas[:bad + 1], zs[:bad + 1], self.T_S)
+        want = reference_fuse(start, omegas[:bad], zs[:bad], self.T_S)
+        assert state_bits(fuse(start, omegas[:bad], zs[:bad], self.T_S)) == state_bits(want)
+        with pytest.raises(NumericalError, match=message):
+            fuse(start, omegas, zs, self.T_S)

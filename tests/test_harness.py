@@ -20,6 +20,8 @@ from beamtrack.harness import (
     run_simulation,
 )
 from test_channel import reference_nrsp, reference_terms, reference_vec
+from test_fusion import align, predict, update
+from test_mechanical import gimbal_step
 from test_sensors import Sensed, sensed_ticks
 
 D2R = math.pi / 180.0
@@ -261,12 +263,12 @@ def reference_step(cfg, euler, prev: Tick, sensed: Sensed) -> Tick:
     ``sensed``, command the gimbal to the stabilization solution, isolate the
     measured body rates, servo, and take the arrival."""
     t_s = cfg.sensors.sample_period
-    prior = fusion.predict(prev.filter_state, sensed.omega_m, t_s)
-    state = fusion.update(prior, fusion.align(sensed.z, prior.q))
+    prior = predict(prev.filter_state, sensed.omega_m, t_s)
+    state = update(prior, align(sensed.z, prior.q))
     c_n_b, [est] = fusion.estimate(state.q[None])
     [target] = mechanical.stabilization_command(c_n_b, euler)
     isolation = mechanical.isolation_rates(prev.gimbal.angles, sensed.omega_m)
-    gimbal = mechanical.gimbal_step(prev.gimbal, target, isolation, cfg.servo, t_s)
+    gimbal = gimbal_step(prev.gimbal, target, isolation, cfg.servo, t_s)
     [arrival] = beam_frame_arrival([gimbal.angles], sensed.c_n_b_truth[None], euler)
     return Tick(sensed, state, target, est, gimbal, arrival)
 

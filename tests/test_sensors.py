@@ -466,10 +466,13 @@ class TestFloatTupleVectors:
         rates = (0.31, -0.22, 0.13)
         array = np.array(rates)
         state = fusion.make_filter_state(np.array([0.9, 0.1, -0.2, 0.3]), fusion.FusionConfig())
+        z = fusion.measurement_quat(0.1, 0.2, 0.3)
         angles = mechanical.GimbalAngles(0.4, 0.7, -0.2)
+        gimbal, servo = mechanical.GimbalState(angles), mechanical.ServoConfig()
         for reader in (
-            lambda v: fusion.predict(state, v, 0.01).q,
+            lambda v: fusion.fuse(state, [v], [z], 0.01)[0].q,
             lambda v: mechanical.isolation_rates(angles, v),
+            lambda v: mechanical.servo(gimbal, [angles], [v], servo, 0.01)[0].angles,
             lambda v: accel_to_pitch_roll(v, cfg.gravity)[:2],
             lambda v: gyro_measure(v, cfg, np.random.default_rng(3)),
             lambda v: euler_rates_to_body_rates(Attitude(0.1, 0.2, 0.3), v),
