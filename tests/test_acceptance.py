@@ -15,13 +15,11 @@ import pytest
 from beamtrack import frames, harness, mechanical, sensors
 from beamtrack.channel import ArrayGeometry, nrsp
 from beamtrack.cli import cli_main
-from beamtrack.config import default_scenario
+from beamtrack.config import D2R, default_scenario
 from beamtrack.electrical import AsspParams
 from beamtrack.frames import Attitude
 from beamtrack.experiments import convergence_stats
 from beamtrack.mechanical import GimbalAngles
-
-D2R = math.pi / 180.0
 
 
 def report(n: int, ok: bool, detail: str) -> str:

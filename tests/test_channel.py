@@ -17,71 +17,15 @@ from beamtrack.channel import (
     spatial_spectrum,
     weights_from_phases,
 )
-
-D2R = math.pi / 180.0
-
-
-def path_term(geom, azimuth, elevation, gain=1.0 + 0j):
-    """The (g, r, c) term of one plane wave of gain ``gain``, g carrying
-    the 1/sqrt(MN) array normalization."""
-    u_r, u_c = direction_sines(azimuth, elevation)
-    return (gain * (1.0 / math.sqrt(geom.size)), *plane_wave(geom, u_r, u_c))
+from beamtrack.config import D2R
+from refs import (
+    los_vec, reference_nrsp, reference_power, reference_ray, reference_terms, reference_vec,
+)
 
 
 def stack(terms):
     """The one-channel ``Channel`` stack of the one-channel ``terms``."""
     return Channel(tuple((g, r[None], c[None]) for g, r, c in terms))
-
-
-# The per-arrival channel: each arrival's terms built, summed and read on
-# their own.  The stacked Channel reads the bits of these, arrival by arrival.
-
-def reference_plane_wave(geom, u_r, u_c):
-    """The factors (r, c) of one plane wave, from one complex exponential."""
-    k = 2.0 * math.pi * geom.spacing_over_wavelength
-    idx = lambda n: 1j * np.arange(n, dtype=float)
-    e = np.exp(np.concatenate((k * u_r * idx(geom.rows), k * u_c * idx(geom.cols))))
-    return e[:geom.rows], e[geom.rows:]
-
-
-def reference_terms(link, geom, azimuth, elevation):
-    """The (g, r, c) terms of ``link``'s channel at one arrival: the LOS
-    ray, and the second ray when ``nlos_gain`` > 0."""
-    scale = 1.0 / math.sqrt(geom.size)
-
-    def ray(gain, az, el):
-        s = math.sin(az)
-        return (gain * scale, *reference_plane_wave(geom, s * math.cos(el), s * math.sin(el)))
-
-    terms = [ray(1.0 + 0.0j, azimuth, elevation)]
-    if link.nlos_gain > 0.0:
-        turn = np.exp(-2j * math.pi * link.nlos_path_length / WAVELENGTH)
-        terms.append(ray((link.nlos_gain + 0j) * turn, azimuth + link.nlos_azimuth_offset,
-                         elevation + link.nlos_elevation_offset))
-    return terms
-
-
-def reference_vec(terms):
-    """The MN channel vector of one channel's terms, column-major."""
-    return sum(g * np.outer(c, r).ravel() for g, r, c in terms)
-
-
-def reference_power(terms):
-    return sum(
-        gp * np.conj(gq) * np.vdot(rq, rp) * np.vdot(cq, cp)
-        for gp, rp, cp in terms
-        for gq, rq, cq in terms
-    ).real
-
-
-def reference_nrsp(terms, wbar):
-    """|sum g r^T wbar c|^2 / (MN ||h||^2) of one channel's terms."""
-    denom = wbar.size * reference_power(terms)
-    return float(abs(sum(g * (r @ wbar @ c) for g, r, c in terms)) ** 2 / denom)
-
-
-def los_channel(geom, azimuth=0.0, elevation=0.0, gain=1.0 + 0j):
-    return reference_vec([path_term(geom, azimuth, elevation, gain)])
 
 
 def response_matrix(geom, azimuth, elevation):
@@ -173,7 +117,7 @@ class TestChannelMatrix:
         _, ray = link.channel(geom, [(0.0, 0.0)]).terms
         gain = ray[0] * math.sqrt(geom.size)
         assert gain == pytest.approx(1.0, abs=1e-12)  # three wavelengths turn no phase
-        chan = stack([path_term(geom, 0.2, 0.1, gain)])
+        chan = stack([reference_ray(geom, 0.2, 0.1, gain)])
         expected = response_matrix(geom, 0.2, 0.1).flatten(order="F") / math.sqrt(geom.size)
         np.testing.assert_allclose(chan.vec()[0], expected, atol=1e-12)
         assert chan.power()[0] == pytest.approx(1.0, abs=1e-12)
@@ -186,7 +130,7 @@ class TestChannelMatrix:
         ]
         rng = np.random.default_rng(8)
         for chosen in (paths[:1], paths):  # LOS alone, LOS plus the second ray
-            chan = stack([path_term(geom, *p) for p in chosen])
+            chan = stack([reference_ray(geom, *p) for p in chosen])
             # brute-force oracle: accumulate each entry directly from the model
             h = np.zeros((geom.rows, geom.cols), dtype=complex)
             for m in range(geom.rows):
@@ -254,7 +198,7 @@ class TestStackedChannel:
 class TestSpatialSpectrum:
     def test_broadside_concentrates_at_origin(self):
         geom = ArrayGeometry(16, 8)
-        [s] = spatial_spectrum(stack([path_term(geom, 0.0, 0.0)]))
+        [s] = spatial_spectrum(stack([reference_ray(geom, 0.0, 0.0)]))
         assert s[0, 0] == pytest.approx(1.0, abs=1e-12)
         mask = np.ones_like(s, dtype=bool)
         mask[0, 0] = False
@@ -263,7 +207,7 @@ class TestSpatialSpectrum:
     def test_peak_bin_at_generic_doa(self):
         geom = ArrayGeometry(32, 16)
         az, el = 14 * D2R, 33 * D2R
-        [s] = spatial_spectrum(stack([path_term(geom, az, el)]))
+        [s] = spatial_spectrum(stack([reference_ray(geom, az, el)]))
         got = np.unravel_index(np.argmax(s), s.shape)
         # stationary-phase prediction, verified by exhaustive search over bins
         u_r = geom.spacing_over_wavelength * math.sin(az) * math.cos(el)
@@ -304,7 +248,7 @@ class TestMatchedWeights:
 class TestReceivedSignal:
     def test_noiseless_matched_magnitude(self):
         geom = ArrayGeometry(16, 8)
-        h = los_channel(geom, 0.2, 0.4)
+        h = los_vec(geom, 0.2, 0.4)
         w = matched_weights(geom, 0.2, 0.4)
         y = received_signal(w, h, 0.0, np.random.default_rng(0))
         assert abs(y) == pytest.approx(math.sqrt(geom.size), abs=1e-10)
@@ -312,7 +256,7 @@ class TestReceivedSignal:
     def test_orthogonal_steering_nulls(self):
         # steer to an exact DFT-grid direction away from the source
         geom = ArrayGeometry(16, 8)
-        h = los_channel(geom, 0.0, 0.0)
+        h = los_vec(geom, 0.0, 0.0)
         null_u = 1.0 / geom.rows  # one DFT bin off along rows
         az = math.asin(null_u / geom.spacing_over_wavelength)
         w = matched_weights(geom, az, 0.0)
@@ -321,7 +265,7 @@ class TestReceivedSignal:
 
     def test_noise_variance(self):
         geom = ArrayGeometry(8, 4)
-        h = los_channel(geom)
+        h = los_vec(geom)
         w = matched_weights(geom, 0.0, 0.0)
         rng = np.random.default_rng(33)
         noise_power = 0.05
@@ -336,7 +280,7 @@ class TestReceivedSignal:
 
     def test_reproducible_under_seed(self):
         geom = ArrayGeometry(4, 4)
-        h = los_channel(geom)
+        h = los_vec(geom)
         w = matched_weights(geom, 0.0, 0.0)
         y1 = received_signal(w, h, 0.1, np.random.default_rng(9))
         y2 = received_signal(w, h, 0.1, np.random.default_rng(9))
@@ -346,13 +290,13 @@ class TestReceivedSignal:
 class TestReceivedPower:
     def test_nonnegative(self):
         geom = ArrayGeometry(4, 2)
-        oracle = PowerOracle(los_channel(geom), 1.0, np.random.default_rng(12))
+        oracle = PowerOracle(los_vec(geom), 1.0, np.random.default_rng(12))
         for _ in range(50):
             assert oracle(np.zeros(geom.size)) >= 0.0
 
     def test_expectation(self):
         geom = ArrayGeometry(8, 4)
-        h = los_channel(geom, 0.05, 0.0)
+        h = los_vec(geom, 0.05, 0.0)
         w = np.zeros(geom.size)
         noise_power = 0.1
         loop = PowerOracle(h, noise_power, np.random.default_rng(3))
@@ -369,20 +313,20 @@ class TestNrsp:
     def test_matched_is_one(self):
         geom = ArrayGeometry(16, 8)
         for az, el in ((0.0, 0.0), (0.3, 0.5), (-0.8, 2.0), (1.0, -1.4)):
-            h = los_channel(geom, az, el, gain=0.8 * np.exp(1.1j - 2j * math.pi * 0.0123 / WAVELENGTH))
+            h = los_vec(geom, az, el, gain=0.8 * np.exp(1.1j - 2j * math.pi * 0.0123 / WAVELENGTH))
             w = matched_weights(geom, az, el)
             assert nrsp(w, h) == pytest.approx(1.0, abs=1e-12)
 
     def test_broadside_zero_phase(self):
         geom = ArrayGeometry(8, 8)
-        assert nrsp(np.zeros(geom.size), los_channel(geom)) == pytest.approx(1.0, abs=1e-12)
+        assert nrsp(np.zeros(geom.size), los_vec(geom)) == pytest.approx(1.0, abs=1e-12)
 
     def test_global_phase_invariance(self):
         geom = ArrayGeometry(8, 4)
-        h = los_channel(geom, 0.2, 0.3)
+        h = los_vec(geom, 0.2, 0.3)
         w = matched_weights(geom, 0.2, 0.3)
         assert nrsp(w + 1.234, h) == pytest.approx(nrsp(w, h), abs=1e-12)
-        h2 = los_channel(geom, 0.2, 0.3, gain=np.exp(2.2j))
+        h2 = los_vec(geom, 0.2, 0.3, gain=np.exp(2.2j))
         assert nrsp(w, h2) == pytest.approx(nrsp(w, h), abs=1e-12)
 
     def test_monotone_decrease_with_offset(self):
@@ -392,7 +336,7 @@ class TestNrsp:
         offsets = np.linspace(0.05, 0.85, 12)
         values = []
         for off in offsets:
-            h = los_channel(geom, off * D2R, 0.0)
+            h = los_vec(geom, off * D2R, 0.0)
             values.append(nrsp(w, h))
         assert all(0.0 < v < 1.0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -429,7 +373,7 @@ class TestPowerOracle:
         # |w^H h|^2 = MN for a matched unit-norm channel, which the oracle
         # scales to 1
         geom = ArrayGeometry(rows, cols)
-        h = los_channel(geom, az, el)
+        h = los_vec(geom, az, el)
         w = matched_weights(geom, az, el)
         p = abs(received_signal(w, h, 0.0, np.random.default_rng(0))) ** 2
         assert p == pytest.approx(geom.size, rel=1e-10)
@@ -440,7 +384,7 @@ class TestPowerOracle:
     def test_noise_statistics_match_vector_model(self):
         # scalar draw w^H n must match the explicit per-element vector model
         geom = ArrayGeometry(8, 4)
-        h = los_channel(geom, 0.02, 0.0)
+        h = los_vec(geom, 0.02, 0.0)
         w = np.zeros(geom.size)
         noise_power = 0.1
         scale = geom.size * np.vdot(h, h).real
@@ -452,7 +396,7 @@ class TestPowerOracle:
 
     def test_noise_terms_are_the_per_query_draws(self):
         geom = ArrayGeometry(8, 4)
-        h = los_channel(geom, 0.02, 0.1)
+        h = los_vec(geom, 0.02, 0.1)
         block = PowerOracle(h, 0.1, np.random.default_rng(5))
         single = PowerOracle(h, 0.1, np.random.default_rng(5))
         terms = block.noise_terms(7)
@@ -469,7 +413,7 @@ class TestPowerOracle:
         # noise_terms, as the simultaneous runners read them, against
         # from-scratch queries on the same noise stream
         geom = ArrayGeometry(16, 8)
-        h = los_channel(geom, 0.01, 0.7, gain=0.8 * np.exp(0.4j))
+        h = los_vec(geom, 0.01, 0.7, gain=0.8 * np.exp(0.4j))
         rng = np.random.default_rng(3)
         phases = rng.uniform(-3.0, 3.0, geom.size)
         delta = 0.05 * rng.standard_normal(geom.size)
@@ -492,7 +436,7 @@ class TestPowerOracle:
 
     def test_one_query_noise_is_the_array_draw(self):
         # one query at a time reads the stream of one array draw, in query order
-        h = los_channel(ArrayGeometry(8, 4), 0.02, 0.1)
+        h = los_vec(ArrayGeometry(8, 4), 0.02, 0.1)
         scalar = PowerOracle(h, 0.1, np.random.default_rng(17))
         block = PowerOracle(h, 0.1, np.random.default_rng(17))
         rng = np.random.default_rng(17)
@@ -505,7 +449,7 @@ class TestPowerOracle:
     def test_noiseless_noise_terms_draw_nothing(self):
         geom = ArrayGeometry(4, 2)
         rng = np.random.default_rng(9)
-        oracle = PowerOracle(los_channel(geom), 0.0, rng)
+        oracle = PowerOracle(los_vec(geom), 0.0, rng)
         assert oracle.noise_terms(5).tobytes() == np.zeros(5, dtype=complex).tobytes()
         assert oracle.queries == 5
         assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
@@ -513,23 +457,6 @@ class TestPowerOracle:
     def test_signal_model_noise_power(self):
         assert SignalModel(snr_db=20.0).noise_power == pytest.approx(0.01)
         assert SignalModel(snr_db=-10.0).noise_power == pytest.approx(10.0)
-
-    def test_signal_model_paths(self):
-        # each term has the bits of a plane-wave term built here: the LOS
-        # ray at the arrival, the second ray at the offset arrival
-        geom = ArrayGeometry(16, 8)
-        model = SignalModel(nlos_gain=0.3, nlos_path_length=0.0123)
-        gain = (0.3 + 0j) * np.exp(-2j * math.pi * 0.0123 / WAVELENGTH)
-        x = 2 * math.pi * 0.0123 / WAVELENGTH  # the carrier phase, in radians
-        assert gain == pytest.approx(0.3 * complex(math.cos(x), -math.sin(x)), abs=1e-12)
-        los = path_term(geom, 0.1, 0.3)
-        az, el = 0.1 + model.nlos_azimuth_offset, 0.3 + model.nlos_elevation_offset
-        ray = path_term(geom, az, el, gain)
-        for link, want in ((SignalModel(), [los]), (model, [los, ray])):
-            got = link.channel(geom, [(0.1, 0.3)]).terms
-            assert [[np.asarray(v).tobytes() for v in t] for t in got] == [
-                [np.asarray(v).tobytes() for v in t] for t in want
-            ]
 
     def test_signal_model_rejects_non_finite_second_ray(self):
         for key in ("nlos_azimuth_offset", "nlos_elevation_offset", "nlos_path_length"):

@@ -121,6 +121,32 @@ class TestSimulate:
             outs.append((out_dir / "trace.csv").read_bytes())
         assert outs[0] != outs[1]
 
+    def test_summary_reads_the_written_trace(self, capsys, tmp_path):
+        # an epoch on the last tick, so the trace ends on electrical rows,
+        # and a tick whose pitch error is the largest attitude error
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(
+            "[array]\nrows = 4\ncols = 4\n[run]\nduration = 2\nseed = 7\n"
+            "[electrical]\nmax_iters = 5\nfirst_epoch = 2\n"
+        )
+        csv_path = tmp_path / "o" / "trace.csv"
+        argv = ["simulate", "--config", str(cfg), "--out", str(csv_path.parent)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        _, header, *lines = csv_path.read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        mech = [row for row in rows if row["phase"] == "mech"]
+        worst = {axis: max(abs(float(row[f"{axis}_err_deg"])) for row in mech)
+                 for axis in ("yaw", "pitch", "roll")}
+        assert max(worst, key=worst.get) == "pitch"
+        assert rows[-1]["phase"] == "elec" and rows[0]["nrsp"] != rows[-1]["nrsp"]
+        assert out.splitlines() == [
+            f"ticks = {len(mech)}, electrical rows = {len(rows) - len(mech)}",
+            f"max attitude error = {worst['pitch']:.4f} deg",
+            f"final nrsp = {float(rows[-1]['nrsp']):.6f}",
+            f"trace written to {csv_path}",
+        ]
+
     def test_run_failing_mid_flight_leaves_no_trace(self, capsys, tmp_path, monkeypatch):
         # 1200 ticks: two blocks of the loop, the first already written when
         # the second raises

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamtrack.config import (
-    SCHEMA, ConfigError, default_scenario, load_scenario, load_scenario_text,
+    D2R, SCHEMA, ConfigError, default_scenario, load_scenario, load_scenario_text,
 )
 from beamtrack.harness import TRACE_COLUMNS, run_simulation
-
-D2R = math.pi / 180.0
 
 
 class TestDefaults:

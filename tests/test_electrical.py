@@ -6,6 +6,7 @@ import pytest
 
 from beamtrack import channel, electrical, experiments
 from beamtrack.channel import ArrayGeometry, PowerOracle, SignalModel
+from beamtrack.config import D2R
 from beamtrack.electrical import (
     AsspParams,
     OptimizerTrace,
@@ -20,14 +21,7 @@ from beamtrack.electrical import (
     structure_matrix,
 )
 from beamtrack.experiments import offset_arrival, run_trial
-
-D2R = math.pi / 180.0
-
-
-def los_vec(geom, az, el):
-    """The MN channel vector of the unit-gain LOS ray from (az, el)."""
-    [h] = SignalModel().channel(geom, [(az, el)]).vec()
-    return h
+from refs import bits, los_vec
 
 
 def make_oracle(geom, az, el, snr_db=None, seed=0):
@@ -49,10 +43,6 @@ def assp_gradient(phases, delta, oracle):
     p_plus = oracle(phases + delta)
     p_minus = oracle(phases - delta)
     return (p_plus - p_minus) / (2.0 * delta), p_plus, p_minus
-
-
-def bits(values):
-    return np.asarray(values, dtype=complex).view(np.uint64)
 
 
 def reference_draw(rng, size):
@@ -506,7 +496,7 @@ class TestSignedRotation:
         buf = np.empty(size, dtype=complex)
         for x in (magnitude, -magnitude):
             offset = signs * x
-            assert np.array_equal(bits(_rotation(offset, signs, buf)), bits(np.exp(-1j * offset)))
+            assert bits(_rotation(offset, signs, buf)) == bits(np.exp(-1j * offset))
 
     def test_signed_zero_step(self):
         # p_plus == p_minus makes a step of +0.0 on + signs and -0.0 on -
@@ -517,7 +507,7 @@ class TestSignedRotation:
         for first in (1.0, -1.0):
             signs[0] = first
             step = 0.0 * signs
-            assert np.array_equal(bits(_rotation(step, signs, buf)), bits(np.exp(-1j * step)))
+            assert bits(_rotation(step, signs, buf)) == bits(np.exp(-1j * step))
 
     @pytest.mark.parametrize("rows, cols, runner", [
         (16, 8, run_isotropic_spsa),
@@ -546,8 +536,7 @@ class TestSignedRotation:
             np.random.default_rng(8), geom,
         )
         assert len(t1) == params.max_iters
-        assert np.array_equal(p1.view(np.uint64), p2.view(np.uint64))
-        assert np.array_equal(bits(t1.nrsp), bits(t2.nrsp))
+        assert bits(p1) == bits(p2) and bits(t1.nrsp) == bits(t2.nrsp)
         assert t1.queries == t2.queries
 
 

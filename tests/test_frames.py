@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamtrack import frames
+from beamtrack.config import D2R
 from beamtrack.frames import (
     Attitude,
     c_b_t,
@@ -15,34 +16,12 @@ from beamtrack.frames import (
     wrap_angle,
     zyx_angles,
 )
+from refs import bits, rot_x, rot_y, rot_z
 
-D2R = math.pi / 180.0
 # the +/-90 deg middle angles of the z-y-x pole, and (outer, inner) angle
 # pairs tried at each: the inner angle 0, or both turning at once
 POLES = (math.pi / 2, -math.pi / 2)
 POLE_PAIRS = ((0.7, 0.0), (-2.9, 0.0), (0.4, 1.1), (3.0, -2.5))
-
-
-# The frame rotations by an angle about one axis, the references of the
-# factors of frames._zyx; test_sensors and test_mechanical import them too.
-def rot_z(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_y(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-
-
-def rot_x(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
-
-
-def is_rotation(matrix) -> bool:
-    """The rotation test of ``frames.zyx_angles``."""
-    return frames._rotation_rows(matrix) is not None
 
 
 def closed_form_b_to_t(a, b, g):
@@ -237,7 +216,7 @@ class TestIsRotation:
         ],
     )
     def test_decision(self, matrix, expected):
-        assert is_rotation(matrix) is expected
+        assert (frames._rotation_rows(matrix) is not None) is expected
         assert reference_is_rotation(matrix) is expected
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -245,11 +224,11 @@ class TestIsRotation:
         for i, j in ((0, 0), (1, 2), (2, 1)):
             m = np.eye(3)
             m[i, j] = bad
-            assert not is_rotation(m)
+            assert frames._rotation_rows(m) is None
         # an inf alongside an entry that keeps the row sums finite-looking
         m = np.eye(3)
         m[0, 1], m[0, 2] = float("inf"), -float("inf")
-        assert not is_rotation(m)
+        assert frames._rotation_rows(m) is None
 
     @pytest.mark.parametrize(
         "matrix",
@@ -257,7 +236,7 @@ class TestIsRotation:
          np.eye(3)[..., None], np.float64(1.0)],
     )
     def test_wrong_shape_rejected(self, matrix):
-        assert not is_rotation(matrix)
+        assert frames._rotation_rows(matrix) is None
 
     def test_agrees_with_reference_on_perturbed_rotations(self):
         rng = np.random.default_rng(31)
@@ -265,14 +244,10 @@ class TestIsRotation:
         for _ in range(2000):
             m = c_b_t(*rng.uniform(-math.pi, math.pi, size=3))
             m = m + rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-10, -7)
-            decision = is_rotation(m)
+            decision = frames._rotation_rows(m) is not None
             assert decision == reference_is_rotation(m)
             seen.add(decision)
         assert seen == {True, False}
-
-
-def bits(values) -> bytes:
-    return np.array(values, dtype=float).tobytes()
 
 
 class TestUncheckedReader:

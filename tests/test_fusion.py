@@ -5,74 +5,16 @@ import numpy as np
 import pytest
 
 from beamtrack import frames, fusion, harness, mechanical, sensors
-from beamtrack.config import ScenarioConfig, default_scenario
+from beamtrack.config import D2R, ScenarioConfig, default_scenario
 from beamtrack.frames import Attitude
 from beamtrack.fusion import (
     FilterState, FusionConfig, NumericalError, fuse, make_filter_state, measurement_quat,
 )
 from beamtrack.sensors import ProfileConfig, SensorNoiseConfig, Sinusoid
+from refs import align, bits, predict, quiet_noise, reference_fuse, update
 
-D2R = math.pi / 180.0
 MOVING = ProfileConfig(yaw=[Sinusoid(10 * D2R, 0.1)], pitch=[Sinusoid(5 * D2R, 0.2)],
                        roll=[Sinusoid(8 * D2R, 0.15)])
-QUIET = SensorNoiseConfig(gyro_white_sigma=0, gyro_bias=0, accel_white_sigma=0, gps_yaw_sigma=0)
-
-
-def predict(state: FilterState, body_rates, sample_period: float) -> FilterState:
-    """Reference: one tick's prior, q- = (I + (T_s/2) Omega(omega)) q written
-    out in floats, as an array; ``body_rates`` is a 3-sequence."""
-    h = sample_period / 2.0
-    wx, wy, wz = body_rates
-    x, y, z = h * wx, h * wy, h * wz
-    q0, q1, q2, q3 = np.asarray(state.q, dtype=float).tolist()
-    q_pred = np.array([
-        q0 - x * q1 - y * q2 - z * q3,
-        x * q0 + q1 + z * q2 - y * q3,
-        y * q0 - z * q1 + q2 + x * q3,
-        z * q0 + y * q1 - x * q2 + q3,
-    ])
-    kappa = state.kappa * (1.0 + (x * x + y * y + z * z)) + state.q_chi
-    return FilterState(q_pred, kappa, state.q_chi, state.q_u)
-
-
-def align(z: np.ndarray, q_ref: np.ndarray) -> np.ndarray:
-    """Reference: ``z`` or ``-z``, whichever lies in the hemisphere of
-    ``q_ref``, by the sign of their ``ddot``."""
-    return -z if z.dot(q_ref) < 0.0 else z
-
-
-def update(state: FilterState, z: np.ndarray) -> FilterState:
-    """Reference: the Kalman update with identity observation, q + g (z - q)
-    written out in floats, renormalized by the ``ddot`` of the result."""
-    innovation = state.kappa + state.q_u
-    if innovation == 0.0:
-        raise NumericalError("zero innovation variance")
-    gain = state.kappa / innovation
-    q0, q1, q2, q3 = np.asarray(state.q, dtype=float).tolist()
-    z0, z1, z2, z3 = np.asarray(z, dtype=float).tolist()
-    q_new = np.array([
-        q0 + gain * (z0 - q0), q1 + gain * (z1 - q1), q2 + gain * (z2 - q2), q3 + gain * (z3 - q3)
-    ])
-    norm = math.sqrt(q_new.dot(q_new))
-    if norm == 0.0:
-        raise NumericalError("update produced a zero quaternion")
-    return FilterState(q_new / norm, (1.0 - gain) * state.kappa, state.q_chi, state.q_u)
-
-
-def reference_fuse(state: FilterState, omegas, zs, sample_period) -> list[FilterState]:
-    """Reference: ``fusion.fuse`` a tick at a time, through predict, align
-    and update, each measurement a row of the array ``zs``."""
-    states = []
-    for omega, z in zip(omegas, np.asarray(zs, dtype=float)):
-        prior = predict(state, omega, sample_period)
-        state = update(prior, align(z, prior.q))
-        states.append(state)
-    return states
-
-
-def state_bits(states) -> list[bytes]:
-    """Every float of each filter state, as bytes."""
-    return [np.array([*s.q, *s[1:]], dtype=float).tobytes() for s in states]
 
 
 def transition_matrix(body_rates, sample_period):
@@ -195,21 +137,23 @@ class TestPredict:
         assert_scalar_covariance(prior.kappa, matrix_predict(matrix_state(state), w, 0.01).kappa)
 
     def test_covariance_stays_symmetric_psd(self):
-        # the scalar filter against the 4x4 reference over a random walk: the
+        # fusion.fuse against the 4x4 reference over a random walk: the
         # reference covariance stays k I (so symmetric, positive) and the
         # estimates agree
         rng = np.random.default_rng(13)
-        state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
-        ref = matrix_state(state)
+        omegas, zs = [], []
         for _ in range(10_000):
-            w = rng.uniform(-0.5, 0.5, 3)
-            state, ref = predict(state, w, 0.01), matrix_predict(ref, w, 0.01)
+            omegas.append(rng.uniform(-0.5, 0.5, 3).tolist())
             angles = rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(-1, 1)
-            state = update(state, align(measurement_quat(*angles), state.q))
-            ref = matrix_update(ref, align(measurement_quat(*angles), ref.q))
+            zs.append(measurement_quat(*angles))
+        start = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
+        ref = matrix_state(start)
+        for w, z, state in zip(omegas, zs, fuse(start, omegas, zs, 0.01)):
+            ref = matrix_predict(ref, w, 0.01)
+            ref = matrix_update(ref, align(z, ref.q))
             assert state.kappa > 0
             assert_scalar_covariance(state.kappa, ref.kappa)
-            np.testing.assert_allclose(state.q, ref.q, rtol=0, atol=1e-12)
+            assert np.abs(np.subtract(state.q, ref.q)).max() <= 1e-12
 
     def test_covariance_matches_matrix_filter_on_reference_ticks(self):
         # the same comparison over 60 s of the reference scenario's sensor stream
@@ -281,11 +225,12 @@ class TestUpdate:
 
     def test_unit_norm_after_update(self):
         rng = np.random.default_rng(3)
-        state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
+        omegas, zs = [], []
         for _ in range(200):
-            state = predict(state, rng.uniform(-0.3, 0.3, 3), 0.01)
-            z = align(measurement_quat(*rng.uniform(-0.5, 0.5, 3)), state.q)
-            state = update(state, z)
+            omegas.append(rng.uniform(-0.3, 0.3, 3).tolist())
+            zs.append(measurement_quat(*rng.uniform(-0.5, 0.5, 3)))
+        start = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
+        for state in fuse(start, omegas, zs, 0.01):
             assert abs(np.linalg.norm(state.q) - 1.0) <= 1e-9
 
     def test_keeps_the_bits_of_the_array_form(self):
@@ -326,20 +271,20 @@ def run_fusion(profile, noise_cfg, seed, duration, **covariances):
 
 class TestFuseStep:
     def test_stationary_noiseless_fixed_point(self):
-        errs = run_fusion(ProfileConfig(), QUIET, seed=0, duration=1.0)
+        errs = run_fusion(ProfileConfig(), quiet_noise(), seed=0, duration=1.0)
         assert np.abs(errs).max() < 1e-8
 
     def test_noiseless_tracks_moving_truth(self):
         # all noise zeroed, including the filter's measurement-noise model
-        errs = run_fusion(MOVING, QUIET, seed=0, duration=5.0, measurement_noise=1e-12)
-        after_transient = errs[int(1.0 / QUIET.sample_period):]
+        errs = run_fusion(MOVING, quiet_noise(), seed=0, duration=5.0, measurement_noise=1e-12)
+        after_transient = errs[int(1.0 / quiet_noise().sample_period):]
         assert np.abs(after_transient).max() < 1e-6
 
     def test_noiseless_default_covariances_small_lag(self):
         # with the default noise model the filter keeps a small prediction
         # weight, leaving a first-order propagation lag well under 0.01 deg
-        errs = run_fusion(MOVING, QUIET, seed=0, duration=5.0)
-        after_transient = errs[int(1.0 / QUIET.sample_period):]
+        errs = run_fusion(MOVING, quiet_noise(), seed=0, duration=5.0)
+        after_transient = errs[int(1.0 / quiet_noise().sample_period):]
         assert np.abs(after_transient).max() < 0.01 * D2R
 
     def test_error_band_under_default_noise(self):
@@ -402,7 +347,7 @@ class TestFuse:
         state = make_filter_state(block.z[0], cfg.fusion)
         got = fuse(state, block.omega_m, block.z, self.T_S)
         want = reference_fuse(state, block.omega_m, block.z, self.T_S)
-        assert state_bits(got) == state_bits(want)
+        assert bits(got) == bits(want)
         priors = [predict(s, w, self.T_S).q for s, w in zip([state, *want], block.omega_m)]
         flips = sum(z.dot(q) < 0.0 for z, q in zip(block.z, priors))
         assert 0 < flips < len(priors)
@@ -424,7 +369,7 @@ class TestFuse:
         dots = [(plain_dot(z, q) < 0.0, z.dot(q) < 0.0) for z, q in zip(zs, priors)]
         assert all(abs(z.dot(q)) <= 1e-15 for z, q in zip(zs, priors))
         assert sum(a != b for a, b in dots) >= 3
-        assert state_bits(fuse(start, still, zs, self.T_S)) == state_bits(want)
+        assert bits(fuse(start, still, zs, self.T_S)) == bits(want)
 
     def test_exact_zero_dot_keeps_the_measurement(self):
         # the estimate stays on (1, 0, 0, 0) while it measures it, then meets a
@@ -433,7 +378,7 @@ class TestFuse:
         zs = [(1.0, 0.0, 0.0, 0.0)] * 3 + [(0.0, -0.6, 0.8, 0.0)] + [(1.0, 0.0, 0.0, 0.0)] * 3
         still = [(0.0, 0.0, 0.0)] * len(zs)
         got, want = fuse(start, still, zs, self.T_S), reference_fuse(start, still, zs, self.T_S)
-        assert state_bits(got) == state_bits(want)
+        assert bits(got) == bits(want)
         assert got[2].q == (1.0, 0.0, 0.0, 0.0)
         assert got[3].q[1] < 0.0 < got[3].q[2]
 
@@ -457,6 +402,6 @@ class TestFuse:
         with pytest.raises(NumericalError, match=message):
             reference_fuse(start, omegas[:bad + 1], zs[:bad + 1], self.T_S)
         want = reference_fuse(start, omegas[:bad], zs[:bad], self.T_S)
-        assert state_bits(fuse(start, omegas[:bad], zs[:bad], self.T_S)) == state_bits(want)
+        assert bits(fuse(start, omegas[:bad], zs[:bad], self.T_S)) == bits(want)
         with pytest.raises(NumericalError, match=message):
             fuse(start, omegas, zs, self.T_S)

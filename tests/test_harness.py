@@ -1,13 +1,12 @@
 import json
 import math
-from typing import NamedTuple, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from beamtrack import electrical, frames, fusion, harness, mechanical
-from beamtrack.channel import PowerOracle, conj_weight_matrix
-from beamtrack.config import load_scenario_text
+from beamtrack import frames, harness, mechanical
+from beamtrack.config import D2R, load_scenario_text
 from beamtrack.frames import SingularityError
 from beamtrack.sensors import ProfileConfig, Sinusoid
 from beamtrack.harness import (
@@ -19,12 +18,8 @@ from beamtrack.harness import (
     export_json,
     run_simulation,
 )
-from test_channel import reference_nrsp, reference_terms, reference_vec
-from test_fusion import align, predict, update
-from test_mechanical import gimbal_step
-from test_sensors import Sensed, sensed_ticks
+from refs import block_bits, reference_run, reference_ticks
 
-D2R = math.pi / 180.0
 COLUMN_TYPES = get_type_hints(TraceRecord)
 FLOAT_COLUMNS = [c for c in TRACE_COLUMNS if COLUMN_TYPES[c] is float]
 
@@ -234,58 +229,7 @@ class TestRunSimulation:
         assert all(math.isfinite(v) for v in cells)
 
 
-class Tick(NamedTuple):
-    """One tick of the closed loop, and the loop state for the next."""
-
-    sensed: Sensed
-    filter_state: fusion.FilterState
-    command: mechanical.GimbalAngles  # stabilization command of the estimate
-    est: tuple  # the estimate's yaw/pitch/roll
-    gimbal: mechanical.GimbalState
-    arrival: tuple[float, float]  # (azimuth, elevation) of beam_frame_arrival
-
-
-def ticks_of(block: harness.Block) -> list[Tick]:
-    """The columns of ``block``, one record per tick."""
-    return list(map(
-        Tick, sensed_ticks(block), block.filter_state, block.command, block.est, block.gimbal,
-        block.arrival,
-    ))
-
-
-def loop_ticks(cfg, euler, rng, steps) -> list[Tick]:
-    """Every tick of ``harness.blocks``, the start's included."""
-    return [tick for block in harness.blocks(cfg, euler, rng, steps) for tick in ticks_of(block)]
-
-
-def reference_step(cfg, euler, prev: Tick, sensed: Sensed) -> Tick:
-    """The closed-loop tick after ``prev``, on its own: fuse the readings of
-    ``sensed``, command the gimbal to the stabilization solution, isolate the
-    measured body rates, servo, and take the arrival."""
-    t_s = cfg.sensors.sample_period
-    prior = predict(prev.filter_state, sensed.omega_m, t_s)
-    state = update(prior, align(sensed.z, prior.q))
-    c_n_b, [est] = fusion.estimate(state.q[None])
-    [target] = mechanical.stabilization_command(c_n_b, euler)
-    isolation = mechanical.isolation_rates(prev.gimbal.angles, sensed.omega_m)
-    gimbal = gimbal_step(prev.gimbal, target, isolation, cfg.servo, t_s)
-    [arrival] = beam_frame_arrival([gimbal.angles], sensed.c_n_b_truth[None], euler)
-    return Tick(sensed, state, target, est, gimbal, arrival)
-
-
 CHUNK = harness._SENSE_CHUNK
-
-
-def tick_bits(tick) -> bytes:
-    """Every float of a tick, its flags included, as bytes."""
-    s, state, gimbal = tick.sensed, tick.filter_state, tick.gimbal
-    values = [
-        s.t, *s.truth, *(s.omega_m or ()), *s.pitch_roll, s.psi_m, *s.ideal,
-        *state[1:], *tick.command, *tick.est, *gimbal.angles, gimbal.rate_clamped,
-        *tick.arrival,
-    ]
-    arrays = (values, s.z, s.c_n_b_truth, state.q)
-    return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
 
 
 class TestTicks:
@@ -293,19 +237,14 @@ class TestTicks:
     @pytest.mark.parametrize("steps", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * CHUNK + 300])
     def test_ticks_equal_step_by_step(self, steps):
         # the loop runs _SENSE_CHUNK ticks at a time through its stages; the
-        # step on ticks sensed one at a time reads the same bits
+        # reference loop, a tick at a time, reads the same bits
         cfg = small_scenario()
         euler = mechanical.pointing_euler(cfg.geo)
-        t_s = cfg.sensors.sample_period
-        sizes = [len(b.t) for b in harness.blocks(cfg, euler, np.random.default_rng(4), steps)]
+        loop = list(harness.blocks(cfg, euler, np.random.default_rng(4), steps))
+        sizes = [len(b.t) for b in loop]
         assert sizes == [1] + [CHUNK] * (steps // CHUNK) + [steps % CHUNK] * (steps % CHUNK > 0)
-        loop = loop_ticks(cfg, euler, np.random.default_rng(4), steps)
-        rng = np.random.default_rng(4)
-        want = ticks_of(next(harness.blocks(cfg, euler, rng, 0)))
-        for k in range(1, steps + 1):
-            [sensed] = sensed_ticks(harness.sense(cfg, euler, np.array([k * t_s]), rng))
-            want.append(reference_step(cfg, euler, want[-1], sensed))
-        assert [tick_bits(t) for t in loop] == [tick_bits(t) for t in want]
+        want = reference_ticks(cfg, euler, np.random.default_rng(4), steps)
+        assert b"".join(map(block_bits, loop)) == b"".join(map(block_bits, want))
 
     def test_a_block_that_raises_yields_none_of_its_ticks(self):
         # the pitch passes 90 deg at t = 14.85 s, on tick 1485 of the second block
@@ -317,48 +256,6 @@ class TestTicks:
                                         np.random.default_rng(0), 2 * CHUNK):
                 done += block.t
         assert len(done) == 1 + CHUNK
-
-
-def reference_run(cfg) -> list[TraceRecord]:
-    """``run_simulation`` with a readout per tick: each tick's channel built
-    and read on its own (``test_channel``'s per-arrival reference), its
-    errors wrapped by ``frames.wrap_angle``, and each epoch's oracle on the
-    vector of its tick's channel."""
-    sensor_rng, channel_rng, perturb_rng = harness.streams(cfg.run.seed)
-    loop = loop_ticks(cfg, mechanical.pointing_euler(cfg.geo), sensor_rng, cfg.ticks)
-    phases = np.zeros(cfg.array.size)
-    wbar = conj_weight_matrix(phases, cfg.array)
-    next_epoch = cfg.electrical.first_epoch
-    total_queries = 0
-    records = []
-    for tick in loop[1:]:  # the start at t = 0 is not recorded
-        sensed, gimbal = tick.sensed, tick.gimbal
-        terms = reference_terms(cfg.signal, cfg.array, *tick.arrival)
-        angles = (
-            *sensed.truth, *tick.est, *harness.attitude_error(tick.est, sensed.truth),
-            *gimbal.angles, *mechanical.pointing_error(gimbal, sensed.ideal),
-        )
-        base = TraceRecord(
-            sensed.t, "mech", *(a * harness.R2D for a in angles),
-            reference_nrsp(terms, wbar), 0, total_queries, int(gimbal.rate_clamped),
-        )
-        records.append(base)
-        if sensed.t >= next_epoch - 1e-12:
-            next_epoch += cfg.electrical.epoch_period
-            oracle = PowerOracle(reference_vec(terms), cfg.signal.noise_power, channel_rng)
-            phases, trace = electrical.RUNNERS[cfg.electrical.method](
-                phases, oracle, cfg.electrical.params, perturb_rng, cfg.array
-            )
-            wbar = conj_weight_matrix(phases, cfg.array)
-            records.extend(
-                base._replace(
-                    phase="elec", nrsp=trace.nrsp[i], elec_iteration=i + 1,
-                    oracle_queries=total_queries + trace.queries[i], rate_clamped=0,
-                )
-                for i in range(len(trace))
-            )
-            total_queries += oracle.queries
-    return records
 
 
 READOUT = harness._READOUT_CHUNK

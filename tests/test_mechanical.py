@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamtrack import frames, mechanical
+from beamtrack.config import D2R
 from beamtrack.frames import Attitude, SingularityError
 from beamtrack.mechanical import (
     GeoConfig,
@@ -20,51 +21,7 @@ from beamtrack.mechanical import (
     pointing_euler,
     stabilization_command,
 )
-from test_frames import rot_x, rot_y, rot_z
-
-D2R = math.pi / 180.0
-
-
-def gimbal_step(
-    state: GimbalState,
-    target: GimbalAngles,
-    isolation: GimbalRates,
-    servo: ServoConfig,
-    sample_period: float,
-) -> GimbalState:
-    """Reference: one tick of the servo.  The commanded rate per axis is the
-    isolation feedforward plus a proportional correction toward the target
-    (shortest angular path); rates saturate at the motor limit and angles
-    are held inside the mechanical stops."""
-    clamped = False
-    moved = []
-    for goal, angle, rate in zip(target, state.angles, isolation):
-        rate += servo.gain * frames.wrap_angle(goal - angle)
-        if abs(rate) > servo.rate_limit:
-            rate = math.copysign(servo.rate_limit, rate)
-            clamped = True
-        moved.append(angle + rate * sample_period)
-    azimuth = frames.wrap_angle(moved[0])
-    azimuth = min(servo.azimuth_stop, max(-servo.azimuth_stop, azimuth))
-    elevation = min(servo.elevation_max, max(servo.elevation_min, moved[1]))
-    polarization = frames.wrap_angle(moved[2])
-    return GimbalState(GimbalAngles(azimuth, elevation, polarization), clamped)
-
-
-def reference_servo(gimbal, targets, omegas, servo, sample_period) -> list[GimbalState]:
-    """Reference: ``mechanical.servo`` a tick at a time, the isolation rates
-    at the previous angles, then ``gimbal_step``."""
-    states = []
-    for target, omega in zip(targets, omegas):
-        isolation = isolation_rates(gimbal.angles, omega)
-        gimbal = gimbal_step(gimbal, GimbalAngles(*target), isolation, servo, sample_period)
-        states.append(gimbal)
-    return states
-
-
-def gimbal_bits(states) -> list[bytes]:
-    """Every float of each gimbal state, its flag included, as bytes."""
-    return [np.array([*g.angles, g.rate_clamped], dtype=float).tobytes() for g in states]
+from refs import bits, reference_servo, rot_x, rot_y, rot_z
 
 
 def hold(state: GimbalState, target: GimbalAngles, servo: ServoConfig, t_s: float, ticks: int):
@@ -268,7 +225,7 @@ class TestServo:
         servo = servo or ServoConfig()
         got = mechanical.servo(start, targets, omegas, servo, self.T_S)
         want = reference_servo(start, targets, omegas, servo, self.T_S)
-        assert gimbal_bits(got) == gimbal_bits(want)
+        assert bits(got) == bits(want)
         return want
 
     def test_equals_the_reference_on_random_motion(self):

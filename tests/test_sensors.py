@@ -1,11 +1,10 @@
 import math
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from beamtrack import frames, fusion, harness, mechanical, sensors
-from beamtrack.config import ScenarioConfig, default_scenario
+from beamtrack.config import D2R, ScenarioConfig, default_scenario
 from beamtrack.frames import Attitude, SingularityError
 from beamtrack.sensors import (
     ProfileConfig,
@@ -17,130 +16,17 @@ from beamtrack.sensors import (
     flight_profile,
     gyro_integrate,
 )
-from test_frames import rot_x, rot_y
-
-D2R = math.pi / 180.0
-
-
-# ---------------------------------------------------------------- references
-# The loop's open-loop half, one tick at a time in Python floats: the code
-# that sensors.sense and harness.sense compute for a block of ticks in numpy.
-# TestSenseBlock holds the block to these bit for bit, and the sensor-model
-# tests below test them.
-
-
-def reference_flight_profile(t: float, profile: ProfileConfig) -> sensors.FlightState:
-    """The truth at one time ``t``."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    axes = []
-    for terms in (profile.yaw, profile.pitch, profile.roll):
-        value = rate = 0.0
-        for amp, freq, phase in terms:
-            w = 2.0 * math.pi * freq
-            value += amp * math.sin(w * t + phase)
-            rate += amp * w * math.cos(w * t + phase)
-        axes.append((value, rate))
-    (yaw, yaw_rate), (pitch, pitch_rate), (roll, roll_rate) = axes
-    attitude = Attitude(yaw, pitch, roll)
-    euler_rates = (roll_rate, pitch_rate, yaw_rate)
-    return sensors.FlightState(
-        attitude, euler_rates, euler_rates_to_body_rates(attitude, euler_rates)
-    )
-
-
-def gyro_measure(truth, noise: SensorNoiseConfig, rng) -> tuple[float, float, float]:
-    """Gyro triad output: truth + constant bias + white noise per axis."""
-    wx, wy, wz = truth
-    nx, ny, nz = rng.standard_normal(3).tolist()
-    bias, sigma = noise.gyro_bias, noise.gyro_white_sigma
-    return (wx + bias + sigma * nx, wy + bias + sigma * ny, wz + bias + sigma * nz)
-
-
-def accel_measure(attitude: Attitude, noise: SensorNoiseConfig, rng) -> tuple[float, float, float]:
-    """Accelerometer triad: gravity projection + noise; level gives (0, 0, -g)."""
-    sp, cp = math.sin(attitude.pitch), math.cos(attitude.pitch)
-    sr, cr = math.sin(attitude.roll), math.cos(attitude.roll)
-    nx, ny, nz = rng.standard_normal(3).tolist()
-    g, sigma = -noise.gravity, noise.accel_white_sigma
-    return (g * -sp + sigma * nx, g * (sr * cp) + sigma * ny, g * (cr * cp) + sigma * nz)
-
-
-def gps_yaw_measure(attitude: Attitude, noise: SensorNoiseConfig, rng) -> float:
-    """Dual-antenna GPS heading: the yaw of the first row of c_n_b + noise."""
-    yaw, pitch, roll = attitude
-    if not (math.isfinite(yaw) and math.isfinite(pitch) and math.isfinite(roll)):
-        raise ValueError(f"attitude must be finite, got {attitude!r}")
-    cp = math.cos(pitch)
-    north, east = cp * math.cos(yaw), cp * math.sin(yaw)
-    return math.atan2(east, north) + noise.gps_yaw_sigma * rng.standard_normal()
-
-
-def reference_pitch_roll(f, gravity: float) -> sensors.PitchRoll:
-    """The accelerometer inversion of one reading."""
-    fx, fy, fz = f
-    ratio = fx / gravity
-    pitch = math.asin(min(1.0, max(-1.0, ratio)))
-    return sensors.PitchRoll(pitch, math.atan2(-fy, -fz), abs(ratio) > 1.0)
-
-
-def reference_measurement_quat(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """The measurement quaternion before its sign, pitch clamped."""
-    pitch = min(fusion._PITCH_LIMIT, max(-fusion._PITCH_LIMIT, pitch))
-    cy, sy = math.cos(yaw / 2), math.sin(yaw / 2)
-    cp, sp = math.cos(pitch / 2), math.sin(pitch / 2)
-    cr, sr = math.cos(roll / 2), math.sin(roll / 2)
-    q = np.array([
-        cy * cp * cr + sy * sp * sr,
-        cy * cp * sr - sy * sp * cr,
-        cy * sp * cr + sy * cp * sr,
-        sy * cp * cr - cy * sp * sr,
-    ])
-    return q / math.sqrt(q.dot(q))
-
-
-class Sensed(NamedTuple):
-    """The open-loop half of one tick: what depends only on ``t`` and the
-    sensor stream."""
-
-    t: float
-    truth: Attitude
-    omega_m: list | None  # None at the start, which draws no gyro sample
-    pitch_roll: sensors.PitchRoll
-    psi_m: float
-    z: np.ndarray  # measurement quaternion, before its hemisphere sign
-    c_n_b_truth: np.ndarray  # truth NED-to-body DCM
-    ideal: mechanical.GimbalAngles  # stabilization command under the truth
-
-
-def sensed_ticks(block: harness.Block) -> list[Sensed]:
-    """The open-loop columns of ``block``, one record per tick."""
-    pitch_roll = map(sensors.PitchRoll, *(a.tolist() for a in block.pitch_roll))
-    return list(map(
-        Sensed, block.t, map(Attitude._make, block.truth.tolist()),
-        block.omega_m or [None] * len(block.t), pitch_roll, block.psi_m.tolist(), block.z,
-        block.c_n_b_truth, block.ideal,
-    ))
-
-
-def reference_sensed(cfg: ScenarioConfig, euler, t: float, rng, gyro=True) -> Sensed:
-    """The open-loop half of one tick, its draws taken from ``rng``."""
-    truth = reference_flight_profile(t, cfg.profile)
-    omega = gyro_measure(truth.body_rates, cfg.sensors, rng) if gyro else None
-    f = accel_measure(truth.attitude, cfg.sensors, rng)
-    pr = reference_pitch_roll(f, cfg.sensors.gravity)
-    psi = gps_yaw_measure(truth.attitude, cfg.sensors, rng)
-    c_n_b = frames.c_n_b(truth.attitude)
-    [ideal] = mechanical.stabilization_command(c_n_b[None], euler)
-    return Sensed(
-        t, truth.attitude, omega, pr, psi, reference_measurement_quat(psi, pr.pitch, pr.roll),
-        c_n_b, ideal,
-    )
-
-
-def quiet_noise(**overrides) -> SensorNoiseConfig:
-    base = dict(gyro_white_sigma=0.0, gyro_bias=0.0, accel_white_sigma=0.0, gps_yaw_sigma=0.0)
-    return SensorNoiseConfig(**{**base, **overrides})
+from refs import (
+    accel_measure,
+    bits,
+    block_bits,
+    gps_yaw_measure,
+    gyro_measure,
+    quiet_noise,
+    reference_sensed,
+    rot_x,
+    rot_y,
+)
 
 
 def default_profile() -> ProfileConfig:
@@ -418,48 +304,9 @@ class TestNoiselessRoundTrips:
             SensorNoiseConfig(gyro_white_sigma=-1.0)
 
 
-def bits(values) -> bytes:
-    return np.array(values, dtype=float).tobytes()
-
-
 class TestFloatTupleVectors:
-    """The loop's 3-vectors are float tuples with the bits of the array forms
-    they replace, and the functions that read one also take an array."""
-
-    def test_flight_profile_rates(self):
-        prof = default_profile()
-        for t in np.linspace(0.0, 20.0, 57).tolist():
-            state = reference_flight_profile(t, prof)
-            for vec in (state.euler_rates, state.body_rates):
-                assert type(vec) is tuple and all(type(v) is float for v in vec)
-            roll_rate, pitch_rate, yaw_rate = state.euler_rates
-            roll, pitch = state.attitude.roll, state.attitude.pitch
-            matrix_form = (
-                np.array([roll_rate, 0.0, 0.0])
-                + rot_x(roll) @ np.array([0.0, pitch_rate, 0.0])
-                + rot_x(roll) @ rot_y(pitch) @ np.array([0.0, 0.0, yaw_rate])
-            )
-            assert bits(state.body_rates) == bits(matrix_form)
-
-    def test_sensor_draws_match_their_array_forms(self):
-        cfg = SensorNoiseConfig()
-        rng = np.random.default_rng(61)
-        for seed in range(50):
-            truth = rng.uniform(-1, 1, 3)
-            att = Attitude(*rng.uniform(-1.4, 1.4, 3))
-            draws, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            omega = gyro_measure(tuple(truth.tolist()), cfg, draws)
-            f = accel_measure(att, cfg, draws)
-            assert type(omega) is tuple and type(f) is tuple
-            assert bits(omega) == bits(
-                truth + cfg.gyro_bias + cfg.gyro_white_sigma * ref.standard_normal(3)
-            )
-            sp, cp = math.sin(att.pitch), math.cos(att.pitch)
-            sr, cr = math.sin(att.roll), math.cos(att.roll)
-            assert bits(f) == bits(
-                -cfg.gravity * np.array([-sp, sr * cp, cr * cp])
-                + cfg.accel_white_sigma * ref.standard_normal(3)
-            )
+    """The functions that read a 3-vector read a float tuple and an array
+    alike, bit for bit."""
 
     def test_readers_take_arrays(self):
         cfg = SensorNoiseConfig()
@@ -478,12 +325,6 @@ class TestFloatTupleVectors:
             lambda v: euler_rates_to_body_rates(Attitude(0.1, 0.2, 0.3), v),
         ):
             assert bits(reader(array)) == bits(reader(rates))
-
-
-def sensed_bits(s: Sensed) -> bytes:
-    """Every float of a tick's open-loop half, and the saturated flag, as bytes."""
-    values = [s.t, *s.truth, *(s.omega_m or ()), *s.pitch_roll, s.psi_m, *s.z, *s.ideal]
-    return np.array(values, dtype=float).tobytes() + s.c_n_b_truth.tobytes()
 
 
 def block_configs() -> dict[str, ScenarioConfig]:
@@ -513,25 +354,27 @@ class TestSenseBlock:
     def test_block_matches_per_tick_reference(self, name, n):
         cfg = block_configs()[name]
         euler = mechanical.pointing_euler(cfg.geo)
-        t_s = cfg.sensors.sample_period
+        times = np.arange(1, n + 1) * cfg.sensors.sample_period
         ref_rng = np.random.default_rng(17)
         want = [reference_sensed(cfg, euler, 0.0, ref_rng, gyro=False)]
-        want += [reference_sensed(cfg, euler, k * t_s, ref_rng) for k in range(1, n + 1)]
-        # one block, and the chunks of the loop
+        want += [reference_sensed(cfg, euler, t, ref_rng) for t in times.tolist()]
+        # one block, and the loop's chunks with their closed-loop columns
+        # (those with a default) cleared
         block_rng, chunk_rng = np.random.default_rng(17), np.random.default_rng(17)
-        start = sensed_ticks(harness.sense(cfg, euler, np.zeros(1), block_rng, gyro=False))
-        block = sensed_ticks(harness.sense(cfg, euler, np.arange(1, n + 1) * t_s, block_rng))
-        chunked = [s for b in harness.blocks(cfg, euler, chunk_rng, n) for s in sensed_ticks(b)]
-        assert len(block) == len(chunked) - 1 == n
-        for got in (start + block, chunked):
-            assert [sensed_bits(s) for s in got] == [sensed_bits(s) for s in want]
+        start = harness.sense(cfg, euler, np.zeros(1), block_rng, gyro=False)
+        block = harness.sense(cfg, euler, times, block_rng)
+        chunked = [b._replace(**harness.Block._field_defaults)
+                   for b in harness.blocks(cfg, euler, chunk_rng, n)]
+        assert len(block.t) == sum(len(b.t) for b in chunked) - 1 == n
+        for got in ([start, block], chunked):
+            assert b"".join(map(block_bits, got)) == b"".join(map(block_bits, want))
             assert all(
-                type(s.omega_m) is list and all(type(v) is float for v in s.omega_m)
-                for s in got[1:]
+                type(w) is list and all(type(v) is float for v in w)
+                for b in got[1:] for w in b.omega_m
             )
         if name == "saturating" and n > 1:
-            assert any(s.pitch_roll.saturated for s in block)
-            assert any(abs(s.pitch_roll.pitch) > fusion._PITCH_LIMIT for s in block)
+            assert block.pitch_roll.saturated.any()
+            assert (abs(block.pitch_roll.pitch) > fusion._PITCH_LIMIT).any()
 
     def test_negative_time_rejected(self):
         cfg = default_scenario()
