@@ -27,10 +27,11 @@ print("Gimbal commands that keep the beam on target as the vehicle moves:")
 print(f"  {'attitude (yaw, pitch, roll)':34s} {'azimuth':>9} {'elevation':>10} {'polar.':>8}")
 attitudes = [(0, 0, 0), (20, 0, 0), (0, 8, 0), (0, 0, -10), (15, 5, -8)]
 dcms = np.array([c_n_b(Attitude(*(a * D2R for a in att_deg))) for att_deg in attitudes])
-for att_deg, cmd in zip(attitudes, stabilization_command(dcms, euler)):
+commands = stabilization_command(dcms, euler)
+for att_deg, (azimuth, elevation, polarization) in zip(attitudes, commands):
     print(
-        f"  {str(att_deg):34s} {cmd.azimuth / D2R:9.3f} {cmd.elevation / D2R:10.3f} "
-        f"{cmd.polarization / D2R:8.3f}"
+        f"  {str(att_deg):34s} {azimuth / D2R:9.3f} {elevation / D2R:10.3f} "
+        f"{polarization / D2R:8.3f}"
     )
 print()
 print("A pure yaw shifts the azimuth command by the opposite amount while")

@@ -42,10 +42,10 @@ ideal = [angles for block in run for angles in block.ideal]
 # fusion never reads the gimbal, so the isolation-off arm servos on the
 # same commands, as if the vehicle did not turn: zero body rates
 still = [(0.0, 0.0, 0.0)] * len(commands)
-servo_only = mechanical.servo(start.gimbal[0], commands, still, cfg.servo, t_s)
+servo_only, _ = mechanical.servo(start.gimbal[0], commands, still, cfg.servo, t_s)
 
 arms = {
-    "isolation + servo": [gimbal for block in run for gimbal in block.gimbal],
+    "isolation + servo": [angles for block in run for angles in block.gimbal],
     "servo only       ": servo_only,
 }
 for label, gimbals in arms.items():

@@ -22,10 +22,10 @@ Conventions used throughout the package:
   ``coupled_beam_rate`` and ``beamtrack geometry``.
 * The yaw/pitch/roll sequence is z-y-x: ``c_n_b`` = R_x(roll) R_y(pitch)
   R_z(yaw).
-* A value that nothing changes after construction is a NamedTuple (the
-  loop's states and trace rows, the channel, trial results); ``@dataclass``
-  marks the holders that change: the config sections that
-  ``config.set_key`` writes, ``OptimizerTrace`` and ``PowerOracle``.
+* A value that nothing changes after construction is a NamedTuple (trace
+  rows, the channel, trial results), but for the per-tick entries of the
+  loop's columns: plain float tuples, measured faster.  ``@dataclass`` marks
+  the holders that change: the config sections, ``OptimizerTrace`` and ``PowerOracle``.
 """
 
 from __future__ import annotations
@@ -191,20 +191,25 @@ def zyx_angles(matrix: np.ndarray) -> tuple[float, float, float]:
     z = atan2(-C21, C22), which at the pole rebuilds the same DCM.
 
     Raises ``ValueError`` when ``matrix`` is not a rotation.  The loop reads
-    its own DCMs without that check, through ``_zyx_of_rows``.
+    its own DCMs without that check, through ``_zyx_columns``.
     """
     rows = _rotation_rows(matrix)
     if rows is None:
         raise ValueError("input is not a rotation matrix")
-    return _zyx_of_rows(rows)
+    return _zyx_of(*rows[0], *rows[1], rows[2][2])
 
 
-def _zyx_of_rows(rows: list[list[float]]) -> tuple[float, float, float]:
-    """:func:`zyx_angles` of the rotation with float ``rows``, unchecked."""
-    (c11, c12, c13), (c21, c22, c23), (_, _, c33) = rows
+def _zyx_of(c11, c12, c13, c21, c22, c23, c33) -> tuple[float, float, float]:
+    """:func:`zyx_angles` of the rotation with these float entries, unchecked."""
     if abs(c13) >= 1.0 - GIMBAL_LOCK_EPS:
         return math.atan2(-c21, c22), math.copysign(math.pi / 2, -c13), 0.0
     return math.atan2(c12, c11), -math.asin(c13), math.atan2(c23, c33)
+
+
+def _zyx_columns(m: np.ndarray) -> list[tuple[float, float, float]]:
+    """:func:`zyx_angles` of each rotation of the (n, 3, 3) stack ``m`` by column, unchecked."""
+    c11, c12, c13, c21, c22, c23, _, _, c33 = m.reshape(-1, 9).T.tolist()
+    return list(map(_zyx_of, c11, c12, c13, c21, c22, c23, c33))
 
 
 def euler_to_quat(attitude: Attitude) -> np.ndarray:

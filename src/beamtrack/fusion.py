@@ -74,18 +74,17 @@ def measurement_quat(yaw_m, pitch_m, roll_m) -> np.ndarray:
     return frames.euler_to_quat(Attitude(yaw_m, pitch_m, roll_m))
 
 
-def fuse(state: FilterState, omegas, zs, sample_period: float) -> list[FilterState]:
-    """The recursion of the module docstring over a block: from ``state``,
-    the filter state after each tick of the gyro rates ``omegas`` (3-sequences)
-    and measurements ``zs``; ``NumericalError`` at the first tick whose
-    innovation variance or updated quaternion is zero.  In floats, but for
-    ``ddot``: the update's norm, and a sign whose float dot is within 1e-12
-    of zero, where it and ``ddot`` can disagree for unit quaternions."""
+def fuse(state: FilterState, omegas, zs, sample_period: float) -> tuple[list[tuple], list[float]]:
+    """The recursion of the module docstring over a block, from ``state``:
+    the quaternion (float tuple) and covariance columns of each tick of the
+    gyro rates ``omegas`` (3-sequences) and measurements ``zs``.  Raises
+    ``NumericalError`` at a zero innovation variance or updated quaternion.
+    In floats, but for ``ddot``: the update's norm, and a sign whose float
+    dot is within 1e-12 of zero, where the two can disagree for unit quaternions."""
     h = sample_period / 2.0
     q0, q1, q2, q3 = map(float, state.q)
     kappa, q_chi, q_u = state.kappa, state.q_chi, state.q_u
-    new = tuple.__new__  # builds a NamedTuple without the Python call of its __new__
-    states = []
+    qs, kappas = [], []
     for (wx, wy, wz), z in zip(omegas, np.asarray(zs, dtype=float).tolist()):
         x, y, w = h * wx, h * wy, h * wz
         p0 = q0 - x * q1 - y * q2 - w * q3
@@ -112,13 +111,14 @@ def fuse(state: FilterState, omegas, zs, sample_period: float) -> list[FilterSta
             raise NumericalError("update produced a zero quaternion")
         q0, q1, q2, q3 = q0 / norm, q1 / norm, q2 / norm, q3 / norm
         kappa = (1.0 - gain) * kappa
-        states.append(new(FilterState, ((q0, q1, q2, q3), kappa, q_chi, q_u)))
-    return states
+        qs.append((q0, q1, q2, q3))
+        kappas.append(kappa)
+    return qs, kappas
 
 
-def estimate(q: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float, float]]]:
-    """The (n, 3, 3) NED-to-body DCMs of the (n, 4) estimates ``q`` and
-    their yaw/pitch/roll, both read from the DCMs ``quat_to_dcm`` builds,
-    rotations: unchecked."""
+def estimate(q) -> tuple[np.ndarray, list[tuple[float, float, float]]]:
+    """The (n, 3, 3) NED-to-body DCMs of the n estimates ``q`` (an (n, 4)
+    stack or its rows) and their yaw/pitch/roll, both read from the DCMs
+    ``quat_to_dcm`` builds, rotations: unchecked."""
     c_n_b = frames.quat_to_dcm(q).mT
-    return c_n_b, list(map(frames._zyx_of_rows, c_n_b.tolist()))
+    return c_n_b, frames._zyx_columns(c_n_b)

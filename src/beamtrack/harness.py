@@ -55,7 +55,7 @@ from . import channel as ch
 from . import electrical as el
 from . import frames, fusion, mechanical, sensors
 from .config import ScenarioConfig
-from .mechanical import GimbalState, PointingEuler
+from .mechanical import PointingEuler
 
 R2D = 180.0 / math.pi
 
@@ -105,7 +105,7 @@ def beam_frame_arrival(angles, c_n_b_truth: np.ndarray, euler: PointingEuler) ->
     # @ runs ndarray.dot's BLAS calls per row; the angles stay math's
     u = frames.c_b_t(*np.array(angles, dtype=float).T.copy()) @ c_n_b_truth @ sat_dir_ned
     arrivals = []
-    for u0, u1, u2 in u.tolist():
+    for u0, u1, u2 in zip(*u.T.tolist()):
         transverse = math.hypot(u1, u2)
         arrivals.append(
             (math.atan2(transverse, u0), math.atan2(u2, u1) if transverse > 0 else 0.0)
@@ -121,20 +121,24 @@ _READOUT_CHUNK = 64
 
 class Block(NamedTuple):
     """A block of ticks of the closed loop, as columns: one entry per tick.
-    ``sense`` fills the open-loop columns, the loop's stages the others."""
+    ``sense`` fills the open-loop columns, the loop's stages the others.
+    Each entry of a list column is a float, a bool, a float tuple or a row
+    of one numpy array; gimbal angles are (azimuth, elevation, polarization)."""
 
     t: list[float]
     truth: np.ndarray  # (n, 3) truth yaw, pitch, roll
-    omega_m: list | None  # gyro body rates, three floats per tick; None at the start
+    omega_m: list[list[float]] | None  # gyro body rates, rows of one array; None at the start
     pitch_roll: sensors.PitchRoll  # of the accelerometer, each field an (n,) array
     psi_m: np.ndarray  # (n,) GPS yaw
     z: np.ndarray  # (n, 4) measurement quaternions, before their hemisphere sign
     c_n_b_truth: np.ndarray  # (n, 3, 3) truth NED-to-body DCMs
-    ideal: list[mechanical.GimbalAngles]  # stabilization commands under the truth
-    filter_state: list[fusion.FilterState] | None = None
+    ideal: list[tuple[float, float, float]]  # stabilization commands under the truth
+    q: list[tuple[float, float, float, float]] | None = None  # the filter's quaternions
+    kappa: list[float] | None = None  # the filter's covariance scales
     est: list[tuple[float, float, float]] | None = None  # the estimates' yaw, pitch, roll
-    command: list[mechanical.GimbalAngles] | None = None  # stabilization commands of the estimates
-    gimbal: list[GimbalState] | None = None
+    command: list[tuple[float, float, float]] | None = None  # the estimates' commands
+    gimbal: list[tuple[float, float, float]] | None = None  # gimbal angles after the servo step
+    rate_clamped: list[bool] | None = None  # whether the servo clamped a rate
     arrival: list[tuple[float, float]] | None = None  # (azimuth, elevation) of beam_frame_arrival
 
 
@@ -168,24 +172,25 @@ def blocks(
     is yielded."""
     block = sense(cfg, euler, np.zeros(1), rng, gyro=False)
     state = fusion.make_filter_state(block.z[0], cfg.fusion)
-    c_n_b, est = fusion.estimate(np.array([state.q]))
+    c_n_b, est = fusion.estimate([state.q])
     targets = mechanical.stabilization_command(c_n_b, euler)
     block = block._replace(
-        filter_state=[state], est=est, command=targets, gimbal=[GimbalState(targets[0])],
-        arrival=beam_frame_arrival(targets, block.c_n_b_truth, euler),
+        q=[state.q], kappa=[state.kappa], est=est, command=targets, gimbal=targets,
+        rate_clamped=[False], arrival=beam_frame_arrival(targets, block.c_n_b_truth, euler),
     )
     yield block
     t_s = cfg.sensors.sample_period
     for first in range(1, steps + 1, _SENSE_CHUNK):
         times = np.arange(first, min(first + _SENSE_CHUNK, steps + 1)) * t_s
         sensed = sense(cfg, euler, times, rng)
-        states = fusion.fuse(block.filter_state[-1], sensed.omega_m, sensed.z, t_s)
-        c_n_b, est = fusion.estimate(np.array([state.q for state in states]))
+        q, kappa = fusion.fuse(state, sensed.omega_m, sensed.z, t_s)
+        state = state._replace(q=q[-1], kappa=kappa[-1])
+        c_n_b, est = fusion.estimate(q)
         targets = mechanical.stabilization_command(c_n_b, euler)
-        gimbals = mechanical.servo(block.gimbal[-1], targets, sensed.omega_m, cfg.servo, t_s)
+        gimbal, clamps = mechanical.servo(block.gimbal[-1], targets, sensed.omega_m, cfg.servo, t_s)
         block = sensed._replace(
-            filter_state=states, est=est, command=targets, gimbal=gimbals,
-            arrival=beam_frame_arrival([g.angles for g in gimbals], sensed.c_n_b_truth, euler),
+            q=q, kappa=kappa, est=est, command=targets, gimbal=gimbal, rate_clamped=clamps,
+            arrival=beam_frame_arrival(gimbal, sensed.c_n_b_truth, euler),
         )
         yield block
 
@@ -225,7 +230,7 @@ def _trace_angles(block: Block) -> list[list[float]]:
     others come out of atan2, asin and ``frames.wrap_angle``), so the
     errors wrap as ``attitude_error`` and ``mechanical.pointing_error`` do."""
     est = np.array(block.est)
-    gimbal = np.array([g.angles for g in block.gimbal])
+    gimbal = np.array(block.gimbal)
     ideal = np.array(block.ideal)
     rad = np.hstack((block.truth, est, est - block.truth, gimbal, ideal[:, :2] - gimbal[:, :2]))
     rad[:, _WRAPPED] = _wrap_angles(rad[:, _WRAPPED])
@@ -256,10 +261,10 @@ def trace_blocks(cfg: ScenarioConfig) -> Iterator[list[TraceRecord]]:
             # the ticks up to an epoch read the weights before it, in one
             # stacked readout of their channels
             powers = cfg.signal.channel(cfg.array, block.arrival[lo:hi]).nrsp(wbar)
-            rows = zip(block.t[lo:hi], angles[lo:hi], powers, block.gimbal[lo:hi])
+            rows = zip(block.t[lo:hi], angles[lo:hi], powers, block.rate_clamped[lo:hi])
             records = [
-                TraceRecord(t, "mech", *cells, power, 0, total_queries, int(g.rate_clamped))
-                for t, cells, power, g in rows
+                TraceRecord(t, "mech", *cells, power, 0, total_queries, int(clamped))
+                for t, cells, power, clamped in rows
             ]
             lo = hi
             if hi > epoch:

@@ -82,11 +82,6 @@ class ServoConfig:
             raise ValueError("elevation stops must stay short of the +/-90 deg keyhole")
 
 
-class GimbalState(NamedTuple):
-    angles: GimbalAngles
-    rate_clamped: bool = False
-
-
 def pointing_euler(geo: GeoConfig) -> PointingEuler:
     """Pointing Euler angles of the satellite beam relative to the NED frame.
 
@@ -111,10 +106,10 @@ def pointing_euler(geo: GeoConfig) -> PointingEuler:
     return PointingEuler(heading, elevation, polarization)
 
 
-def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> list[GimbalAngles]:
-    """Gimbal angles pointing the beam at the satellite, for each vehicle
-    NED-to-body DCM of the (n, 3, 3) stack ``c_n_b``: the list of the n
-    commands.
+def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> list[tuple]:
+    """Gimbal angles (azimuth, elevation, polarization) pointing the beam at
+    the satellite, for each vehicle NED-to-body DCM of the (n, 3, 3) stack
+    ``c_n_b``: the list of the n commands, float tuples.
 
     Factors the NED-to-beam map through the body frame: c_b_t(command) @
     c_n_b = c_n_t(euler), so coordinates flow n -> b -> t.  A pure yaw of
@@ -123,9 +118,8 @@ def stabilization_command(c_n_b: np.ndarray, euler: PointingEuler) -> list[Gimba
     ``frames.zyx_angles``: polarization 0, the azimuth carrying the rest.
     Each DCM must be a rotation (the loop's own DCMs): it is not checked.
     """
-    c_nt = frames.c_n_t(*euler)
     # @ runs ndarray.dot's BLAS call per product: each command has its own bits
-    return [GimbalAngles(*frames._zyx_of_rows(rows)) for rows in (c_nt @ c_n_b.mT).tolist()]
+    return frames._zyx_columns(frames.c_n_t(*euler) @ c_n_b.mT)
 
 
 def coupled_beam_rate(angles: GimbalAngles, body_rates: np.ndarray) -> np.ndarray:
@@ -160,22 +154,19 @@ def isolation_rates(angles: GimbalAngles, body_rates) -> GimbalRates:
     )
 
 
-def servo(
-    gimbal: GimbalState, targets, omegas, servo: ServoConfig, sample_period: float
-) -> list[GimbalState]:
-    """The servo recursion over a block: from ``gimbal``, the gimbal state
-    after each tick toward the ``targets`` under the gyro rates ``omegas``
-    (3-sequences).  Each axis commands the ``isolation_rates`` feedforward
+def servo(angles, targets, omegas, servo: ServoConfig, sample_period: float) -> tuple[list, list]:
+    """The servo recursion over a block: from the gimbal ``angles``, the
+    angles (a float tuple) after each tick toward the ``targets`` under the
+    gyro rates ``omegas`` (3-sequences), and whether a rate was clamped, as
+    two columns.  Each axis commands the ``isolation_rates`` feedforward
     at the previous angles plus a proportional step along the shortest
-    path, clamped at the rate limit (``rate_clamped``), and stays inside
-    its stops; ``SingularityError`` at the first tick that starts at the
-    keyhole."""
+    path, clamped at the rate limit, and stays inside its stops;
+    ``SingularityError`` at the first tick that starts at the keyhole."""
     gain, limit, t_s = servo.gain, servo.rate_limit, sample_period
     stop, el_min, el_max = servo.azimuth_stop, servo.elevation_min, servo.elevation_max
     wrap, cos, sin, tan, copysign = frames.wrap_angle, math.cos, math.sin, math.tan, math.copysign
-    az, el, pol = gimbal.angles
-    new = tuple.__new__  # builds a NamedTuple without the Python call of its __new__
-    states = []
+    az, el, pol = angles
+    moved, clamps = [], []
     for (goal_az, goal_el, goal_pol), (wx, wy, wz) in zip(targets, omegas):
         if abs(el) >= RATE_MAP_LIMIT:
             raise SingularityError("elevation too close to +/-90 deg (keyhole)")
@@ -193,15 +184,13 @@ def servo(
         az = min(stop, max(-stop, wrap(az + rate_az * t_s)))
         el = min(el_max, max(el_min, el + rate_el * t_s))
         pol = wrap(pol + rate_pol * t_s)
-        states.append(new(GimbalState, (new(GimbalAngles, (az, el, pol)), clamped)))
-    return states
+        moved.append((az, el, pol))
+        clamps.append(clamped)
+    return moved, clamps
 
 
-def pointing_error(state: GimbalState, ideal: GimbalAngles) -> tuple[float, float]:
-    """Azimuth/elevation error of the actual gimbal against the ideal
-    stabilization solution ``ideal``, the ``stabilization_command`` of the
-    truth NED-to-body DCM."""
-    return (
-        frames.wrap_angle(ideal.azimuth - state.angles.azimuth),
-        frames.wrap_angle(ideal.elevation - state.angles.elevation),
-    )
+def pointing_error(angles: GimbalAngles, ideal: GimbalAngles) -> tuple[float, float]:
+    """Azimuth/elevation error of the gimbal ``angles`` against ``ideal``,
+    the ``stabilization_command`` of the truth NED-to-body DCM: (azimuth,
+    elevation, polarization) 3-sequences both."""
+    return frames.wrap_angle(ideal[0] - angles[0]), frames.wrap_angle(ideal[1] - angles[1])

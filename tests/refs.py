@@ -23,7 +23,7 @@ from beamtrack.channel import WAVELENGTH, PowerOracle, conj_weight_matrix
 from beamtrack.config import ScenarioConfig
 from beamtrack.frames import Attitude
 from beamtrack.fusion import FilterState, NumericalError
-from beamtrack.mechanical import GimbalAngles, GimbalRates, GimbalState, ServoConfig
+from beamtrack.mechanical import GimbalAngles, GimbalRates, ServoConfig
 from beamtrack.sensors import ProfileConfig, SensorNoiseConfig
 
 
@@ -209,31 +209,34 @@ def update(state: FilterState, z: np.ndarray) -> FilterState:
     return FilterState(q_new / norm, (1.0 - gain) * state.kappa, state.q_chi, state.q_u)
 
 
-def reference_fuse(state: FilterState, omegas, zs, sample_period) -> list[FilterState]:
+def reference_fuse(state: FilterState, omegas, zs, sample_period) -> tuple[list, list]:
     """``fusion.fuse`` a tick at a time, through predict, align and update,
-    each measurement a row of the array ``zs``."""
-    states = []
+    each measurement a row of the array ``zs``: the columns of the
+    quaternions (float tuples) and covariance scales."""
+    q, kappa = [], []
     for omega, z in zip(omegas, np.asarray(zs, dtype=float)):
         prior = predict(state, omega, sample_period)
         state = update(prior, align(z, prior.q))
-        states.append(state)
-    return states
+        q.append(tuple(state.q.tolist()))
+        kappa.append(state.kappa)
+    return q, kappa
 
 
 def gimbal_step(
-    state: GimbalState,
+    angles: GimbalAngles,
     target: GimbalAngles,
     isolation: GimbalRates,
     servo: ServoConfig,
     sample_period: float,
-) -> GimbalState:
-    """One tick of the servo.  The commanded rate per axis is the isolation
-    feedforward plus a proportional correction toward the target (shortest
-    angular path); rates saturate at the motor limit and angles are held
-    inside the mechanical stops."""
+) -> tuple[GimbalAngles, bool]:
+    """One tick of the servo: the new angles, and whether a rate was
+    clamped.  The commanded rate per axis is the isolation feedforward plus
+    a proportional correction toward the target (shortest angular path);
+    rates saturate at the motor limit and angles are held inside the
+    mechanical stops."""
     clamped = False
     moved = []
-    for goal, angle, rate in zip(target, state.angles, isolation):
+    for goal, angle, rate in zip(target, angles, isolation):
         rate += servo.gain * frames.wrap_angle(goal - angle)
         if abs(rate) > servo.rate_limit:
             rate = math.copysign(servo.rate_limit, rate)
@@ -243,18 +246,21 @@ def gimbal_step(
     azimuth = min(servo.azimuth_stop, max(-servo.azimuth_stop, azimuth))
     elevation = min(servo.elevation_max, max(servo.elevation_min, moved[1]))
     polarization = frames.wrap_angle(moved[2])
-    return GimbalState(GimbalAngles(azimuth, elevation, polarization), clamped)
+    return GimbalAngles(azimuth, elevation, polarization), clamped
 
 
-def reference_servo(gimbal, targets, omegas, servo, sample_period) -> list[GimbalState]:
+def reference_servo(angles, targets, omegas, servo, sample_period) -> tuple[list, list]:
     """``mechanical.servo`` a tick at a time: the isolation rates at the
-    previous angles, then ``gimbal_step``."""
-    states = []
+    previous angles, then ``gimbal_step``; the columns of the angles (float
+    tuples) and the clamp flags."""
+    moved, clamps = [], []
     for target, omega in zip(targets, omegas):
-        isolation = mechanical.isolation_rates(gimbal.angles, omega)
-        gimbal = gimbal_step(gimbal, GimbalAngles(*target), isolation, servo, sample_period)
-        states.append(gimbal)
-    return states
+        angles, target = GimbalAngles(*angles), GimbalAngles(*target)
+        isolation = mechanical.isolation_rates(angles, omega)
+        angles, clamped = gimbal_step(angles, target, isolation, servo, sample_period)
+        moved.append(tuple(angles))
+        clamps.append(clamped)
+    return moved, clamps
 
 
 # ------------------------------------------------------------ the closed loop
@@ -265,14 +271,15 @@ def reference_step(cfg, euler, prev: harness.Block, sensed: harness.Block) -> ha
     ``sensed``: fuse its readings, command the gimbal to the stabilization
     solution of the estimate, servo it under the isolation of the measured
     body rates, and take the arrival."""
-    t_s = cfg.sensors.sample_period
-    states = reference_fuse(prev.filter_state[-1], sensed.omega_m, sensed.z, t_s)
-    c_n_b, est = fusion.estimate(np.array([s.q for s in states]))
+    t_s, cov = cfg.sensors.sample_period, cfg.fusion
+    start = FilterState(prev.q[-1], prev.kappa[-1], cov.process_noise, cov.measurement_noise)
+    q, kappa = reference_fuse(start, sensed.omega_m, sensed.z, t_s)
+    c_n_b, est = fusion.estimate(q)
     targets = mechanical.stabilization_command(c_n_b, euler)
-    gimbals = reference_servo(prev.gimbal[-1], targets, sensed.omega_m, cfg.servo, t_s)
-    arrivals = harness.beam_frame_arrival([g.angles for g in gimbals], sensed.c_n_b_truth, euler)
+    gimbal, clamped = reference_servo(prev.gimbal[-1], targets, sensed.omega_m, cfg.servo, t_s)
     return sensed._replace(
-        filter_state=states, est=est, command=targets, gimbal=gimbals, arrival=arrivals,
+        q=q, kappa=kappa, est=est, command=targets, gimbal=gimbal, rate_clamped=clamped,
+        arrival=harness.beam_frame_arrival(gimbal, sensed.c_n_b_truth, euler),
     )
 
 
@@ -283,11 +290,11 @@ def reference_ticks(cfg, euler, rng, steps) -> Iterator[harness.Block]:
     by ``reference_sensed`` and run by ``reference_step``."""
     tick = reference_sensed(cfg, euler, 0.0, rng, gyro=False)
     state = fusion.make_filter_state(tick.z[0], cfg.fusion)
-    c_n_b, est = fusion.estimate(np.array([state.q]))
+    c_n_b, est = fusion.estimate([state.q])
     targets = mechanical.stabilization_command(c_n_b, euler)
     tick = tick._replace(
-        filter_state=[state], est=est, command=targets, gimbal=[GimbalState(targets[0])],
-        arrival=harness.beam_frame_arrival(targets, tick.c_n_b_truth, euler),
+        q=[state.q], kappa=[state.kappa], est=est, command=targets, gimbal=targets,
+        rate_clamped=[False], arrival=harness.beam_frame_arrival(targets, tick.c_n_b_truth, euler),
     )
     yield tick
     t_s = cfg.sensors.sample_period
@@ -311,15 +318,15 @@ def reference_run(cfg) -> list[harness.TraceRecord]:
     records = []
     for tick in ticks:
         [t], [truth], [est] = tick.t, tick.truth.tolist(), tick.est
-        [ideal], [gimbal] = tick.ideal, tick.gimbal
+        [ideal], [gimbal], [clamped] = tick.ideal, tick.gimbal, tick.rate_clamped
         terms = reference_terms(cfg.signal, cfg.array, *tick.arrival[0])
         angles = (
             *truth, *est, *harness.attitude_error(est, truth),
-            *gimbal.angles, *mechanical.pointing_error(gimbal, ideal),
+            *gimbal, *mechanical.pointing_error(gimbal, ideal),
         )
         base = harness.TraceRecord(
             t, "mech", *(a * harness.R2D for a in angles),
-            reference_nrsp(terms, wbar), 0, total_queries, int(gimbal.rate_clamped),
+            reference_nrsp(terms, wbar), 0, total_queries, int(clamped),
         )
         records.append(base)
         if t >= next_epoch - 1e-12:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamtrack import frames
+from beamtrack import frames, fusion, mechanical
 from beamtrack.config import D2R
 from beamtrack.frames import (
     Attitude,
@@ -251,12 +251,13 @@ class TestIsRotation:
 
 
 class TestUncheckedReader:
-    """``frames._zyx_of_rows`` reads the loop's own DCMs without the rotation
-    check, and must read exactly what ``zyx_angles`` reads after it."""
+    """``frames._zyx_columns`` reads the loop's own DCMs, a stack by column,
+    without the rotation check, and must read exactly what ``zyx_angles``
+    reads of each matrix after it."""
 
     def test_equals_zyx_angles_bit_for_bit(self):
         rng = np.random.default_rng(53)
-        in_band = 0
+        stack = []
         for i in range(4000):
             z, x = rng.uniform(-math.pi, math.pi, size=2)
             # every other middle angle within 1e-4 rad of a pole: the pole
@@ -265,15 +266,55 @@ class TestUncheckedReader:
                 y = math.copysign(math.pi / 2 - rng.uniform(0.0, 1e-4), rng.uniform(-1, 1))
             else:
                 y = rng.uniform(-math.pi / 2, math.pi / 2)
-            for m in (c_b_t(z, y, x), quat_to_dcm(euler_to_quat(Attitude(z, y, x))).T):
-                angles = frames._zyx_of_rows(m.tolist())
-                assert bits(angles) == bits(zyx_angles(m))
-                in_band += angles[2] == 0.0 and abs(angles[1]) == math.pi / 2
+            stack += [c_b_t(z, y, x), quat_to_dcm(euler_to_quat(Attitude(z, y, x))).T]
+        stack += [c_b_t(z, y, x) for y in POLES for z, x in POLE_PAIRS]
+        angles = frames._zyx_columns(np.array(stack))
+        assert bits(angles) == bits([zyx_angles(m) for m in stack])
+        in_band = sum(a[2] == 0.0 and abs(a[1]) == math.pi / 2 for a in angles[:8000])
         assert 500 < in_band < 3500  # both sides of the band edge were read
-        for y in POLES:
-            for z, x in POLE_PAIRS:
-                m = c_b_t(z, y, x)
-                assert bits(frames._zyx_of_rows(m.tolist())) == bits(zyx_angles(m))
+
+    def test_stages_read_the_pole_band_and_signed_zeros(self):
+        # middle angles at a pole, inside the band (|C13| about 5e-11 from
+        # 1), just outside it (about 1.25e-9 from 1) and away from it
+        eps = frames.GIMBAL_LOCK_EPS
+        middles = [s * (math.pi / 2 - d) for s in (1, -1) for d in (0.0, 1e-5, 5e-5)] + [0.3]
+        rotations = [(z, y, x) for y in middles for z, x in POLE_PAIRS]
+
+        def read_entries(dcms):  # C11 C12 C13 C21 C22 C23 C33 of each
+            return np.array(dcms).reshape(-1, 9)[:, [0, 1, 2, 3, 4, 5, 8]]
+
+        def band_edges(dcms):  # |C13| inside the band, and just outside it
+            c13 = np.abs(read_entries(dcms)[:, 2])
+            return (c13 >= 1 - eps).sum(), ((c13 < 1 - eps) & (c13 > 1 - 2 * eps)).sum()
+
+        # the commands' DCMs c_nt c_n_b^T: c_n_b = c_b_t^T c_nt puts each at
+        # its c_b_t, up to rounding; the identities hold -0.0 off the diagonal
+        euler = mechanical.pointing_euler(mechanical.GeoConfig())
+        c_nt = c_n_t(*euler)
+        signed = [
+            np.where(np.eye(3) == 1.0, 1.0, -0.0),
+            np.array([[-0.0, 1.0, -0.0], [-1.0, -0.0, 0.0], [0.0, -0.0, 1.0]]),
+        ]
+        c_n_b_stack = np.array([c_b_t(*r).T @ c_nt for r in rotations] + signed)
+        assert np.signbit(c_n_b_stack[c_n_b_stack == 0.0]).any()
+        alone = [c_nt @ m.T for m in c_n_b_stack]
+        got = mechanical.stabilization_command(c_n_b_stack, euler)
+        assert bits(got) == bits([zyx_angles(m) for m in alone])
+        assert min(band_edges(alone)) >= 8
+
+        # the estimates' DCMs quat_to_dcm(q)^T, with -0.0 entries read
+        h = math.sqrt(0.5)
+        quats = [euler_to_quat(Attitude(*r)) for r in rotations] + [
+            np.array(q) for q in
+            ((1.0, -0.0, 0.0, 0.0), (-0.0, 1.0, 0.0, -0.0), (h, -0.0, h, 0.0), (h, 0.0, -h, -0.0))
+        ]
+        alone = [quat_to_dcm(q).T for q in quats]
+        c_n_b, est = fusion.estimate(np.array(quats))
+        assert bits(c_n_b) == bits(alone)
+        assert bits(est) == bits([zyx_angles(m) for m in alone])
+        assert min(band_edges(alone)) >= 8
+        entries = read_entries(alone)
+        assert np.signbit(entries[entries == 0.0]).sum() >= 4
 
 
 class TestQuaternions:

@@ -108,7 +108,7 @@ class TestBeamFrameArrival:
         [ideal] = mechanical.stabilization_command(c_n_b, euler)
         # pure polarization-axis rotation tilts the arrival off-normal by
         # exactly the elevation perturbation
-        off = ideal._replace(elevation=ideal.elevation + 0.3 * D2R)
+        off = (ideal[0], ideal[1] + 0.3 * D2R, ideal[2])
         [(az, el)] = beam_frame_arrival([off], c_n_b, euler)
         assert az == pytest.approx(0.3 * D2R, abs=1e-9)
 
@@ -256,6 +256,24 @@ class TestTicks:
                                         np.random.default_rng(0), 2 * CHUNK):
                 done += block.t
         assert len(done) == 1 + CHUNK
+
+    def test_list_columns_hold_plain_floats(self):
+        # each per-tick entry of the loop's stages is a float tuple, a float
+        # or a bool, never a NamedTuple: 2100 ticks of a 16x8 run, in three
+        # blocks after the start (test_sensors checks the gyro rows)
+        cfg = load_scenario_text("[array]\nrows = 16\ncols = 8\n[run]\nduration = 21\n")
+        euler = mechanical.pointing_euler(cfg.geo)
+        start, *run = harness.blocks(cfg, euler, harness.streams(0)[0], cfg.ticks)
+        assert [len(b.t) for b in run] == [CHUNK, CHUNK, 2100 - 2 * CHUNK]
+        widths = {"ideal": 3, "q": 4, "est": 3, "command": 3, "gimbal": 3, "arrival": 2}
+        for block in [start, *run]:
+            for name, width in widths.items():
+                assert all(
+                    type(x) is tuple and len(x) == width and all(type(v) is float for v in x)
+                    for x in getattr(block, name)
+                ), name
+            assert all(type(x) is float for x in block.t + block.kappa)
+            assert all(type(x) is bool for x in block.rate_clamped)
 
 
 READOUT = harness._READOUT_CHUNK

@@ -10,7 +10,6 @@ from beamtrack.mechanical import (
     GeoConfig,
     GimbalAngles,
     GimbalRates,
-    GimbalState,
     NoVisibilityError,
     PointingEuler,
     ServoConfig,
@@ -24,16 +23,16 @@ from beamtrack.mechanical import (
 from refs import bits, reference_servo, rot_x, rot_y, rot_z
 
 
-def hold(state: GimbalState, target: GimbalAngles, servo: ServoConfig, t_s: float, ticks: int):
+def hold(angles: GimbalAngles, target: GimbalAngles, servo: ServoConfig, t_s: float, ticks: int):
     """``ticks`` ticks of ``mechanical.servo`` toward a fixed target, the
-    vehicle at rest."""
-    return mechanical.servo(state, [target] * ticks, [(0.0, 0.0, 0.0)] * ticks, servo, t_s)
+    vehicle at rest: the angle and clamp-flag columns."""
+    return mechanical.servo(angles, [target] * ticks, [(0.0, 0.0, 0.0)] * ticks, servo, t_s)
 
 
 def command(att: Attitude, euler: PointingEuler) -> GimbalAngles:
     """The stabilization command of one attitude, a stack of one DCM."""
     [cmd] = stabilization_command(frames.c_n_b(att)[None], euler)
-    return cmd
+    return GimbalAngles(*cmd)
 
 
 class TestPointingEuler:
@@ -181,39 +180,39 @@ class TestBeamRates:
 
 class TestGimbalServo:
     def test_at_target_stays(self):
-        state = GimbalState(GimbalAngles(0.3, 0.5, -0.1))
-        [out] = hold(state, state.angles, ServoConfig(), 0.01, 1)
-        np.testing.assert_allclose(out.angles, state.angles, atol=1e-15)
-        assert not out.rate_clamped
+        angles = GimbalAngles(0.3, 0.5, -0.1)
+        [out], [clamped] = hold(angles, angles, ServoConfig(), 0.01, 1)
+        np.testing.assert_allclose(out, angles, atol=1e-15)
+        assert not clamped
 
     def test_first_order_settling(self):
         servo = ServoConfig(gain=20.0, rate_limit=1e6)
-        state = GimbalState(GimbalAngles(0.02, 0.5, 0.0))
         t_s = 0.001
         steps = int(5.0 / servo.gain / t_s)  # five time constants
-        *_, state = hold(state, GimbalAngles(0.0, 0.5, 0.0), servo, t_s, steps)
+        start, target = GimbalAngles(0.02, 0.5, 0.0), GimbalAngles(0.0, 0.5, 0.0)
+        angles, _ = hold(start, target, servo, t_s, steps)
         # first-order decay: offset shrinks by ~exp(-5)
-        assert abs(state.angles.azimuth) <= 0.02 * math.exp(-5) * 1.3
+        assert abs(angles[-1][0]) <= 0.02 * math.exp(-5) * 1.3
 
     def test_rate_clamp_applied_exactly(self):
         servo = ServoConfig(gain=20.0, rate_limit=10 * D2R)
-        state = GimbalState(GimbalAngles(0.0, 0.5, 0.0))
-        [out] = hold(state, GimbalAngles(1.0, 0.5, 0.0), servo, 0.01, 1)
-        assert out.rate_clamped
-        assert out.angles.azimuth == pytest.approx(10 * D2R * 0.01, abs=1e-15)
+        [out], [clamped] = hold(GimbalAngles(0.0, 0.5, 0.0), GimbalAngles(1.0, 0.5, 0.0), servo,
+                                0.01, 1)
+        assert clamped
+        assert out[0] == pytest.approx(10 * D2R * 0.01, abs=1e-15)
 
     def test_stops_hold_angles(self):
-        state = GimbalState(GimbalAngles(0.0, 84.9 * D2R, 0.0))
-        *_, state = hold(state, GimbalAngles(0.0, 89.0 * D2R, 0.0), ServoConfig(), 0.01, 200)
-        assert state.angles.elevation == pytest.approx(85 * D2R)
+        start, target = GimbalAngles(0.0, 84.9 * D2R, 0.0), GimbalAngles(0.0, 89.0 * D2R, 0.0)
+        angles, _ = hold(start, target, ServoConfig(), 0.01, 200)
+        assert angles[-1][1] == pytest.approx(85 * D2R)
 
     def test_azimuth_wraps_across_180(self):
         servo = ServoConfig(azimuth_stop=math.pi)
-        state = GimbalState(GimbalAngles(math.radians(179.0), 0.5, 0.0))
+        start = GimbalAngles(math.radians(179.0), 0.5, 0.0)
         target = GimbalAngles(math.radians(-179.0), 0.5, 0.0)
-        [state] = hold(state, target, servo, 0.01, 1)
+        [(azimuth, _, _)], _ = hold(start, target, servo, 0.01, 1)
         # shortest path goes through +180, not back through zero
-        assert state.angles.azimuth > math.radians(179.0) or state.angles.azimuth < 0
+        assert azimuth > math.radians(179.0) or azimuth < 0
 
 
 class TestServo:
@@ -239,8 +238,8 @@ class TestServo:
             np.angle(np.exp(1j * walk[:, 0])), walk[:, 1], np.angle(np.exp(1j * walk[:, 2])),
         ]).tolist()
         omegas = rng.uniform(-0.8, 0.8, (n, 3)).tolist()
-        states = self.run_both(GimbalState(GimbalAngles(0.1, 0.4, -0.2)), targets, omegas)
-        assert 0 < sum(g.rate_clamped for g in states) < n
+        _, clamped = self.run_both(GimbalAngles(0.1, 0.4, -0.2), targets, omegas)
+        assert 0 < sum(clamped) < n
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_rate_clamp_on_each_axis(self, axis):
@@ -249,19 +248,19 @@ class TestServo:
         start = GimbalAngles(0.2, 0.4, -0.3)
         target = list(start)
         target[axis] += 0.5
-        states = self.run_both(GimbalState(start), [target] * 100, [(0.0, 0.0, 0.0)] * 100)
-        assert states[0].rate_clamped and not states[-1].rate_clamped
+        angles, clamped = self.run_both(start, [target] * 100, [(0.0, 0.0, 0.0)] * 100)
+        assert clamped[0] and not clamped[-1]
         for other in {0, 1, 2} - {axis}:  # held, but for the wrap's rounding
             held = [start[other]] * 100
-            assert [g.angles[other] for g in states] == pytest.approx(held, abs=1e-15)
+            assert [a[other] for a in angles] == pytest.approx(held, abs=1e-15)
 
     def test_azimuth_stop(self):
         # a target beyond each stop: the azimuth runs into it and holds there
         for sign in (1.0, -1.0):
             target = (sign * 175 * D2R, 0.4, 0.0)
-            start = GimbalState(GimbalAngles(sign * 160 * D2R, 0.4, 0.0))
-            states = self.run_both(start, [target] * 50, [(0.0, 0.0, 0.0)] * 50)
-            assert states[-1].angles.azimuth == sign * ServoConfig().azimuth_stop
+            start = GimbalAngles(sign * 160 * D2R, 0.4, 0.0)
+            angles, _ = self.run_both(start, [target] * 50, [(0.0, 0.0, 0.0)] * 50)
+            assert angles[-1][0] == sign * ServoConfig().azimuth_stop
 
     def test_elevation_stops(self):
         # targets above the upper stop and below the lower one, with the
@@ -269,22 +268,22 @@ class TestServo:
         servo = ServoConfig()
         for target_el, omega_y, stop in ((89 * D2R, -0.2, servo.elevation_max),
                                           (-10 * D2R, 0.2, servo.elevation_min)):
-            start = GimbalState(GimbalAngles(0.0, 42 * D2R, 0.0))
+            start = GimbalAngles(0.0, 42 * D2R, 0.0)
             targets, omegas = [(0.0, target_el, 0.0)] * 300, [(0.0, omega_y, 0.0)] * 300
-            states = self.run_both(start, targets, omegas)
-            assert states[-1].angles.elevation == stop
+            angles, _ = self.run_both(start, targets, omegas)
+            assert angles[-1][1] == stop
 
     def test_keyhole_in_mid_block(self):
         # the upper stop moved to the keyhole after the config's own check:
         # the elevation climbs into it, and the tick that starts there raises
         servo = ServoConfig(gain=100.0, rate_limit=30.0)
         servo.elevation_max = math.pi / 2
-        start = GimbalState(GimbalAngles(0.0, 0.0, 0.0))
+        start = GimbalAngles(0.0, 0.0, 0.0)
         # the vehicle pitches down, so the feedforward lifts the elevation
         targets, omegas = [(0.0, math.pi / 2, 0.0)] * 12, [(0.0, -0.1, 0.0)] * 12
-        gimbal, k = start, 0
-        while abs(gimbal.angles.elevation) < frames.RATE_MAP_LIMIT and k < len(targets):
-            [gimbal] = reference_servo(gimbal, targets[:1], omegas[:1], servo, self.T_S)
+        angles, k = start, 0
+        while abs(angles[1]) < frames.RATE_MAP_LIMIT and k < len(targets):
+            [angles], _ = reference_servo(angles, targets[:1], omegas[:1], servo, self.T_S)
             k += 1
         assert 2 <= k < len(targets) - 1
         self.run_both(start, targets[:k], omegas[:k], servo)
@@ -299,7 +298,7 @@ class TestPointingError:
         euler = pointing_euler(GeoConfig())
         att = Attitude(0.1, -0.05, 0.2)
         ideal = command(att, euler)
-        err = pointing_error(GimbalState(ideal), command(att, euler))
+        err = pointing_error(ideal, command(att, euler))
         assert err == (0.0, 0.0)
 
     def test_yaw_error_passthrough(self):
@@ -309,6 +308,6 @@ class TestPointingError:
         delta_yaw = 0.7 * D2R
         believed = Attitude(delta_yaw, 0.0, 0.0)
         cmd = command(believed, euler)
-        err = pointing_error(GimbalState(cmd), command(truth, euler))
+        err = pointing_error(cmd, command(truth, euler))
         assert abs(err[0]) == pytest.approx(delta_yaw, abs=1e-12)
         assert abs(err[1]) <= 1e-12
