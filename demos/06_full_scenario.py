@@ -9,7 +9,7 @@ the CSV/JSON trace and prints a few signposts from it.
 import numpy as np
 
 from beamtrack.config import load_scenario_text
-from beamtrack.harness import export_csv, export_json, run_simulation
+from beamtrack.harness import run_simulation, write_trace
 
 cfg = load_scenario_text(
     """
@@ -25,8 +25,7 @@ records = run_simulation(cfg)
 mech = [r for r in records if r.phase == "mech"]
 elec = [r for r in records if r.phase == "elec"]
 
-export_csv(records, "trace.csv")
-export_json(records, "trace.json")
+write_trace([records], csv_path="trace.csv", json_path="trace.json")
 print(f"{len(mech)} sensor ticks, {len(elec)} electrical iterations -> trace.csv / trace.json\n")
 
 att = np.array([[r.yaw_err_deg, r.pitch_err_deg, r.roll_err_deg] for r in mech])

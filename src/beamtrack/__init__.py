@@ -14,7 +14,7 @@ from .channel import ArrayGeometry, PowerOracle
 from .config import ScenarioConfig, load_scenario
 from .electrical import AsspParams, run_assp, run_isotropic_spsa, run_sequential_perturbation
 from .frames import Attitude
-from .harness import TraceRecord, export_csv, export_json, run_simulation
+from .harness import TraceRecord, run_simulation
 from .mechanical import GeoConfig, GimbalAngles, PointingEuler, pointing_euler
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "config",
     "electrical",
     "experiments",
-    "export_csv",
-    "export_json",
     "frames",
     "fusion",
     "harness",

